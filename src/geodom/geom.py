@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from sortedcontainers import SortedList
 
@@ -115,6 +115,41 @@ def intersects(a: GeomObject, b: GeomObject) -> bool:
             return a.y == b.y and _ranges_overlap(a.x_lo, a.x_hi, b.x_lo, b.x_hi)
         return intersects(b, a)
     raise InvalidInputError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
+
+
+def to_ints(values: Iterable[Rat], scale: int) -> list[int]:
+    """``values`` multiplied by ``scale``, a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+class IntCoords(NamedTuple):
+    """Rays and vertical segments with each axis scaled to exact ints.
+
+    Each axis is multiplied by the LCM of its denominators (``y_scale``,
+    ``x_scale``).  Every ray/segment predicate compares coordinates of a
+    single axis, so the ints order and tie exactly as the rationals do.
+    Lists follow the input order.
+    """
+
+    y_scale: int
+    ray_y: list[int]
+    seg_lo: list[int]
+    seg_hi: list[int]
+    x_scale: int
+    reach: list[int]
+    seg_x: list[int]
+
+
+def int_coords(rays: Sequence[HRay], segs: Sequence[VSeg]) -> IntCoords:
+    """Scale both axes of a ray/segment family to ints (see ``IntCoords``)."""
+    ys, los, his = [r.y for r in rays], [v.y_lo for v in segs], [v.y_hi for v in segs]
+    reaches, xs = [r.x_right for r in rays], [v.x for v in segs]
+    ly = math.lcm(*{v.denominator for g in (ys, los, his) for v in g})
+    lx = math.lcm(*{v.denominator for g in (reaches, xs) for v in g})
+    return IntCoords(
+        ly, to_ints(ys, ly), to_ints(los, ly), to_ints(his, ly),
+        lx, to_ints(reaches, lx), to_ints(xs, lx),
+    )
 
 
 @dataclass(frozen=True)
@@ -360,14 +395,6 @@ class RayIndex:
         return self._live[pos][1] if pos >= 0 else None
 
 
-def sweep_index_build(rays: Iterable[HRay]) -> RayIndex:
-    return RayIndex(rays)
-
-
-def sweep_index_query_delete(idx: RayIndex, seg: VSeg) -> set[int]:
-    return idx.query_delete(seg)
-
-
 def rank_interval(sorted_ys: list[Rat], y_lo: Rat, y_hi: Rat) -> tuple[int, int]:
     """Inclusive index range of sorted_ys values falling inside [y_lo, y_hi].
 
@@ -376,3 +403,91 @@ def rank_interval(sorted_ys: list[Rat], y_lo: Rat, y_hi: Rat) -> tuple[int, int]
     a = bisect_left(sorted_ys, y_lo)
     b = bisect_right(sorted_ys, y_hi) - 1
     return a, b
+
+
+class Fenwick:
+    """Prefix sums over 0..n-1 with point updates, for offline sweeps."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.tree = [0] * (n + 1)
+
+    def add(self, i: int, delta: int) -> None:
+        i += 1
+        while i <= self.n:
+            self.tree[i] += delta
+            i += i & (-i)
+
+    def prefix(self, i: int) -> int:
+        # sum of entries 0..i inclusive
+        s = 0
+        i += 1
+        while i > 0:
+            s += self.tree[i]
+            i -= i & (-i)
+        return s
+
+    def range_sum(self, lo: int, hi: int) -> int:
+        if lo > hi:
+            return 0
+        return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
+
+    def kth(self, k: int) -> int:
+        """Least index whose prefix sum exceeds k; entries must be >= 0."""
+        pos = 0
+        step = 1 << self.n.bit_length()
+        while step:
+            if pos + step <= self.n and self.tree[pos + step] <= k:
+                pos += step
+                k -= self.tree[pos]
+            step >>= 1
+        return pos
+
+
+class IntervalStore:
+    """Segment tree stabbing structure with delete-on-report.
+
+    Members are registered once over a rank interval; a stab query at a rank
+    reports and removes every member whose interval contains it.  Intervals
+    are allowed to go stale after boundary shrinks because queries only ever
+    target live ranks, which stale margins cannot contain.
+    """
+
+    def __init__(self, n: int):
+        self.n = max(n, 1)
+        self.node_members: dict[int, set[int]] = {}
+        self.member_nodes: dict[int, list[int]] = {}
+
+    def insert(self, member: int, lo: int, hi: int) -> None:
+        nodes = []
+        a, b = lo + self.n, hi + self.n + 1
+        while a < b:
+            if a & 1:
+                nodes.append(a)
+                a += 1
+            if b & 1:
+                b -= 1
+                nodes.append(b)
+            a >>= 1
+            b >>= 1
+        for nd in nodes:
+            self.node_members.setdefault(nd, set()).add(member)
+        self.member_nodes[member] = nodes
+
+    def remove(self, member: int) -> None:
+        for nd in self.member_nodes.pop(member, ()):
+            s = self.node_members.get(nd)
+            if s is not None:
+                s.discard(member)
+
+    def stab_pop(self, rank: int) -> list[int]:
+        hits: list[int] = []
+        i = rank + self.n
+        while i:
+            s = self.node_members.get(i)
+            if s:
+                hits.extend(s)
+            i >>= 1
+        for member in hits:
+            self.remove(member)
+        return hits

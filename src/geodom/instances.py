@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import GenerationExhaustedError, InvalidInputError
-from .geom import HRay, HSeg, OrthoInstance, VSeg, as_rat, intersects, rat_str
+from .geom import Fenwick, HRay, HSeg, OrthoInstance, VSeg, as_rat, intersects, rat_str
 from .srs import SrsInstance
 from .ssr import SsrInstance
 from .stabbedl import LPath, StabbedLInstance
@@ -330,15 +331,29 @@ def _gen_ssr(rng: random.Random, n: int, m: int, span: int) -> SsrInstance:
     reaches = [rng.randint(1, span) for _ in range(n)]
     reaches[rng.randrange(n)] = span
     rays = tuple(HRay(i, Fraction(ys[i]), Fraction(reaches[i])) for i in range(n))
-    segments = []
-    for j in range(m):
+    # Each segment anchors on a uniform ray among those reaching its x, taken
+    # in id order.  The draw depends only on how many there are, so it is made
+    # in sequence and the anchors are resolved afterwards, sweeping x downward.
+    sorted_reaches = sorted(reaches)
+    draws = []
+    for _ in range(m):
         x = rng.randint(1, span)
-        anchors = [r for r in rays if r.x_right >= x]
-        a = rng.choice(anchors)
-        lo = a.y - rng.randint(0, 4)
-        hi = a.y + rng.randint(0, 4)
-        segments.append(VSeg(j, Fraction(x), lo, hi))
-    return SsrInstance(rays, tuple(segments))
+        idx = rng.choice(range(n - bisect_left(sorted_reaches, x)))
+        draws.append((x, idx, rng.randint(0, 4), rng.randint(0, 4)))
+    anchor = [0] * m
+    reaching = Fenwick(n)  # 1 at the id of every ray reaching the sweep's x
+    by_reach = sorted(range(n), key=lambda i: -reaches[i])
+    ptr = 0
+    for j in sorted(range(m), key=lambda j: -draws[j][0]):
+        while ptr < n and reaches[by_reach[ptr]] >= draws[j][0]:
+            reaching.add(by_reach[ptr], 1)
+            ptr += 1
+        anchor[j] = reaching.kth(draws[j][1])
+    segments = tuple(
+        VSeg(j, Fraction(x), rays[anchor[j]].y - lo, rays[anchor[j]].y + hi)
+        for j, (x, _, lo, hi) in enumerate(draws)
+    )
+    return SsrInstance(rays, segments)
 
 
 def _gen_srs(rng: random.Random, n: int, m: int, span: int) -> SrsInstance:

@@ -8,11 +8,13 @@ factor-2 LP argument needs.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+
+from sortedcontainers import SortedList
 
 from .errors import InfeasibleRayError, InvalidInputError
-from .geom import HRay, VSeg, intersects
+from .geom import HRay, IntervalStore, VSeg, int_coords
 
 
 @dataclass(frozen=True)
@@ -48,36 +50,59 @@ class SrsTrace:
 
 
 def solve(inst: SrsInstance, want_trace: bool = False):
-    """Greedy extreme-segment selection; returns (segment ids, trace)."""
-    live_rays = {r.id: r for r in inst.rays}
-    live_segs = {v.id: v for v in inst.segments}
-    tokens: dict[int, frozenset[int]] = {vid: frozenset() for vid in live_segs}
+    """Greedy extreme-segment selection; returns (segment ids, trace).
+
+    Runs as a sweep in O((n+m) log(n+m)).  Rays are taken in (reach, id)
+    order, skipping removed ones, which is the literal "live ray of smallest
+    reach".  Segments with x <= reach are activated into a stabbing store
+    over ray-y ranks, so the chosen ray's live neighbourhood is one
+    delete-on-report query at its rank.  Every live ray has reach >= the
+    chosen reach >= the kept segments' x, so the rays they touch are the
+    live ranks inside their y-ranges.
+    """
+    rays, segs = inst.rays, inst.segments
+    c = int_coords(rays, segs)
+    by_y = sorted(range(len(rays)), key=c.ray_y.__getitem__)
+    ys = [c.ray_y[i] for i in by_y]
+    rank_of = [0] * len(rays)
+    for k, i in enumerate(by_y):
+        rank_of[i] = k
+    # y-rank window of the rays each segment can touch (empty when a > b)
+    span = [(bisect_left(ys, a), bisect_right(ys, b) - 1) for a, b in zip(c.seg_lo, c.seg_hi)]
+    by_x = sorted(range(len(segs)), key=c.seg_x.__getitem__)
+
+    live = SortedList(range(len(rays)))  # y-ranks of live rays
+    store = IntervalStore(len(rays))
+    tokens: dict[int, frozenset[int]] = {v.id: frozenset() for v in segs}
     selected: set[int] = set()
     rounds: list[SrsRound] = []
-    index = 0
-    while live_rays:
-        index += 1
-        r = min(live_rays.values(), key=lambda x: (x.x_right, x.id))
-        hood = [v for v in live_segs.values() if intersects(r, v)]
+    act = 0
+    for i in sorted(range(len(rays)), key=lambda i: (c.reach[i], rays[i].id)):
+        rank = rank_of[i]
+        if rank not in live:
+            continue
+        while act < len(segs) and c.seg_x[by_x[act]] <= c.reach[i]:
+            a, b = span[by_x[act]]
+            if a <= b:
+                store.insert(by_x[act], a, b)
+            act += 1
+        hood = store.stab_pop(rank)
         if not hood:
-            raise InfeasibleRayError(r.id)
-        v_top = min(hood, key=lambda v: (-v.y_hi, v.id))
-        v_bot = min(hood, key=lambda v: (v.y_lo, v.id))
-        hood_ids = frozenset(v.id for v in hood)
-        selected.add(v_top.id)
-        selected.add(v_bot.id)
-        tokens[v_top.id] = hood_ids
-        tokens[v_bot.id] = hood_ids
-        removed = frozenset(
-            rr.id
-            for rr in live_rays.values()
-            if intersects(rr, v_top) or intersects(rr, v_bot)
-        )
-        for rid in removed:
-            del live_rays[rid]
-        for vid in hood_ids:
-            del live_segs[vid]
+            raise InfeasibleRayError(rays[i].id)
+        top = min(hood, key=lambda j: (-c.seg_hi[j], segs[j].id))
+        bot = min(hood, key=lambda j: (c.seg_lo[j], segs[j].id))
+        hood_ids = frozenset(segs[j].id for j in hood)
+        selected.add(segs[top].id)
+        selected.add(segs[bot].id)
+        tokens[segs[top].id] = hood_ids
+        tokens[segs[bot].id] = hood_ids
+        gone = {k for j in (top, bot) for k in live.irange(*span[j])}
+        for k in gone:
+            live.remove(k)
         if want_trace:
-            rounds.append(SrsRound(index, r.id, hood_ids, v_top.id, v_bot.id, removed))
+            removed = frozenset(rays[by_y[k]].id for k in gone)
+            rounds.append(
+                SrsRound(len(rounds) + 1, rays[i].id, hood_ids, segs[top].id, segs[bot].id, removed)
+            )
     trace = SrsTrace(tuple(rounds), dict(tokens)) if want_trace else None
     return selected, trace

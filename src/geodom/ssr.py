@@ -7,7 +7,6 @@ event-driven sweep.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Optional
 from sortedcontainers import SortedList
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import HRay, Rat, VSeg, intersects
+from .geom import Fenwick, HRay, IntervalStore, VSeg, int_coords, intersects
 
 
 @dataclass(frozen=True)
@@ -70,55 +69,6 @@ class TokenTrace:
     selected: tuple[int, ...]
 
 
-class _Fenwick:
-    """Prefix-sum tree used for stabber counting during offline sweeps."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        # sum of entries 0..i inclusive
-        s = 0
-        i += 1
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        if lo > hi:
-            return 0
-        return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
-
-
-def _ray_rank_data(rays):
-    order = sorted(rays, key=lambda r: r.y)
-    sorted_ys = [r.y for r in order]
-    if any(a == b for a, b in zip(sorted_ys, sorted_ys[1:])):
-        raise InvalidInputError("rays must have pairwise distinct y")
-    rank_of = {r.id: i for i, r in enumerate(order)}
-    return order, sorted_ys, rank_of
-
-
-def _sort_key(v: Rat) -> tuple[float, Rat]:
-    """Exact sort/bisect key: compare as floats, break float ties exactly.
-
-    Rounding to float is monotone, so the pair orders identically to the
-    rational value while nearly all comparisons stay on the float."""
-    try:
-        f = float(v)
-    except OverflowError:
-        f = math.inf if v > 0 else -math.inf
-    return (f, v)
-
-
 class _Compressed:
     """Integer rank space for the fast engine.
 
@@ -127,40 +77,33 @@ class _Compressed:
     all sweep comparisons are int on int with equalities preserved."""
 
     def __init__(self, inst: SsrInstance):
-        order = sorted(inst.rays, key=lambda r: _sort_key(r.y))
-        for a, b in zip(order, order[1:]):
-            if a.y == b.y:
-                raise InvalidInputError("rays must have pairwise distinct y")
-        self.ray_order = order
-        self.rank_of = {r.id: i for i, r in enumerate(order)}
-        ys_dec = [_sort_key(r.y) for r in order]
-
-        xs_dec = sorted(
-            {_sort_key(r.x_right) for r in inst.rays}
-            | {_sort_key(v.x) for v in inst.segments}
-        )
-        x_rank = {key: i for i, key in enumerate(xs_dec)}
-        self.reach_rank = {r.id: x_rank[_sort_key(r.x_right)] for r in inst.rays}
-        self.seg_x_rank = {v.id: x_rank[_sort_key(v.x)] for v in inst.segments}
-        self.seg_span = {}
-        for v in inst.segments:
-            a = bisect_left(ys_dec, _sort_key(v.y_lo))
-            b = bisect_right(ys_dec, _sort_key(v.y_hi)) - 1
-            self.seg_span[v.id] = (a, b)
+        rays, segs = inst.rays, inst.segments
+        c = int_coords(rays, segs)
+        order = sorted(range(len(rays)), key=c.ray_y.__getitem__)
+        ys = [c.ray_y[i] for i in order]
+        if any(a == b for a, b in zip(ys, ys[1:])):
+            raise InvalidInputError("rays must have pairwise distinct y")
+        self.ray_order = [rays[i] for i in order]
+        self.rank_of = {r.id: i for i, r in enumerate(self.ray_order)}
+        x_rank = {x: i for i, x in enumerate(sorted({*c.reach, *c.seg_x}))}
+        self.reach_rank = {r.id: x_rank[x] for r, x in zip(rays, c.reach)}
+        self.seg_x_rank = {v.id: x_rank[x] for v, x in zip(segs, c.seg_x)}
+        self.seg_span = {
+            v.id: (bisect_left(ys, a), bisect_right(ys, b) - 1)
+            for v, a, b in zip(segs, c.seg_lo, c.seg_hi)
+        }
 
 
-def _initial_unique_stabbers(inst: SsrInstance, comp: Optional[_Compressed] = None):
+def _initial_unique_stabbers(inst: SsrInstance, comp: _Compressed) -> list[int]:
     """Offline sweep giving, per segment, its stabber count at time zero.
 
-    Returns the list of (segment, unique ray id) for count-1 segments and
-    raises for count-0 segments.  Rays are inserted in decreasing reach,
-    so when a segment at x is processed exactly its stabbers are present.
+    Returns the unique ray id of every count-1 segment and raises for
+    count-0 segments.  Rays are inserted in decreasing reach, so when a
+    segment at x is processed exactly its stabbers are present.
     """
-    if comp is None:
-        comp = _Compressed(inst)
     n = len(comp.ray_order)
-    count = _Fenwick(n)
-    idsum = _Fenwick(n)
+    count = Fenwick(n)
+    idsum = Fenwick(n)
     by_reach = sorted(inst.rays, key=lambda r: -comp.reach_rank[r.id])
     segs = sorted(inst.segments, key=lambda v: -comp.seg_x_rank[v.id])
     out = []
@@ -177,8 +120,23 @@ def _initial_unique_stabbers(inst: SsrInstance, comp: Optional[_Compressed] = No
         if c == 0:
             raise InfeasibleSegmentError(v.id)
         if c == 1:
-            out.append((v, idsum.range_sum(a, b)))
+            out.append(idsum.range_sum(a, b))
     return out
+
+
+def _sweep_data(inst: SsrInstance) -> tuple[_Compressed, list[int]]:
+    """Rank space and initial unique stabbers of ``inst``; raises when a
+    segment has no stabber.
+
+    ``normalize`` needs them for its feasibility check and leaves them on
+    the instance it returns; the first ``solve_fast`` on that instance takes
+    them from there instead of building them again.
+    """
+    handed_over = inst.__dict__.pop("_sweep_data", None)
+    if handed_over is not None:
+        return handed_over
+    comp = _Compressed(inst)
+    return comp, _initial_unique_stabbers(inst, comp)
 
 
 def normalize(inst: SsrInstance) -> SsrInstance:
@@ -189,42 +147,60 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     quarter of the least positive difference among segment x values and
     positive (segment x - ray reach) gaps, so the ray/segment intersection
     matrix is unchanged and formerly equal abscissas become distinct.
+    All arithmetic runs on each axis scaled to ints; every output
+    coordinate is built once, as a Fraction of two ints.
     """
-    rays, segs = list(inst.rays), list(inst.segments)
+    rays, segs = inst.rays, inst.segments
     if not rays and not segs:
         return inst
-    _ray_rank_data(rays)  # validates distinct y
+    c = int_coords(rays, segs)
+    ly, lx = c.y_scale, c.x_scale
 
-    xs = [v.x for v in segs] + [r.x_right for r in rays]
-    ys = [r.y for r in rays] + [v.y_lo for v in segs]
-    tx = 1 - min(xs)
-    ty = 1 - min(ys)
-    rays = [HRay(r.id, r.y + ty, r.x_right + tx) for r in rays]
-    segs = [VSeg(v.id, v.x + tx, v.y_lo + ty, v.y_hi + ty) for v in segs]
+    # translate so the least x and the least y both become 1
+    tx = lx - min(c.seg_x + c.reach)
+    ty = ly - min(c.ray_y + c.seg_lo)
+    out_rays = tuple(
+        HRay(r.id, Fraction(y + ty, ly), Fraction(x + tx, lx))
+        for r, y, x in zip(rays, c.ray_y, c.reach)
+    )
 
-    seg_xs = sorted({v.x for v in segs})
-    groups: dict[Rat, list[VSeg]] = {}
-    for v in segs:
-        groups.setdefault(v.x, []).append(v)
-    if any(len(g) > 1 for g in groups.values()):
+    seg_xs = sorted(set(c.seg_x))
+    if len(seg_xs) == len(segs):
+        out_segs = tuple(
+            VSeg(v.id, Fraction(x + tx, lx), Fraction(a + ty, ly), Fraction(b + ty, ly))
+            for v, x, a, b in zip(segs, c.seg_x, c.seg_lo, c.seg_hi)
+        )
+    else:
         gaps = [b - a for a, b in zip(seg_xs, seg_xs[1:])]
-        reaches = sorted({r.x_right for r in rays})
+        reaches = sorted(set(c.reach))
         for x in seg_xs:
             # closest ray reach strictly left of this abscissa
             j = bisect_left(reaches, x) - 1
             if j >= 0:
                 gaps.append(x - reaches[j])
-        d = min(gaps) if gaps else Fraction(1)
-        eps = min(d, Fraction(1)) / (4 * (len(segs) + 1))
-        shifted = []
-        for x in seg_xs:
-            members = sorted(groups[x], key=lambda v: v.id)
-            for k, v in enumerate(members):
-                shifted.append(VSeg(v.id, v.x - k * eps, v.y_lo, v.y_hi))
-        segs = sorted(shifted, key=lambda v: v.id)
+        # eps = min(d, 1) / den in x units, i.e. step / (lx * den) after scaling
+        step = min(min(gaps), lx) if gaps else lx
+        den = 4 * (len(segs) + 1)
+        # segments sharing an abscissa move left by 0, eps, 2 eps, ... in id order
+        taken: dict[int, int] = {}
+        moved = []
+        for k in sorted(range(len(segs)), key=lambda k: segs[k].id):
+            x = c.seg_x[k]
+            shift = taken.get(x, 0)
+            taken[x] = shift + 1
+            moved.append(
+                VSeg(
+                    segs[k].id,
+                    Fraction((x + tx) * den - shift * step, lx * den),
+                    Fraction(c.seg_lo[k] + ty, ly),
+                    Fraction(c.seg_hi[k] + ty, ly),
+                )
+            )
+        out_segs = tuple(moved)
 
-    out = SsrInstance(tuple(rays), tuple(segs))
-    _initial_unique_stabbers(out)  # raises InfeasibleSegment on uncovered segment
+    out = SsrInstance(out_rays, out_segs)
+    # raises on repeated ray heights or an unstabbable segment
+    object.__setattr__(out, "_sweep_data", _sweep_data(out))
     return out
 
 
@@ -382,55 +358,6 @@ class _MaxTree:
         return best
 
 
-class _IntervalStore:
-    """Segment tree stabbing structure with delete-on-report.
-
-    Members are registered once over a rank interval; a stab query at a rank
-    reports and removes every member whose interval contains it.  Intervals
-    are allowed to go stale after boundary shrinks because queries only ever
-    target live ranks, which stale margins cannot contain.
-    """
-
-    def __init__(self, n: int):
-        self.n = max(n, 1)
-        self.node_members: dict[int, set[int]] = {}
-        self.member_nodes: dict[int, list[int]] = {}
-
-    def insert(self, member: int, lo: int, hi: int) -> None:
-        nodes = []
-        a, b = lo + self.n, hi + self.n + 1
-        while a < b:
-            if a & 1:
-                nodes.append(a)
-                a += 1
-            if b & 1:
-                b -= 1
-                nodes.append(b)
-            a >>= 1
-            b >>= 1
-        for nd in nodes:
-            self.node_members.setdefault(nd, set()).add(member)
-        self.member_nodes[member] = nodes
-
-    def remove(self, member: int) -> None:
-        for nd in self.member_nodes.pop(member, ()):
-            s = self.node_members.get(nd)
-            if s is not None:
-                s.discard(member)
-
-    def stab_pop(self, rank: int) -> list[int]:
-        hits: list[int] = []
-        i = rank + self.n
-        while i:
-            s = self.node_members.get(i)
-            if s:
-                hits.extend(s)
-            i >>= 1
-        for member in hits:
-            self.remove(member)
-        return hits
-
-
 def solve_fast(inst: SsrInstance) -> set[int]:
     """Event-driven equivalent of ``solve`` without trace support.
 
@@ -441,7 +368,7 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     """
     if not inst.segments:
         return set()
-    comp = _Compressed(inst)
+    comp, unique_rays = _sweep_data(inst)
     rank_of = comp.rank_of
     reach_rank = comp.reach_rank
     seg_x_rank = comp.seg_x_rank
@@ -449,9 +376,7 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     n = len(comp.ray_order)
     ray_at_rank = {i: r for i, r in enumerate(comp.ray_order)}
 
-    pending: set[int] = set()
-    for v, unique_ray in _initial_unique_stabbers(inst, comp):
-        pending.add(unique_ray)
+    pending: set[int] = set(unique_rays)
 
     by_choice = sorted(inst.rays, key=lambda r: (reach_rank[r.id], r.id))
     by_x = sorted(inst.segments, key=lambda v: (seg_x_rank[v.id], v.id))
@@ -460,7 +385,7 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     dead: set[int] = set()  # ray ids
     selected: set[int] = set()
     cover = _MaxTree(n)
-    store = _IntervalStore(n)
+    store = IntervalStore(n)
     cur_lo: dict[int, int] = {}
     cur_hi: dict[int, int] = {}
     low_at: dict[int, set[int]] = {}

@@ -4,10 +4,12 @@ Everything here is deliberately naive: exhaustive subset search for covers,
 vertex enumeration for LPs, quadratic scans for geometry.  None of it shares
 code with the solvers under test.
 """
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from geodom.geom import intersects
+from geodom.errors import InfeasibleRayError, InfeasibleSegmentError, InvalidInputError
+from geodom.geom import HRay, VSeg, intersects
 
 
 def solve_linear(a, b):
@@ -145,3 +147,149 @@ def ssr_cover_ok(inst, chosen_ids) -> bool:
         if best is None or best < seg.x:
             return False
     return True
+
+
+def srs_cover_ok(inst, chosen_ids) -> bool:
+    """Sweep check that the chosen segments stab every ray.
+
+    Rays go by increasing reach; each chosen segment the sweep has reached
+    adds +1 over its range of ray heights in a difference Fenwick tree, so
+    a ray is covered when the count at its height is positive.
+    Linearithmic so it can validate large instances.
+    """
+    from bisect import bisect_left, bisect_right
+
+    heights = sorted({r.y for r in inst.rays})
+    tree = [0] * (len(heights) + 2)
+
+    def add(i, delta):
+        i += 1
+        while i < len(tree):
+            tree[i] += delta
+            i += i & (-i)
+
+    def count(i):
+        i += 1
+        total = 0
+        while i > 0:
+            total += tree[i]
+            i -= i & (-i)
+        return total
+
+    chosen = sorted((v for v in inst.segments if v.id in chosen_ids), key=lambda v: v.x)
+    k = 0
+    for ray in sorted(inst.rays, key=lambda r: r.x_right):
+        while k < len(chosen) and chosen[k].x <= ray.x_right:
+            a = bisect_left(heights, chosen[k].y_lo)
+            b = bisect_right(heights, chosen[k].y_hi) - 1
+            if a <= b:
+                add(a, 1)
+                add(b + 1, -1)
+            k += 1
+        if count(bisect_left(heights, ray.y)) <= 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# literal references for the fast paths: plain Fraction arithmetic and
+# whole-pool scans, kept as the definitions the fast code must reproduce
+
+
+def reference_srs_solve(inst, want_trace=False):
+    """Round-by-round ``srs.solve``: every round rescans the live pool."""
+    from geodom.srs import SrsRound, SrsTrace
+
+    live_rays = {r.id: r for r in inst.rays}
+    live_segs = {v.id: v for v in inst.segments}
+    tokens = {vid: frozenset() for vid in live_segs}
+    selected = set()
+    rounds = []
+    index = 0
+    while live_rays:
+        index += 1
+        r = min(live_rays.values(), key=lambda x: (x.x_right, x.id))
+        hood = [v for v in live_segs.values() if intersects(r, v)]
+        if not hood:
+            raise InfeasibleRayError(r.id)
+        v_top = min(hood, key=lambda v: (-v.y_hi, v.id))
+        v_bot = min(hood, key=lambda v: (v.y_lo, v.id))
+        hood_ids = frozenset(v.id for v in hood)
+        selected.add(v_top.id)
+        selected.add(v_bot.id)
+        tokens[v_top.id] = hood_ids
+        tokens[v_bot.id] = hood_ids
+        removed = frozenset(
+            rr.id
+            for rr in live_rays.values()
+            if intersects(rr, v_top) or intersects(rr, v_bot)
+        )
+        for rid in removed:
+            del live_rays[rid]
+        for vid in hood_ids:
+            del live_segs[vid]
+        if want_trace:
+            rounds.append(SrsRound(index, r.id, hood_ids, v_top.id, v_bot.id, removed))
+    trace = SrsTrace(tuple(rounds), dict(tokens)) if want_trace else None
+    return selected, trace
+
+
+def reference_ssr_normalize(inst):
+    """``ssr.normalize`` in Fraction arithmetic with a quadratic feasibility
+    check that reports the uncovered segment of largest x."""
+    from geodom.ssr import SsrInstance
+
+    rays, segs = list(inst.rays), list(inst.segments)
+    if not rays and not segs:
+        return inst
+    ys = sorted(r.y for r in rays)
+    if any(a == b for a, b in zip(ys, ys[1:])):
+        raise InvalidInputError("rays must have pairwise distinct y")
+    tx = 1 - min([v.x for v in segs] + [r.x_right for r in rays])
+    ty = 1 - min([r.y for r in rays] + [v.y_lo for v in segs])
+    rays = [HRay(r.id, r.y + ty, r.x_right + tx) for r in rays]
+    segs = [VSeg(v.id, v.x + tx, v.y_lo + ty, v.y_hi + ty) for v in segs]
+
+    seg_xs = sorted({v.x for v in segs})
+    groups = {}
+    for v in segs:
+        groups.setdefault(v.x, []).append(v)
+    if any(len(g) > 1 for g in groups.values()):
+        gaps = [b - a for a, b in zip(seg_xs, seg_xs[1:])]
+        reaches = sorted({r.x_right for r in rays})
+        for x in seg_xs:
+            j = bisect_left(reaches, x) - 1
+            if j >= 0:
+                gaps.append(x - reaches[j])
+        d = min(gaps) if gaps else Fraction(1)
+        eps = min(d, Fraction(1)) / (4 * (len(segs) + 1))
+        shifted = []
+        for x in seg_xs:
+            members = sorted(groups[x], key=lambda v: v.id)
+            for k, v in enumerate(members):
+                shifted.append(VSeg(v.id, v.x - k * eps, v.y_lo, v.y_hi))
+        segs = sorted(shifted, key=lambda v: v.id)
+
+    for v in sorted(segs, key=lambda v: v.x, reverse=True):
+        if not any(intersects(r, v) for r in rays):
+            raise InfeasibleSegmentError(v.id)
+    return SsrInstance(tuple(rays), tuple(segs))
+
+
+def reference_gen_ssr(rng, n, m, span):
+    """The ``ssr`` generator as a per-segment scan of every ray, O(n m)."""
+    from geodom.ssr import SsrInstance
+
+    ys = rng.sample(range(1, span + 2 * n + 1), n)
+    reaches = [rng.randint(1, span) for _ in range(n)]
+    reaches[rng.randrange(n)] = span
+    rays = tuple(HRay(i, Fraction(ys[i]), Fraction(reaches[i])) for i in range(n))
+    segments = []
+    for j in range(m):
+        x = rng.randint(1, span)
+        anchors = [r for r in rays if r.x_right >= x]
+        a = rng.choice(anchors)
+        lo = a.y - rng.randint(0, 4)
+        hi = a.y + rng.randint(0, 4)
+        segments.append(VSeg(j, Fraction(x), lo, hi))
+    return SsrInstance(rays, tuple(segments))

@@ -2,14 +2,21 @@
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from geodom.errors import GenerationExhaustedError, InvalidInputError
+import geodom
 from geodom import instances, psd, srs, ssr, stabbedl, uvpg
 from geodom.cli import run_cli
+
+from helpers import reference_gen_ssr
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +120,16 @@ def test_generated_instances_are_valid():
         for p in unit.paths:
             assert 1 <= len(p.legs) <= k + 1
         uvpg.solve_mds(list(unit.paths), k)
+
+
+def test_ssr_generator_matches_quadratic_reference():
+    rng = random.Random(4242)
+    for _ in range(400):
+        n, m, span = rng.randint(1, 40), rng.randint(0, 40), rng.randint(2, 60)
+        seed = rng.randrange(10**9)
+        got = instances.generate("ssr", {"n": n, "m": m, "coord_range": span}, seed)
+        want = reference_gen_ssr(random.Random(seed), n, m, span)
+        assert instances.dumps(got) == instances.dumps(instances.InstanceFile("ssr", want))
 
 
 def test_zero_bend_paths_are_single_legs():
@@ -298,3 +315,40 @@ def test_render_svg(tmp_path):
     pic = tmp_path / "r2.svg"
     assert run_cli(["render", "-i", str(inst), "-s", str(sol), "-o", str(pic)]) == 0
     assert "#d62728" in pic.read_text()  # highlight stroke for chosen items
+
+
+# ---------------------------------------------------------------------------
+# the installed entry points, run as separate processes
+
+
+def run_module(*argv):
+    src = str(Path(geodom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["geodom", "geodom.cli"])
+def test_module_help_prints_usage(module):
+    proc = run_module(module, "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: geodom")
+    assert "solve" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["geodom", "geodom.cli"])
+def test_module_solve_matches_run_cli(tmp_path, module):
+    for kind in ("ssr", "srs"):
+        inst = gen(tmp_path, kind, f"{kind}.json", extra=["-n", "6", "-m", "6"])
+        via_api = tmp_path / f"{kind}.api.json"
+        via_proc = tmp_path / f"{kind}.proc.json"
+        assert run_cli(["solve", "--alg", kind, "-i", str(inst), "-o", str(via_api)]) == 0
+        proc = run_module(module, "solve", "--alg", kind, "-i", str(inst), "-o", str(via_proc))
+        assert proc.returncode == 0, proc.stderr
+        assert via_proc.read_bytes() == via_api.read_bytes()
+
+
+def test_module_exit_codes():
+    assert run_module("geodom", "solve", "--no-such-flag").returncode == 3

@@ -1,6 +1,7 @@
 """Segment-side heuristic: frozen rounds plus randomized ratio checks."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from geodom import HRay, VSeg, SrsInstance, exact_stab, intersects
 from geodom.errors import InfeasibleRayError
 from geodom import instances, lp, srs
 
-from helpers import naive_min_stab
+from helpers import naive_min_stab, reference_srs_solve, srs_cover_ok
 
 
 def tiny() -> SrsInstance:
@@ -112,3 +113,84 @@ def test_coverage_and_ratio_two():
         if len(inst.rays) <= 6 and len(inst.segments) <= 6:
             brute = naive_min_stab(inst.segments, inst.rays)
             assert brute is not None and len(opt) == len(brute)
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the literal round-by-round definition
+
+
+def _rat(rng):
+    den = rng.choice([1, 1, 2, 3, 7])
+    return F(rng.randint(-5 * den, 5 * den), den)
+
+
+def degenerate_srs(rng) -> SrsInstance:
+    """Few distinct coordinates, so rays share y, endpoints touch ray
+    heights, segment x equals some reach, and some segments cover no ray."""
+    heights = [_rat(rng) for _ in range(rng.randint(1, 5))]
+    abscissas = [_rat(rng) for _ in range(rng.randint(1, 4))]
+    rays = tuple(
+        HRay(i, rng.choice(heights), rng.choice(abscissas))
+        for i in range(rng.randint(0, 9))
+    )
+    segs = []
+    for j in range(rng.randint(0, 9)):
+        lo, hi = sorted(rng.choice(heights + [_rat(rng)]) for _ in range(2))
+        segs.append(VSeg(j, rng.choice(abscissas + [_rat(rng)]), lo, hi))
+    rng.shuffle(segs)
+    return SrsInstance(rays, tuple(segs))
+
+
+def outcome(solver, inst):
+    try:
+        return solver(inst, want_trace=True)
+    except InfeasibleRayError as exc:
+        return ("infeasible", exc.ray_id)
+
+
+def test_sweep_matches_literal_rounds():
+    rng = random.Random(7171)
+    kinds = {"solved": 0, "infeasible": 0}
+    for _ in range(3000):
+        inst = degenerate_srs(rng)
+        got = outcome(srs.solve, inst)
+        assert got == outcome(reference_srs_solve, inst)
+        kinds["infeasible" if got[0] == "infeasible" else "solved"] += 1
+        if got[0] != "infeasible":
+            assert srs.solve(inst)[0] == got[0]
+    assert min(kinds.values()) > 500
+
+
+def test_sweep_matches_literal_on_generated():
+    rng = random.Random(7272)
+    for _ in range(150):
+        inst = instances.generate(
+            "srs",
+            {"n": rng.randint(1, 40), "m": rng.randint(1, 40), "coord_range": rng.randint(2, 30)},
+            seed=rng.randrange(10**9),
+        ).data
+        assert srs.solve(inst, want_trace=True) == reference_srs_solve(inst, want_trace=True)
+
+
+def large_srs(rng, n: int) -> SrsInstance:
+    """n rays and n segments; segment j is anchored on a distinct ray, so
+    every ray is stabbable.  O(n log n) to draw."""
+    ys = [F(rng.randint(1, 4 * n), rng.choice([1, 2])) for _ in range(n)]
+    reaches = [F(rng.randint(1, 10**6)) for _ in range(n)]
+    rays = tuple(HRay(i, ys[i], reaches[i]) for i in range(n))
+    anchors = list(range(n))
+    rng.shuffle(anchors)
+    segs = tuple(
+        VSeg(j, F(rng.randint(1, int(reaches[a]))), ys[a] - rng.randint(0, 6), ys[a] + rng.randint(0, 6))
+        for j, a in enumerate(anchors)
+    )
+    return SrsInstance(rays, segs)
+
+
+def test_sweep_scales():
+    inst = large_srs(random.Random(7373), 20_000)
+    t0 = time.perf_counter()
+    sel, _ = srs.solve(inst)
+    elapsed = time.perf_counter() - t0
+    assert srs_cover_ok(inst, sel)
+    assert elapsed < 5.0

@@ -9,7 +9,7 @@ from geodom import HRay, VSeg, SsrInstance, exact_stab
 from geodom.errors import InfeasibleSegmentError, InvalidInputError
 from geodom import instances, lp, ssr
 
-from helpers import intersection_matrix, naive_min_stab, ssr_cover_ok
+from helpers import intersection_matrix, naive_min_stab, reference_ssr_normalize, ssr_cover_ok
 
 
 def fig_instance() -> SsrInstance:
@@ -188,3 +188,84 @@ def test_token_multiplicity_and_event_shape():
             assert ev.witness_input_stabbers <= ev.ray_token
             assert all(tok == frozenset() for tok in ev.other_tokens.values())
     assert seen_event
+
+
+# ---------------------------------------------------------------------------
+# integer kernel: every axis scaled to ints must reproduce Fraction arithmetic
+
+
+def kernel_rat(rng):
+    pick = rng.random()
+    if pick < 0.2:  # huge numerator over a large denominator
+        return F(rng.randint(-10**30, 10**30), rng.randint(10**11, 10**12))
+    den = rng.choice([1, 2, 3, 4, 6, 9, 10, 35])  # mixed denominators
+    return F(rng.randint(-7 * den, 7 * den), den)
+
+
+def kernel_instance(rng) -> SsrInstance:
+    """Rays with distinct y, few segment abscissas (so many are shared)
+    separated by fractional gaps, segments anchored near ray heights."""
+    ys = list({kernel_rat(rng) for _ in range(rng.randint(0, 8))})
+    rng.shuffle(ys)
+    abscissas = [kernel_rat(rng) for _ in range(rng.randint(1, 3))]
+    reaches = abscissas + [kernel_rat(rng) for _ in range(2)]
+    rays = tuple(HRay(i, y, rng.choice(reaches)) for i, y in enumerate(ys))
+    segs = []
+    for j in range(rng.randint(0, 8)):
+        mid = rng.choice(ys) if ys and rng.random() < 0.8 else kernel_rat(rng)
+        lo = mid - rng.choice([0, 0, F(1, 3), kernel_rat(rng) ** 2])
+        hi = mid + rng.choice([0, 0, F(1, 2), kernel_rat(rng) ** 2])
+        segs.append(VSeg(j, rng.choice(abscissas), lo, hi))
+    rng.shuffle(segs)
+    return SsrInstance(rays, tuple(segs))
+
+
+def normalized_or_error(normalizer, inst):
+    try:
+        return normalizer(inst)
+    except InfeasibleSegmentError as exc:
+        return ("infeasible", exc.segment_id)
+    except InvalidInputError:
+        return ("invalid",)
+
+
+def test_integer_normalize_matches_fraction_reference():
+    rng = random.Random(8181)
+    solved = 0
+    for _ in range(2000):
+        inst = kernel_instance(rng)
+        got = normalized_or_error(ssr.normalize, inst)
+        assert got == normalized_or_error(reference_ssr_normalize, inst)
+        if isinstance(got, tuple):
+            continue
+        solved += 1
+        assert all(type(c) is F for r in got.rays for c in (r.y, r.x_right))
+        assert all(type(c) is F for v in got.segments for c in (v.x, v.y_lo, v.y_hi))
+        xs = [v.x for v in got.segments]
+        assert len(set(xs)) == len(xs)
+        assert intersection_pairs(got) == intersection_pairs(inst)
+        assert ssr.solve_fast(got) == ssr.solve(got)[0]
+    assert solved > 400
+
+
+def intersection_pairs(inst):
+    return {(r.id, v.id) for r in inst.rays for v in inst.segments if ssr_hit(r, v)}
+
+
+def test_integer_kernel_separates_float_equal_heights():
+    base = F(10**30, 10**12)
+    tiny = F(1, 10**12)
+    assert float(base) == float(base + tiny)
+    rays = (HRay(0, base + tiny, F(3)), HRay(1, base, F(5, 2)), HRay(2, -base, F(7)))
+    segs = (
+        VSeg(0, F(5, 2), base + tiny, base + tiny),  # only ray 0 reaches it
+        VSeg(1, F(5, 2), base - tiny, base),  # only ray 1
+        VSeg(2, F(1, 3), -base, base + tiny),  # all three
+    )
+    inst = SsrInstance(rays, segs)
+    norm = ssr.normalize(inst)
+    assert norm == reference_ssr_normalize(inst)
+    assert intersection_pairs(norm) == intersection_pairs(inst)
+    assert ssr.solve_fast(norm) == ssr.solve(norm)[0] == {0, 1}
+    with pytest.raises(InvalidInputError):
+        ssr.normalize(SsrInstance(rays + (HRay(3, base, F(1)),), segs))

@@ -10,7 +10,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -88,7 +87,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--trials", type=int, default=20)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("-k", type=int, default=1, help="bend bound (unit_bk)")
-    b.add_argument("--jobs", type=int, default=4)
     b.add_argument("--cap", type=int, default=None)
     b.add_argument("-o", "--out", required=True)
     b.set_defaults(func=_cmd_bench)
@@ -445,18 +443,12 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> Benc
 def _cmd_bench(args) -> int:
     if args.max < 2 or args.trials < 1:
         raise InvalidInputError("need --max >= 2 and --trials >= 1")
-    tasks = [
-        (size, trial)
+    # serial on purpose: each wall_time_ms is the cost of a trial run alone
+    records = [
+        _bench_one(args.kind, size, trial, args.seed, args.k, args.cap)
         for size in range(2, args.max + 1)
         for trial in range(args.trials)
     ]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        records = list(
-            pool.map(
-                lambda st: _bench_one(args.kind, st[0], st[1], args.seed, args.k, args.cap),
-                tasks,
-            )
-        )
     records.sort(key=lambda r: (r.seed, r.sizes))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

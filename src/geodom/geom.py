@@ -7,12 +7,9 @@ half-line {(t, y) : t <= x_right}.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
-
-from sortedcontainers import SortedList
 
 from .errors import InvalidInputError
 
@@ -327,82 +324,6 @@ def is_proper(intervals: list[tuple[Rat, Rat]]) -> bool:
             return False
         best_hi = hi
     return True
-
-
-class RayIndex:
-    """Ordered live set of pairwise-disjoint leftward rays, keyed by y.
-
-    Supports range enumeration with deletion: a query reports each live ray
-    at most once over its whole lifetime because reported rays are removed.
-    """
-
-    def __init__(self, rays: Iterable[HRay]):
-        rays = list(rays)
-        self._by_id: dict[int, HRay] = {}
-        for r in rays:
-            if r.id in self._by_id:
-                raise InvalidInputError(f"duplicate ray id {r.id}")
-            self._by_id[r.id] = r
-        ys = [r.y for r in rays]
-        if len(set(ys)) != len(ys):
-            raise InvalidInputError("rays must have pairwise distinct y")
-        self._live = SortedList((r.y, r.id) for r in rays)
-        self._alive = set(self._by_id)
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __contains__(self, ray_id: int) -> bool:
-        return ray_id in self._alive
-
-    def ray(self, ray_id: int) -> HRay:
-        return self._by_id[ray_id]
-
-    def live_ids(self) -> list[int]:
-        return [i for _, i in self._live]
-
-    def query_delete(self, seg: VSeg) -> set[int]:
-        """Report and remove every live ray intersecting ``seg``."""
-        hits = []
-        for y, rid in self._live.irange((seg.y_lo, -math.inf), (seg.y_hi, math.inf)):
-            if self._by_id[rid].x_right >= seg.x:
-                hits.append((y, rid))
-        for item in hits:
-            self._live.remove(item)
-            self._alive.discard(item[1])
-        return {rid for _, rid in hits}
-
-    def delete(self, ray_id: int) -> None:
-        if ray_id in self._alive:
-            r = self._by_id[ray_id]
-            self._live.remove((r.y, ray_id))
-            self._alive.discard(ray_id)
-
-    def neighbors(self, ray_id: int) -> tuple[Optional[int], Optional[int]]:
-        """Live rays just below and just above a live ray, by y."""
-        r = self._by_id[ray_id]
-        pos = self._live.index((r.y, ray_id))
-        below = self._live[pos - 1][1] if pos > 0 else None
-        above = self._live[pos + 1][1] if pos + 1 < len(self._live) else None
-        return below, above
-
-    def first_at_or_above(self, y: Rat) -> Optional[int]:
-        pos = self._live.bisect_left((y, -math.inf))
-        return self._live[pos][1] if pos < len(self._live) else None
-
-    def last_at_or_below(self, y: Rat) -> Optional[int]:
-        pos = self._live.bisect_right((y, math.inf)) - 1
-        return self._live[pos][1] if pos >= 0 else None
-
-
-def rank_interval(sorted_ys: list[Rat], y_lo: Rat, y_hi: Rat) -> tuple[int, int]:
-    """Inclusive index range of sorted_ys values falling inside [y_lo, y_hi].
-
-    Returns (a, b) with a > b when the range is empty.
-    """
-    a = bisect_left(sorted_ys, y_lo)
-    b = bisect_right(sorted_ys, y_hi) - 1
-    return a, b
 
 
 class Fenwick:

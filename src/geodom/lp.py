@@ -2,13 +2,17 @@
 
 Programs are 0/1 covering problems: minimize the sum of all variables
 subject to one "sum over a variable subset >= 1" row per constraint and
-0 <= x <= 1.  The simplex solver works over exact Fractions, so objective
-values are usable as certificates without tolerance.
+0 <= x <= 1.  The simplex solver runs Bland's rule on integer rows (int
+numerators over one shared denominator per row), so it takes the same
+pivots and reaches the same vertex as a Fraction tableau, and objective
+values are usable as certificates without tolerance.  Each LP answer also
+carries a dual witness that ``check_feasible`` verifies in O(nnz).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import (
@@ -46,9 +50,18 @@ class CoverProgram:
 
 @dataclass(frozen=True)
 class CoverSolution:
+    """A feasible point of a CoverProgram.
+
+    ``duals`` (one multiplier per row, set by ``solve_lp``) certifies that
+    ``objective_value`` is the LP optimum: for any y >= 0,
+    sum(y) - sum_j max(0, colsum_j(y) - 1) is a lower bound on the LP, so a
+    feasible point whose objective meets it is optimal.
+    """
+
     values: tuple[Rat, ...]
     objective_value: Rat
     integral: bool
+    duals: Optional[tuple[Rat, ...]] = None
 
     def value(self, var: int) -> Rat:
         return self.values[var]
@@ -62,16 +75,40 @@ class CoverSolution:
     def check_feasible(self, program: CoverProgram) -> None:
         if len(self.values) != program.num_vars:
             raise InvalidInputError("solution length mismatch")
-        for v in self.values:
-            if not (ZERO <= v <= ONE):
+        xs, scale = _scaled(self.values)
+        for x in xs:
+            if not (0 <= x <= scale):
                 raise InvalidInputError("variable value outside [0,1]")
         for i, row in enumerate(program.rows):
-            if self.mass(row) < ONE:
+            if sum(xs[j] for j in row) < scale:
                 raise InvalidInputError(f"row {i} not covered")
-        if self.objective_value != sum(self.values, ZERO):
+        if self.objective_value != Fraction(sum(xs), scale):
             raise InvalidInputError("objective_value inconsistent with values")
-        if self.integral and any(v not in (ZERO, ONE) for v in self.values):
+        if self.integral and any(x not in (0, scale) for x in xs):
             raise InvalidInputError("integral flag set on fractional values")
+        if self.duals is not None:
+            self._check_duals(program)
+
+    def _check_duals(self, program: CoverProgram) -> None:
+        if len(self.duals) != len(program.rows):
+            raise InvalidInputError("dual length mismatch")
+        ys, scale = _scaled(self.duals)
+        if any(y < 0 for y in ys):
+            raise InvalidInputError("negative dual multiplier")
+        colsum = [0] * program.num_vars
+        for y, row in zip(ys, program.rows):
+            if y:
+                for j in row:
+                    colsum[j] += y
+        bound = sum(ys) - sum(c - scale for c in colsum if c > scale)
+        if Fraction(bound, scale) != self.objective_value:
+            raise InvalidInputError("dual bound differs from objective_value")
+
+
+def _scaled(rats) -> tuple[list[int], int]:
+    """The rationals times the lcm of their denominators, and that lcm."""
+    scale = lcm(*{v.denominator for v in rats})
+    return [v.numerator * (scale // v.denominator) for v in rats], scale
 
 
 @dataclass(frozen=True)
@@ -102,100 +139,148 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     Variable layout: x_0..x_{n-1}, surplus s per row, upper-bound slack w
     per variable.  Starting from the all-ones point gives a feasible basis
     immediately (every row is non-empty), so no phase-1 is needed.
+
+    Each tableau row is a dict of int numerators over one positive int
+    denominator that its rhs shares, kept divided by the gcd of all of
+    them; the cost row is stored the same way.  A column -> rows index
+    limits the ratio test and the elimination to the rows that have a
+    nonzero in the entering column.  The pivots are Bland's: the entering
+    column is the least one with a negative reduced cost, the leaving row
+    minimizes (rhs_r / a_r, basis[r]), and since the row denominator
+    cancels in that ratio, rows compare by one int cross-multiplication.
+
+    The returned solution carries the dual witness: y_i is the final
+    reduced cost of surplus column s_i.
     """
     n = program.num_vars
     m = len(program.rows)
     if n == 0:
-        return CoverSolution((), ZERO, True)
+        return CoverSolution((), ZERO, True, ())
     # column ids: x_j = j; s_i = n + i; w_j = n + m + j
-    total = 2 * n + m
-
     # rows in canonical form wrt the initial basis {x_0..x_{n-1}, s_0..s_{m-1}}:
     #   x_j + w_j = 1
     #   s_i + sum_{j in row_i} w_j = |row_i| - 1
-    basis: list[int] = []
-    tableau: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(n):
-        basis.append(j)
-        tableau.append({j: ONE, n + m + j: ONE})
-        rhs.append(ONE)
+    # row r starts with basic column r; col_rows[c] holds the rows with a
+    # nonzero in column c
+    w0 = n + m
+    basis = list(range(n + m))
+    tableau: list[dict[int, int]] = [{j: 1, w0 + j: 1} for j in range(n)]
+    rhs = [1] * n
+    col_rows: list[set[int]] = [{j} for j in range(n)]
+    col_rows += [{n + i} for i in range(m)]
+    col_rows += [{j} for j in range(n)]
     for i, row in enumerate(program.rows):
-        basis.append(n + i)
-        entry = {n + m + j: ONE for j in row}
-        entry[n + i] = ONE
+        entry = {w0 + j: 1 for j in row}
+        entry[n + i] = 1
         tableau.append(entry)
-        rhs.append(Fraction(len(row) - 1))
+        rhs.append(len(row) - 1)
+        for j in row:
+            col_rows[w0 + j].add(n + i)
+    den = [1] * (n + m)
 
     # reduced costs: z = n - sum_j w_j over the nonbasic w columns
-    cost = {n + m + j: -ONE for j in range(n)}
-    in_basis = [False] * total
-    for b in basis:
-        in_basis[b] = True
+    cost = {w0 + j: -1 for j in range(n)}
+    cost_den = 1
+    # the columns with a negative reduced cost; none of them is basic
+    negative = set(cost)
 
-    while True:
-        entering = -1
-        for col in range(total):
-            if not in_basis[col] and cost.get(col, ZERO) < ZERO:
-                entering = col
-                break
-        if entering < 0:
-            break
+    while negative:
+        entering = min(negative)
         # ratio test, Bland tie-break on the leaving basic variable's id
-        leave_idx = -1
-        best_ratio: Optional[Fraction] = None
-        for r in range(len(tableau)):
-            a = tableau[r].get(entering, ZERO)
-            if a > ZERO:
-                ratio = rhs[r] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leave_idx])
-                ):
-                    best_ratio = ratio
-                    leave_idx = r
-        if leave_idx < 0:
+        leave = -1
+        best_rhs = best_a = 0
+        for r in col_rows[entering]:
+            a = tableau[r][entering]
+            if a > 0:
+                lhs = rhs[r] * best_a
+                rhs_best = best_rhs * a
+                if leave < 0 or lhs < rhs_best or (lhs == rhs_best and basis[r] < basis[leave]):
+                    leave, best_rhs, best_a = r, rhs[r], a
+        if leave < 0:
             raise InvalidInputError("unbounded covering LP (malformed program)")
 
-        piv_row = tableau[leave_idx]
+        # the pivot row keeps its numerators over the new denominator piv
+        piv_row = tableau[leave]
         piv = piv_row[entering]
-        if piv != ONE:
-            tableau[leave_idx] = piv_row = {c: v / piv for c, v in piv_row.items()}
-            rhs[leave_idx] /= piv
-        for r in range(len(tableau)):
-            if r == leave_idx:
-                continue
-            a = tableau[r].get(entering, ZERO)
-            if a == ZERO:
+        piv_rhs = rhs[leave]
+        g = gcd(piv, piv_rhs, *piv_row.values())
+        if g != 1:
+            piv //= g
+            piv_rhs //= g
+            tableau[leave] = piv_row = {c: v // g for c, v in piv_row.items()}
+        den[leave] = piv
+        rhs[leave] = piv_rhs
+        others = [(c, v) for c, v in piv_row.items() if c != entering]
+        # row_r <- (row_r * piv - a * piv_row) / (den_r * piv)
+        for r in col_rows[entering]:
+            if r == leave:
                 continue
             row_r = tableau[r]
-            for c, v in piv_row.items():
-                nv = row_r.get(c, ZERO) - a * v
-                if nv == ZERO:
-                    row_r.pop(c, None)
-                else:
+            a = row_r.pop(entering)
+            d = den[r]
+            b = rhs[r]
+            if piv != 1:
+                row_r = {c: v * piv for c, v in row_r.items()}
+                tableau[r] = row_r
+                d *= piv
+                b *= piv
+            b -= a * piv_rhs
+            for c, v in others:
+                nv = row_r.get(c, 0) - a * v
+                if nv:
+                    if c not in row_r:
+                        col_rows[c].add(r)
                     row_r[c] = nv
-            rhs[r] -= a * rhs[leave_idx]
-        a = cost.get(entering, ZERO)
-        if a != ZERO:
-            for c, v in piv_row.items():
-                nv = cost.get(c, ZERO) - a * v
-                if nv == ZERO:
-                    cost.pop(c, None)
+                elif c in row_r:
+                    del row_r[c]
+                    col_rows[c].discard(r)
+            g = gcd(d, b)
+            if g != 1:
+                for v in row_r.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
                 else:
-                    cost[c] = nv
-        in_basis[basis[leave_idx]] = False
-        in_basis[entering] = True
-        basis[leave_idx] = entering
+                    tableau[r] = {c: v // g for c, v in row_r.items()}
+                    d //= g
+                    b //= g
+            den[r] = d
+            rhs[r] = b
+        col_rows[entering] = {leave}
+
+        a = cost.pop(entering)
+        negative.discard(entering)
+        if piv != 1:
+            cost = {c: v * piv for c, v in cost.items()}
+            cost_den *= piv
+        for c, v in others:
+            nv = cost.get(c, 0) - a * v
+            if nv:
+                cost[c] = nv
+            else:
+                cost.pop(c, None)
+            if nv < 0:
+                negative.add(c)
+            else:
+                negative.discard(c)
+        g = cost_den
+        for v in cost.values():
+            if g == 1:
+                break
+            g = gcd(g, v)
+        if g != 1:
+            cost = {c: v // g for c, v in cost.items()}
+            cost_den //= g
+        basis[leave] = entering
 
     values = [ZERO] * n
     for r, b in enumerate(basis):
         if b < n:
-            values[b] = rhs[r]
+            values[b] = Fraction(rhs[r], den[r])
     objective = sum(values, ZERO)
     integral = all(v in (ZERO, ONE) for v in values)
-    sol = CoverSolution(tuple(values), objective, integral)
+    duals = tuple(Fraction(cost.get(n + i, 0), cost_den) for i in range(m))
+    sol = CoverSolution(tuple(values), objective, integral, duals)
     sol.check_feasible(program)
     return sol
 

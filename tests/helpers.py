@@ -7,9 +7,11 @@ code with the solvers under test.
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from geodom.errors import InfeasibleRayError, InfeasibleSegmentError, InvalidInputError
 from geodom.geom import HRay, VSeg, intersects
+from geodom.lp import CoverProgram, CoverSolution
 
 
 def solve_linear(a, b):
@@ -293,3 +295,112 @@ def reference_gen_ssr(rng, n, m, span):
         hi = a.y + rng.randint(0, 4)
         segments.append(VSeg(j, Fraction(x), lo, hi))
     return SsrInstance(rays, tuple(segments))
+
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def solve_lp_reference(program: CoverProgram) -> CoverSolution:
+    """The Fraction-tableau primal simplex (Bland's rule) that ``solve_lp``
+    reproduces on integer rows; ``solve_lp`` must return the same values.
+
+    Variable layout: x_0..x_{n-1}, surplus s per row, upper-bound slack w
+    per variable.  Starting from the all-ones point gives a feasible basis
+    immediately (every row is non-empty), so no phase-1 is needed.
+    """
+    n = program.num_vars
+    m = len(program.rows)
+    if n == 0:
+        return CoverSolution((), ZERO, True)
+    # column ids: x_j = j; s_i = n + i; w_j = n + m + j
+    total = 2 * n + m
+
+    # rows in canonical form wrt the initial basis {x_0..x_{n-1}, s_0..s_{m-1}}:
+    #   x_j + w_j = 1
+    #   s_i + sum_{j in row_i} w_j = |row_i| - 1
+    basis: list[int] = []
+    tableau: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    for j in range(n):
+        basis.append(j)
+        tableau.append({j: ONE, n + m + j: ONE})
+        rhs.append(ONE)
+    for i, row in enumerate(program.rows):
+        basis.append(n + i)
+        entry = {n + m + j: ONE for j in row}
+        entry[n + i] = ONE
+        tableau.append(entry)
+        rhs.append(Fraction(len(row) - 1))
+
+    # reduced costs: z = n - sum_j w_j over the nonbasic w columns
+    cost = {n + m + j: -ONE for j in range(n)}
+    in_basis = [False] * total
+    for b in basis:
+        in_basis[b] = True
+
+    while True:
+        entering = -1
+        for col in range(total):
+            if not in_basis[col] and cost.get(col, ZERO) < ZERO:
+                entering = col
+                break
+        if entering < 0:
+            break
+        # ratio test, Bland tie-break on the leaving basic variable's id
+        leave_idx = -1
+        best_ratio: Optional[Fraction] = None
+        for r in range(len(tableau)):
+            a = tableau[r].get(entering, ZERO)
+            if a > ZERO:
+                ratio = rhs[r] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leave_idx])
+                ):
+                    best_ratio = ratio
+                    leave_idx = r
+        if leave_idx < 0:
+            raise InvalidInputError("unbounded covering LP (malformed program)")
+
+        piv_row = tableau[leave_idx]
+        piv = piv_row[entering]
+        if piv != ONE:
+            tableau[leave_idx] = piv_row = {c: v / piv for c, v in piv_row.items()}
+            rhs[leave_idx] /= piv
+        for r in range(len(tableau)):
+            if r == leave_idx:
+                continue
+            a = tableau[r].get(entering, ZERO)
+            if a == ZERO:
+                continue
+            row_r = tableau[r]
+            for c, v in piv_row.items():
+                nv = row_r.get(c, ZERO) - a * v
+                if nv == ZERO:
+                    row_r.pop(c, None)
+                else:
+                    row_r[c] = nv
+            rhs[r] -= a * rhs[leave_idx]
+        a = cost.get(entering, ZERO)
+        if a != ZERO:
+            for c, v in piv_row.items():
+                nv = cost.get(c, ZERO) - a * v
+                if nv == ZERO:
+                    cost.pop(c, None)
+                else:
+                    cost[c] = nv
+        in_basis[basis[leave_idx]] = False
+        in_basis[entering] = True
+        basis[leave_idx] = entering
+
+    values = [ZERO] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            values[b] = rhs[r]
+    objective = sum(values, ZERO)
+    integral = all(v in (ZERO, ONE) for v in values)
+    sol = CoverSolution(tuple(values), objective, integral)
+    sol.check_feasible(program)
+    return sol

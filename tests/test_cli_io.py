@@ -279,7 +279,7 @@ def test_bench_csv(tmp_path):
     out1 = tmp_path / "b1.csv"
     out2 = tmp_path / "b2.csv"
     args = ["bench", "--kind", "ssr", "--max", "4", "--trials", "2",
-            "--seed", "3", "--jobs", "2"]
+            "--seed", "3"]
     assert run_cli(args + ["-o", str(out1)]) == 0
     assert run_cli(args + ["-o", str(out2)]) == 0
     rows1 = list(csv.reader(out1.open()))

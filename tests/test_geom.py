@@ -9,14 +9,12 @@ from geodom.geom import (
     HRay,
     HSeg,
     OrthoInstance,
-    RayIndex,
     VSeg,
     as_rat,
     intersects,
     is_proper,
     min_positive_gap,
     properize,
-    rank_interval,
     rat_str,
 )
 from helpers import intersection_matrix
@@ -149,27 +147,3 @@ def test_is_proper():
     assert not is_proper([(F(0), F(3)), (F(1), F(2))])   # nested
     assert not is_proper([(F(0), F(2)), (F(0), F(2))])   # identical
     assert is_proper([])
-
-
-def test_ray_index_query_delete_and_neighbors():
-    rays = [HRay(0, F(1), F(5)), HRay(1, F(3), F(2)), HRay(2, F(6), F(4))]
-    idx = RayIndex(rays)
-    # only ray 0 reaches x=3 inside the y window [0,4]
-    assert idx.query_delete(VSeg(9, F(3), F(0), F(4))) == {0}
-    assert idx.neighbors(1) == (None, 2)
-    idx2 = RayIndex(rays)
-    assert idx2.query_delete(VSeg(9, F(2), F(0), F(4))) == {0, 1}
-    assert idx2.neighbors(2) == (None, None)
-
-
-def test_ray_index_rejects_duplicate_heights():
-    with pytest.raises(InvalidInputError):
-        RayIndex([HRay(0, F(1), F(2)), HRay(1, F(1), F(3))])
-
-
-def test_rank_interval():
-    ys = [F(1), F(3), F(5), F(9)]
-    assert rank_interval(ys, F(2), F(6)) == (1, 2)
-    assert rank_interval(ys, F(1), F(9)) == (0, 3)
-    a, b = rank_interval(ys, F(6), F(8))
-    assert a > b   # empty window

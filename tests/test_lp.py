@@ -1,8 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geodom import instances, psd, stabbedl, uvpg
 from geodom.errors import InvalidInputError, SizeCapExceededError, UncoveredRowError
 from geodom.lp import (
     HALF,
@@ -12,7 +16,7 @@ from geodom.lp import (
     solve_lp,
     threshold_split,
 )
-from helpers import lp_min_bruteforce, naive_min_cover
+from helpers import lp_min_bruteforce, naive_min_cover, solve_lp_reference
 
 
 def test_cover_program_validation():
@@ -152,3 +156,116 @@ def test_ilp_respects_exact_small_branching():
     )
     prog = CoverProgram(3, rows)
     assert solve_ilp_exact(prog).objective_value == F(2)
+
+
+def _odd_cycle(k):
+    return CoverProgram(k, tuple(frozenset({j, (j + 1) % k}) for j in range(k)))
+
+
+def test_duals_certify_the_optimum():
+    prog = _odd_cycle(5)
+    sol = solve_lp(prog)
+    assert sol.objective_value == F(5, 2)
+    assert sol.duals is not None and len(sol.duals) == 5
+    assert all(y >= 0 for y in sol.duals)
+    assert solve_ilp_exact(prog).duals is None
+
+
+def test_tampered_duals_are_rejected():
+    prog = _odd_cycle(5)
+    sol = solve_lp(prog)
+    y = list(sol.duals)
+    bumped = y[:]
+    bumped[0] += F(1, 7)
+    negative = y[:]
+    negative[1] = F(-1, 3)
+    # same sum as the optimal duals, but variable 0 is over-covered
+    shifted = [F(1), F(0)] + y[2:]
+    for duals in (tuple(bumped), tuple(negative), tuple(shifted), tuple(y[:-1])):
+        with pytest.raises(InvalidInputError):
+            replace(sol, duals=duals).check_feasible(prog)
+    # the optimal duals do not certify a feasible but worse point
+    ones = replace(sol, values=(F(1),) * 5, objective_value=F(5), integral=True)
+    with pytest.raises(InvalidInputError):
+        ones.check_feasible(prog)
+    replace(ones, duals=None).check_feasible(prog)
+    # a negative multiplier can meet the bound equation and still prove nothing
+    pair = CoverProgram(2, (frozenset({0}), frozenset({1}), frozenset({0, 1})))
+    sol = solve_lp(pair)
+    assert sol.objective_value == F(2)
+    with pytest.raises(InvalidInputError):
+        replace(sol, duals=(F(3, 2), F(1), F(-1, 2))).check_feasible(pair)
+
+
+def _shaped_program(rng, shape):
+    n = rng.randint(1, 10)
+    rows = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(0, 4))]
+    if shape == "singleton":
+        rows += [frozenset({rng.randrange(n)}) for _ in range(rng.randint(1, 4))]
+    elif shape == "duplicate":
+        base = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 4))]
+        rows += base + [rng.choice(base) for _ in range(rng.randint(1, 4))]
+    elif shape == "nested":
+        order = rng.sample(range(n), n)
+        rows += [frozenset(order[:k]) for k in range(1, n + 1) if rng.random() < 0.7]
+    elif shape == "full":
+        rows += [frozenset(range(n))] * rng.randint(1, 3)
+    elif shape == "interval":
+        for _ in range(rng.randint(1, 12)):
+            a = rng.randrange(n)
+            b = rng.randrange(a, n)
+            rows.append(frozenset(range(a, b + 1)))
+    elif shape == "odd_cycle":
+        k = rng.choice([c for c in (3, 5, 7, 9) if c <= max(n, 3)])
+        n = max(n, k)
+        shift = rng.randrange(n - k + 1)
+        rows += [frozenset({shift + j, shift + (j + 1) % k}) for j in range(k)]
+    if not rows:
+        rows = [frozenset({0})]
+    rng.shuffle(rows)
+    return CoverProgram(n, tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "shape", ["singleton", "duplicate", "nested", "full", "interval", "odd_cycle"]
+)
+def test_solve_lp_matches_fraction_reference(shape):
+    rng = random.Random(f"lp-{shape}")
+    fractional = 0
+    for _ in range(150):
+        prog = _shaped_program(rng, shape)
+        sol = solve_lp(prog)
+        assert sol.values == solve_lp_reference(prog).values
+        fractional += not sol.integral
+    if shape == "odd_cycle":
+        assert fractional > 0
+
+
+def test_solve_lp_matches_reference_on_pipeline_programs():
+    programs = []
+    for seed in (1, 2, 4):
+        sl = instances.generate("stabbed_l", {"n": 40, "coord_range": 40}, seed).data
+        programs.append(stabbedl.solve_mds(sl, want_details=True)[1].program)
+        ortho = instances.generate("ortho_psd", {"n": 30, "m": 30, "coord_range": 40}, seed).data
+        programs.append(psd.psd_solve(ortho, want_details=True)[1].program)
+        bk = instances.generate("unit_bk", {"n": 40, "k": 2, "coord_range": 5}, seed).data
+        programs.append(uvpg.solve_mds(list(bk.paths), bk.k, want_details=True)[1].program)
+    fractional = 0
+    for prog in programs:
+        sol = solve_lp(prog)
+        assert sol.values == solve_lp_reference(prog).values
+        fractional += not sol.integral
+    assert fractional >= 3
+
+
+@st.composite
+def _programs(draw):
+    n = draw(st.integers(1, 7))
+    row = st.frozensets(st.integers(0, n - 1), min_size=1)
+    return CoverProgram(n, tuple(draw(st.lists(row, min_size=1, max_size=9))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+def test_solve_lp_matches_reference_property(prog):
+    assert solve_lp(prog).values == solve_lp_reference(prog).values

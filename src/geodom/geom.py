@@ -182,30 +182,29 @@ class OrthoInstance:
         return {s.id: s for s in self.all_segments()}
 
 
-def _bbox(obj) -> tuple[Rat, Rat, Rat, Rat]:
-    # (x_lo, x_hi, y_lo, y_hi); rays are unbounded on the left
-    if isinstance(obj, VSeg):
-        return obj.x, obj.x, obj.y_lo, obj.y_hi
-    if isinstance(obj, HSeg):
-        return obj.x_lo, obj.x_hi, obj.y, obj.y
-    raise InvalidInputError("bbox undefined for rays")
+def _scaled_families(inst: OrthoInstance) -> tuple[int, list[list[int]]]:
+    """The six endpoint families of ``coordinate_family_gap`` (VSeg.x,
+    VSeg.y_lo, VSeg.y_hi, HSeg.y, HSeg.x_lo, HSeg.x_hi) as ints on one scale
+    shared by both axes, so differences compare across axes too."""
+    families = (
+        [s.x for s in inst.vsegs],
+        [s.y_lo for s in inst.vsegs],
+        [s.y_hi for s in inst.vsegs],
+        [s.y for s in inst.hsegs],
+        [s.x_lo for s in inst.hsegs],
+        [s.x_hi for s in inst.hsegs],
+    )
+    scale = math.lcm(*{v.denominator for fam in families for v in fam})
+    return scale, [to_ints(fam, scale) for fam in families]
 
 
-def _chebyshev_gap(a, b) -> Rat:
-    ax_lo, ax_hi, ay_lo, ay_hi = _bbox(a)
-    bx_lo, bx_hi, by_lo, by_hi = _bbox(b)
-    dx = max(Fraction(0), ax_lo - bx_hi, bx_lo - ax_hi)
-    dy = max(Fraction(0), ay_lo - by_hi, by_lo - ay_hi)
-    return max(dx, dy)
-
-
-def _min_adjacent_diff(values: Iterable[Rat]) -> Optional[Rat]:
-    vals = sorted(set(values))
+def _family_gap(families: Iterable[Sequence[int]]) -> Optional[int]:
     best = None
-    for lo, hi in zip(vals, vals[1:]):
-        d = hi - lo
-        if best is None or d < best:
-            best = d
+    for fam in families:
+        vals = sorted(set(fam))
+        for lo, hi in zip(vals, vals[1:]):
+            if best is None or hi - lo < best:
+                best = hi - lo
     return best
 
 
@@ -216,20 +215,9 @@ def coordinate_family_gap(inst: OrthoInstance) -> Optional[Rat]:
     HSeg.x_lo, HSeg.x_hi) so that, e.g., a segment's own height never caps
     the gap between two parallel segments.
     """
-    families = (
-        [s.x for s in inst.vsegs],
-        [s.y_lo for s in inst.vsegs],
-        [s.y_hi for s in inst.vsegs],
-        [s.y for s in inst.hsegs],
-        [s.x_lo for s in inst.hsegs],
-        [s.x_hi for s in inst.hsegs],
-    )
-    best = None
-    for fam in families:
-        d = _min_adjacent_diff(fam)
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
+    scale, families = _scaled_families(inst)
+    best = _family_gap(families)
+    return None if best is None else Fraction(best, scale)
 
 
 def min_positive_gap(inst: OrthoInstance) -> Optional[Rat]:
@@ -241,22 +229,36 @@ def min_positive_gap(inst: OrthoInstance) -> Optional[Rat]:
     Separation is measured in the Chebyshev metric, which is exact over the
     rationals and never exceeds the Euclidean distance, so any perturbation
     below half of it preserves disjointness.
+
+    A closed axis-parallel segment is its own bounding box, so two segments
+    meet exactly when their Chebyshev gap is 0.  The closest disjoint pair
+    is found by a sweep over the boxes sorted by x_lo; a row stops once the
+    x-distance alone reaches the best gap so far, which starts at the
+    family gap because the answer never exceeds it.
     """
-    segs = inst.all_segments()
-    best_dist = None
-    for i, a in enumerate(segs):
-        for b in segs[i + 1:]:
-            if intersects(a, b):
-                continue
-            d = _chebyshev_gap(a, b)
-            if best_dist is None or d < best_dist:
-                best_dist = d
-    if best_dist is None:
+    scale, families = _scaled_families(inst)
+    vx, vlo, vhi, hy, hlo, hhi = families
+    boxes = sorted(list(zip(hlo, hhi, hy, hy)) + list(zip(vx, vx, vlo, vhi)))
+    # boxes pairwise meet exactly when both projections pairwise overlap,
+    # i.e. when every low end is at most every high end on each axis
+    if not boxes or (
+        max(b[0] for b in boxes) <= min(b[1] for b in boxes)
+        and max(b[2] for b in boxes) <= min(b[3] for b in boxes)
+    ):
         return NO_GAP
-    fam = coordinate_family_gap(inst)
-    if fam is not None and fam < best_dist:
-        return fam
-    return best_dist
+    best = _family_gap(families)
+    n = len(boxes)
+    for i in range(n):
+        _, x_hi, y_lo, y_hi = boxes[i]
+        for j in range(i + 1, n):
+            bx_lo, _, by_lo, by_hi = boxes[j]
+            dx = bx_lo - x_hi  # boxes[j] starts no further left
+            if best is not None and dx >= best:
+                break
+            gap = max(dx, by_lo - y_hi, y_lo - by_hi)
+            if gap > 0 and (best is None or gap < best):
+                best = gap
+    return Fraction(best, scale)
 
 
 def properize(inst: OrthoInstance) -> OrthoInstance:
@@ -314,16 +316,26 @@ def properize(inst: OrthoInstance) -> OrthoInstance:
     return OrthoInstance(tuple(new_h), tuple(new_v), inst.constraint_ids, inst.candidate_ids)
 
 
+def containment_violation(
+    intervals: Iterable[tuple[Rat, Rat, int]],
+) -> Optional[tuple[int, int]]:
+    """Ids (outer, inner) of a pair of closed intervals ``(lo, hi, id)``
+    where one contains the other (identical ones included), or None.
+
+    In (lo, -hi, id) order an interval is contained in an earlier one exactly
+    when its hi does not pass its predecessor's.
+    """
+    prev = None
+    for lo, hi, iid in sorted(intervals, key=lambda t: (t[0], -t[1], t[2])):
+        if prev is not None and hi <= prev[1]:
+            return prev[2], iid
+        prev = (lo, hi, iid)
+    return None
+
+
 def is_proper(intervals: list[tuple[Rat, Rat]]) -> bool:
     """True when no interval in the list contains another (identity included)."""
-    order = sorted(range(len(intervals)), key=lambda i: (intervals[i][0], -intervals[i][1]))
-    best_hi = None
-    for idx in order:
-        lo, hi = intervals[idx]
-        if best_hi is not None and hi <= best_hi:
-            return False
-        best_hi = hi
-    return True
+    return containment_violation((lo, hi, i) for i, (lo, hi) in enumerate(intervals)) is None
 
 
 class Fenwick:

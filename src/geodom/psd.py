@@ -7,6 +7,8 @@ the 18-approximation combining both over a mixed instance.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -18,7 +20,16 @@ from .errors import (
     InvalidInputError,
     NotProperError,
 )
-from .geom import HRay, HSeg, OrthoInstance, Rat, VSeg, intersects
+from .geom import (
+    HRay,
+    HSeg,
+    OrthoInstance,
+    Rat,
+    VSeg,
+    containment_violation,
+    intersects,
+    to_ints,
+)
 from .lp import (
     HALF,
     CoverProgram,
@@ -43,16 +54,6 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-def _containment_violation(intervals) -> Optional[tuple[int, int]]:
-    order = sorted(intervals, key=lambda iv: (iv.lo, -iv.hi, iv.id))
-    best: Optional[Interval] = None
-    for iv in order:
-        if best is not None and iv.hi <= best.hi:
-            return best.id, iv.id
-        best = iv
-    return None
-
-
 @dataclass(frozen=True)
 class ProperIntervalSet:
     intervals: tuple[Interval, ...]
@@ -62,7 +63,7 @@ class ProperIntervalSet:
         ids = [iv.id for iv in self.intervals]
         if len(ids) != len(set(ids)):
             raise InvalidInputError("duplicate interval ids")
-        bad = _containment_violation(self.intervals)
+        bad = containment_violation((iv.lo, iv.hi, iv.id) for iv in self.intervals)
         if bad is not None:
             raise InvalidInputError(
                 f"interval {bad[1]} is contained in interval {bad[0]}"
@@ -204,14 +205,12 @@ def _solve_boundary_side(
         rays = [HRay(c.id, c.y, c.x_hi) for c in candidates.values()]
         segs = [VSeg(t.id, t.x, t.y_lo, t.y_hi) for t in targets]
     inst = ssr.normalize(ssr.SsrInstance(tuple(_dedup_rays(rays)), tuple(segs)))
-    chosen, _ = ssr.solve(inst)
-    return chosen
+    return ssr.solve_fast(inst)
 
 
 def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool = False):
     """8-approximate cover of vertical targets by horizontal candidates."""
-    cand_intervals = [Interval(c.id, c.x_lo, c.x_hi) for c in candidates]
-    bad = _containment_violation(cand_intervals)
+    bad = containment_violation((c.x_lo, c.x_hi, c.id) for c in candidates)
     if bad is not None:
         raise NotProperError("h", list(bad))
     order = sorted(c.id for c in candidates)
@@ -342,14 +341,65 @@ def _collinear_exact(
     return chosen
 
 
+def _cover_rows(table, horiz, constraints, cand_order):
+    """(same, cross) candidate-index sets meeting each constraint, in order.
+
+    Both axes go to ints once.  Parallel segments meet only on a shared
+    carrier line, so same-orientation candidates are bucketed by line;
+    crossing candidates are sorted by line, and those whose line falls
+    inside the constraint's span are found by bisection.
+    """
+    segs = [table[u] for u in constraints] + [table[c] for c in cand_order]
+    is_h = [s.id in horiz for s in segs]
+    x_vals = [s.x_lo if h else s.x for s, h in zip(segs, is_h)]
+    x_vals += [s.x_hi if h else s.x for s, h in zip(segs, is_h)]
+    y_vals = [s.y if h else s.y_lo for s, h in zip(segs, is_h)]
+    y_vals += [s.y if h else s.y_hi for s, h in zip(segs, is_h)]
+    xs = to_ints(x_vals, math.lcm(*{v.denominator for v in x_vals}))
+    ys = to_ints(y_vals, math.lcm(*{v.denominator for v in y_vals}))
+    n = len(segs)
+    # (line, lo, hi): the carrier line (y or x) and the span along it
+    spans = [
+        (ys[i], xs[i], xs[n + i]) if is_h[i] else (xs[i], ys[i], ys[n + i])
+        for i in range(n)
+    ]
+    k = len(constraints)
+    cands = spans[k:]
+    on_line: dict[tuple[bool, int], list[int]] = {}
+    by_line: dict[bool, list[tuple[int, int]]] = {True: [], False: []}
+    for idx, (line, _, _) in enumerate(cands):
+        h = is_h[k + idx]
+        on_line.setdefault((h, line), []).append(idx)
+        by_line[h].append((line, idx))
+    for pairs in by_line.values():
+        pairs.sort()
+    lines = {h: [line for line, _ in pairs] for h, pairs in by_line.items()}
+    out = []
+    for r, u in enumerate(constraints):
+        h = is_h[r]
+        line, lo, hi = spans[r]
+        same = sorted(
+            idx for idx in on_line.get((h, line), ())
+            if cands[idx][1] <= hi and lo <= cands[idx][2]
+        )
+        a = bisect_left(lines[not h], lo)
+        b = bisect_right(lines[not h], hi)
+        cross = sorted(
+            idx for _, idx in by_line[not h][a:b]
+            if cands[idx][1] <= line <= cands[idx][2]
+        )
+        if not same and not cross:
+            raise InfeasibleConstraintError(u)
+        out.append((frozenset(same), frozenset(cross)))
+    return out
+
+
 def psd_solve(inst: OrthoInstance, want_details: bool = False):
     """18-approximation for covering marked segments with marked segments."""
-    h_ivs = [Interval(s.id, s.x_lo, s.x_hi) for s in inst.hsegs]
-    bad = _containment_violation(h_ivs)
+    bad = containment_violation((s.x_lo, s.x_hi, s.id) for s in inst.hsegs)
     if bad is not None:
         raise NotProperError("h", list(bad))
-    v_ivs = [Interval(s.id, s.y_lo, s.y_hi) for s in inst.vsegs]
-    bad = _containment_violation(v_ivs)
+    bad = containment_violation((s.y_lo, s.y_hi, s.id) for s in inst.vsegs)
     if bad is not None:
         raise NotProperError("v", list(bad))
 
@@ -357,17 +407,10 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
     horiz = {s.id for s in inst.hsegs}
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
-    index_of = {cid: i for i, cid in enumerate(cand_order)}
 
     rows = []
     parts = {}
-    for row_idx, u in enumerate(constraints):
-        seg_u = table[u]
-        hits = [c for c in cand_order if intersects(seg_u, table[c])]
-        if not hits:
-            raise InfeasibleConstraintError(u)
-        same = frozenset(index_of[c] for c in hits if (c in horiz) == (u in horiz))
-        cross = frozenset(index_of[c] for c in hits if (c in horiz) != (u in horiz))
+    for row_idx, (same, cross) in enumerate(_cover_rows(table, horiz, constraints, cand_order)):
         rows.append(same | cross)
         parts[row_idx] = {"same": same, "cross": cross}
     program = CoverProgram(len(cand_order), tuple(rows))

@@ -8,13 +8,14 @@ ray/segment stabbing problems solved elsewhere in this package.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import srs, ssr
 from .errors import AssumptionViolationError, InvalidInputError
-from .geom import HRay, HSeg, Rat, VSeg, intersects
+from .geom import HRay, HSeg, Rat, VSeg, to_ints
 from .lp import (
     HALF,
     CoverProgram,
@@ -54,17 +55,6 @@ class StabbedLInstance:
         ids = [p.id for p in self.paths]
         if len(ids) != len(set(ids)):
             raise InvalidInputError("duplicate path ids")
-
-
-def paths_intersect(a: LPath, b: LPath) -> bool:
-    if a.id == b.id:
-        return True
-    return (
-        intersects(a.vleg(), b.hleg())
-        or intersects(b.vleg(), a.hleg())
-        or intersects(a.vleg(), b.vleg())
-        or intersects(a.hleg(), b.hleg())
-    )
 
 
 def normalize(inst: StabbedLInstance) -> StabbedLInstance:
@@ -121,26 +111,54 @@ class NeighborhoodPartition:
 
 
 def build_graph(inst: StabbedLInstance):
-    """Adjacency (closed neighbourhoods) plus the leg-contact partition."""
-    adjacency: dict[int, set[int]] = {p.id: {p.id} for p in inst.paths}
-    horizontal: dict[int, set[int]] = {p.id: {p.id} for p in inst.paths}
-    vertical: dict[int, set[int]] = {p.id: set() for p in inst.paths}
-    paths = list(inst.paths)
-    for i, a in enumerate(paths):
-        for b in paths[i + 1:]:
-            if not paths_intersect(a, b):
+    """Adjacency (closed neighbourhoods) plus the leg-contact partition.
+
+    Each path is its legs' bounding box [x, x + hlen] x [y, y + vlen] in ints
+    (one scale per axis), and any contact lies in both boxes.  A sweep over
+    the boxes in corner-height order visits only pairs whose boxes meet and
+    reads the leg contacts off the two corners.  Sets are filled in the
+    input-order pair sequence of the all-pairs definition.
+    """
+    paths = inst.paths
+    lx = math.lcm(*{v.denominator for p in paths for v in (p.corner_x, p.hlen)})
+    ly = math.lcm(*{v.denominator for p in paths for v in (p.corner_y, p.vlen)})
+    x0 = to_ints([p.corner_x for p in paths], lx)
+    x1 = [a + b for a, b in zip(x0, to_ints([p.hlen for p in paths], lx))]
+    y0 = to_ints([p.corner_y for p in paths], ly)
+    y1 = [a + b for a, b in zip(y0, to_ints([p.vlen for p in paths], ly))]
+    n = len(paths)
+    by_height = sorted(range(n), key=y0.__getitem__)
+    # (i, j, j's vertical leg meets i's horizontal one, and vice versa), i < j
+    edges = []
+    for pos, i in enumerate(by_height):
+        ax0, ax1, ay0, ay1 = x0[i], x1[i], y0[i], y1[i]
+        for q in range(pos + 1, n):
+            j = by_height[q]
+            bx0, by0 = x0[j], y0[j]
+            if by0 > ay1:
+                break
+            if bx0 > ax1 or ax0 > x1[j]:
                 continue
-            adjacency[a.id].add(b.id)
-            adjacency[b.id].add(a.id)
-            # contact classification is per endpoint's own horizontal leg
-            if intersects(b.vleg(), a.hleg()):
-                horizontal[a.id].add(b.id)
-            else:
-                vertical[a.id].add(b.id)
-            if intersects(a.vleg(), b.hleg()):
-                horizontal[b.id].add(a.id)
-            else:
-                vertical[b.id].add(a.id)
+            # b's corner height lies in [ay0, ay1] and the x-extents overlap:
+            # b's horizontal leg meets a's vertical one iff it starts at or
+            # left of it, and b's vertical leg (x = bx0, rising from by0 >= ay0)
+            # can meet a's horizontal leg only at equal corner heights.  The
+            # collinear contacts are special cases of these two.
+            a_v_b_h = bx0 <= ax0
+            b_v_a_h = ax0 <= bx0 and ay0 == by0
+            if a_v_b_h or b_v_a_h:
+                edges.append((i, j, b_v_a_h, a_v_b_h) if i < j else (j, i, a_v_b_h, b_v_a_h))
+    edges.sort()
+    adjacency: dict[int, set[int]] = {p.id: {p.id} for p in paths}
+    horizontal: dict[int, set[int]] = {p.id: {p.id} for p in paths}
+    vertical: dict[int, set[int]] = {p.id: set() for p in paths}
+    for i, j, j_on_i_h, i_on_j_h in edges:
+        a, b = paths[i].id, paths[j].id
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+        # contact classification is per endpoint's own horizontal leg
+        (horizontal if j_on_i_h else vertical)[a].add(b)
+        (horizontal if i_on_j_h else vertical)[b].add(a)
     neighborhoods = {u: frozenset(v) for u, v in adjacency.items()}
     partition = NeighborhoodPartition(
         {u: frozenset(v) for u, v in horizontal.items()},
@@ -235,7 +253,7 @@ def solve_mds(inst: StabbedLInstance, want_details: bool = False):
             for u in sorted(a2)
         )
         ssr_inst = ssr.normalize(ssr.SsrInstance(ssr_rays, ssr_segs))
-        ssr_selected, _ = ssr.solve(ssr_inst)
+        ssr_selected = ssr.solve_fast(ssr_inst)
 
     chosen = frozenset(srs_selected) | frozenset(ssr_selected)
     cert = SolveCertificate(

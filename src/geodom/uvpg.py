@@ -7,21 +7,17 @@ projections.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidInputError, InvalidPathError
-from .geom import HSeg, OrthoInstance, Rat, VSeg, as_rat, intersects, properize
+from .geom import HSeg, OrthoInstance, Rat, VSeg, as_rat, properize
 from .lp import CoverProgram, CoverSolution, SolveCertificate, solve_lp, threshold_split
 from .psd import psd_solve
 
-_STEP = {
-    "L": (Fraction(-1), Fraction(0)),
-    "R": (Fraction(1), Fraction(0)),
-    "U": (Fraction(0), Fraction(1)),
-    "D": (Fraction(0), Fraction(-1)),
-}
+_STEP = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
 _FLIP = {"L": "R", "R": "L", "U": "D", "D": "U"}
 
 
@@ -89,12 +85,20 @@ class ContactStructure:
     partition: dict[int, dict[tuple[int, int], frozenset[int]]]
 
 
-def _first_contact(legs_u, legs_v):
-    for i, su in enumerate(legs_u, start=1):
-        for j, sv in enumerate(legs_v, start=1):
-            if intersects(su, sv):
-                return (i, j)
-    return None
+def _leg_boxes(path: UnitKBendPath, lx: int, ly: int) -> list[tuple[int, int, int, int]]:
+    """Legs as closed boxes (x_lo, x_hi, y_lo, y_hi), axes scaled by lx, ly.
+
+    A leg is its own box, so two legs meet exactly when their boxes do.
+    """
+    x = path.start_x.numerator * (lx // path.start_x.denominator)
+    y = path.start_y.numerator * (ly // path.start_y.denominator)
+    boxes = []
+    for d in path.legs:
+        dx, dy = _STEP[d]
+        nx, ny = x + dx * lx, y + dy * ly
+        boxes.append((min(x, nx), max(x, nx), min(y, ny), max(y, ny)))
+        x, y = nx, ny
+    return boxes
 
 
 def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
@@ -102,22 +106,55 @@ def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
 
     phi[(u, v)] is the lexicographically least pair (i, j) with leg i of u
     meeting leg j of v; minimality in lex order already rules out any
-    strictly smaller crossing pair, so it matches the partition rule.
+    strictly smaller crossing pair, so it matches the partition rule.  A
+    path meets itself first at (1, 1).
+
+    Other pairs come from a sweep over the paths' bounding boxes in x_lo
+    order: only pairs whose boxes meet get their legs compared, once per
+    unordered pair, and both labels are read off the same contacts.
     """
     ids = [p.id for p in paths]
     if len(ids) != len(set(ids)):
         raise InvalidInputError("duplicate path ids")
     canon = {p.id: p.canonical() for p in paths}
-    legs = {pid: p.leg_segments() for pid, p in canon.items()}
+    order = sorted(canon)
+    # every point of a path is its start plus whole steps
+    lx = math.lcm(*{p.start_x.denominator for p in canon.values()})
+    ly = math.lcm(*{p.start_y.denominator for p in canon.values()})
+    legs = {pid: _leg_boxes(p, lx, ly) for pid, p in canon.items()}
+    bbox = {}
+    for pid, boxes in legs.items():
+        x_lo, x_hi, y_lo, y_hi = zip(*boxes)
+        bbox[pid] = (min(x_lo), max(x_hi), min(y_lo), max(y_hi))
+    by_x = sorted(order, key=lambda pid: bbox[pid][0])
+    found: dict[tuple[int, int], tuple[int, int]] = {}
+    adjacent: dict[int, list[int]] = {u: [u] for u in order}
+    for pos, u in enumerate(by_x):
+        _, ux1, uy0, uy1 = bbox[u]
+        for q in range(pos + 1, len(by_x)):
+            v = by_x[q]
+            vx0, _, vy0, vy1 = bbox[v]
+            if vx0 > ux1:
+                break
+            if vy0 > uy1 or uy0 > vy1:
+                continue
+            contacts = [
+                (i, j)
+                for i, a in enumerate(legs[u], start=1)
+                for j, b in enumerate(legs[v], start=1)
+                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
+            ]
+            if contacts:
+                found[(u, v)] = contacts[0]  # generated in lex order
+                found[(v, u)] = min((j, i) for i, j in contacts)
+                adjacent[u].append(v)
+                adjacent[v].append(u)
     neighborhoods: dict[int, set[int]] = {pid: set() for pid in canon}
     phi: dict[tuple[int, int], tuple[int, int]] = {}
-    order = sorted(canon)
     for u in order:
-        for v in order:
-            label = _first_contact(legs[u], legs[v])
-            if label is not None:
-                neighborhoods[u].add(v)
-                phi[(u, v)] = label
+        for v in sorted(adjacent[u]):
+            neighborhoods[u].add(v)
+            phi[(u, v)] = (1, 1) if u == v else found[(u, v)]
     partition: dict[int, dict[tuple[int, int], frozenset[int]]] = {}
     for u in order:
         blocks: dict[tuple[int, int], set[int]] = {}

@@ -404,3 +404,140 @@ def solve_lp_reference(program: CoverProgram) -> CoverSolution:
     sol = CoverSolution(tuple(values), objective, integral)
     sol.check_feasible(program)
     return sol
+
+
+# ---------------------------------------------------------------------------
+# all-pairs geometry, as the pipelines computed it before their sweeps
+
+
+def _reference_bbox(obj):
+    # (x_lo, x_hi, y_lo, y_hi)
+    if isinstance(obj, VSeg):
+        return obj.x, obj.x, obj.y_lo, obj.y_hi
+    return obj.x_lo, obj.x_hi, obj.y, obj.y
+
+
+def _reference_chebyshev_gap(a, b):
+    ax_lo, ax_hi, ay_lo, ay_hi = _reference_bbox(a)
+    bx_lo, bx_hi, by_lo, by_hi = _reference_bbox(b)
+    dx = max(Fraction(0), ax_lo - bx_hi, bx_lo - ax_hi)
+    dy = max(Fraction(0), ay_lo - by_hi, by_lo - ay_hi)
+    return max(dx, dy)
+
+
+def reference_coordinate_family_gap(inst):
+    families = (
+        [s.x for s in inst.vsegs],
+        [s.y_lo for s in inst.vsegs],
+        [s.y_hi for s in inst.vsegs],
+        [s.y for s in inst.hsegs],
+        [s.x_lo for s in inst.hsegs],
+        [s.x_hi for s in inst.hsegs],
+    )
+    best = None
+    for fam in families:
+        vals = sorted(set(fam))
+        for lo, hi in zip(vals, vals[1:]):
+            if best is None or hi - lo < best:
+                best = hi - lo
+    return best
+
+
+def reference_min_positive_gap(inst):
+    """All-pairs Chebyshev scan behind ``geom.min_positive_gap``."""
+    segs = inst.all_segments()
+    best_dist = None
+    for i, a in enumerate(segs):
+        for b in segs[i + 1:]:
+            if intersects(a, b):
+                continue
+            d = _reference_chebyshev_gap(a, b)
+            if best_dist is None or d < best_dist:
+                best_dist = d
+    if best_dist is None:
+        return None
+    fam = reference_coordinate_family_gap(inst)
+    if fam is not None and fam < best_dist:
+        return fam
+    return best_dist
+
+
+def _reference_paths_intersect(a, b):
+    if a.id == b.id:
+        return True
+    return (
+        intersects(a.vleg(), b.hleg())
+        or intersects(b.vleg(), a.hleg())
+        or intersects(a.vleg(), b.vleg())
+        or intersects(a.hleg(), b.hleg())
+    )
+
+
+def reference_stabbedl_build_graph(inst):
+    """All-pairs ``stabbedl.build_graph``: (neighborhoods, (horizontal, vertical))."""
+    adjacency = {p.id: {p.id} for p in inst.paths}
+    horizontal = {p.id: {p.id} for p in inst.paths}
+    vertical = {p.id: set() for p in inst.paths}
+    paths = list(inst.paths)
+    for i, a in enumerate(paths):
+        for b in paths[i + 1:]:
+            if not _reference_paths_intersect(a, b):
+                continue
+            adjacency[a.id].add(b.id)
+            adjacency[b.id].add(a.id)
+            if intersects(b.vleg(), a.hleg()):
+                horizontal[a.id].add(b.id)
+            else:
+                vertical[a.id].add(b.id)
+            if intersects(a.vleg(), b.hleg()):
+                horizontal[b.id].add(a.id)
+            else:
+                vertical[b.id].add(a.id)
+    freeze = lambda d: {u: frozenset(v) for u, v in d.items()}  # noqa: E731
+    return freeze(adjacency), (freeze(horizontal), freeze(vertical))
+
+
+def reference_uvpg_build_graph(paths):
+    """All ordered pairs (self-pairs included) of ``uvpg.build_graph``:
+    (neighborhoods, phi, partition)."""
+    canon = {p.id: p.canonical() for p in paths}
+    legs = {pid: p.leg_segments() for pid, p in canon.items()}
+    neighborhoods = {pid: set() for pid in canon}
+    phi = {}
+    order = sorted(canon)
+    for u in order:
+        for v in order:
+            label = None
+            for i, su in enumerate(legs[u], start=1):
+                for j, sv in enumerate(legs[v], start=1):
+                    if label is None and intersects(su, sv):
+                        label = (i, j)
+            if label is not None:
+                neighborhoods[u].add(v)
+                phi[(u, v)] = label
+    partition = {}
+    for u in order:
+        blocks = {}
+        for v in neighborhoods[u]:
+            blocks.setdefault(phi[(u, v)], set()).add(v)
+        partition[u] = {lab: frozenset(vs) for lab, vs in blocks.items()}
+    return {u: frozenset(ns) for u, ns in neighborhoods.items()}, phi, partition
+
+
+def reference_psd_rows(inst):
+    """All-pairs cover rows of ``psd.psd_solve``: per constraint in id order,
+    (same, cross) sets of candidate indices; None for the first constraint
+    no candidate meets, as (None, id)."""
+    table = inst.segment_by_id()
+    horiz = {s.id for s in inst.hsegs}
+    cand_order = sorted(inst.candidate_ids)
+    index_of = {cid: i for i, cid in enumerate(cand_order)}
+    out = []
+    for u in sorted(inst.constraint_ids):
+        hits = [c for c in cand_order if intersects(table[u], table[c])]
+        if not hits:
+            return None, u
+        same = frozenset(index_of[c] for c in hits if (c in horiz) == (u in horiz))
+        cross = frozenset(index_of[c] for c in hits if (c in horiz) != (u in horiz))
+        out.append((same, cross))
+    return out, None

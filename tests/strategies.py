@@ -1,0 +1,88 @@
+"""Hypothesis strategies for degenerate axis-parallel geometry.
+
+``GRID`` coordinates are signed multiples of 1/2 and 1/3 in [-12, 12], so
+shared abscissas, touching endpoints and collinear overlaps are common.
+``WIDE`` coordinates have numerators up to 1e6 over denominators up to 1e5,
+mostly coprime, so the per-axis int scale grows large.
+"""
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from geodom.geom import HSeg, OrthoInstance, VSeg
+from geodom.stabbedl import LPath, StabbedLInstance
+from geodom.uvpg import UnitKBendPath
+
+GRID = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3]))
+GRID_LENGTHS = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3]))
+WIDE = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**5))
+WIDE_LENGTHS = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**5))
+
+
+def _ids(draw, n):
+    # sparse and shuffled, so id order differs from input order
+    return draw(st.lists(st.integers(0, 4 * n + 4), min_size=n, max_size=n, unique=True))
+
+
+@st.composite
+def ortho_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=8, roles=False):
+    """Horizontal and vertical segments; every segment constrains and
+    competes unless ``roles`` draws the two role sets."""
+    nh = draw(st.integers(0, max_side))
+    nv = draw(st.integers(0, max_side))
+    ids = _ids(draw, nh + nv)
+    hsegs = []
+    for sid in ids[:nh]:
+        lo = draw(coords)
+        hsegs.append(HSeg(sid, draw(coords), lo, lo + draw(lengths)))
+    vsegs = []
+    for sid in ids[nh:]:
+        lo = draw(coords)
+        vsegs.append(VSeg(sid, draw(coords), lo, lo + draw(lengths)))
+    everything = frozenset(ids)
+    if roles and ids:
+        constraints = draw(st.frozensets(st.sampled_from(ids)))
+        candidates = draw(st.frozensets(st.sampled_from(ids)))
+    else:
+        constraints = candidates = everything
+    return OrthoInstance(tuple(hsegs), tuple(vsegs), constraints, candidates)
+
+
+@st.composite
+def star_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=8):
+    """Segments through one common point: every pair meets."""
+    cx, cy = draw(coords), draw(coords)
+    nh = draw(st.integers(0, max_side))
+    nv = draw(st.integers(0, max_side))
+    ids = _ids(draw, nh + nv)
+    hsegs = tuple(HSeg(sid, cy, cx - draw(lengths), cx + draw(lengths)) for sid in ids[:nh])
+    vsegs = tuple(VSeg(sid, cx, cy - draw(lengths), cy + draw(lengths)) for sid in ids[nh:])
+    everything = frozenset(ids)
+    return OrthoInstance(hsegs, vsegs, everything, everything)
+
+
+@st.composite
+def lpath_instances(draw, coords=GRID, max_size=12):
+    """L-paths anywhere in the plane (not normalized)."""
+    n = draw(st.integers(0, max_size))
+    positive = st.builds(Fraction, st.integers(1, 8), st.sampled_from([1, 2, 3]))
+    paths = tuple(
+        LPath(pid, draw(coords), draw(coords), draw(positive), draw(positive))
+        for pid in _ids(draw, n)
+    )
+    return StabbedLInstance(paths)
+
+
+@st.composite
+def unit_path_lists(draw, k, coords=GRID, max_size=10):
+    """Unit paths with at most k bends, starts on the coordinate grid."""
+    n = draw(st.integers(0, max_size))
+    paths = []
+    for pid in _ids(draw, n):
+        horizontal = draw(st.booleans())
+        legs = []
+        for _ in range(draw(st.integers(1, k + 1))):
+            legs.append(draw(st.sampled_from("LR" if horizontal else "UD")))
+            horizontal = not horizontal
+        paths.append(UnitKBendPath(pid, draw(coords), draw(coords), tuple(legs)))
+    return paths

@@ -24,6 +24,7 @@ from geodom import (
     properize,
 )
 from geodom import instances, lp, psd, srs, ssr, stabbedl, uvpg
+from geodom.geom import containment_violation
 
 from helpers import ssr_cover_ok
 
@@ -364,9 +365,7 @@ def test_criterion_11_properize():
         for a in before.values():
             for b in before.values():
                 assert intersects(a, b) == intersects(after[a.id], after[b.id])
-        h_ivs = [psd.Interval(s.id, s.x_lo, s.x_hi) for s in out.hsegs]
-        v_ivs = [psd.Interval(s.id, s.y_lo, s.y_hi) for s in out.vsegs]
-        assert psd._containment_violation(h_ivs) is None
-        assert psd._containment_violation(v_ivs) is None
+        assert containment_violation((s.x_lo, s.x_hi, s.id) for s in out.hsegs) is None
+        assert containment_violation((s.y_lo, s.y_hi, s.id) for s in out.vsegs) is None
     print("PASS criterion 11: properize keeps the intersection matrix and "
           "yields proper projections on 500 instances")

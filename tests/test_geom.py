@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodom.errors import InvalidInputError
 from geodom.geom import (
@@ -17,7 +20,9 @@ from geodom.geom import (
     properize,
     rat_str,
 )
-from helpers import intersection_matrix
+from geodom import instances
+from helpers import intersection_matrix, reference_min_positive_gap
+from strategies import WIDE, WIDE_LENGTHS, ortho_instances, star_instances
 
 
 def test_as_rat_accepts_ints_fractions_and_strings():
@@ -147,3 +152,48 @@ def test_is_proper():
     assert not is_proper([(F(0), F(3)), (F(1), F(2))])   # nested
     assert not is_proper([(F(0), F(2)), (F(0), F(2))])   # identical
     assert is_proper([])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(ortho_instances(), star_instances()))
+def test_min_positive_gap_matches_all_pairs_scan(inst):
+    assert min_positive_gap(inst) == reference_min_positive_gap(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ortho_instances(coords=WIDE, lengths=WIDE_LENGTHS, max_side=6))
+def test_min_positive_gap_matches_all_pairs_scan_coprime(inst):
+    assert min_positive_gap(inst) == reference_min_positive_gap(inst)
+
+
+def test_min_positive_gap_on_generated_and_label_instances():
+    for seed in range(12):
+        ortho = instances.generate("ortho_psd", {"n": 40, "m": 40}, seed).data
+        assert min_positive_gap(ortho) == reference_min_positive_gap(ortho)
+        for k in range(4):
+            paths = instances.generate("unit_bk", {"n": 25, "k": k}, seed).data.paths
+            # every leg of every path, renumbered
+            legs = [leg for p in paths for leg in p.canonical().leg_segments()]
+            hsegs = [HSeg(i, s.y, s.x_lo, s.x_hi) for i, s in enumerate(legs) if isinstance(s, HSeg)]
+            vsegs = [VSeg(i, s.x, s.y_lo, s.y_hi) for i, s in enumerate(legs) if isinstance(s, VSeg)]
+            ids = frozenset(range(len(legs)))
+            unit = OrthoInstance(tuple(hsegs), tuple(vsegs), ids, ids)
+            assert min_positive_gap(unit) == reference_min_positive_gap(unit)
+
+
+def test_min_positive_gap_2000_unit_segments_under_2s():
+    rng = random.Random(2000)
+    hsegs, vsegs = [], []
+    for i in range(2000):
+        x, y = F(rng.randint(0, 400), 2), F(rng.randint(0, 400), 2)
+        if i % 2:
+            hsegs.append(HSeg(i, y, x, x + 1))
+        else:
+            vsegs.append(VSeg(i, x, y, y + 1))
+    ids = frozenset(range(2000))
+    inst = OrthoInstance(tuple(hsegs), tuple(vsegs), ids, ids)
+    start = time.perf_counter()
+    gap = min_positive_gap(inst)
+    elapsed = time.perf_counter() - start
+    assert gap == F(1, 2)
+    assert elapsed < 2.0, f"min_positive_gap on 2000 unit segments took {elapsed:.2f}s"

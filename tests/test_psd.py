@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from geodom import HSeg, VSeg, OrthoInstance, exact_stab, intersects
 from geodom.errors import (
@@ -13,6 +14,8 @@ from geodom.errors import (
     NotProperError,
 )
 from geodom import instances, lp, psd
+from helpers import reference_psd_rows
+from strategies import WIDE, WIDE_LENGTHS, ortho_instances
 
 
 def proper_hsegs(rng: random.Random, count: int, y_span: int = 6) -> list[HSeg]:
@@ -260,3 +263,36 @@ def test_psd_coverage_ratio_and_chain():
             assert len(det.exact_selected) == len(best.support())
         for sub_cert in det.poss_certs:
             assert F(sub_cert.heuristic_size) <= 8 * sub_cert.lp_opt
+
+
+def _rows_as_reference(inst):
+    try:
+        rows = psd._cover_rows(
+            inst.segment_by_id(),
+            {s.id for s in inst.hsegs},
+            sorted(inst.constraint_ids),
+            sorted(inst.candidate_ids),
+        )
+    except InfeasibleConstraintError as exc:
+        return None, exc.constraint_id
+    return rows, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(ortho_instances(roles=True))
+def test_cover_rows_match_all_pairs_scan(inst):
+    assert _rows_as_reference(inst) == reference_psd_rows(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ortho_instances(coords=WIDE, lengths=WIDE_LENGTHS, roles=True))
+def test_cover_rows_match_all_pairs_scan_coprime(inst):
+    assert _rows_as_reference(inst) == reference_psd_rows(inst)
+
+
+def test_cover_rows_match_all_pairs_scan_on_generated():
+    for seed in range(10):
+        inst = instances.generate("ortho_psd", {"n": 60, "m": 60}, seed).data
+        rows, missing = _rows_as_reference(inst)
+        assert missing is None
+        assert (rows, missing) == reference_psd_rows(inst)

@@ -1,15 +1,18 @@
 """L-path domination: layout validation, frozen graph, ratio sweeps."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from geodom import AbstractGraph, LPath, StabbedLInstance, exact_mds
 from geodom.errors import AssumptionViolationError
 from geodom import instances, stabbedl
 
-from helpers import naive_min_dominating
+from helpers import naive_min_dominating, reference_stabbedl_build_graph
+from strategies import WIDE, lpath_instances
 
 
 def crossing_triple() -> StabbedLInstance:
@@ -143,3 +146,38 @@ def test_domination_and_ratio_eight():
         if len(order) <= 7:
             brute = naive_min_dominating(nb)
             assert brute is not None and len(brute) == len(opt)
+
+
+def _graph_as_reference(inst):
+    nb, parts = stabbedl.build_graph(inst)
+    return nb, (parts.horizontal, parts.vertical)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lpath_instances())
+def test_build_graph_matches_all_pairs_scan(inst):
+    assert _graph_as_reference(inst) == reference_stabbedl_build_graph(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lpath_instances(coords=WIDE))
+def test_build_graph_matches_all_pairs_scan_coprime(inst):
+    assert _graph_as_reference(inst) == reference_stabbedl_build_graph(inst)
+
+
+def test_build_graph_matches_all_pairs_scan_on_generated():
+    for seed in range(10):
+        inst = instances.generate("stabbed_l", {"n": 60, "coord_range": 15}, seed).data
+        for case in (inst, stabbedl.normalize(inst)):
+            assert _graph_as_reference(case) == reference_stabbedl_build_graph(case)
+
+
+def test_build_graph_1000_paths_under_2s():
+    inst = stabbedl.normalize(
+        instances.generate("stabbed_l", {"n": 1000, "coord_range": 250}, 1000).data
+    )
+    start = time.perf_counter()
+    nb, _ = stabbedl.build_graph(inst)
+    elapsed = time.perf_counter() - start
+    assert sum(len(v) - 1 for v in nb.values()) > 0
+    assert elapsed < 2.0, f"build_graph on 1000 paths took {elapsed:.2f}s"

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodom import AbstractGraph, UnitKBendPath, exact_mds, grid_to_unit_b1
 from geodom.errors import InvalidInputError, InvalidPathError
 from geodom import instances, uvpg
 
-from helpers import naive_min_dominating
+from helpers import naive_min_dominating, reference_uvpg_build_graph
+from strategies import WIDE, unit_path_lists
 
 
 def test_path_validation():
@@ -166,3 +169,27 @@ def test_domination_and_bound():
             assert brute is not None and len(brute) == len(opt)
         for lab, outcome in det.labels.items():
             assert outcome.chosen_paths <= outcome.vars
+
+
+def _contacts_as_reference(paths):
+    contacts = uvpg.build_graph(paths)
+    return contacts.neighborhoods, contacts.phi, contacts.partition
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 3).flatmap(unit_path_lists))
+def test_build_graph_matches_all_pairs_scan(paths):
+    assert _contacts_as_reference(paths) == reference_uvpg_build_graph(paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: unit_path_lists(k, coords=WIDE)))
+def test_build_graph_matches_all_pairs_scan_coprime(paths):
+    assert _contacts_as_reference(paths) == reference_uvpg_build_graph(paths)
+
+
+def test_build_graph_matches_all_pairs_scan_on_generated():
+    for seed in range(6):
+        for k in range(4):
+            paths = list(instances.generate("unit_bk", {"n": 50, "k": k}, seed).data.paths)
+            assert _contacts_as_reference(paths) == reference_uvpg_build_graph(paths)

@@ -377,6 +377,52 @@ class Fenwick:
         return pos
 
 
+class LiveRanks:
+    """Ranks 0..n-1, each live until removed, as flat int lists.
+
+    ``prev``/``next`` link the live ranks in increasing order, with -1 and n
+    standing for "none"; ``prev[n]`` is the greatest live rank and
+    ``next[n]`` (which ``next[-1]`` also reaches) the least, so removing
+    either end needs no special case.  ``find`` is a path-compressed
+    union-find in which a removed rank points at the rank above it.
+    """
+
+    __slots__ = ("prev", "next", "_up")
+
+    def __init__(self, n: int):
+        self.prev = list(range(-1, n))
+        self.next = list(range(1, n + 1)) + [0]
+        self._up = list(range(n + 1))
+
+    def __contains__(self, rank: int) -> bool:
+        return self._up[rank] == rank
+
+    def find(self, rank: int) -> int:
+        """Least live rank >= ``rank``, or n when there is none."""
+        up = self._up
+        while up[rank] != rank:
+            up[rank] = up[up[rank]]  # path halving
+            rank = up[rank]
+        return rank
+
+    def remove(self, rank: int) -> None:
+        """Unlink a live rank; its own ``prev``/``next`` keep their values."""
+        p, q = self.prev[rank], self.next[rank]
+        self.next[p] = q
+        self.prev[q] = p
+        self._up[rank] = rank + 1
+
+    def pop_range(self, lo: int, hi: int) -> list[int]:
+        """Remove the live ranks in [lo, hi] and return them in order."""
+        out = []
+        rank = self.find(lo)
+        while rank <= hi:
+            self.remove(rank)
+            out.append(rank)
+            rank = self.next[rank]
+        return out
+
+
 class IntervalStore:
     """Segment tree stabbing structure with delete-on-report.
 

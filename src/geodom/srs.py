@@ -11,10 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from sortedcontainers import SortedList
-
 from .errors import InfeasibleRayError, InvalidInputError
-from .geom import HRay, IntervalStore, VSeg, int_coords
+from .geom import HRay, IntervalStore, LiveRanks, VSeg, int_coords
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def solve(inst: SrsInstance, want_trace: bool = False):
     span = [(bisect_left(ys, a), bisect_right(ys, b) - 1) for a, b in zip(c.seg_lo, c.seg_hi)]
     by_x = sorted(range(len(segs)), key=c.seg_x.__getitem__)
 
-    live = SortedList(range(len(rays)))  # y-ranks of live rays
+    live = LiveRanks(len(rays))  # y-ranks of live rays
     store = IntervalStore(len(rays))
     tokens: dict[int, frozenset[int]] = {v.id: frozenset() for v in segs}
     selected: set[int] = set()
@@ -96,9 +94,9 @@ def solve(inst: SrsInstance, want_trace: bool = False):
         selected.add(segs[bot].id)
         tokens[segs[top].id] = hood_ids
         tokens[segs[bot].id] = hood_ids
-        gone = {k for j in (top, bot) for k in live.irange(*span[j])}
-        for k in gone:
-            live.remove(k)
+        # filled as a set in rank order, so each removed_rays frozenset
+        # iterates, and the trace prints, exactly as in earlier versions
+        gone = set(live.pop_range(*span[top]) + live.pop_range(*span[bot]))
         if want_trace:
             removed = frozenset(rays[by_y[k]].id for k in gone)
             rounds.append(

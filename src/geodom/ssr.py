@@ -4,18 +4,25 @@ Two engines produce the same selection: ``solve`` follows the iteration
 structure literally (and can record a token trace for property checks),
 ``solve_fast`` reaches the same set in O((n+m) log (n+m)) via an
 event-driven sweep.
+
+The fast path works on flat int lists indexed by ray rank (rays in y
+order) or by segment index, held in a ``_Compressed``: ray ids and reach
+ranks per rank, x rank and rank span per segment, and the rays that alone
+stab some segment at the start, found with one packed Fenwick tree.
+``normalize`` builds these from the ints it already computes and hands
+them to the first ``solve_fast`` on the instance it returns.  The sweep
+keeps its live ranks in a ``geom.LiveRanks`` (linked neighbours plus a
+"next live rank" union-find) and its windows in per-rank linked lists.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-from sortedcontainers import SortedList
+from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import Fenwick, HRay, IntervalStore, VSeg, int_coords, intersects
+from .geom import Fenwick, HRay, IntervalStore, LiveRanks, VSeg, int_coords, intersects
 
 
 @dataclass(frozen=True)
@@ -69,74 +76,90 @@ class TokenTrace:
     selected: tuple[int, ...]
 
 
-class _Compressed:
-    """Integer rank space for the fast engine.
+class _Compressed(NamedTuple):
+    """Flat rank space of an instance for the fast engine.
 
-    Ray ys become ranks 0..n-1; every abscissa (ray reach or segment x)
-    becomes its index in the merged sorted order of distinct values, so
-    all sweep comparisons are int on int with equalities preserved."""
-
-    def __init__(self, inst: SsrInstance):
-        rays, segs = inst.rays, inst.segments
-        c = int_coords(rays, segs)
-        order = sorted(range(len(rays)), key=c.ray_y.__getitem__)
-        ys = [c.ray_y[i] for i in order]
-        if any(a == b for a, b in zip(ys, ys[1:])):
-            raise InvalidInputError("rays must have pairwise distinct y")
-        self.ray_order = [rays[i] for i in order]
-        self.rank_of = {r.id: i for i, r in enumerate(self.ray_order)}
-        x_rank = {x: i for i, x in enumerate(sorted({*c.reach, *c.seg_x}))}
-        self.reach_rank = {r.id: x_rank[x] for r, x in zip(rays, c.reach)}
-        self.seg_x_rank = {v.id: x_rank[x] for v, x in zip(segs, c.seg_x)}
-        self.seg_span = {
-            v.id: (bisect_left(ys, a), bisect_right(ys, b) - 1)
-            for v, a, b in zip(segs, c.seg_lo, c.seg_hi)
-        }
-
-
-def _initial_unique_stabbers(inst: SsrInstance, comp: _Compressed) -> list[int]:
-    """Offline sweep giving, per segment, its stabber count at time zero.
-
-    Returns the unique ray id of every count-1 segment and raises for
-    count-0 segments.  Rays are inserted in decreasing reach, so when a
-    segment at x is processed exactly its stabbers are present.
+    Rays are numbered 0..n-1 by increasing y (their "ranks"); abscissas,
+    ray reaches and segment xs together, are numbered by their place among
+    the distinct values ("x ranks").  Every sweep comparison is then int on
+    int with all ties kept.  Segment lists follow the instance's order; a
+    segment whose y-range holds no ray height has ``seg_lo > seg_hi``.
     """
-    n = len(comp.ray_order)
-    count = Fenwick(n)
-    idsum = Fenwick(n)
-    by_reach = sorted(inst.rays, key=lambda r: -comp.reach_rank[r.id])
-    segs = sorted(inst.segments, key=lambda v: -comp.seg_x_rank[v.id])
+
+    ray_id: list[int]  # rank -> ray id
+    reach: list[int]  # rank -> x rank of the ray's reach
+    seg_id: list[int]
+    seg_x: list[int]  # segment -> x rank
+    seg_lo: list[int]  # segment -> least rank with y >= y_lo
+    seg_hi: list[int]  # segment -> greatest rank with y <= y_hi
+    unique: list[int]  # ranks of the rays that alone stab some segment
+
+
+def _initial_unique_stabbers(
+    reach: list[int], seg_id: list[int], seg_x: list[int], seg_lo: list[int], seg_hi: list[int]
+) -> list[int]:
+    """Offline sweep giving, per segment, its stabbers at time zero.
+
+    Rays are inserted in decreasing reach, so when a segment is processed
+    (in decreasing x, input order among equals) exactly its stabbers are
+    present.  One Fenwick tree holds ``1 + (n+1) * rank`` per inserted
+    rank: a range sum ``s`` counts ``s % (n+1)`` stabbers, and when that
+    count is 1, ``s // (n+1)`` is the stabber's rank.  Returns those ranks
+    and raises for the first segment with no stabber.
+    """
+    n = len(reach)
+    base = n + 1
+    tree = Fenwick(n)
+    by_reach = sorted(range(n), key=reach.__getitem__, reverse=True)
     out = []
     ptr = 0
-    for v in segs:
-        xr = comp.seg_x_rank[v.id]
-        while ptr < n and comp.reach_rank[by_reach[ptr].id] >= xr:
-            rk = comp.rank_of[by_reach[ptr].id]
-            count.add(rk, 1)
-            idsum.add(rk, by_reach[ptr].id)
+    # reverse=True keeps the sort stable: equal xs stay in input order
+    for j in sorted(range(len(seg_x)), key=seg_x.__getitem__, reverse=True):
+        x = seg_x[j]
+        while ptr < n and reach[by_reach[ptr]] >= x:
+            rank = by_reach[ptr]
+            tree.add(rank, 1 + base * rank)
             ptr += 1
-        a, b = comp.seg_span[v.id]
-        c = count.range_sum(a, b)
-        if c == 0:
-            raise InfeasibleSegmentError(v.id)
-        if c == 1:
-            out.append(idsum.range_sum(a, b))
+        s = tree.range_sum(seg_lo[j], seg_hi[j])
+        count = s % base
+        if count == 0:
+            raise InfeasibleSegmentError(seg_id[j])
+        if count == 1:
+            out.append(s // base)
     return out
 
 
-def _sweep_data(inst: SsrInstance) -> tuple[_Compressed, list[int]]:
-    """Rank space and initial unique stabbers of ``inst``; raises when a
-    segment has no stabber.
+def _compress(
+    ray_id: list[int],
+    ray_y: list[int],
+    reach: list[int],
+    seg_id: list[int],
+    seg_lo: list[int],
+    seg_hi: list[int],
+    seg_x: list[int],
+) -> _Compressed:
+    """Rank space of rays and segments given as ints, one scale per axis
+    (x values may be any keys with the abscissas' order and ties).  Raises
+    on repeated ray heights or a segment with no stabber."""
+    n = len(ray_y)
+    if len(set(ray_y)) != n:
+        raise InvalidInputError("rays must have pairwise distinct y")
+    order = sorted(range(n), key=ray_y.__getitem__)
+    ys = [ray_y[i] for i in order]
+    x_rank = {x: k for k, x in enumerate(sorted({*reach, *seg_x}))}
+    reach = [x_rank[reach[i]] for i in order]
+    seg_x = [x_rank[x] for x in seg_x]
+    seg_lo = [bisect_left(ys, a) for a in seg_lo]
+    seg_hi = [bisect_right(ys, b) - 1 for b in seg_hi]
+    unique = _initial_unique_stabbers(reach, seg_id, seg_x, seg_lo, seg_hi)
+    return _Compressed([ray_id[i] for i in order], reach, seg_id, seg_x, seg_lo, seg_hi, unique)
 
-    ``normalize`` needs them for its feasibility check and leaves them on
-    the instance it returns; the first ``solve_fast`` on that instance takes
-    them from there instead of building them again.
-    """
-    handed_over = inst.__dict__.pop("_sweep_data", None)
-    if handed_over is not None:
-        return handed_over
-    comp = _Compressed(inst)
-    return comp, _initial_unique_stabbers(inst, comp)
+
+def _build(inst: SsrInstance) -> _Compressed:
+    c = int_coords(inst.rays, inst.segments)
+    ray_ids = [r.id for r in inst.rays]
+    seg_ids = [v.id for v in inst.segments]
+    return _compress(ray_ids, c.ray_y, c.reach, seg_ids, c.seg_lo, c.seg_hi, c.seg_x)
 
 
 def normalize(inst: SsrInstance) -> SsrInstance:
@@ -147,30 +170,32 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     quarter of the least positive difference among segment x values and
     positive (segment x - ray reach) gaps, so the ray/segment intersection
     matrix is unchanged and formerly equal abscissas become distinct.
-    All arithmetic runs on each axis scaled to ints; every output
+    All arithmetic runs on each axis scaled to ints; each distinct output
     coordinate is built once, as a Fraction of two ints.
+
+    The feasibility check builds the output's rank space from the same
+    ints (translation keeps every order), and the returned instance carries
+    it: the first ``solve_fast`` on that instance takes it off instead of
+    building it again.  The attached data is no field, so it changes no
+    ``==``, hash or repr.
     """
     rays, segs = inst.rays, inst.segments
     if not rays and not segs:
         return inst
     c = int_coords(rays, segs)
     ly, lx = c.y_scale, c.x_scale
+    ray_ids = [r.id for r in rays]
+    seg_ids = [v.id for v in segs]
 
     # translate so the least x and the least y both become 1
     tx = lx - min(c.seg_x + c.reach)
     ty = ly - min(c.ray_y + c.seg_lo)
-    out_rays = tuple(
-        HRay(r.id, Fraction(y + ty, ly), Fraction(x + tx, lx))
-        for r, y, x in zip(rays, c.ray_y, c.reach)
-    )
 
-    seg_xs = sorted(set(c.seg_x))
-    if len(seg_xs) == len(segs):
-        out_segs = tuple(
-            VSeg(v.id, Fraction(x + tx, lx), Fraction(a + ty, ly), Fraction(b + ty, ly))
-            for v, x, a, b in zip(segs, c.seg_x, c.seg_lo, c.seg_hi)
-        )
+    seg_lo, seg_hi = c.seg_lo, c.seg_hi
+    if len(set(c.seg_x)) == len(segs):
+        reach, seg_x, x_scale, x_shift = c.reach, c.seg_x, lx, tx
     else:
+        seg_xs = sorted(set(c.seg_x))
         gaps = [b - a for a, b in zip(seg_xs, seg_xs[1:])]
         reaches = sorted(set(c.reach))
         for x in seg_xs:
@@ -181,26 +206,34 @@ def normalize(inst: SsrInstance) -> SsrInstance:
         # eps = min(d, 1) / den in x units, i.e. step / (lx * den) after scaling
         step = min(min(gaps), lx) if gaps else lx
         den = 4 * (len(segs) + 1)
-        # segments sharing an abscissa move left by 0, eps, 2 eps, ... in id order
+        # segments, now listed in id order, that share an abscissa move left
+        # by 0, eps, 2 eps, ...; every abscissa is an int on the scale lx * den
+        by_id = sorted(range(len(segs)), key=seg_ids.__getitem__)
+        seg_ids = [seg_ids[k] for k in by_id]
+        seg_lo = [seg_lo[k] for k in by_id]
+        seg_hi = [seg_hi[k] for k in by_id]
         taken: dict[int, int] = {}
-        moved = []
-        for k in sorted(range(len(segs)), key=lambda k: segs[k].id):
+        seg_x = []
+        for k in by_id:
             x = c.seg_x[k]
             shift = taken.get(x, 0)
             taken[x] = shift + 1
-            moved.append(
-                VSeg(
-                    segs[k].id,
-                    Fraction((x + tx) * den - shift * step, lx * den),
-                    Fraction(c.seg_lo[k] + ty, ly),
-                    Fraction(c.seg_hi[k] + ty, ly),
-                )
-            )
-        out_segs = tuple(moved)
+            seg_x.append(x * den - shift * step)
+        reach = [x * den for x in c.reach]
+        x_scale, x_shift = lx * den, tx * den
 
-    out = SsrInstance(out_rays, out_segs)
     # raises on repeated ray heights or an unstabbable segment
-    object.__setattr__(out, "_sweep_data", _sweep_data(out))
+    comp = _compress(ray_ids, c.ray_y, reach, seg_ids, seg_lo, seg_hi, seg_x)
+    yf = {y: Fraction(y + ty, ly) for y in {*c.ray_y, *seg_lo, *seg_hi}}
+    xf = {x: Fraction(x + x_shift, x_scale) for x in {*reach, *seg_x}}
+    out = SsrInstance(
+        tuple(HRay(i, yf[y], xf[x]) for i, y, x in zip(ray_ids, c.ray_y, reach)),
+        tuple(
+            VSeg(i, xf[x], yf[a], yf[b])
+            for i, x, a, b in zip(seg_ids, seg_x, seg_lo, seg_hi)
+        ),
+    )
+    object.__setattr__(out, "_sweep_data", comp)
     return out
 
 
@@ -317,42 +350,35 @@ def solve(inst: SsrInstance, want_trace: bool = False):
 
 
 class _MaxTree:
-    """Range-max over ray ranks of the reach rank of already-selected rays."""
+    """Range-max over ray ranks of the reach rank of already-selected rays;
+    -1 where no ray is selected."""
 
     def __init__(self, n: int):
         self.n = n
-        self.val: list[Optional[int]] = [None] * (2 * n)
+        self.val = [-1] * (2 * n)
 
     def update(self, i: int, x: int) -> None:
+        # values only grow, so an ancestor already >= x stops the climb
+        val = self.val
         i += self.n
-        if self.val[i] is None or self.val[i] < x:
-            self.val[i] = x
+        while i and val[i] < x:
+            val[i] = x
             i >>= 1
-            while i:
-                left, right = self.val[2 * i], self.val[2 * i + 1]
-                best = left if right is None or (left is not None and left >= right) else right
-                if self.val[i] == best:
-                    break
-                self.val[i] = best
-                i >>= 1
 
-    def range_max(self, lo: int, hi: int) -> Optional[int]:
-        if lo > hi:
-            return None
-        best = None
+    def range_max(self, lo: int, hi: int) -> int:
+        val = self.val
+        best = -1
         lo += self.n
         hi += self.n + 1
         while lo < hi:
             if lo & 1:
-                v = self.val[lo]
-                if v is not None and (best is None or v > best):
-                    best = v
+                if val[lo] > best:
+                    best = val[lo]
                 lo += 1
             if hi & 1:
                 hi -= 1
-                v = self.val[hi]
-                if v is not None and (best is None or v > best):
-                    best = v
+                if val[hi] > best:
+                    best = val[hi]
             lo >>= 1
             hi >>= 1
         return best
@@ -365,73 +391,87 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     their abscissa; from then on their live stabbers are exactly the live
     ranks inside a contiguous window, so criticality shows up as the window
     collapsing to a single rank.
+
+    All state is flat lists indexed by rank or segment index: the live
+    ranks are a ``geom.LiveRanks`` (linked ``prev``/``next`` plus a
+    "next live rank" union-find), so a window over the rank span [a, b] is
+    ``lo = find(a)``, ``hi = prev[find(b + 1)]``.  The segments whose window
+    starts (ends) at a rank form a linked list through ``lo_head``/``lo_link``
+    (``hi_head``/``hi_link``); a covered segment stays in its lists and is
+    skipped when their rank retires.
+
+    The rank space comes from ``normalize`` when ``inst`` is the instance it
+    returned and this is the first call on it; otherwise it is built here.
     """
+    handed_over = inst.__dict__.pop("_sweep_data", None)
     if not inst.segments:
         return set()
-    comp, unique_rays = _sweep_data(inst)
-    rank_of = comp.rank_of
-    reach_rank = comp.reach_rank
-    seg_x_rank = comp.seg_x_rank
-    seg_span = comp.seg_span
-    n = len(comp.ray_order)
-    ray_at_rank = {i: r for i, r in enumerate(comp.ray_order)}
+    comp = handed_over if handed_over is not None else _build(inst)
+    ray_id, reach, seg_id, seg_x, seg_lo, seg_hi, unique = comp
+    n, m = len(ray_id), len(seg_id)
 
-    pending: set[int] = set(unique_rays)
+    # stable sorts: by (reach, id) and by (x, id)
+    by_choice = sorted(sorted(range(n), key=ray_id.__getitem__), key=reach.__getitem__)
+    by_x = sorted(sorted(range(m), key=seg_id.__getitem__), key=seg_x.__getitem__)
 
-    by_choice = sorted(inst.rays, key=lambda r: (reach_rank[r.id], r.id))
-    by_x = sorted(inst.segments, key=lambda v: (seg_x_rank[v.id], v.id))
-
-    live = SortedList(range(n))
-    dead: set[int] = set()  # ray ids
+    live = LiveRanks(n)
+    prev, nxt, find = live.prev, live.next, live.find
+    dead = [False] * n
     selected: set[int] = set()
     cover = _MaxTree(n)
     store = IntervalStore(n)
-    cur_lo: dict[int, int] = {}
-    cur_hi: dict[int, int] = {}
-    low_at: dict[int, set[int]] = {}
-    high_at: dict[int, set[int]] = {}
-    remaining = len(inst.segments)
-    choice_ptr = 0
-    act_ptr = 0
-
-    def drop_segment(vid: int) -> None:
-        nonlocal remaining
-        low_at.get(cur_lo[vid], set()).discard(vid)
-        high_at.get(cur_hi[vid], set()).discard(vid)
-        store.remove(vid)
-        remaining -= 1
+    cur_lo = [-1] * m  # -1 once the segment is covered
+    cur_hi = [-1] * m
+    # segments whose window starts (ends) at a rank, as singly linked lists:
+    # head per rank, link per segment, -1 ends a list
+    lo_head = [-1] * n
+    lo_link = [-1] * m
+    hi_head = [-1] * n
+    hi_link = [-1] * m
+    pending = set(unique)  # ranks
+    remaining = m
+    choice = 0
+    act = 0
 
     def retire_ray(rank: int) -> None:
         """Remove a live rank, shifting the windows it bounded."""
-        pos = live.index(rank)
-        below = live[pos - 1] if pos > 0 else None
-        above = live[pos + 1] if pos + 1 < len(live) else None
+        below, above = prev[rank], nxt[rank]
         live.remove(rank)
-        for vid in low_at.pop(rank, set()):
-            cur_lo[vid] = above  # above exists: the window still holds its hi
-            low_at.setdefault(above, set()).add(vid)
-            if above == cur_hi[vid]:
-                pending.add(ray_at_rank[above].id)
-        for vid in high_at.pop(rank, set()):
-            cur_hi[vid] = below
-            high_at.setdefault(below, set()).add(vid)
-            if below == cur_lo[vid]:
-                pending.add(ray_at_rank[below].id)
+        j = lo_head[rank]
+        while j >= 0:
+            k = lo_link[j]
+            if cur_lo[j] == rank:
+                cur_lo[j] = above  # above exists: the window still holds its hi
+                lo_link[j] = lo_head[above]
+                lo_head[above] = j
+                if above == cur_hi[j]:
+                    pending.add(above)
+            j = k
+        j = hi_head[rank]
+        while j >= 0:
+            k = hi_link[j]
+            if cur_hi[j] == rank:
+                cur_hi[j] = below
+                hi_link[j] = hi_head[below]
+                hi_head[below] = j
+                if below == cur_lo[j]:
+                    pending.add(below)
+            j = k
 
     while remaining > 0:
         if pending:
-            batch = sorted(pending)
+            batch = sorted(pending, key=ray_id.__getitem__)
             pending.clear()
-            for u in batch:
-                if u in selected or u in dead:
+            for rank in batch:
+                if dead[rank]:
                     continue
-                selected.add(u)
-                dead.add(u)
-                rk = rank_of[u]
-                cover.update(rk, reach_rank[u])
-                for vid in store.stab_pop(rk):
-                    drop_segment(vid)
-                retire_ray(rk)
+                dead[rank] = True
+                selected.add(ray_id[rank])
+                cover.update(rank, reach[rank])
+                for j in store.stab_pop(rank):
+                    cur_lo[j] = cur_hi[j] = -1
+                    remaining -= 1
+                retire_ray(rank)
             if remaining == 0:
                 break
             if pending:
@@ -439,41 +479,37 @@ def solve_fast(inst: SsrInstance) -> set[int]:
                 # before the sweep is allowed to retire anything
                 continue
         # pick the live unselected ray with smallest (reach, id)
-        while choice_ptr < len(by_choice) and by_choice[choice_ptr].id in dead:
-            choice_ptr += 1
-        if choice_ptr == len(by_choice):
+        while choice < n and dead[by_choice[choice]]:
+            choice += 1
+        if choice == n:
             # all rays spent; segments the sweep never reached can still be
             # covered by selected rays taken out of reach order
-            while act_ptr < len(by_x):
-                v = by_x[act_ptr]
-                a, b = seg_span[v.id]
-                best = cover.range_max(a, b) if a <= b else None
-                if best is None or best < seg_x_rank[v.id]:
-                    raise InfeasibleSegmentError(v.id)
-                act_ptr += 1
+            while act < m:
+                j = by_x[act]
+                if cover.range_max(seg_lo[j], seg_hi[j]) < seg_x[j]:
+                    raise InfeasibleSegmentError(seg_id[j])
+                act += 1
                 remaining -= 1
             break
-        chosen = by_choice[choice_ptr]
-        choice_ptr += 1
-        reach = reach_rank[chosen.id]
+        chosen = by_choice[choice]
+        choice += 1
+        x = reach[chosen]
         # activate every segment whose abscissa the sweep has reached
-        while act_ptr < len(by_x) and seg_x_rank[by_x[act_ptr].id] <= reach:
-            v = by_x[act_ptr]
-            act_ptr += 1
-            a, b = seg_span[v.id]
-            best = cover.range_max(a, b)
-            if best is not None and best >= seg_x_rank[v.id]:
+        while act < m and seg_x[by_x[act]] <= x:
+            j = by_x[act]
+            act += 1
+            a, b = seg_lo[j], seg_hi[j]
+            if cover.range_max(a, b) >= seg_x[j]:
                 remaining -= 1  # already stabbed by a selected ray
                 continue
-            lo_pos = live.bisect_left(a)
-            lo = live[lo_pos]
-            hi_pos = live.bisect_right(b) - 1
-            hi = live[hi_pos]
-            cur_lo[v.id] = lo
-            cur_hi[v.id] = hi
-            low_at.setdefault(lo, set()).add(v.id)
-            high_at.setdefault(hi, set()).add(v.id)
-            store.insert(v.id, lo, hi)
-        dead.add(chosen.id)
-        retire_ray(rank_of[chosen.id])
+            lo, hi = find(a), prev[find(b + 1)]
+            cur_lo[j] = lo
+            cur_hi[j] = hi
+            lo_link[j] = lo_head[lo]
+            lo_head[lo] = j
+            hi_link[j] = hi_head[hi]
+            hi_head[hi] = j
+            store.insert(j, lo, hi)
+        dead[chosen] = True
+        retire_ray(chosen)
     return selected

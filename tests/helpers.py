@@ -278,6 +278,234 @@ def reference_ssr_normalize(inst):
     return SsrInstance(tuple(rays), tuple(segs))
 
 
+class _ReferenceCompressed:
+    """Integer rank space for the fast engine.
+
+    Ray ys become ranks 0..n-1; every abscissa (ray reach or segment x)
+    becomes its index in the merged sorted order of distinct values, so
+    all sweep comparisons are int on int with equalities preserved."""
+
+    def __init__(self, inst):
+        from bisect import bisect_right
+
+        from geodom.geom import int_coords
+
+        rays, segs = inst.rays, inst.segments
+        c = int_coords(rays, segs)
+        order = sorted(range(len(rays)), key=c.ray_y.__getitem__)
+        ys = [c.ray_y[i] for i in order]
+        if any(a == b for a, b in zip(ys, ys[1:])):
+            raise InvalidInputError("rays must have pairwise distinct y")
+        self.ray_order = [rays[i] for i in order]
+        self.rank_of = {r.id: i for i, r in enumerate(self.ray_order)}
+        x_rank = {x: i for i, x in enumerate(sorted({*c.reach, *c.seg_x}))}
+        self.reach_rank = {r.id: x_rank[x] for r, x in zip(rays, c.reach)}
+        self.seg_x_rank = {v.id: x_rank[x] for v, x in zip(segs, c.seg_x)}
+        self.seg_span = {
+            v.id: (bisect_left(ys, a), bisect_right(ys, b) - 1)
+            for v, a, b in zip(segs, c.seg_lo, c.seg_hi)
+        }
+
+
+def _reference_initial_unique_stabbers(inst, comp):
+    """Offline sweep giving, per segment, its stabber count at time zero.
+
+    Returns the unique ray id of every count-1 segment and raises for
+    count-0 segments.  Rays are inserted in decreasing reach, so when a
+    segment at x is processed exactly its stabbers are present.
+    """
+    from geodom.geom import Fenwick
+
+    n = len(comp.ray_order)
+    count = Fenwick(n)
+    idsum = Fenwick(n)
+    by_reach = sorted(inst.rays, key=lambda r: -comp.reach_rank[r.id])
+    segs = sorted(inst.segments, key=lambda v: -comp.seg_x_rank[v.id])
+    out = []
+    ptr = 0
+    for v in segs:
+        xr = comp.seg_x_rank[v.id]
+        while ptr < n and comp.reach_rank[by_reach[ptr].id] >= xr:
+            rk = comp.rank_of[by_reach[ptr].id]
+            count.add(rk, 1)
+            idsum.add(rk, by_reach[ptr].id)
+            ptr += 1
+        a, b = comp.seg_span[v.id]
+        c = count.range_sum(a, b)
+        if c == 0:
+            raise InfeasibleSegmentError(v.id)
+        if c == 1:
+            out.append(idsum.range_sum(a, b))
+    return out
+
+
+class _ReferenceMaxTree:
+    """Range-max over ray ranks of the reach rank of already-selected rays."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.val: list[Optional[int]] = [None] * (2 * n)
+
+    def update(self, i: int, x: int) -> None:
+        i += self.n
+        if self.val[i] is None or self.val[i] < x:
+            self.val[i] = x
+            i >>= 1
+            while i:
+                left, right = self.val[2 * i], self.val[2 * i + 1]
+                best = left if right is None or (left is not None and left >= right) else right
+                if self.val[i] == best:
+                    break
+                self.val[i] = best
+                i >>= 1
+
+    def range_max(self, lo: int, hi: int) -> Optional[int]:
+        if lo > hi:
+            return None
+        best = None
+        lo += self.n
+        hi += self.n + 1
+        while lo < hi:
+            if lo & 1:
+                v = self.val[lo]
+                if v is not None and (best is None or v > best):
+                    best = v
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                v = self.val[hi]
+                if v is not None and (best is None or v > best):
+                    best = v
+            lo >>= 1
+            hi >>= 1
+        return best
+
+
+def reference_ssr_solve_fast(inst):
+    """``ssr.solve_fast`` on id-keyed dicts and a ``SortedList`` of live
+    ranks: the event-driven sweep the flat rank-array engine must
+    reproduce (same selections, same errors).  It always builds its own
+    rank space and leaves a handed-over one on the instance untouched.
+    Shares ``geom.int_coords``, ``Fenwick`` and ``IntervalStore`` with the
+    engine, which other tests cover."""
+    from sortedcontainers import SortedList
+
+    from geodom.geom import IntervalStore
+
+    if not inst.segments:
+        return set()
+    comp = _ReferenceCompressed(inst)
+    unique_rays = _reference_initial_unique_stabbers(inst, comp)
+    rank_of = comp.rank_of
+    reach_rank = comp.reach_rank
+    seg_x_rank = comp.seg_x_rank
+    seg_span = comp.seg_span
+    n = len(comp.ray_order)
+    ray_at_rank = {i: r for i, r in enumerate(comp.ray_order)}
+
+    pending: set[int] = set(unique_rays)
+
+    by_choice = sorted(inst.rays, key=lambda r: (reach_rank[r.id], r.id))
+    by_x = sorted(inst.segments, key=lambda v: (seg_x_rank[v.id], v.id))
+
+    live = SortedList(range(n))
+    dead: set[int] = set()  # ray ids
+    selected: set[int] = set()
+    cover = _ReferenceMaxTree(n)
+    store = IntervalStore(n)
+    cur_lo: dict[int, int] = {}
+    cur_hi: dict[int, int] = {}
+    low_at: dict[int, set[int]] = {}
+    high_at: dict[int, set[int]] = {}
+    remaining = len(inst.segments)
+    choice_ptr = 0
+    act_ptr = 0
+
+    def drop_segment(vid: int) -> None:
+        nonlocal remaining
+        low_at.get(cur_lo[vid], set()).discard(vid)
+        high_at.get(cur_hi[vid], set()).discard(vid)
+        store.remove(vid)
+        remaining -= 1
+
+    def retire_ray(rank: int) -> None:
+        """Remove a live rank, shifting the windows it bounded."""
+        pos = live.index(rank)
+        below = live[pos - 1] if pos > 0 else None
+        above = live[pos + 1] if pos + 1 < len(live) else None
+        live.remove(rank)
+        for vid in low_at.pop(rank, set()):
+            cur_lo[vid] = above  # above exists: the window still holds its hi
+            low_at.setdefault(above, set()).add(vid)
+            if above == cur_hi[vid]:
+                pending.add(ray_at_rank[above].id)
+        for vid in high_at.pop(rank, set()):
+            cur_hi[vid] = below
+            high_at.setdefault(below, set()).add(vid)
+            if below == cur_lo[vid]:
+                pending.add(ray_at_rank[below].id)
+
+    while remaining > 0:
+        if pending:
+            batch = sorted(pending)
+            pending.clear()
+            for u in batch:
+                if u in selected or u in dead:
+                    continue
+                selected.add(u)
+                dead.add(u)
+                rk = rank_of[u]
+                cover.update(rk, reach_rank[u])
+                for vid in store.stab_pop(rk):
+                    drop_segment(vid)
+                retire_ray(rk)
+            if remaining == 0:
+                break
+            if pending:
+                # a selection collapsed another window; its ray must be taken
+                # before the sweep is allowed to retire anything
+                continue
+        # pick the live unselected ray with smallest (reach, id)
+        while choice_ptr < len(by_choice) and by_choice[choice_ptr].id in dead:
+            choice_ptr += 1
+        if choice_ptr == len(by_choice):
+            # all rays spent; segments the sweep never reached can still be
+            # covered by selected rays taken out of reach order
+            while act_ptr < len(by_x):
+                v = by_x[act_ptr]
+                a, b = seg_span[v.id]
+                best = cover.range_max(a, b) if a <= b else None
+                if best is None or best < seg_x_rank[v.id]:
+                    raise InfeasibleSegmentError(v.id)
+                act_ptr += 1
+                remaining -= 1
+            break
+        chosen = by_choice[choice_ptr]
+        choice_ptr += 1
+        reach = reach_rank[chosen.id]
+        # activate every segment whose abscissa the sweep has reached
+        while act_ptr < len(by_x) and seg_x_rank[by_x[act_ptr].id] <= reach:
+            v = by_x[act_ptr]
+            act_ptr += 1
+            a, b = seg_span[v.id]
+            best = cover.range_max(a, b)
+            if best is not None and best >= seg_x_rank[v.id]:
+                remaining -= 1  # already stabbed by a selected ray
+                continue
+            lo_pos = live.bisect_left(a)
+            lo = live[lo_pos]
+            hi_pos = live.bisect_right(b) - 1
+            hi = live[hi_pos]
+            cur_lo[v.id] = lo
+            cur_hi[v.id] = hi
+            low_at.setdefault(lo, set()).add(v.id)
+            high_at.setdefault(hi, set()).add(v.id)
+            store.insert(v.id, lo, hi)
+        dead.add(chosen.id)
+        retire_ray(rank_of[chosen.id])
+    return selected
+
+
 def reference_gen_ssr(rng, n, m, span):
     """The ``ssr`` generator as a per-segment scan of every ray, O(n m)."""
     from geodom.ssr import SsrInstance

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from geodom.geom import HSeg, OrthoInstance, VSeg
+from geodom.geom import HRay, HSeg, OrthoInstance, VSeg
+from geodom.ssr import SsrInstance
 from geodom.stabbedl import LPath, StabbedLInstance
 from geodom.uvpg import UnitKBendPath
 
@@ -86,3 +87,22 @@ def unit_path_lists(draw, k, coords=GRID, max_size=10):
             horizontal = not horizontal
         paths.append(UnitKBendPath(pid, draw(coords), draw(coords), tuple(legs)))
     return paths
+
+
+@st.composite
+def ssr_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=10):
+    """Rays and vertical segments drawn from a few abscissas, so segments
+    share an x, sit at x == reach and have zero length; segment ends snap
+    to ray heights or fall between them, so some segments touch no ray
+    height.  Ray heights are distinct unless the draw allows repeats."""
+    abscissas = draw(st.lists(coords, min_size=1, max_size=4))
+    ys = draw(st.lists(coords, max_size=max_side, unique=draw(st.booleans())))
+    rays = tuple(
+        HRay(rid, y, draw(st.sampled_from(abscissas)))
+        for rid, y in zip(_ids(draw, len(ys)), ys)
+    )
+    segs = []
+    for sid in _ids(draw, draw(st.integers(0, max_side))):
+        lo = draw(st.sampled_from(ys) | coords) if ys else draw(coords)
+        segs.append(VSeg(sid, draw(st.sampled_from(abscissas)), lo, lo + draw(lengths)))
+    return SsrInstance(rays, tuple(segs))

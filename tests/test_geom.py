@@ -11,6 +11,7 @@ from geodom.geom import (
     NO_GAP,
     HRay,
     HSeg,
+    LiveRanks,
     OrthoInstance,
     VSeg,
     as_rat,
@@ -197,3 +198,25 @@ def test_min_positive_gap_2000_unit_segments_under_2s():
     elapsed = time.perf_counter() - start
     assert gap == F(1, 2)
     assert elapsed < 2.0, f"min_positive_gap on 2000 unit segments took {elapsed:.2f}s"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_live_ranks_match_a_sorted_list(n, data):
+    live = LiveRanks(n)
+    alive = list(range(n))
+    # the ranges a bisection over n heights can give: 0 <= lo <= n, -1 <= hi < n
+    ranges = st.tuples(st.integers(0, n), st.integers(-1, n - 1))
+    for lo, hi in data.draw(st.lists(ranges, max_size=12)):
+        assert live.pop_range(lo, hi) == [r for r in alive if lo <= r <= hi]
+        alive = [r for r in alive if not lo <= r <= hi]
+        assert [r for r in range(n) if r in live] == alive
+        assert [live.find(r) for r in range(n + 1)] == [
+            min([a for a in alive if a >= r], default=n) for r in range(n + 1)
+        ]
+        walk, r = [], live.next[n]
+        while r != n:
+            walk.append(r)
+            r = live.next[r]
+        assert walk == alive
+        assert [live.prev[r] for r in alive + [n]] == [-1] + alive

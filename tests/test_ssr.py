@@ -1,15 +1,25 @@
 """Sweep-solver tests: frozen small instances plus randomized equivalence."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
 
 from geodom import HRay, VSeg, SsrInstance, exact_stab
 from geodom.errors import InfeasibleSegmentError, InvalidInputError
 from geodom import instances, lp, ssr
 
-from helpers import intersection_matrix, naive_min_stab, reference_ssr_normalize, ssr_cover_ok
+from helpers import (
+    intersection_matrix,
+    naive_min_stab,
+    reference_ssr_normalize,
+    reference_ssr_solve_fast,
+    ssr_cover_ok,
+)
+from strategies import ssr_instances
+from test_acceptance import _big_ssr
 
 
 def fig_instance() -> SsrInstance:
@@ -269,3 +279,79 @@ def test_integer_kernel_separates_float_equal_heights():
     assert ssr.solve_fast(norm) == ssr.solve(norm)[0] == {0, 1}
     with pytest.raises(InvalidInputError):
         ssr.normalize(SsrInstance(rays + (HRay(3, base, F(1)),), segs))
+
+
+# ---------------------------------------------------------------------------
+# flat rank-array engine against the id-keyed SortedList reference sweep
+
+
+def solved_or_error(solver, inst):
+    try:
+        return solver(inst)
+    except InfeasibleSegmentError as exc:
+        return ("infeasible", exc.segment_id)
+    except InvalidInputError:
+        return ("invalid",)
+
+
+def assert_fast_matches_reference(inst):
+    """Raw and normalized outcomes of ``solve_fast`` equal the reference's;
+    the normalized one runs on the rank space ``normalize`` hands over.
+    Returns the raw outcome."""
+    raw = solved_or_error(ssr.solve_fast, inst)
+    assert raw == solved_or_error(reference_ssr_solve_fast, inst)
+    norm = normalized_or_error(ssr.normalize, inst)
+    if isinstance(norm, tuple):
+        return raw
+    expected = reference_ssr_solve_fast(norm)
+    assert ("_sweep_data" in vars(norm)) == bool(inst.rays or inst.segments)
+    assert ssr.solve_fast(norm) == expected
+    assert "_sweep_data" not in vars(norm)
+    assert ssr.solve_fast(norm) == expected  # rebuilt, not handed over
+    return raw
+
+
+def test_fast_matches_reference_on_kernel_corpus():
+    rng = random.Random(8282)
+    kinds = {"solved": 0, "infeasible": 0}
+    for _ in range(2000):
+        raw = assert_fast_matches_reference(kernel_instance(rng))
+        kinds[raw[0] if isinstance(raw, tuple) else "solved"] += 1
+    assert min(kinds.values()) > 200
+
+
+@settings(max_examples=400, deadline=None)
+@given(ssr_instances())
+def test_fast_matches_reference_on_degenerate_geometry(inst):
+    raw = assert_fast_matches_reference(inst)
+    event("raw outcome: " + (raw[0] if isinstance(raw, tuple) else "solved"))
+
+
+def test_fast_matches_reference_at_scale():
+    """n = m = 2e4, where the literal ``solve`` is too slow to compare."""
+    inst = _big_ssr(random.Random(8383), 20_000, 20_000)
+    norm = ssr.normalize(inst)
+    expected = reference_ssr_solve_fast(norm)
+    assert ssr.solve_fast(norm) == expected
+    assert ssr.solve_fast(inst) == reference_ssr_solve_fast(inst)
+
+
+def test_normalize_hands_over_rank_space_once():
+    inst = _big_ssr(random.Random(8484), 100, 100)
+    norm = ssr.normalize(inst)
+    bare = SsrInstance(norm.rays, norm.segments)
+    assert "_sweep_data" in vars(norm) and "_sweep_data" not in vars(bare)
+    assert norm == bare and hash(norm) == hash(bare) and repr(norm) == repr(bare)
+    first = ssr.solve_fast(norm)
+    assert "_sweep_data" not in vars(norm)
+    assert ssr.solve_fast(norm) == first == ssr.solve_fast(bare)
+    assert first == ssr.solve(norm)[0]
+
+
+def test_normalize_plus_solve_fast_5e4_under_5s():
+    inst = _big_ssr(random.Random(8585), 50_000, 50_000)
+    t0 = time.perf_counter()
+    sel = ssr.solve_fast(ssr.normalize(inst))
+    elapsed = time.perf_counter() - t0
+    assert ssr_cover_ok(inst, sel)
+    assert elapsed < 5.0

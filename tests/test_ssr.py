@@ -1,5 +1,8 @@
 """Sweep-solver tests: frozen small instances plus randomized equivalence."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -355,3 +358,54 @@ def test_normalize_plus_solve_fast_5e4_under_5s():
     elapsed = time.perf_counter() - t0
     assert ssr_cover_ok(inst, sel)
     assert elapsed < 5.0
+
+
+def _normalized_states(inst):
+    """A fresh normalized copy of ``inst`` in each state a caller can leave
+    it in: solved or not, its coordinates read or not, in either order."""
+
+    def read(x):
+        x.rays, x.segments
+
+    yield "fresh", ssr.normalize(inst)
+    x = ssr.normalize(inst)
+    ssr.solve_fast(x)
+    yield "solved", x
+    x = ssr.normalize(inst)
+    read(x)
+    yield "read", x
+    x = ssr.normalize(inst)
+    read(x)
+    ssr.solve_fast(x)
+    yield "read then solved", x
+    x = ssr.normalize(inst)
+    ssr.solve_fast(x)
+    read(x)
+    yield "solved then read", x
+
+
+COPIERS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+@pytest.mark.parametrize(
+    "inst",
+    [
+        _big_ssr(random.Random(8686), 200, 200),
+        instances.generate("ssr", {"n": 12, "m": 12}, seed=8787).data,  # shared abscissas
+    ],
+    ids=["distinct-x", "shared-x"],
+)
+def test_normalized_instance_copies_and_pickles(inst, copier):
+    expected = ssr.solve_fast(ssr.normalize(inst))
+    for state, x in _normalized_states(inst):
+        y = COPIERS[copier](x)
+        assert ssr.solve_fast(y) == expected, state
+        bare = SsrInstance(x.rays, x.segments)
+        assert y == bare and hash(y) == hash(bare) and repr(y) == repr(bare), state
+        assert ssr.solve_fast(y) == ssr.solve_fast(x) == expected, state

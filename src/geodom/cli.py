@@ -103,23 +103,8 @@ def _build_parser() -> _Parser:
 # shared pieces
 
 
-def _stab_sides(data):
-    """(candidates, constraints) for the plain covering kinds."""
-    if isinstance(data, SsrInstance):
-        return list(data.rays), list(data.segments)
-    if isinstance(data, SrsInstance):
-        return list(data.segments), list(data.rays)
-    if isinstance(data, OrthoInstance):
-        table = data.segment_by_id()
-        return (
-            [table[i] for i in sorted(data.candidate_ids)],
-            [table[i] for i in sorted(data.constraint_ids)],
-        )
-    raise InvalidInputError("not a covering instance")
-
-
 def _cover_program(data) -> tuple[CoverProgram, list[int]]:
-    cands, cons = _stab_sides(data)
+    cands, cons, _ = oracle.stab_sides(data)
     order = [c.id for c in cands]
     index_of = {cid: i for i, cid in enumerate(order)}
     rows = tuple(
@@ -331,7 +316,7 @@ def _verify_problems(f: InstanceFile, selected: set[int]) -> list[str]:
     data = f.data
     problems = []
     if isinstance(data, (SsrInstance, SrsInstance, OrthoInstance)):
-        cands, cons = _stab_sides(data)
+        cands, cons, _ = oracle.stab_sides(data)
         table = {c.id: c for c in cands}
         unknown = selected - set(table)
         if unknown:

@@ -149,6 +149,85 @@ def int_coords(rays: Sequence[HRay], segs: Sequence[VSeg]) -> IntCoords:
     )
 
 
+class StabColumns(NamedTuple):
+    """Rays and vertical segments as int columns, in instance order; an int
+    ``v`` on the y (x) axis stands for ``(v + y_shift) / y_scale``
+    (``(v + x_shift) / x_scale``)."""
+
+    ray_id: list[int]
+    ray_y: list[int]
+    reach: list[int]
+    seg_id: list[int]
+    seg_x: list[int]
+    seg_lo: list[int]
+    seg_hi: list[int]
+    y_shift: int
+    y_scale: int
+    x_shift: int
+    x_scale: int
+
+
+def materialize(c: StabColumns) -> tuple[tuple[HRay, ...], tuple[VSeg, ...]]:
+    """The rays and segments ``c`` stands for; one Fraction per distinct
+    int of each axis."""
+    yf = {y: Fraction(y + c.y_shift, c.y_scale) for y in {*c.ray_y, *c.seg_lo, *c.seg_hi}}
+    xf = {x: Fraction(x + c.x_shift, c.x_scale) for x in {*c.reach, *c.seg_x}}
+    return (
+        tuple(HRay(i, yf[y], xf[x]) for i, y, x in zip(c.ray_id, c.ray_y, c.reach)),
+        tuple(
+            VSeg(i, xf[x], yf[a], yf[b])
+            for i, x, a, b in zip(c.seg_id, c.seg_x, c.seg_lo, c.seg_hi)
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class StabInstance:
+    """Leftward rays and vertical segments with unique ids per family; the
+    data of both stabbing problems (``ssr.SsrInstance``, ``srs.SrsInstance``).
+
+    An instance made by ``from_columns`` holds ``StabColumns`` instead of
+    its two fields and builds both on the first read of either; ``==``,
+    ``hash``, ``repr``, ``dataclasses.replace`` read the fields, so they see
+    the built values.  Copies and pickles carry the columns as they stand.
+    """
+
+    rays: tuple[HRay, ...]
+    segments: tuple[VSeg, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rays", tuple(self.rays))
+        object.__setattr__(self, "segments", tuple(self.segments))
+        rids = [r.id for r in self.rays]
+        if len(rids) != len(set(rids)):
+            raise InvalidInputError("duplicate ray ids")
+        sids = [s.id for s in self.segments]
+        if len(sids) != len(set(sids)):
+            raise InvalidInputError("duplicate segment ids")
+
+    @classmethod
+    def from_columns(cls, columns: StabColumns):
+        """An instance of ``columns``, whose ids the caller has checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_columns", columns)
+        return out
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails; copy and pickle probe other
+        # names on a bare object, so those must fail before anything is read
+        columns = self.__dict__.get("_columns") if name in ("rays", "segments") else None
+        if columns is not None:
+            rays, segments = materialize(columns)
+            object.__setattr__(self, "rays", rays)
+            object.__setattr__(self, "segments", segments)
+            self.__dict__.pop("_columns", None)
+        try:
+            # also set when a concurrent first read won the race
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
+
+
 @dataclass(frozen=True)
 class OrthoInstance:
     """A mixed family of axis-parallel segments with role annotations.

@@ -14,13 +14,14 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import GenerationExhaustedError, InvalidInputError
-from .geom import Fenwick, HRay, HSeg, OrthoInstance, VSeg, as_rat, intersects, rat_str
+from .geom import Fenwick, HRay, HSeg, OrthoInstance, StabInstance, VSeg, as_rat, intersects, rat_str
 from .srs import SrsInstance
 from .ssr import SsrInstance
 from .stabbedl import LPath, StabbedLInstance
 from .uvpg import UnitKBendPath
 
 KINDS = ("ssr", "srs", "stabbed_l", "ortho_psd", "unit_bk")
+_STAB_TYPES = {"ssr": SsrInstance, "srs": SrsInstance}
 
 _RETRIES = 400
 
@@ -78,38 +79,18 @@ def _check_dense(ids: list[int], what: str):
         raise InvalidInputError(f"{what} ids must be dense from 0")
 
 
+def _vseg_json(s: VSeg) -> dict:
+    return {"id": s.id, "x": rat_str(s.x), "y_lo": rat_str(s.y_lo), "y_hi": rat_str(s.y_hi)}
+
+
 def _encode_data(data: InstanceData) -> dict:
-    if isinstance(data, SsrInstance):
+    if isinstance(data, StabInstance):
         return {
             "rays": [
                 {"id": r.id, "y": rat_str(r.y), "x_right": rat_str(r.x_right)}
                 for r in sorted(data.rays, key=lambda r: r.id)
             ],
-            "segments": [
-                {
-                    "id": s.id,
-                    "x": rat_str(s.x),
-                    "y_lo": rat_str(s.y_lo),
-                    "y_hi": rat_str(s.y_hi),
-                }
-                for s in sorted(data.segments, key=lambda s: s.id)
-            ],
-        }
-    if isinstance(data, SrsInstance):
-        return {
-            "rays": [
-                {"id": r.id, "y": rat_str(r.y), "x_right": rat_str(r.x_right)}
-                for r in sorted(data.rays, key=lambda r: r.id)
-            ],
-            "segments": [
-                {
-                    "id": s.id,
-                    "x": rat_str(s.x),
-                    "y_lo": rat_str(s.y_lo),
-                    "y_hi": rat_str(s.y_hi),
-                }
-                for s in sorted(data.segments, key=lambda s: s.id)
-            ],
+            "segments": [_vseg_json(s) for s in sorted(data.segments, key=lambda s: s.id)],
         }
     if isinstance(data, StabbedLInstance):
         return {
@@ -136,15 +117,7 @@ def _encode_data(data: InstanceData) -> dict:
                 }
                 for s in sorted(data.hsegs, key=lambda s: s.id)
             ],
-            "vsegs": [
-                {
-                    "id": s.id,
-                    "x": rat_str(s.x),
-                    "y_lo": rat_str(s.y_lo),
-                    "y_hi": rat_str(s.y_hi),
-                }
-                for s in sorted(data.vsegs, key=lambda s: s.id)
-            ],
+            "vsegs": [_vseg_json(s) for s in sorted(data.vsegs, key=lambda s: s.id)],
             "constraint_ids": sorted(data.constraint_ids),
             "candidate_ids": sorted(data.candidate_ids),
         }
@@ -179,17 +152,13 @@ def _decode_rays(items) -> tuple[HRay, ...]:
     return tuple(sorted(rays, key=lambda r: r.id))
 
 
-def _decode_vsegs(items, what: str = "segment", offset: int = 0) -> tuple[VSeg, ...]:
-    segs = tuple(
-        VSeg(
-            _int_field(s, "id"),
-            _rat_field(s, "x"),
-            _rat_field(s, "y_lo"),
-            _rat_field(s, "y_hi"),
-        )
-        for s in items
-    )
-    _check_dense([s.id - offset for s in segs], what)
+def _vseg(s: dict) -> VSeg:
+    return VSeg(_int_field(s, "id"), _rat_field(s, "x"), _rat_field(s, "y_lo"), _rat_field(s, "y_hi"))
+
+
+def _decode_vsegs(items) -> tuple[VSeg, ...]:
+    segs = tuple(_vseg(s) for s in items)
+    _check_dense([s.id for s in segs], "segment")
     return tuple(sorted(segs, key=lambda s: s.id))
 
 
@@ -201,18 +170,10 @@ def loads(text: str) -> InstanceFile:
     if not isinstance(payload, dict):
         raise InvalidInputError("instance file must be a JSON object")
     kind = _require(payload, "kind")
-    if kind == "ssr":
+    if kind in _STAB_TYPES:
         return InstanceFile(
-            "ssr",
-            SsrInstance(
-                _decode_rays(_require(payload, "rays")),
-                _decode_vsegs(_require(payload, "segments")),
-            ),
-        )
-    if kind == "srs":
-        return InstanceFile(
-            "srs",
-            SrsInstance(
+            kind,
+            _STAB_TYPES[kind](
                 _decode_rays(_require(payload, "rays")),
                 _decode_vsegs(_require(payload, "segments")),
             ),
@@ -246,15 +207,7 @@ def loads(text: str) -> InstanceFile:
             )
             for s in _require(payload, "hsegs")
         )
-        vsegs = tuple(
-            VSeg(
-                _int_field(s, "id"),
-                _rat_field(s, "x"),
-                _rat_field(s, "y_lo"),
-                _rat_field(s, "y_hi"),
-            )
-            for s in _require(payload, "vsegs")
-        )
+        vsegs = tuple(_vseg(s) for s in _require(payload, "vsegs"))
         _check_dense([s.id for s in hsegs] + [s.id for s in vsegs], "segment")
         cons = _require(payload, "constraint_ids")
         cands = _require(payload, "candidate_ids")

@@ -122,27 +122,27 @@ def exact_mds(g: AbstractGraph, cap: Optional[int] = None) -> set[int]:
     return _min_cover(g.n, cands)
 
 
+def stab_sides(instance: Union[SsrInstance, SrsInstance, OrthoInstance]):
+    """(candidates, constraints, error raised for an uncoverable constraint)
+    of a covering instance."""
+    if isinstance(instance, SsrInstance):
+        return list(instance.rays), list(instance.segments), InfeasibleSegmentError
+    if isinstance(instance, SrsInstance):
+        return list(instance.segments), list(instance.rays), InfeasibleRayError
+    if isinstance(instance, OrthoInstance):
+        table = instance.segment_by_id()
+        cands = [table[i] for i in sorted(instance.candidate_ids)]
+        return cands, [table[i] for i in sorted(instance.constraint_ids)], InfeasibleConstraintError
+    raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
+
+
 def exact_stab(
     instance: Union[SsrInstance, SrsInstance, OrthoInstance],
     cap: Optional[int] = None,
 ) -> set[int]:
     """Minimum candidate subset meeting every constraint of the instance."""
     limit = _resolve_cap(cap)
-    if isinstance(instance, SsrInstance):
-        cands = list(instance.rays)
-        cons = list(instance.segments)
-        misses = InfeasibleSegmentError
-    elif isinstance(instance, SrsInstance):
-        cands = list(instance.segments)
-        cons = list(instance.rays)
-        misses = InfeasibleRayError
-    elif isinstance(instance, OrthoInstance):
-        table = instance.segment_by_id()
-        cands = [table[i] for i in sorted(instance.candidate_ids)]
-        cons = [table[i] for i in sorted(instance.constraint_ids)]
-        misses = InfeasibleConstraintError
-    else:
-        raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
+    cands, cons, misses = stab_sides(instance)
     if len(cands) > limit:
         raise SizeCapExceededError(f"{len(cands)} candidates, cap is {limit}")
 

@@ -11,24 +11,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import InfeasibleRayError, InvalidInputError
-from .geom import HRay, IntervalStore, LiveRanks, VSeg, int_coords
+from .errors import InfeasibleRayError
+from .geom import IntervalStore, LiveRanks, StabInstance, int_coords
 
 
-@dataclass(frozen=True)
-class SrsInstance:
-    rays: tuple[HRay, ...]
-    segments: tuple[VSeg, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(self.rays))
-        object.__setattr__(self, "segments", tuple(self.segments))
-        rids = [r.id for r in self.rays]
-        if len(rids) != len(set(rids)):
-            raise InvalidInputError("duplicate ray ids")
-        sids = [s.id for s in self.segments]
-        if len(sids) != len(set(sids)):
-            raise InvalidInputError("duplicate segment ids")
+class SrsInstance(StabInstance):
+    """Rays to stab with segments (see ``geom.StabInstance``)."""
 
 
 @dataclass(frozen=True)

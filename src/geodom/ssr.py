@@ -5,40 +5,32 @@ structure literally (and can record a token trace for property checks),
 ``solve_fast`` reaches the same set in O((n+m) log (n+m)) via an
 event-driven sweep.
 
+``normalize`` works on each axis scaled to ints and returns an instance
+that keeps those int columns: its ``Fraction`` coordinates and
+``HRay``/``VSeg`` objects are built only when someone reads ``rays`` or
+``segments``, so ``solve_fast(normalize(inst))`` builds none of them.
+
 The fast path works on flat int lists indexed by ray rank (rays in y
 order) or by segment index, held in a ``_Compressed``: ray ids and reach
 ranks per rank, x rank and rank span per segment, and the rays that alone
 stab some segment at the start, found with one packed Fenwick tree.
-``normalize`` builds these from the ints it already computes and hands
-them to the first ``solve_fast`` on the instance it returns.  The sweep
-keeps its live ranks in a ``geom.LiveRanks`` (linked neighbours plus a
-"next live rank" union-find) and its windows in per-rank linked lists.
+``normalize`` builds these from its int columns and hands them to the
+first ``solve_fast`` on the instance it returns.  The sweep keeps its live
+ranks in a ``geom.LiveRanks`` (linked neighbours plus a "next live rank"
+union-find) and its windows in per-rank linked lists.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import Fenwick, HRay, IntervalStore, LiveRanks, VSeg, int_coords, intersects
+from .geom import Fenwick, IntervalStore, LiveRanks, StabColumns, StabInstance, int_coords, intersects
 
 
-@dataclass(frozen=True)
-class SsrInstance:
-    rays: tuple[HRay, ...]
-    segments: tuple[VSeg, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(self.rays))
-        object.__setattr__(self, "segments", tuple(self.segments))
-        rids = [r.id for r in self.rays]
-        if len(rids) != len(set(rids)):
-            raise InvalidInputError("duplicate ray ids")
-        sids = [s.id for s in self.segments]
-        if len(sids) != len(set(sids)):
-            raise InvalidInputError("duplicate segment ids")
+class SsrInstance(StabInstance):
+    """Segments to stab with rays (see ``geom.StabInstance``)."""
 
 
 @dataclass(frozen=True)
@@ -170,13 +162,15 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     quarter of the least positive difference among segment x values and
     positive (segment x - ray reach) gaps, so the ray/segment intersection
     matrix is unchanged and formerly equal abscissas become distinct.
-    All arithmetic runs on each axis scaled to ints; each distinct output
-    coordinate is built once, as a Fraction of two ints.
+    All arithmetic runs on each axis scaled to ints.
 
-    The feasibility check builds the output's rank space from the same
-    ints (translation keeps every order), and the returned instance carries
-    it: the first ``solve_fast`` on that instance takes it off instead of
-    building it again.  The attached data is no field, so it changes no
+    The returned instance keeps those ints (``geom.StabColumns``) and builds
+    its ``rays`` and ``segments`` on their first read, with each distinct
+    output coordinate as one Fraction of two ints; a caller that only
+    solves never pays for them.  The feasibility check builds the output's
+    rank space from the same ints (translation keeps every order), and the
+    instance carries it too: the first ``solve_fast`` on it takes it off
+    instead of building it again.  Neither is a field, so neither changes
     ``==``, hash or repr.
     """
     rays, segs = inst.rays, inst.segments
@@ -224,15 +218,10 @@ def normalize(inst: SsrInstance) -> SsrInstance:
 
     # raises on repeated ray heights or an unstabbable segment
     comp = _compress(ray_ids, c.ray_y, reach, seg_ids, seg_lo, seg_hi, seg_x)
-    yf = {y: Fraction(y + ty, ly) for y in {*c.ray_y, *seg_lo, *seg_hi}}
-    xf = {x: Fraction(x + x_shift, x_scale) for x in {*reach, *seg_x}}
-    out = SsrInstance(
-        tuple(HRay(i, yf[y], xf[x]) for i, y, x in zip(ray_ids, c.ray_y, reach)),
-        tuple(
-            VSeg(i, xf[x], yf[a], yf[b])
-            for i, x, a, b in zip(seg_ids, seg_x, seg_lo, seg_hi)
-        ),
+    columns = StabColumns(
+        ray_ids, c.ray_y, reach, seg_ids, seg_x, seg_lo, seg_hi, ty, ly, x_shift, x_scale
     )
+    out = SsrInstance.from_columns(columns)
     object.__setattr__(out, "_sweep_data", comp)
     return out
 
@@ -402,11 +391,14 @@ def solve_fast(inst: SsrInstance) -> set[int]:
 
     The rank space comes from ``normalize`` when ``inst`` is the instance it
     returned and this is the first call on it; otherwise it is built here.
+    Taking it over reads neither ``inst.rays`` nor ``inst.segments``, so
+    the instance's coordinates stay unbuilt.
     """
-    handed_over = inst.__dict__.pop("_sweep_data", None)
-    if not inst.segments:
+    comp = inst.__dict__.pop("_sweep_data", None)
+    if comp is None and inst.segments:
+        comp = _build(inst)
+    if comp is None or not comp.seg_id:
         return set()
-    comp = handed_over if handed_over is not None else _build(inst)
     ray_id, reach, seg_id, seg_x, seg_lo, seg_hi, unique = comp
     n, m = len(ray_id), len(seg_id)
 

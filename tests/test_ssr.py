@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 import time
 from fractions import Fraction as F
 
@@ -339,6 +341,34 @@ def test_fast_matches_reference_at_scale():
     assert ssr.solve_fast(inst) == reference_ssr_solve_fast(inst)
 
 
+def assert_materializes_after_solve(inst):
+    """``solve_fast`` on a normalized instance builds none of its
+    coordinates; reading them afterwards gives the reference's."""
+    norm = normalized_or_error(ssr.normalize, inst)
+    expected = normalized_or_error(reference_ssr_normalize, inst)
+    if isinstance(norm, tuple):
+        assert norm == expected
+        return
+    sel = ssr.solve_fast(norm)
+    if inst.rays or inst.segments:
+        assert "rays" not in vars(norm) and "segments" not in vars(norm)
+    assert (norm.rays, norm.segments) == (expected.rays, expected.segments)
+    assert norm == expected and repr(norm) == repr(expected)
+    assert sel == reference_ssr_solve_fast(expected)
+
+
+def test_materialize_after_solve_on_kernel_corpus():
+    rng = random.Random(8888)
+    for _ in range(2000):
+        assert_materializes_after_solve(kernel_instance(rng))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ssr_instances())
+def test_materialize_after_solve_on_degenerate_geometry(inst):
+    assert_materializes_after_solve(inst)
+
+
 def test_normalize_hands_over_rank_space_once():
     inst = _big_ssr(random.Random(8484), 100, 100)
     norm = ssr.normalize(inst)
@@ -409,3 +439,34 @@ def test_normalized_instance_copies_and_pickles(inst, copier):
         bare = SsrInstance(x.rays, x.segments)
         assert y == bare and hash(y) == hash(bare) and repr(y) == repr(bare), state
         assert ssr.solve_fast(y) == ssr.solve_fast(x) == expected, state
+
+
+def test_concurrent_first_reads_agree():
+    """Threads racing on the first read of one normalized instance all get
+    its coordinates (none sees the fields missing) and agree on them."""
+    inst = _big_ssr(random.Random(9090), 300, 300)
+    expected = reference_ssr_normalize(inst)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            norm = ssr.normalize(inst)
+            got, errors = [], []
+
+            def read():
+                try:
+                    got.append((norm.segments, norm.rays))
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert got == [(expected.segments, expected.rays)] * len(threads)
+            assert norm == expected
+    finally:
+        sys.setswitchinterval(old)

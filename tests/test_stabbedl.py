@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from geodom import AbstractGraph, LPath, StabbedLInstance, exact_mds
+from geodom import AbstractGraph, HRay, LPath, SsrInstance, StabbedLInstance, VSeg, exact_mds
 from geodom.errors import AssumptionViolationError
-from geodom import instances, stabbedl
+from geodom import instances, ssr, stabbedl
 
 from helpers import naive_min_dominating, reference_stabbedl_build_graph
 from strategies import WIDE, lpath_instances
@@ -121,6 +121,36 @@ def test_details_split_is_a_partition():
         assert det.srs_selected <= det.h_candidates
         assert det.ssr_selected <= all_ids
         assert cert.heuristic_ids == det.srs_selected | det.ssr_selected
+
+
+def test_details_ssr_instance_equals_a_fresh_normalize():
+    """The details keep the solved, still unbuilt normalized instance;
+    reading it gives what normalizing the same vertical half again gives."""
+    rng = random.Random(8989)
+    seen = 0
+    for _ in range(60):
+        inst = instances.generate(
+            "stabbed_l", {"n": rng.randint(2, 12)}, seed=rng.randrange(10**9)
+        ).data
+        _, det = stabbedl.solve_mds(inst, want_details=True)
+        if det.ssr_instance is None:
+            continue
+        seen += 1
+        assert "rays" not in vars(det.ssr_instance)
+        by_id = {p.id: p for p in stabbedl.normalize(inst).paths}
+        delta = stabbedl._vertical_shrink(by_id, det.v_rows)
+        fresh = ssr.normalize(
+            SsrInstance(
+                tuple(HRay(v, by_id[v].corner_y, -by_id[v].corner_x) for v in sorted(det.v_candidates)),
+                tuple(
+                    VSeg(u, -by_id[u].corner_x, by_id[u].corner_y + delta, by_id[u].corner_y + by_id[u].vlen)
+                    for u in sorted(det.v_rows)
+                ),
+            )
+        )
+        assert det.ssr_instance == fresh and repr(det.ssr_instance) == repr(fresh)
+        assert det.ssr_selected == ssr.solve_fast(fresh)
+    assert seen > 20
 
 
 def test_domination_and_ratio_eight():

@@ -418,7 +418,7 @@ def is_proper(intervals: list[tuple[Rat, Rat]]) -> bool:
 
 
 class Fenwick:
-    """Prefix sums over 0..n-1 with point updates, for offline sweeps."""
+    """Counts over 0..n-1 with point updates and k-th search, for sweeps."""
 
     def __init__(self, n: int):
         self.n = n
@@ -429,20 +429,6 @@ class Fenwick:
         while i <= self.n:
             self.tree[i] += delta
             i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        # sum of entries 0..i inclusive
-        s = 0
-        i += 1
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        if lo > hi:
-            return 0
-        return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
 
     def kth(self, k: int) -> int:
         """Least index whose prefix sum exceeds k; entries must be >= 0."""
@@ -505,47 +491,49 @@ class LiveRanks:
 class IntervalStore:
     """Segment tree stabbing structure with delete-on-report.
 
-    Members are registered once over a rank interval; a stab query at a rank
-    reports and removes every member whose interval contains it.  Intervals
-    are allowed to go stale after boundary shrinks because queries only ever
+    A member is inserted once, into the lists of the nodes that tile its
+    rank interval; a stab query at a rank reports every member not yet
+    reported whose interval contains it.  Deletion is lazy: a query empties
+    the lists on its leaf-to-root path and skips members already reported.
+    Intervals may go stale after boundary shrinks because queries only ever
     target live ranks, which stale margins cannot contain.
     """
 
     def __init__(self, n: int):
         self.n = max(n, 1)
-        self.node_members: dict[int, set[int]] = {}
-        self.member_nodes: dict[int, list[int]] = {}
+        self.nodes: list[Optional[list[int]]] = [None] * (2 * self.n)
+        self.live: set[int] = set()
 
     def insert(self, member: int, lo: int, hi: int) -> None:
-        nodes = []
+        self.live.add(member)
+        nodes, tiles = self.nodes, []
         a, b = lo + self.n, hi + self.n + 1
         while a < b:
             if a & 1:
-                nodes.append(a)
+                tiles.append(a)
                 a += 1
             if b & 1:
                 b -= 1
-                nodes.append(b)
+                tiles.append(b)
             a >>= 1
             b >>= 1
-        for nd in nodes:
-            self.node_members.setdefault(nd, set()).add(member)
-        self.member_nodes[member] = nodes
-
-    def remove(self, member: int) -> None:
-        for nd in self.member_nodes.pop(member, ()):
-            s = self.node_members.get(nd)
-            if s is not None:
-                s.discard(member)
+        for i in tiles:
+            if nodes[i] is None:
+                nodes[i] = [member]
+            else:
+                nodes[i].append(member)
 
     def stab_pop(self, rank: int) -> list[int]:
+        nodes, live = self.nodes, self.live
         hits: list[int] = []
         i = rank + self.n
         while i:
-            s = self.node_members.get(i)
-            if s:
-                hits.extend(s)
+            members = nodes[i]
+            if members is not None:
+                nodes[i] = None
+                for member in members:
+                    if member in live:
+                        live.remove(member)
+                        hits.append(member)
             i >>= 1
-        for member in hits:
-            self.remove(member)
         return hits

@@ -13,11 +13,12 @@ that keeps those int columns: its ``Fraction`` coordinates and
 The fast path works on flat int lists indexed by ray rank (rays in y
 order) or by segment index, held in a ``_Compressed``: ray ids and reach
 ranks per rank, x rank and rank span per segment, and the rays that alone
-stab some segment at the start, found with one packed Fenwick tree.
+stab some segment at the start, found by sparse-table range maxima.
 ``normalize`` builds these from its int columns and hands them to the
 first ``solve_fast`` on the instance it returns.  The sweep keeps its live
 ranks in a ``geom.LiveRanks`` (linked neighbours plus a "next live rank"
-union-find) and its windows in per-rank linked lists.
+union-find), its windows in per-rank linked lists and its active segments
+in a lazy-deletion ``geom.IntervalStore``.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import Fenwick, IntervalStore, LiveRanks, StabColumns, StabInstance, int_coords, intersects
+from .geom import IntervalStore, LiveRanks, StabColumns, StabInstance, int_coords, intersects
 
 
 class SsrInstance(StabInstance):
@@ -84,40 +85,51 @@ class _Compressed(NamedTuple):
     seg_x: list[int]  # segment -> x rank
     seg_lo: list[int]  # segment -> least rank with y >= y_lo
     seg_hi: list[int]  # segment -> greatest rank with y <= y_hi
-    unique: list[int]  # ranks of the rays that alone stab some segment
+    unique: list[int]  # per segment with one stabber, its rank (may repeat)
 
 
 def _initial_unique_stabbers(
     reach: list[int], seg_id: list[int], seg_x: list[int], seg_lo: list[int], seg_hi: list[int]
 ) -> list[int]:
-    """Offline sweep giving, per segment, its stabbers at time zero.
+    """Ranks of the rays that alone stab some segment at time zero.
 
-    Rays are inserted in decreasing reach, so when a segment is processed
-    (in decreasing x, input order among equals) exactly its stabbers are
-    present.  One Fenwick tree holds ``1 + (n+1) * rank`` per inserted
-    rank: a range sum ``s`` counts ``s % (n+1)`` stabbers, and when that
-    count is 1, ``s // (n+1)`` is the stabber's rank.  Returns those ranks
-    and raises for the first segment with no stabber.
+    Rank r holds the key ``reach[r] * n + r``, so the greatest key over a
+    span holds the greatest reach there (``key // n``) and its rank
+    (``key % n``).  Span maxima take two lookups in a sparse table whose
+    level k holds the maximum of every 2**k consecutive keys, built up to
+    the widest span.  A segment at x has a stabber when the top of its span
+    reaches x, and exactly one when both sides of that top stay below x.
+    Raises for the first stabberless segment in (decreasing x, input order).
     """
     n = len(reach)
-    base = n + 1
-    tree = Fenwick(n)
-    by_reach = sorted(range(n), key=reach.__getitem__, reverse=True)
+    widest = max([b - a + 1 for a, b in zip(seg_lo, seg_hi)], default=0)
+    levels = [[r * n + k for k, r in enumerate(reach)]]
+    while 2 ** len(levels) <= widest:
+        row, w = levels[-1], 2 ** (len(levels) - 1)
+        levels.append([a if a > b else b for a, b in zip(row, row[w:])])
+
+    def span_max(a: int, b: int) -> int:
+        if a > b:
+            return -1
+        k = (b - a + 1).bit_length() - 1
+        row = levels[k]
+        s, t = row[a], row[b + 1 - (1 << k)]
+        return s if s > t else t
+
     out = []
-    ptr = 0
-    # reverse=True keeps the sort stable: equal xs stay in input order
-    for j in sorted(range(len(seg_x)), key=seg_x.__getitem__, reverse=True):
-        x = seg_x[j]
-        while ptr < n and reach[by_reach[ptr]] >= x:
-            rank = by_reach[ptr]
-            tree.add(rank, 1 + base * rank)
-            ptr += 1
-        s = tree.range_sum(seg_lo[j], seg_hi[j])
-        count = s % base
-        if count == 0:
-            raise InfeasibleSegmentError(seg_id[j])
-        if count == 1:
-            out.append(s // base)
+    missing = []  # segments with no stabber
+    for j, (x, a, b) in enumerate(zip(seg_x, seg_lo, seg_hi)):
+        top = span_max(a, b)
+        floor = x * n  # keys below it have reach < x
+        if top < floor:
+            missing.append(j)
+        else:
+            r = top % n
+            if span_max(a, r - 1) < floor and span_max(r + 1, b) < floor:
+                out.append(r)
+    if missing:
+        # min keeps the first of equal keys, so input order breaks x ties
+        raise InfeasibleSegmentError(seg_id[min(missing, key=lambda j: -seg_x[j])])
     return out
 
 

@@ -278,6 +278,110 @@ def reference_ssr_normalize(inst):
     return SsrInstance(tuple(rays), tuple(segs))
 
 
+class ReferenceFenwick:
+    """Prefix sums over 0..n-1 with point updates."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.tree = [0] * (n + 1)
+
+    def add(self, i: int, delta: int) -> None:
+        i += 1
+        while i <= self.n:
+            self.tree[i] += delta
+            i += i & (-i)
+
+    def prefix(self, i: int) -> int:
+        # sum of entries 0..i inclusive
+        s = 0
+        i += 1
+        while i > 0:
+            s += self.tree[i]
+            i -= i & (-i)
+        return s
+
+    def range_sum(self, lo: int, hi: int) -> int:
+        if lo > hi:
+            return 0
+        return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
+
+
+def reference_initial_unique_stabbers(reach, seg_id, seg_x, seg_lo, seg_hi):
+    """``ssr._initial_unique_stabbers`` as an offline Fenwick sweep.
+
+    Rays are inserted in decreasing reach, so when a segment is processed
+    (in decreasing x, input order among equals) exactly its stabbers are
+    present.  One Fenwick tree holds ``1 + (n+1) * rank`` per inserted
+    rank: a range sum ``s`` counts ``s % (n+1)`` stabbers, and when that
+    count is 1, ``s // (n+1)`` is the stabber's rank.  Returns those ranks
+    and raises for the first segment with no stabber.
+    """
+    n = len(reach)
+    base = n + 1
+    tree = ReferenceFenwick(n)
+    by_reach = sorted(range(n), key=reach.__getitem__, reverse=True)
+    out = []
+    ptr = 0
+    # reverse=True keeps the sort stable: equal xs stay in input order
+    for j in sorted(range(len(seg_x)), key=seg_x.__getitem__, reverse=True):
+        x = seg_x[j]
+        while ptr < n and reach[by_reach[ptr]] >= x:
+            rank = by_reach[ptr]
+            tree.add(rank, 1 + base * rank)
+            ptr += 1
+        s = tree.range_sum(seg_lo[j], seg_hi[j])
+        count = s % base
+        if count == 0:
+            raise InfeasibleSegmentError(seg_id[j])
+        if count == 1:
+            out.append(s // base)
+    return out
+
+
+class ReferenceIntervalStore:
+    """``geom.IntervalStore`` with eager deletion: a dict of member sets
+    per segment-tree node, and per member the nodes it sits in."""
+
+    def __init__(self, n: int):
+        self.n = max(n, 1)
+        self.node_members: dict[int, set[int]] = {}
+        self.member_nodes: dict[int, list[int]] = {}
+
+    def insert(self, member: int, lo: int, hi: int) -> None:
+        nodes = []
+        a, b = lo + self.n, hi + self.n + 1
+        while a < b:
+            if a & 1:
+                nodes.append(a)
+                a += 1
+            if b & 1:
+                b -= 1
+                nodes.append(b)
+            a >>= 1
+            b >>= 1
+        for nd in nodes:
+            self.node_members.setdefault(nd, set()).add(member)
+        self.member_nodes[member] = nodes
+
+    def remove(self, member: int) -> None:
+        for nd in self.member_nodes.pop(member, ()):
+            s = self.node_members.get(nd)
+            if s is not None:
+                s.discard(member)
+
+    def stab_pop(self, rank: int) -> list[int]:
+        hits: list[int] = []
+        i = rank + self.n
+        while i:
+            s = self.node_members.get(i)
+            if s:
+                hits.extend(s)
+            i >>= 1
+        for member in hits:
+            self.remove(member)
+        return hits
+
+
 class _ReferenceCompressed:
     """Integer rank space for the fast engine.
 
@@ -314,11 +418,9 @@ def _reference_initial_unique_stabbers(inst, comp):
     count-0 segments.  Rays are inserted in decreasing reach, so when a
     segment at x is processed exactly its stabbers are present.
     """
-    from geodom.geom import Fenwick
-
     n = len(comp.ray_order)
-    count = Fenwick(n)
-    idsum = Fenwick(n)
+    count = ReferenceFenwick(n)
+    idsum = ReferenceFenwick(n)
     by_reach = sorted(inst.rays, key=lambda r: -comp.reach_rank[r.id])
     segs = sorted(inst.segments, key=lambda v: -comp.seg_x_rank[v.id])
     out = []
@@ -386,11 +488,9 @@ def reference_ssr_solve_fast(inst):
     ranks: the event-driven sweep the flat rank-array engine must
     reproduce (same selections, same errors).  It always builds its own
     rank space and leaves a handed-over one on the instance untouched.
-    Shares ``geom.int_coords``, ``Fenwick`` and ``IntervalStore`` with the
-    engine, which other tests cover."""
+    Shares only ``geom.int_coords`` with the engine, which other tests
+    cover."""
     from sortedcontainers import SortedList
-
-    from geodom.geom import IntervalStore
 
     if not inst.segments:
         return set()
@@ -412,7 +512,7 @@ def reference_ssr_solve_fast(inst):
     dead: set[int] = set()  # ray ids
     selected: set[int] = set()
     cover = _ReferenceMaxTree(n)
-    store = IntervalStore(n)
+    store = ReferenceIntervalStore(n)
     cur_lo: dict[int, int] = {}
     cur_hi: dict[int, int] = {}
     low_at: dict[int, set[int]] = {}

@@ -11,6 +11,7 @@ from geodom.geom import (
     NO_GAP,
     HRay,
     HSeg,
+    IntervalStore,
     LiveRanks,
     OrthoInstance,
     VSeg,
@@ -220,3 +221,24 @@ def test_live_ranks_match_a_sorted_list(n, data):
             r = live.next[r]
         assert walk == alive
         assert [live.prev[r] for r in alive + [n]] == [-1] + alive
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_interval_store_matches_a_brute_force_list(n, data):
+    store = IntervalStore(n)
+    held = []  # (member, lo, hi) inserted and not yet reported
+    reported = set()
+    ranks = st.integers(0, n - 1)
+    ops = st.one_of(st.tuples(ranks, ranks), ranks)  # an insert or a stab
+    for member, op in enumerate(data.draw(st.lists(ops, max_size=30))):
+        if isinstance(op, tuple):
+            store.insert(member, *op)  # lo > hi holds no rank
+            held.append((member, *op))
+            continue
+        hits = store.stab_pop(op)
+        assert len(hits) == len(set(hits))
+        assert set(hits) == {m for m, lo, hi in held if lo <= op <= hi}
+        assert reported.isdisjoint(hits)
+        reported.update(hits)
+        held = [h for h in held if h[0] not in reported]

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
 
 from geodom import (
     AbstractGraph,
@@ -24,9 +25,10 @@ from geodom.errors import (
     InvalidInputError,
     SizeCapExceededError,
 )
-from geodom import instances, lp, oracle
+from geodom import instances, lp, oracle, srs, ssr
 
 from helpers import naive_min_dominating
+from strategies import ssr_instances
 
 
 def test_graph_validation():
@@ -113,6 +115,33 @@ def test_stab_dispatch_matches_ilp():
         )
         sol = lp.solve_ilp_exact(lp.CoverProgram(len(inst.rays), rows))
         assert len(got) == len(sol.support())
+
+
+@settings(max_examples=600, deadline=None)
+@given(ssr_instances())
+def test_oracle_matches_ilp_and_bounds_both_engines(inst):
+    """On degenerate geometry: the oracle's ssr optimum is the exact ILP's,
+    ``ssr.solve_fast`` picks at most twice it, and ``srs.solve`` on the
+    same rays and segments at most twice the oracle's srs optimum."""
+    try:
+        norm = ssr.normalize(inst)
+    except (InvalidInputError, InfeasibleSegmentError):
+        event("ssr skipped")
+    else:
+        pos = {r.id: i for i, r in enumerate(inst.rays)}
+        rows = tuple(
+            frozenset(pos[r.id] for r in inst.rays if intersects(r, s)) for s in inst.segments
+        )
+        opt = len(lp.solve_ilp_exact(lp.CoverProgram(len(inst.rays), rows)).support())
+        assert len(exact_stab(inst)) == opt
+        assert len(ssr.solve_fast(norm)) <= 2 * opt
+    flipped = SrsInstance(inst.rays, inst.segments)
+    try:
+        sel, _ = srs.solve(flipped)
+    except InfeasibleRayError:
+        event("srs skipped")
+    else:
+        assert len(sel) <= 2 * len(exact_stab(flipped))
 
 
 def test_stab_infeasible_kinds():

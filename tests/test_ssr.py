@@ -10,7 +10,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from geodom import HRay, VSeg, SsrInstance, exact_stab
 from geodom.errors import InfeasibleSegmentError, InvalidInputError
@@ -19,6 +20,7 @@ from geodom import instances, lp, ssr
 from helpers import (
     intersection_matrix,
     naive_min_stab,
+    reference_initial_unique_stabbers,
     reference_ssr_normalize,
     reference_ssr_solve_fast,
     ssr_cover_ok,
@@ -339,6 +341,74 @@ def test_fast_matches_reference_at_scale():
     expected = reference_ssr_solve_fast(norm)
     assert ssr.solve_fast(norm) == expected
     assert ssr.solve_fast(inst) == reference_ssr_solve_fast(inst)
+
+
+# ---------------------------------------------------------------------------
+# initial unique stabbers: sparse-table range maxima against the Fenwick sweep
+
+
+@st.composite
+def rank_spaces(draw):
+    """Arguments of ``ssr._initial_unique_stabbers``: a reach rank per ray
+    rank, and per segment an id, an x rank and a span of ray ranks.  Few x
+    ranks, so reaches and xs tie often; a span may be empty (lo > hi), and
+    a last segment may span all n ranks, which needs every level."""
+    n = draw(st.integers(0, 20))
+    xs = st.integers(0, 5)
+    reach = draw(st.lists(xs, min_size=n, max_size=n))
+    m = draw(st.integers(0, 10))
+    seg_id = draw(st.lists(st.integers(0, 4 * m + 4), min_size=m, max_size=m, unique=True))
+    seg_x = draw(st.lists(xs, min_size=m, max_size=m))
+    seg_lo = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    seg_hi = [draw(st.integers(lo - 1, n - 1)) for lo in seg_lo]
+    if draw(st.booleans()):
+        seg_id.append(-1)
+        seg_x.append(draw(xs))
+        seg_lo.append(0)
+        seg_hi.append(n - 1)
+    return reach, seg_id, seg_x, seg_lo, seg_hi
+
+
+def stabbers_outcome(fn, args):
+    try:
+        return "ranks", frozenset(fn(*args))
+    except InfeasibleSegmentError as exc:
+        return "infeasible", exc.segment_id
+
+
+@settings(max_examples=500, deadline=None)
+@given(rank_spaces())
+@example(([], [], [], [], []))  # n = 0
+@example(([], [4], [0], [0], [-1]))  # n = 0, one segment
+@example(([2], [4], [2], [0], [0]))  # n = 1, a lone stabber
+@example(([2], [4, 1], [2, 3], [0, 0], [0, 0]))  # n = 1, then a segment it misses
+@example(([0, 5, 1, 5, 2, 0, 3, 1, 4, 0, 2, 1, 0], [9], [5], [0], [12]))  # 13 ranks, two at the top
+@example(([0, 5, 1, 4, 2, 0, 3, 1, 4, 0, 2, 1, 0], [9, 3], [5, 5], [0, 12], [12, 11]))  # lo > hi
+@example(([1, 0, 1], [5, 2, 8], [1, 1, 0], [1, 3, 0], [1, 2, 2]))  # equal xs: 5 comes first
+def test_initial_stabbers_match_fenwick_reference(args):
+    want = stabbers_outcome(reference_initial_unique_stabbers, args)
+    assert stabbers_outcome(ssr._initial_unique_stabbers, args) == want
+    event(want[0])
+
+
+def test_initial_stabbers_match_fenwick_reference_on_kernel_corpus(monkeypatch):
+    """Every rank space ``normalize`` and ``_build`` make of the corpus."""
+    real = ssr._initial_unique_stabbers
+    kinds = {"ranks": 0, "infeasible": 0}
+
+    def checked(*args):
+        got = stabbers_outcome(real, args)
+        assert got == stabbers_outcome(reference_initial_unique_stabbers, args)
+        kinds[got[0]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ssr, "_initial_unique_stabbers", checked)
+    rng = random.Random(8989)
+    for _ in range(2000):
+        inst = kernel_instance(rng)
+        normalized_or_error(ssr.normalize, inst)
+        solved_or_error(ssr.solve_fast, inst)
+    assert min(kinds.values()) > 400
 
 
 def assert_materializes_after_solve(inst):

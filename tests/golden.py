@@ -1,4 +1,4 @@
-"""Golden-output corpus for the stabbing engines (``ssr``, ``srs``).
+"""Golden-output corpus for the stabbing engines and the LP pipelines.
 
     python tests/golden.py           # list the cases whose output changed
     python tests/golden.py --write   # regenerate tests/golden.json
@@ -6,18 +6,27 @@
 Each case is the sha256 of the ``repr`` of one output for a fixed seed:
 the ``instances.dumps`` text of generated instances, ``ssr.normalize``
 outputs (read after the ``solve_fast`` that consumes them), ssr and srs
-selections, the ssr ``TokenTrace`` and the ``SrsTrace``.  Sets and dict
-keys are sorted before printing, so a hash moves only when some value
-does, never with the iteration order of a set.  Regenerating the file
-is a behaviour change: list every changed case with the reason.
+selections, the ssr ``TokenTrace`` and the ``SrsTrace``; for stabbed_l,
+ortho_psd, unit_bk (k = 0..2) and ``psd.poss_solve`` called directly,
+the ``solve_lp`` values and duals on the pipeline's program, its
+``SolveCertificate`` and its ``*Details``, or the (error type, id) it
+raised; and the bytes (or exit code and message) of
+``geodom solve --certify`` for all five kinds.  Sets and dict keys are
+sorted before printing, so a hash moves only when some value does, never
+with the iteration order of a set.  Regenerating the file is a behaviour
+change: list every changed case with the reason.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -26,10 +35,12 @@ GOLDEN = HERE / "golden.json"
 if __name__ == "__main__":
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from geodom import instances, srs, ssr  # noqa: E402
-from geodom.errors import InfeasibleSegmentError, InvalidInputError  # noqa: E402
+from geodom import cli, instances, lp, psd, srs, ssr, stabbedl, uvpg  # noqa: E402
+from geodom.errors import GeodomError, InfeasibleError, InfeasibleSegmentError, InvalidInputError  # noqa: E402
+from geodom.geom import HRay, HSeg, OrthoInstance, VSeg  # noqa: E402
 
 from test_acceptance import _big_ssr  # noqa: E402
+from test_psd import proper_hsegs  # noqa: E402
 from test_ssr import kernel_instance  # noqa: E402
 
 
@@ -101,6 +112,127 @@ def cases():
     krng = random.Random(6262)
     for i in range(300):
         yield from _ssr_cases(f"ssr/kernel{i}", kernel_instance(krng), i < 60)
+    yield from pipeline_cases()
+
+
+def _error(exc: GeodomError):
+    """(error type, id) for an infeasible instance, (type, message) else."""
+    if isinstance(exc, InfeasibleError):
+        names = ("segment_id", "ray_id", "target_id", "constraint_id")
+        ids = [getattr(exc, a) for a in names if hasattr(exc, a)]
+        return ("error", type(exc).__name__, *ids)
+    return ("error", type(exc).__name__, str(exc))
+
+
+def _pipeline_cases(name: str, solve):
+    """LP values and duals, certificate and details of one pipeline run."""
+    try:
+        cert, det = solve()
+    except GeodomError as exc:
+        yield f"{name}/outcome", _error(exc)
+        return
+    sol = lp.solve_lp(det.program)
+    yield f"{name}/lp", (sol.values, sol.objective_value, sol.duals)
+    yield f"{name}/certificate", cert
+    yield f"{name}/details", det
+
+
+def _poss_input(rng: random.Random, stray: float):
+    """Proper horizontal candidates and vertical targets, each of which is
+    placed at random (and may meet no candidate) with probability
+    ``stray``; target ids are shuffled against x order."""
+    cands = proper_hsegs(rng, rng.randint(1, 9))
+    x_hi = int(max(c.x_hi for c in cands)) + 2
+    count = rng.randint(1, 9)
+    ids = rng.sample(range(3 * count), count)
+    targets = []
+    for tid in ids:
+        if rng.random() >= stray:
+            c = rng.choice(cands)
+            x = c.x_lo + rng.randint(0, int(c.x_hi - c.x_lo))
+            targets.append(VSeg(tid, x, c.y - rng.randint(0, 3), c.y + rng.randint(0, 3)))
+        else:
+            lo = rng.randint(-2, 8)
+            targets.append(VSeg(tid, Fraction(rng.randint(-10, x_hi)), Fraction(lo), Fraction(lo + rng.randint(0, 2))))
+    return cands, targets
+
+
+def _with_roles(rng: random.Random, inst: OrthoInstance) -> OrthoInstance:
+    ids = sorted(s.id for s in inst.all_segments())
+    cons = frozenset(i for i in ids if rng.random() < 0.6)
+    cands = frozenset(i for i in ids if rng.random() < 0.6)
+    return OrthoInstance(inst.hsegs, inst.vsegs, cons, cands)
+
+
+def _unreachable(f: instances.InstanceFile) -> instances.InstanceFile:
+    """The stabbing instance plus one constraint that nothing can meet."""
+    data = f.data
+    rays, segs = list(data.rays), list(data.segments)
+    if f.kind == "ssr":
+        segs.append(VSeg(len(segs), Fraction(10**6), Fraction(0), Fraction(1)))
+    else:
+        rays.append(HRay(len(rays), Fraction(10**6), Fraction(5)))
+    return instances.InstanceFile(f.kind, type(data)(tuple(rays), tuple(segs)))
+
+
+def _certify_file(f: instances.InstanceFile, cap: int):
+    """``geodom solve --certify`` on the instance: the solution file's
+    text, or the exit code and the error message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "inst.json", Path(tmp) / "sol.json"
+        instances.dump(f, str(src))
+        argv = ["solve", "--alg", cli._ALG_FOR_KIND[f.kind], "-i", str(src), "-o", str(out), "--certify", "--cap", str(cap)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run_cli(argv)
+        return out.read_text() if code == 0 else (code, err.getvalue())
+
+
+def pipeline_cases():
+    """(name, output) for the LP pipelines and the ``--certify`` files."""
+    rng = random.Random(7070)
+    for i in range(60):
+        params = {"n": rng.randint(1, 24), "coord_range": rng.choice([3, 8, 25])}
+        f = instances.generate("stabbed_l", params, rng.randrange(10**9))
+        yield from _pipeline_cases(f"stabbed_l/gen{i}", lambda: stabbedl.solve_mds(f.data, want_details=True))
+    for i in range(60):
+        params = {"n": rng.randint(1, 16), "m": rng.randint(1, 16), "coord_range": rng.choice([4, 12])}
+        inst = instances.generate("ortho_psd", params, rng.randrange(10**9)).data
+        if i % 3 == 2:
+            inst = _with_roles(rng, inst)
+        yield from _pipeline_cases(f"ortho_psd/gen{i}", lambda: psd.psd_solve(inst, want_details=True))
+    for k in range(3):
+        for i in range(20):
+            params = {"n": rng.randint(1, 18), "k": k, "coord_range": rng.choice([2, 4, 8])}
+            f = instances.generate("unit_bk", params, rng.randrange(10**9))
+            yield from _pipeline_cases(
+                f"unit_bk/k{k}/gen{i}", lambda: uvpg.solve_mds(list(f.data.paths), k, want_details=True)
+            )
+    for i in range(90):
+        cands, targets = _poss_input(rng, 0.15 if i % 3 == 2 else 0.0)
+        yield from _pipeline_cases(f"poss/gen{i}", lambda: psd.poss_solve(cands, targets, want_details=True))
+    big = [
+        ("stabbed_l", {"n": 100, "coord_range": 25}),
+        ("ortho_psd", {"n": 120, "m": 120}),
+        ("unit_bk", {"n": 100, "k": 2, "coord_range": 8}),
+    ]
+    for kind, params in big:
+        f = instances.generate(kind, params, 201)
+        solve = {
+            "stabbed_l": lambda: stabbedl.solve_mds(f.data, want_details=True),
+            "ortho_psd": lambda: psd.psd_solve(f.data, want_details=True),
+            "unit_bk": lambda: uvpg.solve_mds(list(f.data.paths), f.data.k, want_details=True),
+        }[kind]
+        yield from _pipeline_cases(f"{kind}/big", solve)
+    for kind in instances.KINDS:
+        for i in range(12):
+            params = {"n": rng.randint(1, 12), "m": rng.randint(1, 12), "k": rng.randint(0, 2)}
+            f = instances.generate(kind, params, rng.randrange(10**9))
+            if kind == "ortho_psd" and i % 4 == 3:
+                f = instances.InstanceFile(kind, _with_roles(rng, f.data))
+            if kind in ("ssr", "srs") and i % 4 == 3:
+                f = _unreachable(f)
+            yield f"certify/{kind}/{i}", _certify_file(f, 10)
 
 
 def digest(value) -> str:

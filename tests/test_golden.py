@@ -1,4 +1,4 @@
-"""The stabbing engines' outputs against the committed golden corpus."""
+"""The stabbing engines' and the LP pipelines' outputs against the committed golden corpus."""
 
 import json
 

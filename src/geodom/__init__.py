@@ -20,6 +20,7 @@ from .errors import (
     NotProperError,
     SizeCapExceededError,
     UncoveredRowError,
+    UnmetConstraintError,
 )
 from .geom import (
     NO_GAP,
@@ -78,6 +79,7 @@ __all__ = [
     "SsrInstance",
     "StabbedLInstance",
     "UncoveredRowError",
+    "UnmetConstraintError",
     "UnitKBendPath",
     "VSeg",
     "as_rat",

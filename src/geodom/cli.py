@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -103,31 +103,40 @@ def _build_parser() -> _Parser:
 # shared pieces
 
 
-def _cover_program(data) -> tuple[CoverProgram, list[int]]:
+def _stab_certificate(data, selected) -> SolveCertificate:
+    """Factor-2 certificate of a stabbing answer against the covering LP."""
     cands, cons, _ = oracle.stab_sides(data)
-    order = [c.id for c in cands]
-    index_of = {cid: i for i, cid in enumerate(order)}
+    index_of = {c.id: i for i, c in enumerate(cands)}
     rows = tuple(
         frozenset(index_of[c.id] for c in cands if intersects(c, u)) for u in cons
     )
-    return CoverProgram(len(order), rows), order
+    cert = SolveCertificate(
+        heuristic_ids=frozenset(selected),
+        heuristic_size=len(selected),
+        lp_opt=solve_lp(CoverProgram(len(cands), rows)).objective_value,
+        claimed_ratio_bound=Fraction(2),
+    )
+    cert.validate()
+    return cert
 
 
-def _graph_of(f: InstanceFile) -> AbstractGraph:
-    if isinstance(f.data, StabbedLInstance):
-        neighborhoods, _ = stabbedl.build_graph(f.data)
-    elif isinstance(f.data, UnitBkInstance):
-        neighborhoods = uvpg.build_graph(list(f.data.paths)).neighborhoods
-    else:
-        raise InvalidInputError(f"kind {f.kind!r} has no graph form")
-    n = len(neighborhoods)
-    return AbstractGraph(n, tuple(neighborhoods[u] for u in range(n)))
+def _neighborhoods(data) -> Optional[dict[int, frozenset[int]]]:
+    """Closed neighbourhoods of a graph kind, None for the other kinds."""
+    if isinstance(data, StabbedLInstance):
+        return stabbedl.build_graph(data)[0]
+    if isinstance(data, UnitBkInstance):
+        return uvpg.build_graph(list(data.paths)).neighborhoods
+    return None
 
 
 def _exact_size(f: InstanceFile, cap: Optional[int]) -> set[int]:
     if isinstance(f.data, (SsrInstance, SrsInstance, OrthoInstance)):
         return oracle.exact_stab(f.data, cap)
-    return oracle.exact_mds(_graph_of(f), cap)
+    neighborhoods = _neighborhoods(f.data)
+    if neighborhoods is None:
+        raise InvalidInputError(f"kind {f.kind!r} has no graph form")
+    n = len(neighborhoods)
+    return oracle.exact_mds(AbstractGraph(n, tuple(neighborhoods[u] for u in range(n))), cap)
 
 
 def _ssr_trace_payload(trace: ssr.TokenTrace) -> dict:
@@ -194,13 +203,7 @@ def _with_exact(cert: SolveCertificate, f: InstanceFile, cap) -> SolveCertificat
         exact = len(_exact_size(f, cap))
     except SizeCapExceededError:
         return cert
-    out = SolveCertificate(
-        heuristic_ids=cert.heuristic_ids,
-        heuristic_size=cert.heuristic_size,
-        lp_opt=cert.lp_opt,
-        claimed_ratio_bound=cert.claimed_ratio_bound,
-        exact_opt=exact,
-    )
+    out = replace(cert, exact_opt=exact)
     out.validate()
     return out
 
@@ -254,14 +257,7 @@ def _cmd_solve(args) -> int:
         selected = set(cert.heuristic_ids)
     if args.certify:
         if cert is None:
-            program, _ = _cover_program(f.data)
-            cert = SolveCertificate(
-                heuristic_ids=frozenset(selected),
-                heuristic_size=len(selected),
-                lp_opt=solve_lp(program).objective_value,
-                claimed_ratio_bound=Fraction(2),
-            )
-            cert.validate()
+            cert = _stab_certificate(f.data, selected)
         cert = _with_exact(cert, f, args.cap)
 
     payload = {
@@ -327,20 +323,17 @@ def _verify_problems(f: InstanceFile, selected: set[int]) -> list[str]:
             if not any(intersects(c, u) for c in picked):
                 problems.append(f"constraint {u.id} is not covered")
         return problems
-    if isinstance(data, (StabbedLInstance, UnitBkInstance)):
-        if isinstance(data, StabbedLInstance):
-            neighborhoods, _ = stabbedl.build_graph(data)
-        else:
-            neighborhoods = uvpg.build_graph(list(data.paths)).neighborhoods
-        unknown = selected - set(neighborhoods)
-        if unknown:
-            problems.append(f"selected ids not in the instance: {sorted(unknown)}")
-            return problems
-        for u, nbrs in sorted(neighborhoods.items()):
-            if not (nbrs & selected):
-                problems.append(f"vertex {u} is not dominated")
+    neighborhoods = _neighborhoods(data)
+    if neighborhoods is None:
+        raise InvalidInputError(f"cannot verify kind {f.kind!r}")
+    unknown = selected - set(neighborhoods)
+    if unknown:
+        problems.append(f"selected ids not in the instance: {sorted(unknown)}")
         return problems
-    raise InvalidInputError(f"cannot verify kind {f.kind!r}")
+    for u, nbrs in sorted(neighborhoods.items()):
+        if not (nbrs & selected):
+            problems.append(f"vertex {u} is not dominated")
+    return problems
 
 
 def _cmd_verify(args) -> int:
@@ -393,19 +386,13 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> Benc
     start = time.perf_counter()
     selected, cert, _ = _solve_for(f, want_trace=False)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if cert is not None:
-        selected = set(cert.heuristic_ids)
-        lp_opt = cert.lp_opt
-        bound = cert.claimed_ratio_bound
-    else:
-        program, _ = _cover_program(f.data)
-        lp_opt = solve_lp(program).objective_value
-        bound = Fraction(2)
+    if cert is None:
+        cert = _stab_certificate(f.data, selected)
     try:
         exact: Optional[int] = len(_exact_size(f, cap))
     except SizeCapExceededError:
         exact = None
-    ratio = rat_str(Fraction(len(selected), exact)) if exact else ""
+    ratio = rat_str(Fraction(cert.heuristic_size, exact)) if exact else ""
     if kind == "unit_bk":
         sizes = f"n={size};k={k}"
     elif kind == "stabbed_l":
@@ -416,11 +403,11 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> Benc
         kind=kind,
         seed=inst_seed,
         sizes=sizes,
-        heuristic_size=len(selected),
-        lp_opt=rat_str(lp_opt),
+        heuristic_size=cert.heuristic_size,
+        lp_opt=rat_str(cert.lp_opt),
         exact_opt=exact,
         ratio=ratio,
-        bound=rat_str(bound),
+        bound=rat_str(cert.claimed_ratio_bound),
         wall_time_ms=elapsed_ms,
     )
 

@@ -25,36 +25,42 @@ class InvalidInputError(InputError):
     pass
 
 
-class InfeasibleSegmentError(InfeasibleError):
+class UnmetConstraintError(InfeasibleError):
+    """A constraint meets no candidate.
+
+    ``id`` is the constraint's id and ``role`` what the constraint is; the
+    subclasses name the role and keep the id under ``<role>_id`` too.
+    """
+
+    role = "constraint"
+    candidate = "candidate"
+
+    def __init__(self, id: int):
+        super().__init__(f"{self.role} {id} intersects no {self.candidate}")
+        self.id = id
+        setattr(self, f"{self.role}_id", id)
+
+
+class InfeasibleSegmentError(UnmetConstraintError):
     """A constraint segment meets no candidate ray."""
 
-    def __init__(self, segment_id: int):
-        super().__init__(f"segment {segment_id} intersects no ray")
-        self.segment_id = segment_id
+    role, candidate = "segment", "ray"
 
 
-class InfeasibleRayError(InfeasibleError):
+class InfeasibleRayError(UnmetConstraintError):
     """A constraint ray meets no candidate segment."""
 
-    def __init__(self, ray_id: int):
-        super().__init__(f"ray {ray_id} intersects no segment")
-        self.ray_id = ray_id
+    role, candidate = "ray", "segment"
 
 
-class InfeasibleTargetError(InfeasibleError):
+class InfeasibleTargetError(UnmetConstraintError):
     """A target segment meets no candidate segment."""
 
-    def __init__(self, target_id: int):
-        super().__init__(f"target {target_id} intersects no candidate")
-        self.target_id = target_id
+    role = "target"
 
 
-class InfeasibleConstraintError(InfeasibleError):
+class InfeasibleConstraintError(UnmetConstraintError):
     """A constraint segment meets no candidate segment."""
-
-    def __init__(self, constraint_id: int):
-        super().__init__(f"constraint {constraint_id} intersects no candidate")
-        self.constraint_id = constraint_id
 
 
 class AssumptionViolationError(InputError):

@@ -368,30 +368,15 @@ def properize(inst: OrthoInstance) -> OrthoInstance:
         if gap is None:
             gap = Fraction(1)
 
-    def stretch_h(items: list[HSeg]) -> list[HSeg]:
-        n = len(items)
-        if n == 0:
-            return []
-        eps = gap / (4 * (n + 1))
-        order = sorted(items, key=lambda s: (s.x_lo, s.id))
-        out = []
-        for i, s in enumerate(order):
-            out.append(HSeg(s.id, s.y, s.x_lo - i * eps, s.x_hi + (n - i) * eps))
-        return out
+    def stretch(items, low, grow):
+        # grow(s, a, b) moves s's low end down by a and its high end up by b
+        eps = gap / (4 * (len(items) + 1))
+        order = sorted(items, key=lambda s: (low(s), s.id))
+        out = [grow(s, i * eps, (len(items) - i) * eps) for i, s in enumerate(order)]
+        return sorted(out, key=lambda s: s.id)
 
-    def stretch_v(items: list[VSeg]) -> list[VSeg]:
-        n = len(items)
-        if n == 0:
-            return []
-        eps = gap / (4 * (n + 1))
-        order = sorted(items, key=lambda s: (s.y_lo, s.id))
-        out = []
-        for i, s in enumerate(order):
-            out.append(VSeg(s.id, s.x, s.y_lo - i * eps, s.y_hi + (n - i) * eps))
-        return out
-
-    new_h = sorted(stretch_h(list(inst.hsegs)), key=lambda s: s.id)
-    new_v = sorted(stretch_v(list(inst.vsegs)), key=lambda s: s.id)
+    new_h = stretch(inst.hsegs, lambda s: s.x_lo, lambda s, a, b: HSeg(s.id, s.y, s.x_lo - a, s.x_hi + b))
+    new_v = stretch(inst.vsegs, lambda s: s.y_lo, lambda s, a, b: VSeg(s.id, s.x, s.y_lo - a, s.y_hi + b))
     return OrthoInstance(tuple(new_h), tuple(new_v), inst.constraint_ids, inst.candidate_ids)
 
 

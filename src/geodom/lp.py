@@ -7,13 +7,17 @@ numerators over one shared denominator per row), so it takes the same
 pivots and reaches the same vertex as a Fraction tableau, and objective
 values are usable as certificates without tolerance.  Each LP answer also
 carries a dual witness that ``check_feasible`` verifies in O(nnz).
+
+``lp_round`` is the LP-rounding skeleton the three MDS pipelines share:
+solve the covering LP, split each row by which labelled block holds mass
+>= theta, solve each label as a sub-problem and certify the union.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     InvalidInputError,
@@ -394,3 +398,52 @@ def threshold_split(
         label: (frozenset(out_rows[label]), frozenset(out_vars[label]))
         for label in out_rows
     }
+
+
+@dataclass(frozen=True)
+class RoundingResult:
+    """Everything ``lp_round`` computed, for the pipelines' ``*Details``."""
+
+    program: CoverProgram
+    lp_solution: CoverSolution
+    split: dict[object, tuple[frozenset[int], frozenset[int]]]
+    selected: dict[object, frozenset[int]]
+    certificate: SolveCertificate
+
+    def part(self, label) -> tuple[frozenset[int], frozenset[int]]:
+        """(row indices, var indices) of a label; both empty if no row
+        reached it."""
+        return self.split.get(label, (frozenset(), frozenset()))
+
+
+def lp_round(
+    num_vars: int,
+    parts: list[dict[object, frozenset[int]]],
+    theta: Rat,
+    solve_label: Callable[[object, frozenset[int], frozenset[int]], frozenset[int]],
+    ratio: Rat,
+) -> RoundingResult:
+    """Threshold rounding of the covering LP whose row i is the union of
+    ``parts[i]``'s blocks.
+
+    ``solve_label(label, rows, vars)`` runs once per label of the split, in
+    sorted label order, and returns the ids it selects; their union is the
+    answer, certified against the LP optimum with ``ratio``.
+    """
+    program = CoverProgram(
+        num_vars, tuple(frozenset().union(*blocks.values()) for blocks in parts)
+    )
+    lp_sol = solve_lp(program)
+    split = threshold_split(program, lp_sol, dict(enumerate(parts)), theta)
+    selected = {
+        label: frozenset(solve_label(label, *split[label])) for label in sorted(split)
+    }
+    chosen = frozenset().union(*selected.values())
+    cert = SolveCertificate(
+        heuristic_ids=chosen,
+        heuristic_size=len(chosen),
+        lp_opt=lp_sol.objective_value,
+        claimed_ratio_bound=Fraction(ratio),
+    )
+    cert.validate()
+    return RoundingResult(program, lp_sol, split, selected, cert)

@@ -3,7 +3,9 @@
 Three layers: an exact greedy for covering intervals with intervals (LP-
 integral when candidates are proper), an 8-approximation for covering
 vertical targets with horizontal candidates via strip decomposition, and
-the 18-approximation combining both over a mixed instance.
+the 18-approximation combining both over a mixed instance.  The last two
+are ``lp.lp_round``: each LP row is split by strip boundary (left/right)
+or by orientation (same/cross), and each label is solved on its own.
 """
 from __future__ import annotations
 
@@ -30,14 +32,7 @@ from .geom import (
     intersects,
     to_ints,
 )
-from .lp import (
-    HALF,
-    CoverProgram,
-    CoverSolution,
-    SolveCertificate,
-    solve_lp,
-    threshold_split,
-)
+from .lp import HALF, CoverProgram, CoverSolution, SolveCertificate, lp_round
 
 
 @dataclass(frozen=True)
@@ -145,18 +140,12 @@ def build_strips(candidates: list[HSeg], targets: list[VSeg]) -> StripDecomposit
     left: dict[int, frozenset[int]] = {}
     right: dict[int, frozenset[int]] = {}
     for t in targets:
-        i = max(k for k in range(len(points) - 1) if points[k] <= t.x)
+        i = bisect_right(points, t.x) - 1
         strips[i].add(t.id)
         strip_of[t.id] = i
-        p_lo, p_hi = points[i], points[i + 1]
-        left[t.id] = frozenset(
-            c.id for c in candidates
-            if intersects(c, t) and c.x_lo <= p_lo <= c.x_hi
-        )
-        right[t.id] = frozenset(
-            c.id for c in candidates
-            if intersects(c, t) and c.x_lo <= p_hi <= c.x_hi
-        )
+        meets = [c for c in candidates if intersects(c, t)]
+        left[t.id] = frozenset(c.id for c in meets if c.x_lo <= points[i] <= c.x_hi)
+        right[t.id] = frozenset(c.id for c in meets if c.x_lo <= points[i + 1] <= c.x_hi)
     return StripDecomposition(
         points, tuple(picked_rights), tuple(frozenset(s) for s in strips),
         strip_of, left, right,
@@ -177,6 +166,12 @@ class PossDetails:
     right_selected: frozenset[int]
 
 
+def _require_proper(orientation: str, spans) -> None:
+    bad = containment_violation(spans)
+    if bad is not None:
+        raise NotProperError(orientation, list(bad))
+
+
 def _dedup_rays(rays: list[HRay]) -> list[HRay]:
     # same-height rays: only the farthest-reaching one can matter
     best: dict[Rat, HRay] = {}
@@ -187,109 +182,80 @@ def _dedup_rays(rays: list[HRay]) -> list[HRay]:
     return sorted(best.values(), key=lambda r: r.id)
 
 
-def _solve_boundary_side(
-    candidates: dict[int, HSeg], targets: list[VSeg], mirror: bool
-) -> set[int]:
+def _solve_boundary_side(candidates: list[HSeg], targets: list[VSeg], mirror: bool) -> set[int]:
     """One strip/side sub-problem as a canonical ray-stabbing instance.
 
     Left boundaries keep orientation (a candidate reaches rightward targets
     up to x_hi, exactly a leftward ray's coverage); right boundaries are
     mirrored so the relevant reach x_lo becomes a leftward reach again.
     """
-    if not targets:
-        return set()
     if mirror:
-        rays = [HRay(c.id, c.y, -c.x_lo) for c in candidates.values()]
+        rays = [HRay(c.id, c.y, -c.x_lo) for c in candidates]
         segs = [VSeg(t.id, -t.x, t.y_lo, t.y_hi) for t in targets]
     else:
-        rays = [HRay(c.id, c.y, c.x_hi) for c in candidates.values()]
+        rays = [HRay(c.id, c.y, c.x_hi) for c in candidates]
         segs = [VSeg(t.id, t.x, t.y_lo, t.y_hi) for t in targets]
     inst = ssr.normalize(ssr.SsrInstance(tuple(_dedup_rays(rays)), tuple(segs)))
     return ssr.solve_fast(inst)
 
 
 def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool = False):
-    """8-approximate cover of vertical targets by horizontal candidates."""
-    bad = containment_violation((c.x_lo, c.x_hi, c.id) for c in candidates)
-    if bad is not None:
-        raise NotProperError("h", list(bad))
+    """8-approximate cover of vertical targets by horizontal candidates.
+
+    Row i of the LP is the candidates meeting target i, split by the strip
+    boundary they cross.  Every candidate contains a hit point, so one that
+    meets a target crosses its strip's left or right boundary, and
+    left | right is exactly that row.
+    """
+    _require_proper("h", ((c.x_lo, c.x_hi, c.id) for c in candidates))
     order = sorted(c.id for c in candidates)
     if len(order) != len(set(order)):
         raise InvalidInputError("duplicate candidate ids")
     index_of = {cid: i for i, cid in enumerate(order)}
     cand_by_id = {c.id: c for c in candidates}
-
-    rows = []
-    row_targets = sorted(targets, key=lambda t: t.id)
-    for t in row_targets:
-        row = frozenset(index_of[c.id] for c in candidates if intersects(c, t))
-        if not row:
-            raise InfeasibleTargetError(t.id)
-        rows.append(row)
-    program = CoverProgram(len(order), tuple(rows))
-    lp_sol = solve_lp(program)
+    target_by_id = {t.id: t for t in targets}
 
     dec = build_strips(candidates, targets)
-    parts = {
-        i: {
+    row_targets = sorted(targets, key=lambda t: t.id)
+    for t in row_targets:
+        if not (dec.left[t.id] or dec.right[t.id]):
+            raise InfeasibleTargetError(t.id)
+    parts = [
+        {
             "left": frozenset(index_of[c] for c in dec.left[t.id]),
             "right": frozenset(index_of[c] for c in dec.right[t.id]),
         }
-        for i, t in enumerate(row_targets)
-    }
-    split = threshold_split(program, lp_sol, parts, HALF)
-    l_rows, l_vars = split.get("left", (frozenset(), frozenset()))
-    r_rows, r_vars = split.get("right", (frozenset(), frozenset()))
-    left_rows = frozenset(row_targets[i].id for i in l_rows)
-    right_rows = frozenset(row_targets[i].id for i in r_rows)
-    left_vars = frozenset(order[j] for j in l_vars)
-    right_vars = frozenset(order[j] for j in r_vars)
+        for t in row_targets
+    ]
 
-    target_by_id = {t.id: t for t in targets}
-    left_selected: set[int] = set()
-    right_selected: set[int] = set()
-    for i in range(len(dec.points) - 1):
-        strip_targets = dec.strips[i]
-        lt = [target_by_id[tid] for tid in sorted(strip_targets & left_rows)]
-        if lt:
-            boundary = dec.points[i]
-            cands = {
-                cid: cand_by_id[cid]
-                for cid in left_vars
-                if cand_by_id[cid].x_lo <= boundary <= cand_by_id[cid].x_hi
-            }
-            left_selected |= _solve_boundary_side(cands, lt, mirror=False)
-        rt = [target_by_id[tid] for tid in sorted(strip_targets & right_rows)]
-        if rt:
-            boundary = dec.points[i + 1]
-            cands = {
-                cid: cand_by_id[cid]
-                for cid in right_vars
-                if cand_by_id[cid].x_lo <= boundary <= cand_by_id[cid].x_hi
-            }
-            right_selected |= _solve_boundary_side(cands, rt, mirror=True)
+    def solve_label(side, rows, cands):
+        step = 0 if side == "left" else 1
+        row_ids = {row_targets[i].id for i in rows}
+        pool = [cand_by_id[order[j]] for j in sorted(cands)]
+        selected: set[int] = set()
+        for i, strip in enumerate(dec.strips):
+            strip_targets = [target_by_id[tid] for tid in sorted(strip & row_ids)]
+            if strip_targets:
+                boundary = dec.points[i + step]
+                near = [c for c in pool if c.x_lo <= boundary <= c.x_hi]
+                selected |= _solve_boundary_side(near, strip_targets, mirror=step == 1)
+        return selected
 
-    chosen = frozenset(left_selected | right_selected)
-    cert = SolveCertificate(
-        heuristic_ids=chosen,
-        heuristic_size=len(chosen),
-        lp_opt=lp_sol.objective_value,
-        claimed_ratio_bound=Fraction(8),
-    )
-    cert.validate()
+    res = lp_round(len(order), parts, HALF, solve_label, 8)
     if not want_details:
-        return cert
-    return cert, PossDetails(
-        program=program,
-        lp_solution=lp_sol,
+        return res.certificate
+    (l_rows, l_vars), (r_rows, r_vars) = res.part("left"), res.part("right")
+    return res.certificate, PossDetails(
+        program=res.program,
+        lp_solution=res.lp_solution,
         var_order=tuple(order),
         decomposition=dec,
-        left_rows=left_rows,
-        right_rows=right_rows,
-        left_vars=left_vars,
-        right_vars=right_vars,
-        left_selected=frozenset(left_selected),
-        right_selected=frozenset(right_selected),
+        left_rows=frozenset(row_targets[i].id for i in l_rows),
+        right_rows=frozenset(row_targets[i].id for i in r_rows),
+        left_vars=frozenset(order[j] for j in l_vars),
+        right_vars=frozenset(order[j] for j in r_vars),
+        left_selected=res.selected.get("left", frozenset()),
+        right_selected=res.selected.get("right", frozenset()),
     )
 
 
@@ -327,14 +293,14 @@ def _collinear_exact(
             return ("h", seg.y), Interval(seg.id, seg.x_lo, seg.x_hi)
         return ("v", seg.x), Interval(seg.id, seg.y_lo, seg.y_hi)
 
-    cands_by_line: dict[object, list[Interval]] = {}
-    for seg in candidates:
-        key, iv = key_and_interval(seg)
-        cands_by_line.setdefault(key, []).append(iv)
-    targets_by_line: dict[object, list[Interval]] = {}
-    for seg in constraints:
-        key, iv = key_and_interval(seg)
-        targets_by_line.setdefault(key, []).append(iv)
+    def by_line(segs) -> dict[object, list[Interval]]:
+        out: dict[object, list[Interval]] = {}
+        for seg in segs:
+            key, iv = key_and_interval(seg)
+            out.setdefault(key, []).append(iv)
+        return out
+
+    cands_by_line, targets_by_line = by_line(candidates), by_line(constraints)
     chosen: set[int] = set()
     for key in sorted(targets_by_line, key=str):
         chosen |= _interval_cover(cands_by_line.get(key, []), targets_by_line[key])
@@ -396,75 +362,52 @@ def _cover_rows(table, horiz, constraints, cand_order):
 
 def psd_solve(inst: OrthoInstance, want_details: bool = False):
     """18-approximation for covering marked segments with marked segments."""
-    bad = containment_violation((s.x_lo, s.x_hi, s.id) for s in inst.hsegs)
-    if bad is not None:
-        raise NotProperError("h", list(bad))
-    bad = containment_violation((s.y_lo, s.y_hi, s.id) for s in inst.vsegs)
-    if bad is not None:
-        raise NotProperError("v", list(bad))
+    _require_proper("h", ((s.x_lo, s.x_hi, s.id) for s in inst.hsegs))
+    _require_proper("v", ((s.y_lo, s.y_hi, s.id) for s in inst.vsegs))
 
     table = inst.segment_by_id()
     horiz = {s.id for s in inst.hsegs}
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
-
-    rows = []
-    parts = {}
-    for row_idx, (same, cross) in enumerate(_cover_rows(table, horiz, constraints, cand_order)):
-        rows.append(same | cross)
-        parts[row_idx] = {"same": same, "cross": cross}
-    program = CoverProgram(len(cand_order), tuple(rows))
-    lp_sol = solve_lp(program)
-    split = threshold_split(program, lp_sol, parts, HALF)
-    s_rows, s_vars = split.get("same", (frozenset(), frozenset()))
-    c_rows, c_vars = split.get("cross", (frozenset(), frozenset()))
-    same_rows = frozenset(constraints[i] for i in s_rows)
-    cross_rows = frozenset(constraints[i] for i in c_rows)
-    same_vars = frozenset(cand_order[j] for j in s_vars)
-    cross_vars = frozenset(cand_order[j] for j in c_vars)
-
-    exact_selected = _collinear_exact(
-        [table[u] for u in sorted(same_rows)],
-        [table[c] for c in sorted(same_vars)],
-    )
-
-    cross_selected: set[int] = set()
+    parts = [
+        {"same": same, "cross": cross}
+        for same, cross in _cover_rows(table, horiz, constraints, cand_order)
+    ]
     poss_certs: list[SolveCertificate] = []
-    v_targets = [table[u] for u in sorted(cross_rows) if u not in horiz]
-    h_cands = [table[c] for c in sorted(cross_vars) if c in horiz]
-    if v_targets:
-        cert = poss_solve(h_cands, v_targets)
-        poss_certs.append(cert)
-        cross_selected |= set(cert.heuristic_ids)
-    h_targets = [table[u] for u in sorted(cross_rows) if u in horiz]
-    v_cands = [table[c] for c in sorted(cross_vars) if c not in horiz]
-    if h_targets:
-        # quarter-turn the plane so candidates become horizontal again
-        cert = poss_solve(
-            [_rotate_v(s) for s in v_cands], [_rotate_h(s) for s in h_targets]
-        )
-        poss_certs.append(cert)
-        cross_selected |= set(cert.heuristic_ids)
 
-    chosen = frozenset(exact_selected | cross_selected)
-    cert = SolveCertificate(
-        heuristic_ids=chosen,
-        heuristic_size=len(chosen),
-        lp_opt=lp_sol.objective_value,
-        claimed_ratio_bound=Fraction(18),
-    )
-    cert.validate()
+    def solve_label(label, rows, cands):
+        targets = [table[constraints[i]] for i in sorted(rows)]
+        pool = [table[cand_order[j]] for j in sorted(cands)]
+        if label == "same":
+            return _collinear_exact(targets, pool)
+        selected: set[int] = set()
+        v_targets = [u for u in targets if u.id not in horiz]
+        if v_targets:
+            cert = poss_solve([c for c in pool if c.id in horiz], v_targets)
+            poss_certs.append(cert)
+            selected |= cert.heuristic_ids
+        h_targets = [u for u in targets if u.id in horiz]
+        if h_targets:
+            # quarter-turn the plane so candidates become horizontal again
+            v_cands = [c for c in pool if c.id not in horiz]
+            cert = poss_solve([_rotate_v(s) for s in v_cands], [_rotate_h(s) for s in h_targets])
+            poss_certs.append(cert)
+            selected |= cert.heuristic_ids
+        return selected
+
+    res = lp_round(len(cand_order), parts, HALF, solve_label, 18)
     if not want_details:
-        return cert
-    return cert, PsdDetails(
-        program=program,
-        lp_solution=lp_sol,
+        return res.certificate
+    (s_rows, s_vars), (c_rows, c_vars) = res.part("same"), res.part("cross")
+    return res.certificate, PsdDetails(
+        program=res.program,
+        lp_solution=res.lp_solution,
         var_order=tuple(cand_order),
-        same_rows=same_rows,
-        cross_rows=cross_rows,
-        same_vars=same_vars,
-        cross_vars=cross_vars,
-        exact_selected=frozenset(exact_selected),
-        cross_selected=frozenset(cross_selected),
+        same_rows=frozenset(constraints[i] for i in s_rows),
+        cross_rows=frozenset(constraints[i] for i in c_rows),
+        same_vars=frozenset(cand_order[j] for j in s_vars),
+        cross_vars=frozenset(cand_order[j] for j in c_vars),
+        exact_selected=res.selected.get("same", frozenset()),
+        cross_selected=res.selected.get("cross", frozenset()),
         poss_certs=tuple(poss_certs),
     )

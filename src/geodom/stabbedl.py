@@ -1,10 +1,10 @@
 """Dominating-set 8-approximation on L-paths crossed by one vertical line.
 
 Every path is an L: a vertical leg rising from the corner plus a horizontal
-leg running right from it.  The pipeline solves the domination LP, splits
-each closed neighbourhood row by where its mass sits (horizontal-leg
-contacts vs vertical-leg contacts), and reduces the two halves to the
-ray/segment stabbing problems solved elsewhere in this package.
+leg running right from it.  The pipeline is ``lp.lp_round`` over the
+domination LP, with each closed neighbourhood row split into its
+horizontal-leg and vertical-leg contacts; the two labels reduce to the
+ray/segment stabbing problems ``srs`` and ``ssr``.
 """
 from __future__ import annotations
 
@@ -16,14 +16,7 @@ from typing import Optional
 from . import srs, ssr
 from .errors import AssumptionViolationError, InvalidInputError
 from .geom import HRay, HSeg, Rat, VSeg, to_ints
-from .lp import (
-    HALF,
-    CoverProgram,
-    CoverSolution,
-    SolveCertificate,
-    solve_lp,
-    threshold_split,
-)
+from .lp import HALF, CoverProgram, CoverSolution, lp_round
 
 
 @dataclass(frozen=True)
@@ -198,84 +191,56 @@ def _vertical_shrink(paths_by_id, constraint_ids) -> Rat:
 def solve_mds(inst: StabbedLInstance, want_details: bool = False):
     """8-approximate dominating set over the path intersection graph."""
     norm = normalize(inst)
-    neighborhoods, partition = build_graph(norm)
+    _, partition = build_graph(norm)
     by_id = {p.id: p for p in norm.paths}
     order = sorted(by_id)
     index_of = {pid: i for i, pid in enumerate(order)}
-
-    rows = tuple(
-        frozenset(index_of[v] for v in neighborhoods[u]) for u in order
-    )
-    program = CoverProgram(len(order), rows)
-    lp_sol = solve_lp(program)
-    parts = {
-        i: {
+    parts = [
+        {
             "h": frozenset(index_of[v] for v in partition.horizontal[u]),
             "v": frozenset(index_of[v] for v in partition.vertical[u]),
         }
-        for i, u in enumerate(order)
-    }
-    split = threshold_split(program, lp_sol, parts, HALF)
-    h_rows, h_vars = split.get("h", (frozenset(), frozenset()))
-    v_rows, v_vars = split.get("v", (frozenset(), frozenset()))
-    a1 = frozenset(order[i] for i in h_rows)
-    a2 = frozenset(order[i] for i in v_rows)
-    h_candidates = frozenset(order[j] for j in h_vars)
-    v_candidates = frozenset(order[j] for j in v_vars)
+        for u in order
+    ]
+    subs = {}
 
-    # horizontal half: constrained paths become leftward rays (x mirrored),
-    # candidate vertical legs stay exact
-    srs_inst = None
-    srs_selected: set[int] = set()
-    if a1:
-        srs_rays = tuple(
-            HRay(u, by_id[u].corner_y, -by_id[u].corner_x) for u in sorted(a1)
-        )
-        srs_segs = tuple(
-            VSeg(v, -by_id[v].corner_x, by_id[v].corner_y, by_id[v].corner_y + by_id[v].vlen)
-            for v in sorted(h_candidates)
-        )
-        srs_inst = srs.SrsInstance(srs_rays, srs_segs)
-        srs_selected, _ = srs.solve(srs_inst)
+    def ray(u):  # path u as a leftward ray, x mirrored
+        return HRay(u, by_id[u].corner_y, -by_id[u].corner_x)
 
-    # vertical half: candidate paths become leftward rays, constrained
-    # vertical legs lose a sliver above the corner so a path cannot satisfy
-    # its own row through the shared corner point
-    ssr_inst = None
-    ssr_selected: set[int] = set()
-    if a2:
-        delta = _vertical_shrink(by_id, a2)
-        ssr_rays = tuple(
-            HRay(v, by_id[v].corner_y, -by_id[v].corner_x) for v in sorted(v_candidates)
-        )
-        ssr_segs = tuple(
-            VSeg(u, -by_id[u].corner_x, by_id[u].corner_y + delta, by_id[u].corner_y + by_id[u].vlen)
-            for u in sorted(a2)
-        )
-        ssr_inst = ssr.normalize(ssr.SsrInstance(ssr_rays, ssr_segs))
-        ssr_selected = ssr.solve_fast(ssr_inst)
+    def vleg(u, lift=0):  # u's vertical leg, x mirrored, raised by lift
+        p = by_id[u]
+        return VSeg(u, -p.corner_x, p.corner_y + lift, p.corner_y + p.vlen)
 
-    chosen = frozenset(srs_selected) | frozenset(ssr_selected)
-    cert = SolveCertificate(
-        heuristic_ids=chosen,
-        heuristic_size=len(chosen),
-        lp_opt=lp_sol.objective_value,
-        claimed_ratio_bound=Fraction(8),
-    )
-    cert.validate()
+    def solve_label(label, rows, cands):
+        rows = sorted(order[i] for i in rows)
+        cands = sorted(order[j] for j in cands)
+        if label == "h":
+            # constrained paths become rays, candidate vertical legs stay exact
+            subs[label] = srs.SrsInstance(tuple(map(ray, rows)), tuple(map(vleg, cands)))
+            return srs.solve(subs[label])[0]
+        # candidate paths become rays, constrained vertical legs lose a
+        # sliver above the corner so a path cannot satisfy its own row
+        # through the shared corner point
+        delta = _vertical_shrink(by_id, rows)
+        segs = tuple(vleg(u, delta) for u in rows)
+        subs[label] = ssr.normalize(ssr.SsrInstance(tuple(map(ray, cands)), segs))
+        return ssr.solve_fast(subs[label])
+
+    res = lp_round(len(order), parts, HALF, solve_label, 8)
     if not want_details:
-        return cert
+        return res.certificate
+    (h_rows, h_vars), (v_rows, v_vars) = res.part("h"), res.part("v")
     details = StabbedLDetails(
-        program=program,
-        lp_solution=lp_sol,
+        program=res.program,
+        lp_solution=res.lp_solution,
         index_of=index_of,
-        h_rows=a1,
-        v_rows=a2,
-        h_candidates=h_candidates,
-        v_candidates=v_candidates,
-        srs_instance=srs_inst,
-        ssr_instance=ssr_inst,
-        srs_selected=frozenset(srs_selected),
-        ssr_selected=frozenset(ssr_selected),
+        h_rows=frozenset(order[i] for i in h_rows),
+        v_rows=frozenset(order[i] for i in v_rows),
+        h_candidates=frozenset(order[j] for j in h_vars),
+        v_candidates=frozenset(order[j] for j in v_vars),
+        srs_instance=subs.get("h"),
+        ssr_instance=subs.get("v"),
+        srs_selected=res.selected.get("h", frozenset()),
+        ssr_selected=res.selected.get("v", frozenset()),
     )
-    return cert, details
+    return res.certificate, details

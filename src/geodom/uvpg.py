@@ -2,8 +2,9 @@
 
 A path is a chain of unit-length legs, alternating between horizontal and
 vertical.  Two paths are adjacent when any pair of legs meets.  Domination
-is reduced, one contact label at a time, to segment covering with proper
-projections.
+is ``lp.lp_round`` over the domination LP with each row split by first-
+contact label (i, j); each label reduces to segment covering with proper
+projections, solved by ``psd.psd_solve``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Union
 
 from .errors import InvalidInputError, InvalidPathError
 from .geom import HSeg, OrthoInstance, Rat, VSeg, as_rat, properize
-from .lp import CoverProgram, CoverSolution, SolveCertificate, solve_lp, threshold_split
+from .lp import CoverProgram, CoverSolution, SolveCertificate, lp_round
 from .psd import psd_solve
 
 _STEP = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
@@ -236,52 +237,33 @@ def solve_mds(paths: list[UnitKBendPath], k: int, want_details: bool = False):
     contacts = build_graph(paths)
     order = tuple(sorted(contacts.neighborhoods))
     index_of = {pid: i for i, pid in enumerate(order)}
-    rows = tuple(
-        frozenset(index_of[v] for v in contacts.neighborhoods[u]) for u in order
-    )
-    program = CoverProgram(len(order), rows)
-    lp_sol = solve_lp(program)
-
-    theta = Fraction(1, (k + 1) ** 2)
-    parts = {}
-    for r, u in enumerate(order):
-        parts[r] = {
-            lab: frozenset(index_of[v] for v in vs)
-            for lab, vs in contacts.partition[u].items()
-        }
-    split = threshold_split(program, lp_sol, parts, theta)
-
+    parts = [
+        {lab: frozenset(index_of[v] for v in vs) for lab, vs in contacts.partition[u].items()}
+        for u in order
+    ]
     canon = {p.id: p.canonical() for p in paths}
-    chosen: set[int] = set()
     labels: dict[tuple[int, int], LabelOutcome] = {}
-    for label in sorted(split):
-        row_idx, var_idx = split[label]
-        row_paths = [canon[order[r]] for r in sorted(row_idx)]
-        var_paths = [canon[order[b]] for b in sorted(var_idx)]
+
+    def solve_label(label, rows, cands):
+        row_paths = [canon[order[r]] for r in sorted(rows)]
+        var_paths = [canon[order[b]] for b in sorted(cands)]
         inst, cand_owner = _label_instance(label, row_paths, var_paths)
         cert = psd_solve(properize(inst))
         picked = frozenset(cand_owner[rid] for rid in cert.heuristic_ids)
-        chosen |= picked
         labels[label] = LabelOutcome(
-            rows=frozenset(order[r] for r in row_idx),
-            vars=frozenset(order[b] for b in var_idx),
+            rows=frozenset(order[r] for r in rows),
+            vars=frozenset(order[b] for b in cands),
             certificate=cert,
             chosen_paths=picked,
         )
+        return picked
 
-    bound = Fraction(18 * (k + 1) ** 4)
-    cert = SolveCertificate(
-        heuristic_ids=frozenset(chosen),
-        heuristic_size=len(chosen),
-        lp_opt=lp_sol.objective_value,
-        claimed_ratio_bound=bound,
-    )
-    cert.validate()
+    res = lp_round(len(order), parts, Fraction(1, (k + 1) ** 2), solve_label, 18 * (k + 1) ** 4)
     if not want_details:
-        return cert
-    return cert, UvpgDetails(
-        program=program,
-        lp_solution=lp_sol,
+        return res.certificate
+    return res.certificate, UvpgDetails(
+        program=res.program,
+        lp_solution=res.lp_solution,
         order=order,
         contacts=contacts,
         labels=labels,

@@ -12,6 +12,7 @@ from geodom.lp import (
     HALF,
     CoverProgram,
     SolveCertificate,
+    lp_round,
     solve_ilp_exact,
     solve_lp,
     threshold_split,
@@ -119,6 +120,60 @@ def test_threshold_split_uncovered_row():
             threshold_split(prog, sol, parts, HALF)
     else:
         threshold_split(prog, sol, parts, HALF)
+
+
+# the triangle program (LP optimum 3/2, every x_j = 1/2) with labelled rows;
+# label "z" owns only an empty block, so no row ever reaches it
+TRIANGLE_PARTS = [
+    {"b": frozenset({0}), "a": frozenset({1}), "z": frozenset()},
+    {"c": frozenset({1, 2})},
+    {"a": frozenset({0}), "b": frozenset({2})},
+]
+
+
+def test_lp_round_solves_each_label_once_in_sorted_order():
+    calls = []
+
+    def solve_label(label, rows, vars_):
+        calls.append((label, rows, vars_))
+        return {10 + len(calls)}
+
+    res = lp_round(3, TRIANGLE_PARTS, HALF, solve_label, 2)
+    assert res.program.rows == (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+    assert res.lp_solution == solve_lp(res.program)
+    split = threshold_split(
+        res.program, res.lp_solution, dict(enumerate(TRIANGLE_PARTS)), HALF
+    )
+    assert res.split == split
+    assert calls == [
+        ("a", frozenset({0, 2}), frozenset({0, 1})),
+        ("b", frozenset({0, 2}), frozenset({0, 2})),
+        ("c", frozenset({1}), frozenset({1, 2})),
+    ]
+    assert [label for label, _, _ in calls] == sorted(split)
+    assert res.selected == {"a": {11}, "b": {12}, "c": {13}}
+    assert res.part("z") == (frozenset(), frozenset())
+    assert res.certificate == SolveCertificate(
+        heuristic_ids=frozenset({11, 12, 13}),
+        heuristic_size=3,
+        lp_opt=F(3, 2),
+        claimed_ratio_bound=F(2),
+    )
+
+
+def test_lp_round_never_calls_an_absent_label():
+    seen = []
+    lp_round(3, TRIANGLE_PARTS, HALF, lambda label, rows, vars_: seen.append(label) or {label}, 3)
+    assert "z" not in seen and seen == ["a", "b", "c"]
+
+
+def test_lp_round_validates_the_certificate():
+    # 3 ids against ratio 1 x LP 3/2 breaks the claimed bound
+    with pytest.raises(InvalidInputError, match="claimed ratio bound violated"):
+        lp_round(3, TRIANGLE_PARTS, HALF, lambda label, rows, vars_: {label}, 1)
+    # no ids at all is below the LP lower bound
+    with pytest.raises(InvalidInputError, match="smaller than the LP"):
+        lp_round(3, TRIANGLE_PARTS, HALF, lambda label, rows, vars_: set(), 2)
 
 
 def test_certificate_validation():

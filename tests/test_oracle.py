@@ -20,10 +20,13 @@ from geodom import (
 )
 from geodom.errors import (
     InfeasibleConstraintError,
+    InfeasibleError,
     InfeasibleRayError,
     InfeasibleSegmentError,
+    InfeasibleTargetError,
     InvalidInputError,
     SizeCapExceededError,
+    UnmetConstraintError,
 )
 from geodom import instances, lp, oracle, srs, ssr
 
@@ -168,6 +171,22 @@ def test_stab_infeasible_kinds():
     assert e3.value.constraint_id == 1
     with pytest.raises(InvalidInputError):
         exact_stab("not an instance")
+
+
+@pytest.mark.parametrize(
+    "cls, role, message",
+    [
+        (InfeasibleSegmentError, "segment", "segment 7 intersects no ray"),
+        (InfeasibleRayError, "ray", "ray 7 intersects no segment"),
+        (InfeasibleTargetError, "target", "target 7 intersects no candidate"),
+        (InfeasibleConstraintError, "constraint", "constraint 7 intersects no candidate"),
+    ],
+)
+def test_unmet_constraint_errors_share_one_class(cls, role, message):
+    exc = cls(7)
+    assert isinstance(exc, UnmetConstraintError) and isinstance(exc, InfeasibleError)
+    assert (exc.id, exc.role, str(exc)) == (7, role, message)
+    assert getattr(exc, f"{role}_id") == 7
 
 
 def test_size_cap():

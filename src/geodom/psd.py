@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from . import ssr
@@ -33,6 +32,7 @@ from .geom import (
     to_ints,
 )
 from .lp import HALF, CoverProgram, CoverSolution, SolveCertificate, lp_round
+from .lp import solve_lp  # noqa: F401  re-exported: perfbench's tracer tests rebind psd.solve_lp
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ if __name__ == "__main__":
 
 from geodom import cli, instances, lp, psd, srs, ssr, stabbedl, uvpg  # noqa: E402
 from geodom.errors import GeodomError, InfeasibleError, InfeasibleSegmentError, InvalidInputError  # noqa: E402
-from geodom.geom import HRay, HSeg, OrthoInstance, VSeg  # noqa: E402
+from geodom.geom import HRay, OrthoInstance, VSeg  # noqa: E402
 
 from test_acceptance import _big_ssr  # noqa: E402
 from test_psd import proper_hsegs  # noqa: E402

@@ -214,6 +214,8 @@ def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool =
     index_of = {cid: i for i, cid in enumerate(order)}
     cand_by_id = {c.id: c for c in candidates}
     target_by_id = {t.id: t for t in targets}
+    if len(target_by_id) != len(targets):
+        raise InvalidInputError("duplicate target ids")
 
     dec = build_strips(candidates, targets)
     row_targets = sorted(targets, key=lambda t: t.id)

@@ -149,6 +149,15 @@ def test_poss_unreachable_target():
     assert exc.value.target_id == 3
 
 
+def test_poss_rejects_duplicate_target_ids():
+    # rows come from the strip decomposition, which is keyed by target id,
+    # so the unreachable first twin would otherwise take the second's row
+    cands = [HSeg(0, F(0), F(0), F(4))]
+    twins = [VSeg(1, F(9), F(5), F(6)), VSeg(1, F(1), F(-1), F(1))]
+    with pytest.raises(InvalidInputError, match="duplicate target ids"):
+        psd.poss_solve(cands, twins)
+
+
 def test_poss_single_candidate():
     cands = [HSeg(0, F(1), F(0), F(4))]
     targets = [VSeg(0, F(1), F(0), F(2)), VSeg(1, F(3), F(1), F(5))]

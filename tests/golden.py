@@ -10,8 +10,9 @@ selections, the ssr ``TokenTrace`` and the ``SrsTrace``; for stabbed_l,
 ortho_psd, unit_bk (k = 0..2) and ``psd.poss_solve`` called directly,
 the ``solve_lp`` values and duals on the pipeline's program, its
 ``SolveCertificate`` and its ``*Details``, or the (error type, id) it
-raised; and the bytes (or exit code and message) of
-``geodom solve --certify`` for all five kinds.  Sets and dict keys are
+raised; the bytes (or exit code and message) of
+``geodom solve --certify`` for all five kinds; and the bytes (or exit code
+and message) of ``geodom solve --trace`` files for ssr and srs.  Sets and dict keys are
 sorted before printing, so a hash moves only when some value does, never
 with the iteration order of a set.  Regenerating the file is a behaviour
 change: list every changed case with the reason.
@@ -113,6 +114,7 @@ def cases():
     for i in range(300):
         yield from _ssr_cases(f"ssr/kernel{i}", kernel_instance(krng), i < 60)
     yield from pipeline_cases()
+    yield from trace_cases()
 
 
 def _error(exc: GeodomError):
@@ -175,17 +177,20 @@ def _unreachable(f: instances.InstanceFile) -> instances.InstanceFile:
     return instances.InstanceFile(f.kind, type(data)(tuple(rays), tuple(segs)))
 
 
-def _certify_file(f: instances.InstanceFile, cap: int):
-    """``geodom solve --certify`` on the instance: the solution file's
-    text, or the exit code and the error message."""
+def _solve_file(f: instances.InstanceFile, flags: list[str], trace: bool = False):
+    """``geodom solve`` with ``flags`` on the instance: the text of the
+    solution file (of the ``--trace`` file when ``trace``), or the exit code
+    and the error message."""
     with tempfile.TemporaryDirectory() as tmp:
-        src, out = Path(tmp) / "inst.json", Path(tmp) / "sol.json"
+        src, out, tr = (Path(tmp) / name for name in ("inst.json", "sol.json", "trace.json"))
         instances.dump(f, str(src))
-        argv = ["solve", "--alg", cli._ALG_FOR_KIND[f.kind], "-i", str(src), "-o", str(out), "--certify", "--cap", str(cap)]
+        argv = ["solve", "--alg", cli._ALG_FOR_KIND[f.kind], "-i", str(src), "-o", str(out), *flags]
+        if trace:
+            argv += ["--trace", str(tr)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.run_cli(argv)
-        return out.read_text() if code == 0 else (code, err.getvalue())
+        return (tr if trace else out).read_text() if code == 0 else (code, err.getvalue())
 
 
 def pipeline_cases():
@@ -232,7 +237,20 @@ def pipeline_cases():
                 f = instances.InstanceFile(kind, _with_roles(rng, f.data))
             if kind in ("ssr", "srs") and i % 4 == 3:
                 f = _unreachable(f)
-            yield f"certify/{kind}/{i}", _certify_file(f, 10)
+            yield f"certify/{kind}/{i}", _solve_file(f, ["--certify", "--cap", "10"])
+
+
+def trace_cases():
+    """(name, output) for the ``geodom solve --trace`` files of ssr and srs."""
+    rng = random.Random(8080)
+    for kind in ("ssr", "srs"):
+        for i in range(30):
+            n = rng.choice([3, 8, 15])
+            params = {"n": n, "m": rng.randint(1, n + 3), "coord_range": rng.choice([4, 12, 40])}
+            f = instances.generate(kind, params, rng.randrange(10**9))
+            if i % 10 == 9:
+                f = _unreachable(f)
+            yield f"trace/{kind}/{i}", _solve_file(f, [], trace=True)
 
 
 def digest(value) -> str:

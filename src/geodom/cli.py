@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -139,52 +139,18 @@ def _exact_size(f: InstanceFile, cap: Optional[int]) -> set[int]:
     return oracle.exact_mds(AbstractGraph(n, tuple(neighborhoods[u] for u in range(n))), cap)
 
 
-def _ssr_trace_payload(trace: ssr.TokenTrace) -> dict:
-    def tok(tokens: dict) -> dict:
-        return {str(rid): sorted(members) for rid, members in tokens.items()}
-
-    return {
-        "iterations": [
-            {
-                "index": it.index,
-                "live_rays": sorted(it.live_rays),
-                "live_segments": sorted(it.live_segments),
-                "selected": sorted(it.selected),
-                "tokens": tok(it.tokens),
-            }
-            for it in trace.iterations
-        ],
-        "events": [
-            {
-                "iteration": ev.iteration,
-                "ray": ev.ray,
-                "witness": ev.witness,
-                "ray_token": sorted(ev.ray_token),
-                "witness_input_stabbers": sorted(ev.witness_input_stabbers),
-                "other_tokens": tok(ev.other_tokens),
-            }
-            for ev in trace.events
-        ],
-        "final_tokens": tok(trace.final_tokens),
-        "selected": sorted(trace.selected),
-    }
-
-
-def _srs_trace_payload(trace: srs.SrsTrace) -> dict:
-    return {
-        "rounds": [
-            {
-                "index": rd.index,
-                "chosen_ray": rd.chosen_ray,
-                "neighborhood": sorted(rd.neighborhood),
-                "v_top": rd.v_top,
-                "v_bot": rd.v_bot,
-                "removed_rays": sorted(rd.removed_rays),
-            }
-            for rd in trace.rounds
-        ],
-        "tokens": {str(sid): sorted(members) for sid, members in trace.tokens.items()},
-    }
+def _trace_payload(x):
+    """A ``TokenTrace`` or ``SrsTrace`` as JSON values: a dataclass becomes
+    an object keyed by its field names, map keys become strings, and every
+    collection of ids is sorted."""
+    if is_dataclass(x):
+        return {f.name: _trace_payload(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, dict):
+        return {str(k): _trace_payload(v) for k, v in x.items()}
+    if isinstance(x, (tuple, frozenset)):
+        items = [_trace_payload(v) for v in x]
+        return sorted(items) if all(isinstance(v, int) for v in items) else items
+    return x
 
 
 def _certificate_payload(cert: SolveCertificate) -> dict:
@@ -215,11 +181,11 @@ def _solve_for(f: InstanceFile, want_trace: bool):
         norm = ssr.normalize(data)
         if want_trace:
             sel, trace = ssr.solve(norm, want_trace=True)
-            return sel, None, _ssr_trace_payload(trace)
+            return sel, None, _trace_payload(trace)
         return ssr.solve_fast(norm), None, None
     if isinstance(data, SrsInstance):
         sel, trace = srs.solve(data, want_trace=want_trace)
-        return sel, None, _srs_trace_payload(trace) if want_trace else None
+        return sel, None, _trace_payload(trace) if want_trace else None
     if isinstance(data, StabbedLInstance):
         return None, stabbedl.solve_mds(data), None
     if isinstance(data, OrthoInstance):

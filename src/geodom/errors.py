@@ -3,10 +3,19 @@
 Exit-code mapping used by the CLI: InputError -> 3, InfeasibleError -> 2,
 SizeCapExceededError -> 4.
 """
+import copyreg
 
 
 class GeodomError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Pickling and copying rebuild an error through ``cls.__new__`` and then
+    restore ``args`` and the attributes, so no custom ``__init__`` is
+    replayed on a message it has already formatted.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self),), {**self.__dict__, "args": self.args}
 
 
 class InputError(GeodomError):

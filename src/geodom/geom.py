@@ -114,39 +114,12 @@ def intersects(a: GeomObject, b: GeomObject) -> bool:
     raise InvalidInputError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
 
 
-def to_ints(values: Iterable[Rat], scale: int) -> list[int]:
-    """``values`` multiplied by ``scale``, a multiple of every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-class IntCoords(NamedTuple):
-    """Rays and vertical segments with each axis scaled to exact ints.
-
-    Each axis is multiplied by the LCM of its denominators (``y_scale``,
-    ``x_scale``).  Every ray/segment predicate compares coordinates of a
-    single axis, so the ints order and tie exactly as the rationals do.
-    Lists follow the input order.
-    """
-
-    y_scale: int
-    ray_y: list[int]
-    seg_lo: list[int]
-    seg_hi: list[int]
-    x_scale: int
-    reach: list[int]
-    seg_x: list[int]
-
-
-def int_coords(rays: Sequence[HRay], segs: Sequence[VSeg]) -> IntCoords:
-    """Scale both axes of a ray/segment family to ints (see ``IntCoords``)."""
-    ys, los, his = [r.y for r in rays], [v.y_lo for v in segs], [v.y_hi for v in segs]
-    reaches, xs = [r.x_right for r in rays], [v.x for v in segs]
-    ly = math.lcm(*{v.denominator for g in (ys, los, his) for v in g})
-    lx = math.lcm(*{v.denominator for g in (reaches, xs) for v in g})
-    return IntCoords(
-        ly, to_ints(ys, ly), to_ints(los, ly), to_ints(his, ly),
-        lx, to_ints(reaches, lx), to_ints(xs, lx),
-    )
+def scaled(*families: Sequence[Rat]) -> tuple[int, list[list[int]]]:
+    """``(scale, ints)``: ``scale`` is the LCM of every denominator in the
+    families, and ``ints`` holds each family times ``scale``.  Ints on one
+    scale order, tie and subtract exactly as the rationals do."""
+    scale = math.lcm(*{v.denominator for fam in families for v in fam})
+    return scale, [[v.numerator * (scale // v.denominator) for v in fam] for fam in families]
 
 
 class StabColumns(NamedTuple):
@@ -165,6 +138,18 @@ class StabColumns(NamedTuple):
     y_scale: int
     x_shift: int
     x_scale: int
+
+
+def int_coords(rays: Sequence[HRay], segs: Sequence[VSeg]) -> StabColumns:
+    """The columns of a ray/segment family, unshifted, each axis on its own
+    ``scaled`` scale.  Every ray/segment predicate compares coordinates of
+    a single axis, so the ints order and tie exactly as the rationals do."""
+    ly, (ray_y, seg_lo, seg_hi) = scaled(
+        [r.y for r in rays], [v.y_lo for v in segs], [v.y_hi for v in segs]
+    )
+    lx, (reach, seg_x) = scaled([r.x_right for r in rays], [v.x for v in segs])
+    ray_id, seg_id = [r.id for r in rays], [v.id for v in segs]
+    return StabColumns(ray_id, ray_y, reach, seg_id, seg_x, seg_lo, seg_hi, 0, ly, 0, lx)
 
 
 def materialize(c: StabColumns) -> tuple[tuple[HRay, ...], tuple[VSeg, ...]]:
@@ -265,7 +250,7 @@ def _scaled_families(inst: OrthoInstance) -> tuple[int, list[list[int]]]:
     """The six endpoint families of ``coordinate_family_gap`` (VSeg.x,
     VSeg.y_lo, VSeg.y_hi, HSeg.y, HSeg.x_lo, HSeg.x_hi) as ints on one scale
     shared by both axes, so differences compare across axes too."""
-    families = (
+    return scaled(
         [s.x for s in inst.vsegs],
         [s.y_lo for s in inst.vsegs],
         [s.y_hi for s in inst.vsegs],
@@ -273,8 +258,6 @@ def _scaled_families(inst: OrthoInstance) -> tuple[int, list[list[int]]]:
         [s.x_lo for s in inst.hsegs],
         [s.x_hi for s in inst.hsegs],
     )
-    scale = math.lcm(*{v.denominator for fam in families for v in fam})
-    return scale, [to_ints(fam, scale) for fam in families]
 
 
 def _family_gap(families: Iterable[Sequence[int]]) -> Optional[int]:

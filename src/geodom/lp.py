@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Optional
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     SizeCapExceededError,
     UncoveredRowError,
 )
-from .geom import Rat
+from .geom import Rat, scaled
 
 DEFAULT_SIZE_CAP = 24
 
@@ -79,7 +79,7 @@ class CoverSolution:
     def check_feasible(self, program: CoverProgram) -> None:
         if len(self.values) != program.num_vars:
             raise InvalidInputError("solution length mismatch")
-        xs, scale = _scaled(self.values)
+        scale, (xs,) = scaled(self.values)
         for x in xs:
             if not (0 <= x <= scale):
                 raise InvalidInputError("variable value outside [0,1]")
@@ -96,7 +96,7 @@ class CoverSolution:
     def _check_duals(self, program: CoverProgram) -> None:
         if len(self.duals) != len(program.rows):
             raise InvalidInputError("dual length mismatch")
-        ys, scale = _scaled(self.duals)
+        scale, (ys,) = scaled(self.duals)
         if any(y < 0 for y in ys):
             raise InvalidInputError("negative dual multiplier")
         colsum = [0] * program.num_vars
@@ -107,12 +107,6 @@ class CoverSolution:
         bound = sum(ys) - sum(c - scale for c in colsum if c > scale)
         if Fraction(bound, scale) != self.objective_value:
             raise InvalidInputError("dual bound differs from objective_value")
-
-
-def _scaled(rats) -> tuple[list[int], int]:
-    """The rationals times the lcm of their denominators, and that lcm."""
-    scale = lcm(*{v.denominator for v in rats})
-    return [v.numerator * (scale // v.denominator) for v in rats], scale
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,9 @@ or by orientation (same/cross), and each label is solved on its own.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import ssr
 from .errors import (
@@ -29,7 +28,7 @@ from .geom import (
     VSeg,
     containment_violation,
     intersects,
-    to_ints,
+    scaled,
 )
 from .lp import HALF, CoverProgram, CoverSolution, SolveCertificate, lp_round
 from .lp import solve_lp  # noqa: F401  re-exported: perfbench's tracer tests rebind psd.solve_lp
@@ -68,25 +67,22 @@ class ProperIntervalSet:
         return {iv.id: iv for iv in self.intervals}
 
 
-def _interval_cover(candidates, targets) -> set[int]:
-    """Minimum subset of candidate intervals meeting every target interval.
+def _interval_cover(targets, hits, hi) -> set[int]:
+    """Minimum set of candidate ids meeting every target id.
 
-    Greedy over targets by right endpoint, always taking the deepest-
-    reaching candidate; exchange argument makes this optimal for arbitrary
-    intervals (properness is only needed for LP integrality, not here).
+    ``hits[t]`` holds the candidates meeting target t, all of them on t's
+    line, and ``hi`` maps every id to its interval's right end.  Greedy over
+    targets by right end, taking the deepest-reaching hit of each target no
+    chosen candidate meets yet; an exchange argument makes this optimal for
+    arbitrary intervals (properness is only needed for LP integrality, not
+    here).  Targets on different lines share no hit, so each line is
+    covered on its own.
     """
-    chosen: list[Interval] = []
-    chosen_ids: set[int] = set()
-    for t in sorted(targets, key=lambda iv: (iv.hi, iv.id)):
-        if any(c.meets(t) for c in chosen):
-            continue
-        hits = [c for c in candidates if c.meets(t)]
-        if not hits:
-            raise InfeasibleTargetError(t.id)
-        best = min(hits, key=lambda c: (-c.hi, c.id))
-        chosen.append(best)
-        chosen_ids.add(best.id)
-    return chosen_ids
+    chosen: set[int] = set()
+    for t in sorted(targets, key=lambda t: (hi[t], t)):
+        if chosen.isdisjoint(hits[t]):
+            chosen.add(min(hits[t], key=lambda c: (-hi[c], c)))
+    return chosen
 
 
 def spid_exact(s: ProperIntervalSet, t_ids) -> set[int]:
@@ -96,8 +92,8 @@ def spid_exact(s: ProperIntervalSet, t_ids) -> set[int]:
     missing = t_ids - set(table)
     if missing:
         raise InvalidInputError(f"target ids not in the interval set: {sorted(missing)}")
-    targets = [table[i] for i in sorted(t_ids)]
-    return _interval_cover(list(s.intervals), targets)
+    hits = {t: [iv.id for iv in s.intervals if iv.meets(table[t])] for t in t_ids}
+    return _interval_cover(t_ids, hits, {iv.id: iv.hi for iv in s.intervals})
 
 
 @dataclass(frozen=True)
@@ -283,32 +279,6 @@ def _rotate_v(seg: VSeg) -> HSeg:
     return HSeg(seg.id, seg.x, seg.y_lo, seg.y_hi)
 
 
-def _collinear_exact(
-    constraints: list[Union[HSeg, VSeg]], candidates: list[Union[HSeg, VSeg]]
-) -> set[int]:
-    """Exact same-orientation cover: decompose per carrier line, then cover
-    intervals greedily.  Parallel segments only meet when collinear, so the
-    blocks are independent and their union is optimal."""
-
-    def key_and_interval(seg):
-        if isinstance(seg, HSeg):
-            return ("h", seg.y), Interval(seg.id, seg.x_lo, seg.x_hi)
-        return ("v", seg.x), Interval(seg.id, seg.y_lo, seg.y_hi)
-
-    def by_line(segs) -> dict[object, list[Interval]]:
-        out: dict[object, list[Interval]] = {}
-        for seg in segs:
-            key, iv = key_and_interval(seg)
-            out.setdefault(key, []).append(iv)
-        return out
-
-    cands_by_line, targets_by_line = by_line(candidates), by_line(constraints)
-    chosen: set[int] = set()
-    for key in sorted(targets_by_line, key=str):
-        chosen |= _interval_cover(cands_by_line.get(key, []), targets_by_line[key])
-    return chosen
-
-
 def _cover_rows(table, horiz, constraints, cand_order):
     """(same, cross) candidate-index sets meeting each constraint, in order.
 
@@ -323,8 +293,8 @@ def _cover_rows(table, horiz, constraints, cand_order):
     x_vals += [s.x_hi if h else s.x for s, h in zip(segs, is_h)]
     y_vals = [s.y if h else s.y_lo for s, h in zip(segs, is_h)]
     y_vals += [s.y if h else s.y_hi for s, h in zip(segs, is_h)]
-    xs = to_ints(x_vals, math.lcm(*{v.denominator for v in x_vals}))
-    ys = to_ints(y_vals, math.lcm(*{v.denominator for v in y_vals}))
+    _, (xs,) = scaled(x_vals)
+    _, (ys,) = scaled(y_vals)
     n = len(segs)
     # (line, lo, hi): the carrier line (y or x) and the span along it
     spans = [
@@ -378,10 +348,13 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
     poss_certs: list[SolveCertificate] = []
 
     def solve_label(label, rows, cands):
+        if label == "same":
+            # a same block holds only contacts on the constraint's own line
+            hits = {constraints[i]: [cand_order[j] for j in parts[i]["same"]] for i in rows}
+            hi = {s.id: s.x_hi for s in inst.hsegs} | {s.id: s.y_hi for s in inst.vsegs}
+            return _interval_cover(hits, hits, hi)
         targets = [table[constraints[i]] for i in sorted(rows)]
         pool = [table[cand_order[j]] for j in sorted(cands)]
-        if label == "same":
-            return _collinear_exact(targets, pool)
         selected: set[int] = set()
         v_targets = [u for u in targets if u.id not in horiz]
         if v_targets:

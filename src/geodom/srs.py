@@ -46,49 +46,48 @@ def solve(inst: SrsInstance, want_trace: bool = False):
     chosen reach >= the kept segments' x, so the rays they touch are the
     live ranks inside their y-ranges.
     """
-    rays, segs = inst.rays, inst.segments
-    c = int_coords(rays, segs)
-    by_y = sorted(range(len(rays)), key=c.ray_y.__getitem__)
+    c = int_coords(inst.rays, inst.segments)
+    n, m = len(c.ray_id), len(c.seg_id)
+    by_y = sorted(range(n), key=c.ray_y.__getitem__)
     ys = [c.ray_y[i] for i in by_y]
-    rank_of = [0] * len(rays)
+    rank_of = [0] * n
     for k, i in enumerate(by_y):
         rank_of[i] = k
     # y-rank window of the rays each segment can touch (empty when a > b)
     span = [(bisect_left(ys, a), bisect_right(ys, b) - 1) for a, b in zip(c.seg_lo, c.seg_hi)]
-    by_x = sorted(range(len(segs)), key=c.seg_x.__getitem__)
+    by_x = sorted(range(m), key=c.seg_x.__getitem__)
 
-    live = LiveRanks(len(rays))  # y-ranks of live rays
-    store = IntervalStore(len(rays))
-    tokens: dict[int, frozenset[int]] = {v.id: frozenset() for v in segs}
+    live = LiveRanks(n)  # y-ranks of live rays
+    store = IntervalStore(n)
+    tokens: dict[int, frozenset[int]] = dict.fromkeys(c.seg_id, frozenset())
     selected: set[int] = set()
     rounds: list[SrsRound] = []
     act = 0
-    for i in sorted(range(len(rays)), key=lambda i: (c.reach[i], rays[i].id)):
+    for i in sorted(range(n), key=lambda i: (c.reach[i], c.ray_id[i])):
         rank = rank_of[i]
         if rank not in live:
             continue
-        while act < len(segs) and c.seg_x[by_x[act]] <= c.reach[i]:
+        while act < m and c.seg_x[by_x[act]] <= c.reach[i]:
             a, b = span[by_x[act]]
             if a <= b:
                 store.insert(by_x[act], a, b)
             act += 1
         hood = store.stab_pop(rank)
         if not hood:
-            raise InfeasibleRayError(rays[i].id)
-        top = min(hood, key=lambda j: (-c.seg_hi[j], segs[j].id))
-        bot = min(hood, key=lambda j: (c.seg_lo[j], segs[j].id))
-        hood_ids = frozenset(segs[j].id for j in hood)
-        selected.add(segs[top].id)
-        selected.add(segs[bot].id)
-        tokens[segs[top].id] = hood_ids
-        tokens[segs[bot].id] = hood_ids
+            raise InfeasibleRayError(c.ray_id[i])
+        top = min(hood, key=lambda j: (-c.seg_hi[j], c.seg_id[j]))
+        bot = min(hood, key=lambda j: (c.seg_lo[j], c.seg_id[j]))
+        hood_ids = frozenset(c.seg_id[j] for j in hood)
+        v_top, v_bot = c.seg_id[top], c.seg_id[bot]
+        selected.add(v_top)
+        selected.add(v_bot)
+        tokens[v_top] = hood_ids
+        tokens[v_bot] = hood_ids
         # filled as a set in rank order, so each removed_rays frozenset
         # iterates, and the trace prints, exactly as in earlier versions
         gone = set(live.pop_range(*span[top]) + live.pop_range(*span[bot]))
         if want_trace:
-            removed = frozenset(rays[by_y[k]].id for k in gone)
-            rounds.append(
-                SrsRound(len(rounds) + 1, rays[i].id, hood_ids, segs[top].id, segs[bot].id, removed)
-            )
+            removed = frozenset(c.ray_id[by_y[k]] for k in gone)
+            rounds.append(SrsRound(len(rounds) + 1, c.ray_id[i], hood_ids, v_top, v_bot, removed))
     trace = SrsTrace(tuple(rounds), dict(tokens)) if want_trace else None
     return selected, trace

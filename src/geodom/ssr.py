@@ -133,37 +133,24 @@ def _initial_unique_stabbers(
     return out
 
 
-def _compress(
-    ray_id: list[int],
-    ray_y: list[int],
-    reach: list[int],
-    seg_id: list[int],
-    seg_lo: list[int],
-    seg_hi: list[int],
-    seg_x: list[int],
-) -> _Compressed:
-    """Rank space of rays and segments given as ints, one scale per axis
-    (x values may be any keys with the abscissas' order and ties).  Raises
-    on repeated ray heights or a segment with no stabber."""
+def _compress(c: StabColumns) -> _Compressed:
+    """Rank space of int columns.  Ranks depend only on each axis's order
+    and ties, so shifts and scales are ignored (and x values may be any
+    keys with the abscissas' order and ties).  Raises on repeated ray
+    heights or a segment with no stabber."""
+    ray_id, ray_y, reach = c.ray_id, c.ray_y, c.reach
     n = len(ray_y)
     if len(set(ray_y)) != n:
         raise InvalidInputError("rays must have pairwise distinct y")
     order = sorted(range(n), key=ray_y.__getitem__)
     ys = [ray_y[i] for i in order]
-    x_rank = {x: k for k, x in enumerate(sorted({*reach, *seg_x}))}
+    x_rank = {x: k for k, x in enumerate(sorted({*reach, *c.seg_x}))}
     reach = [x_rank[reach[i]] for i in order]
-    seg_x = [x_rank[x] for x in seg_x]
-    seg_lo = [bisect_left(ys, a) for a in seg_lo]
-    seg_hi = [bisect_right(ys, b) - 1 for b in seg_hi]
-    unique = _initial_unique_stabbers(reach, seg_id, seg_x, seg_lo, seg_hi)
-    return _Compressed([ray_id[i] for i in order], reach, seg_id, seg_x, seg_lo, seg_hi, unique)
-
-
-def _build(inst: SsrInstance) -> _Compressed:
-    c = int_coords(inst.rays, inst.segments)
-    ray_ids = [r.id for r in inst.rays]
-    seg_ids = [v.id for v in inst.segments]
-    return _compress(ray_ids, c.ray_y, c.reach, seg_ids, c.seg_lo, c.seg_hi, c.seg_x)
+    seg_x = [x_rank[x] for x in c.seg_x]
+    seg_lo = [bisect_left(ys, a) for a in c.seg_lo]
+    seg_hi = [bisect_right(ys, b) - 1 for b in c.seg_hi]
+    unique = _initial_unique_stabbers(reach, c.seg_id, seg_x, seg_lo, seg_hi)
+    return _Compressed([ray_id[i] for i in order], reach, c.seg_id, seg_x, seg_lo, seg_hi, unique)
 
 
 def normalize(inst: SsrInstance) -> SsrInstance:
@@ -189,9 +176,7 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     if not rays and not segs:
         return inst
     c = int_coords(rays, segs)
-    ly, lx = c.y_scale, c.x_scale
-    ray_ids = [r.id for r in rays]
-    seg_ids = [v.id for v in segs]
+    ly, lx, seg_ids = c.y_scale, c.x_scale, c.seg_id
 
     # translate so the least x and the least y both become 1
     tx = lx - min(c.seg_x + c.reach)
@@ -228,11 +213,12 @@ def normalize(inst: SsrInstance) -> SsrInstance:
         reach = [x * den for x in c.reach]
         x_scale, x_shift = lx * den, tx * den
 
-    # raises on repeated ray heights or an unstabbable segment
-    comp = _compress(ray_ids, c.ray_y, reach, seg_ids, seg_lo, seg_hi, seg_x)
-    columns = StabColumns(
-        ray_ids, c.ray_y, reach, seg_ids, seg_x, seg_lo, seg_hi, ty, ly, x_shift, x_scale
+    columns = c._replace(
+        reach=reach, seg_id=seg_ids, seg_x=seg_x, seg_lo=seg_lo, seg_hi=seg_hi,
+        y_shift=ty, x_shift=x_shift, x_scale=x_scale,
     )
+    # raises on repeated ray heights or an unstabbable segment
+    comp = _compress(columns)
     out = SsrInstance.from_columns(columns)
     object.__setattr__(out, "_sweep_data", comp)
     return out
@@ -408,7 +394,7 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     """
     comp = inst.__dict__.pop("_sweep_data", None)
     if comp is None and inst.segments:
-        comp = _build(inst)
+        comp = _compress(int_coords(inst.rays, inst.segments))
     if comp is None or not comp.seg_id:
         return set()
     ray_id, reach, seg_id, seg_x, seg_lo, seg_hi, unique = comp

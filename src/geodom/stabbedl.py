@@ -8,14 +8,13 @@ ray/segment stabbing problems ``srs`` and ``ssr``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import srs, ssr
 from .errors import AssumptionViolationError, InvalidInputError
-from .geom import HRay, HSeg, Rat, VSeg, to_ints
+from .geom import HRay, HSeg, Rat, VSeg, scaled
 from .lp import HALF, CoverProgram, CoverSolution, lp_round
 
 
@@ -113,12 +112,10 @@ def build_graph(inst: StabbedLInstance):
     input-order pair sequence of the all-pairs definition.
     """
     paths = inst.paths
-    lx = math.lcm(*{v.denominator for p in paths for v in (p.corner_x, p.hlen)})
-    ly = math.lcm(*{v.denominator for p in paths for v in (p.corner_y, p.vlen)})
-    x0 = to_ints([p.corner_x for p in paths], lx)
-    x1 = [a + b for a, b in zip(x0, to_ints([p.hlen for p in paths], lx))]
-    y0 = to_ints([p.corner_y for p in paths], ly)
-    y1 = [a + b for a, b in zip(y0, to_ints([p.vlen for p in paths], ly))]
+    _, (x0, hlen) = scaled([p.corner_x for p in paths], [p.hlen for p in paths])
+    _, (y0, vlen) = scaled([p.corner_y for p in paths], [p.vlen for p in paths])
+    x1 = [a + b for a, b in zip(x0, hlen)]
+    y1 = [a + b for a, b in zip(y0, vlen)]
     n = len(paths)
     by_height = sorted(range(n), key=y0.__getitem__)
     # (i, j, j's vertical leg meets i's horizontal one, and vice versa), i < j

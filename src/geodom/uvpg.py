@@ -8,13 +8,12 @@ projections, solved by ``psd.psd_solve``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidInputError, InvalidPathError
-from .geom import HSeg, OrthoInstance, Rat, VSeg, as_rat, properize
+from .geom import HSeg, OrthoInstance, Rat, VSeg, as_rat, properize, scaled
 from .lp import CoverProgram, CoverSolution, SolveCertificate, lp_round
 from .psd import psd_solve
 
@@ -86,15 +85,14 @@ class ContactStructure:
     partition: dict[int, dict[tuple[int, int], frozenset[int]]]
 
 
-def _leg_boxes(path: UnitKBendPath, lx: int, ly: int) -> list[tuple[int, int, int, int]]:
-    """Legs as closed boxes (x_lo, x_hi, y_lo, y_hi), axes scaled by lx, ly.
+def _leg_boxes(legs: tuple[str, ...], x: int, y: int, lx: int, ly: int) -> list[tuple[int, int, int, int]]:
+    """Legs as closed boxes (x_lo, x_hi, y_lo, y_hi), axes scaled by lx, ly,
+    walked from the start point (x, y) on those scales.
 
     A leg is its own box, so two legs meet exactly when their boxes do.
     """
-    x = path.start_x.numerator * (lx // path.start_x.denominator)
-    y = path.start_y.numerator * (ly // path.start_y.denominator)
     boxes = []
-    for d in path.legs:
+    for d in legs:
         dx, dy = _STEP[d]
         nx, ny = x + dx * lx, y + dy * ly
         boxes.append((min(x, nx), max(x, nx), min(y, ny), max(y, ny)))
@@ -120,9 +118,9 @@ def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
     canon = {p.id: p.canonical() for p in paths}
     order = sorted(canon)
     # every point of a path is its start plus whole steps
-    lx = math.lcm(*{p.start_x.denominator for p in canon.values()})
-    ly = math.lcm(*{p.start_y.denominator for p in canon.values()})
-    legs = {pid: _leg_boxes(p, lx, ly) for pid, p in canon.items()}
+    lx, (xs,) = scaled([p.start_x for p in canon.values()])
+    ly, (ys,) = scaled([p.start_y for p in canon.values()])
+    legs = {pid: _leg_boxes(p.legs, x, y, lx, ly) for (pid, p), x, y in zip(canon.items(), xs, ys)}
     bbox = {}
     for pid, boxes in legs.items():
         x_lo, x_hi, y_lo, y_hi = zip(*boxes)

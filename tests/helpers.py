@@ -869,3 +869,50 @@ def reference_psd_rows(inst):
         cross = frozenset(index_of[c] for c in hits if (c in horiz) != (u in horiz))
         out.append((same, cross))
     return out, None
+
+
+def reference_interval_cover(candidates, targets) -> set:
+    """Minimum subset of candidate intervals meeting every target interval:
+    ``psd._interval_cover`` as it was on ``psd.Interval`` objects, greedy
+    over targets by right endpoint, always taking the deepest-reaching
+    candidate."""
+    from geodom.errors import InfeasibleTargetError
+
+    chosen = []
+    chosen_ids = set()
+    for t in sorted(targets, key=lambda iv: (iv.hi, iv.id)):
+        if any(c.meets(t) for c in chosen):
+            continue
+        hits = [c for c in candidates if c.meets(t)]
+        if not hits:
+            raise InfeasibleTargetError(t.id)
+        best = min(hits, key=lambda c: (-c.hi, c.id))
+        chosen.append(best)
+        chosen_ids.add(best.id)
+    return chosen_ids
+
+
+def reference_collinear_exact(constraints, candidates) -> set:
+    """Exact same-orientation cover of ``psd.psd_solve``'s same label as it
+    was on segments: decompose per carrier line, then cover intervals
+    greedily with ``reference_interval_cover``."""
+    from geodom.geom import HSeg
+    from geodom.psd import Interval
+
+    def key_and_interval(seg):
+        if isinstance(seg, HSeg):
+            return ("h", seg.y), Interval(seg.id, seg.x_lo, seg.x_hi)
+        return ("v", seg.x), Interval(seg.id, seg.y_lo, seg.y_hi)
+
+    def by_line(segs):
+        out = {}
+        for seg in segs:
+            key, iv = key_and_interval(seg)
+            out.setdefault(key, []).append(iv)
+        return out
+
+    cands_by_line, targets_by_line = by_line(candidates), by_line(constraints)
+    chosen = set()
+    for key in sorted(targets_by_line, key=str):
+        chosen |= reference_interval_cover(cands_by_line.get(key, []), targets_by_line[key])
+    return chosen

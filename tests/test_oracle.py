@@ -1,5 +1,7 @@
 """Brute-force baselines cross-checked against the LP branch-and-bound."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -19,13 +21,18 @@ from geodom import (
     intersects,
 )
 from geodom.errors import (
+    AssumptionViolationError,
+    GenerationExhaustedError,
     InfeasibleConstraintError,
     InfeasibleError,
     InfeasibleRayError,
     InfeasibleSegmentError,
     InfeasibleTargetError,
     InvalidInputError,
+    InvalidPathError,
+    NotProperError,
     SizeCapExceededError,
+    UncoveredRowError,
     UnmetConstraintError,
 )
 from geodom import instances, lp, oracle, srs, ssr
@@ -187,6 +194,31 @@ def test_unmet_constraint_errors_share_one_class(cls, role, message):
     assert isinstance(exc, UnmetConstraintError) and isinstance(exc, InfeasibleError)
     assert (exc.id, exc.role, str(exc)) == (7, role, message)
     assert getattr(exc, f"{role}_id") == 7
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        UnmetConstraintError(7),
+        InfeasibleSegmentError(3),
+        InfeasibleRayError(4),
+        InfeasibleTargetError(5),
+        InfeasibleConstraintError(6),
+        AssumptionViolationError("iii", [9, 2]),
+        NotProperError("h", [1, 2]),
+        InvalidPathError(8, "legs 'L','R' do not alternate orientation"),
+        UncoveredRowError(11),
+        InvalidInputError("bad rational literal 'x'"),
+        GenerationExhaustedError(),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_errors_survive_pickle_and_copy(exc):
+    copies = [pickle.loads(pickle.dumps(exc, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in copies + [copy.copy(exc), copy.deepcopy(exc)]:
+        assert type(got) is type(exc)
+        assert (str(got), repr(got), got.args) == (str(exc), repr(exc), exc.args)
+        assert vars(got) == vars(exc)
 
 
 def test_size_cap():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodom import HSeg, VSeg, OrthoInstance, exact_stab, intersects
 from geodom.errors import (
@@ -14,7 +15,7 @@ from geodom.errors import (
     NotProperError,
 )
 from geodom import instances, lp, psd
-from helpers import reference_psd_rows
+from helpers import reference_collinear_exact, reference_interval_cover, reference_psd_rows
 from strategies import WIDE, WIDE_LENGTHS, ortho_instances
 
 
@@ -305,3 +306,70 @@ def test_cover_rows_match_all_pairs_scan_on_generated():
         rows, missing = _rows_as_reference(inst)
         assert missing is None
         assert (rows, missing) == reference_psd_rows(inst)
+
+
+def _same_label_inputs(inst):
+    """Constraints with a non-empty same row, and their same-line hits as
+    ``psd_solve``'s same label reads them from ``psd._cover_rows``."""
+    table = inst.segment_by_id()
+    horiz = {s.id for s in inst.hsegs}
+    cand_order = sorted(inst.candidate_ids)
+    targets = [
+        u for u in sorted(inst.constraint_ids)
+        if any((c in horiz) == (u in horiz) and intersects(table[u], table[c]) for c in cand_order)
+    ]
+    rows = psd._cover_rows(table, horiz, targets, cand_order)
+    return {u: [cand_order[j] for j in same] for u, (same, _) in zip(targets, rows)}
+
+
+# few lines, so several constraints and candidates share one
+NARROW = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(ortho_instances(roles=True), ortho_instances(coords=NARROW, roles=True)))
+def test_same_label_matches_reference_per_line_cover(inst):
+    hits = _same_label_inputs(inst)
+    hi = {s.id: s.x_hi for s in inst.hsegs} | {s.id: s.y_hi for s in inst.vsegs}
+    table = inst.segment_by_id()
+    pool = sorted({c for row in hits.values() for c in row})
+    want = reference_collinear_exact([table[u] for u in hits], [table[c] for c in pool])
+    assert psd._interval_cover(hits, hits, hi) == want
+
+
+def test_psd_same_label_matches_reference_on_generated():
+    rng = random.Random(9090)
+    compared = 0
+    for seed in range(40):
+        params = {"n": rng.randint(5, 40), "m": rng.randint(5, 40), "coord_range": rng.choice([4, 12])}
+        inst = instances.generate("ortho_psd", params, seed).data
+        if seed % 3 == 2:
+            ids = sorted(s.id for s in inst.all_segments())
+            cons = frozenset(i for i in ids if rng.random() < 0.7)
+            inst = OrthoInstance(inst.hsegs, inst.vsegs, cons, frozenset(ids))
+        _, det = psd.psd_solve(inst, want_details=True)
+        table = inst.segment_by_id()
+        want = reference_collinear_exact(
+            [table[u] for u in sorted(det.same_rows)], [table[c] for c in sorted(det.same_vars)]
+        )
+        assert det.exact_selected == want
+        compared += bool(det.same_rows)
+    assert compared >= 20
+
+
+def test_spid_exact_matches_reference():
+    rng = random.Random(505)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        ivs = []
+        lo = rng.randint(-6, 6)
+        hi = lo + rng.randint(0, 4)
+        for i in rng.sample(range(3 * n), n):
+            ivs.append(psd.Interval(i, F(lo), F(hi)))
+            lo += rng.randint(1, 4)
+            hi = max(hi + rng.randint(1, 4), lo)
+        s = psd.ProperIntervalSet(tuple(ivs))
+        table = s.by_id()
+        t_ids = sorted(rng.sample(sorted(table), rng.randint(1, n)))
+        want = reference_interval_cover(list(s.intervals), [table[i] for i in t_ids])
+        assert psd.spid_exact(s, t_ids) == want

@@ -92,8 +92,15 @@ def spid_exact(s: ProperIntervalSet, t_ids) -> set[int]:
     missing = t_ids - set(table)
     if missing:
         raise InvalidInputError(f"target ids not in the interval set: {sorted(missing)}")
-    hits = {t: [iv.id for iv in s.intervals if iv.meets(table[t])] for t in t_ids}
-    return _interval_cover(t_ids, hits, {iv.id: iv.hi for iv in s.intervals})
+    # no interval contains another, so right ends rise with left ends and
+    # the intervals meeting t are one run of the left-end order
+    ivs = sorted(s.intervals, key=lambda iv: iv.lo)
+    los, his = [iv.lo for iv in ivs], [iv.hi for iv in ivs]
+    hits = {
+        t: [iv.id for iv in ivs[bisect_left(his, table[t].lo):bisect_right(los, table[t].hi)]]
+        for t in t_ids
+    }
+    return _interval_cover(t_ids, hits, {iv.id: iv.hi for iv in ivs})
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,7 @@ def test_spid_exact_matches_reference():
             ivs.append(psd.Interval(i, F(lo), F(hi)))
             lo += rng.randint(1, 4)
             hi = max(hi + rng.randint(1, 4), lo)
+        rng.shuffle(ivs)
         s = psd.ProperIntervalSet(tuple(ivs))
         table = s.by_id()
         t_ids = sorted(rng.sample(sorted(table), rng.randint(1, n)))

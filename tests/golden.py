@@ -11,9 +11,15 @@ ortho_psd, unit_bk (k = 0..2) and ``psd.poss_solve`` called directly,
 the ``solve_lp`` values and duals on the pipeline's program, its
 ``SolveCertificate`` and its ``*Details``, or the (error type, id) it
 raised; the bytes (or exit code and message) of
-``geodom solve --certify`` for all five kinds; and the bytes (or exit code
-and message) of ``geodom solve --trace`` files for ssr and srs.  Sets and dict keys are
-sorted before printing, so a hash moves only when some value does, never
+``geodom solve --certify`` for all five kinds; the bytes (or exit code
+and message) of ``geodom solve --trace`` files for ssr and srs; the
+``instances.dumps`` text of generated stabbed_l, ortho_psd and unit_bk
+(k = 0..3) instances; and, for a seeded corpus of instance files of all
+five kinds with one fault each (a deleted field or key, a bad rational,
+id or legs, sparse or duplicate ids, an inverted span, a zero-length L
+leg, an unknown kind or role id, invalid JSON, a top level that is not an
+object), the file and the (error type, message) ``instances.loads``
+raised.  Sets and dict keys are sorted before printing, so a hash moves only when some value does, never
 with the iteration order of a set.  Regenerating the file is a behaviour
 change: list every changed case with the reason.
 """
@@ -115,6 +121,7 @@ def cases():
         yield from _ssr_cases(f"ssr/kernel{i}", kernel_instance(krng), i < 60)
     yield from pipeline_cases()
     yield from trace_cases()
+    yield from codec_cases()
 
 
 def _error(exc: GeodomError):
@@ -251,6 +258,123 @@ def trace_cases():
             if i % 10 == 9:
                 f = _unreachable(f)
             yield f"trace/{kind}/{i}", _solve_file(f, [], trace=True)
+
+
+#: payload key -> the record fields holding a rational
+_RATIONALS = {
+    "rays": ("y", "x_right"),
+    "segments": ("x", "y_lo", "y_hi"),
+    "vsegs": ("x", "y_lo", "y_hi"),
+    "hsegs": ("y", "x_lo", "x_hi"),
+    "paths": ("corner_x", "corner_y", "vlen", "hlen", "start_x", "start_y"),
+}
+
+
+def _fault(rng: random.Random, kind: str, p: dict) -> str:
+    """The text of the instance payload ``p`` with one fault; every other
+    value keeps the type its field expects."""
+    lists = [key for key in _RATIONALS if p.get(key)]
+    key = rng.choice(lists)
+    recs = p[key]
+    rec = rng.choice(recs)
+    faults = ["drop_field", "drop_key", "bad_rat", "bad_id", "sparse_id", "dup_id",
+              "bad_kind", "bad_json", "not_object"]
+    if kind in ("ssr", "srs", "ortho_psd"):
+        faults.append("inverted")
+    if kind == "stabbed_l":
+        faults.append("zero_leg")
+    if kind == "unit_bk":
+        faults += ["empty_legs", "bad_legs", "many_legs"]
+    if kind == "ortho_psd":
+        faults.append("unknown_role")
+    fault = rng.choice(faults)
+    if fault == "drop_field":
+        del rec[rng.choice(sorted(rec))]
+    elif fault == "drop_key":
+        del p[rng.choice(sorted(p))]
+    elif fault == "bad_rat":
+        rats = [(rec, name) for name in _RATIONALS[key] if name in rec]
+        if "line_x" in p:
+            rats.append((p, "line_x"))
+        target, name = rng.choice(rats)
+        target[name] = rng.choice(["1/0", "x", 2.5, None])
+    elif fault == "bad_id":
+        rec["id"] = rng.choice([1.5, "0", str(rec["id"]), None])
+    elif fault == "sparse_id":
+        total = sum(len(p[k]) for k in ("hsegs", "vsegs")) if kind == "ortho_psd" else len(recs)
+        rec["id"] = total + rng.randint(0, 5)
+    elif fault == "dup_id":
+        pool = p["hsegs"] + p["vsegs"] if kind == "ortho_psd" else recs
+        others = [r["id"] for r in pool if r is not rec]
+        if others:
+            rec["id"] = rng.choice(others)
+        else:
+            recs.append(dict(rec))
+    elif fault == "bad_kind":
+        p["kind"] = rng.choice(["mystery", kind.upper(), kind + " ", ""])
+    elif fault == "bad_json":
+        text = instances.canonical_json(p)
+        return text[: rng.randrange(len(text) - 2)]
+    elif fault == "not_object":
+        return json.dumps(rng.choice([[p], 3, "ssr", None]))
+    elif fault == "inverted":
+        rec = rng.choice([r for k in ("segments", "hsegs", "vsegs") for r in p.get(k, [])])
+        lo, hi = ("x_lo", "x_hi") if "x_lo" in rec else ("y_lo", "y_hi")
+        rec[lo] = str(Fraction(rec[hi]) + Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    elif fault == "zero_leg":
+        rec[rng.choice(["vlen", "hlen"])] = rng.choice(["0", "-1", "-1/2"])
+    elif fault == "empty_legs":
+        rec["legs"] = ""
+    elif fault == "bad_legs":
+        rec["legs"] = rng.choice(["X", "RX", "RR", "UD", "LRL", "r"])
+    elif fault == "many_legs":
+        first = rng.choice("LRUD")
+        legs = [first]
+        while len(legs) < p["k"] + 2:
+            legs.append(rng.choice("UD" if legs[-1] in "LR" else "LR"))
+        rec["legs"] = "".join(legs)
+    elif fault == "unknown_role":
+        ids = [r["id"] for r in p["hsegs"] + p["vsegs"]]
+        p[rng.choice(["constraint_ids", "candidate_ids"])].append(max(ids) + rng.randint(1, 4))
+    return instances.canonical_json(p)
+
+
+def _loads_outcome(text: str):
+    try:
+        return ("ok", instances.dumps(instances.loads(text)))
+    except GeodomError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def codec_cases():
+    """(name, output) for the ``instances.dumps`` bytes of generated
+    stabbed_l, ortho_psd and unit_bk instances, and for ``instances.loads``
+    on seeded single-fault files of all five kinds."""
+    rng = random.Random(9090)
+    for i in range(20):
+        params = {"n": rng.randint(1, 14), "coord_range": rng.choice([3, 8, 25])}
+        yield f"codec/dumps/stabbed_l/{i}", instances.dumps(
+            instances.generate("stabbed_l", params, rng.randrange(10**9))
+        )
+    for i in range(20):
+        params = {"n": rng.randint(1, 10), "m": rng.randint(1, 10), "coord_range": rng.choice([4, 12])}
+        f = instances.generate("ortho_psd", params, rng.randrange(10**9))
+        if i % 2:
+            f = instances.InstanceFile("ortho_psd", _with_roles(rng, f.data))
+        yield f"codec/dumps/ortho_psd/{i}", instances.dumps(f)
+    for k in range(4):
+        for i in range(10):
+            params = {"n": rng.randint(1, 12), "k": k, "coord_range": rng.choice([2, 4, 8])}
+            f = instances.generate("unit_bk", params, rng.randrange(10**9))
+            yield f"codec/dumps/unit_bk/k{k}/{i}", instances.dumps(f)
+    for kind in instances.KINDS:
+        for i in range(60):
+            params = {"n": rng.randint(2, 5), "m": rng.randint(2, 5), "k": rng.randint(0, 2)}
+            f = instances.generate(kind, params, rng.randrange(10**9))
+            if kind == "ortho_psd" and i % 2:
+                f = instances.InstanceFile(kind, _with_roles(rng, f.data))
+            text = _fault(rng, kind, json.loads(instances.dumps(f)))
+            yield f"codec/loads/{kind}/{i}", (text, _loads_outcome(text))
 
 
 def digest(value) -> str:

@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -139,20 +139,6 @@ def _exact_size(f: InstanceFile, cap: Optional[int]) -> set[int]:
     return oracle.exact_mds(AbstractGraph(n, tuple(neighborhoods[u] for u in range(n))), cap)
 
 
-def _trace_payload(x):
-    """A ``TokenTrace`` or ``SrsTrace`` as JSON values: a dataclass becomes
-    an object keyed by its field names, map keys become strings, and every
-    collection of ids is sorted."""
-    if is_dataclass(x):
-        return {f.name: _trace_payload(getattr(x, f.name)) for f in fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _trace_payload(v) for k, v in x.items()}
-    if isinstance(x, (tuple, frozenset)):
-        items = [_trace_payload(v) for v in x]
-        return sorted(items) if all(isinstance(v, int) for v in items) else items
-    return x
-
-
 def _certificate_payload(cert: SolveCertificate) -> dict:
     payload = {
         "lp_opt": rat_str(cert.lp_opt),
@@ -181,11 +167,11 @@ def _solve_for(f: InstanceFile, want_trace: bool):
         norm = ssr.normalize(data)
         if want_trace:
             sel, trace = ssr.solve(norm, want_trace=True)
-            return sel, None, _trace_payload(trace)
+            return sel, None, instances.to_json(trace)
         return ssr.solve_fast(norm), None, None
     if isinstance(data, SrsInstance):
         sel, trace = srs.solve(data, want_trace=want_trace)
-        return sel, None, _trace_payload(trace) if want_trace else None
+        return sel, None, instances.to_json(trace) if want_trace else None
     if isinstance(data, StabbedLInstance):
         return None, stabbedl.solve_mds(data), None
     if isinstance(data, OrthoInstance):
@@ -262,7 +248,7 @@ def _load_solution(path: str) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or bytes that are not UTF-8
         raise InvalidInputError(f"solution file is not valid JSON: {exc}")
     if not isinstance(payload, dict) or "selected" not in payload:
         raise InvalidInputError("solution file needs a 'selected' list")

@@ -1,27 +1,32 @@
-"""Instance files: canonical JSON schemas, parsing, and seeded generators.
+"""Instance files: one JSON codec driven by dataclass fields, and seeded
+generators.
 
-Every rational is serialized as a canonical "p/q" string (plain "p" when
-integral), ids are dense from 0, and object keys are sorted, so dumping a
-parsed file reproduces it byte for byte.
+A file is one JSON object: its ``kind`` plus the fields of that kind's data
+record, under their dataclass field names, and every nested record the
+same way.  A rational is written as its canonical "p/q" string (plain "p"
+when integral), a set of ids as a sorted list, records as a list in id
+order with ids dense from 0, and a path's legs as one string.  Object keys
+are sorted, so dumping a parsed file reproduces it byte for byte.  Fields
+are read by their type hints; a file that breaks the schema raises
+``InvalidInputError``.
 """
 from __future__ import annotations
 
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cache, partial
+from operator import attrgetter
+from typing import Optional, Union, get_args, get_type_hints
 
 from .errors import GenerationExhaustedError, InvalidInputError
-from .geom import Fenwick, HRay, HSeg, OrthoInstance, StabInstance, VSeg, as_rat, intersects, rat_str
+from .geom import Fenwick, HRay, HSeg, OrthoInstance, VSeg, as_rat, intersects, rat_str
 from .srs import SrsInstance
 from .ssr import SsrInstance
 from .stabbedl import LPath, StabbedLInstance
 from .uvpg import UnitKBendPath
-
-KINDS = ("ssr", "srs", "stabbed_l", "ortho_psd", "unit_bk")
-_STAB_TYPES = {"ssr": SsrInstance, "srs": SrsInstance}
 
 _RETRIES = 400
 
@@ -33,11 +38,25 @@ class UnitBkInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
+        # before the sign of k, so a negative k with paths names a path
+        for p in self.paths:
+            if len(p.legs) > self.k + 1:
+                raise InvalidInputError(f"path {p.id} exceeds the bend bound")
         if self.k < 0:
             raise InvalidInputError("bend bound must be nonnegative")
 
 
 InstanceData = Union[SsrInstance, SrsInstance, StabbedLInstance, OrthoInstance, UnitBkInstance]
+
+#: kind -> (data record, {id name: the list fields whose ids share one space})
+_SCHEMAS = {
+    "ssr": (SsrInstance, {"ray": ("rays",), "segment": ("segments",)}),
+    "srs": (SrsInstance, {"ray": ("rays",), "segment": ("segments",)}),
+    "stabbed_l": (StabbedLInstance, {"path": ("paths",)}),
+    "ortho_psd": (OrthoInstance, {"segment": ("hsegs", "vsegs")}),
+    "unit_bk": (UnitBkInstance, {"path": ("paths",)}),
+}
+KINDS = tuple(_SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -54,205 +73,134 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _require(payload: dict, key: str):
-    if key not in payload:
-        raise InvalidInputError(f"missing field {key!r}")
-    return payload[key]
+_by_id = attrgetter("id")
 
 
-def _int_field(payload: dict, key: str) -> int:
-    value = _require(payload, key)
-    if not isinstance(value, int) or isinstance(value, bool):
+@cache
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def to_json(x):
+    """``x`` as JSON values: a dataclass becomes an object keyed by its
+    field names, a rational its ``rat_str``, a map's keys strings, a
+    collection of ids a sorted list, records with ids a list in id order,
+    and a tuple of strings (a path's legs) one string."""
+    names = _field_names(type(x))
+    if names is not None:
+        out = {}
+        for name in names:  # rationals and ints, most of a file, without a call
+            v = getattr(x, name)
+            out[name] = rat_str(v) if type(v) is Fraction else v if type(v) is int else to_json(v)
+        return out
+    if type(x) is Fraction:
+        return rat_str(x)
+    if isinstance(x, dict):
+        return {str(k): to_json(v) for k, v in x.items()}
+    if isinstance(x, (tuple, frozenset)):  # of one type, as the field hints say
+        first = next(iter(x), 0)
+        if type(first) is int:
+            return sorted(x)
+        if type(first) is str:
+            return "".join(x)
+        if hasattr(first, "id"):
+            x = sorted(x, key=_by_id)
+        return [to_json(v) for v in x]
+    return x
+
+
+def dumps(f: InstanceFile) -> str:
+    return canonical_json({"kind": f.kind, **to_json(f.data)})
+
+
+def _int(value, key: str) -> int:
+    if type(value) is not int:
         raise InvalidInputError(f"field {key!r} must be an integer")
     return value
 
 
-def _rat_field(payload: dict, key: str) -> Fraction:
-    value = _require(payload, key)
-    if not isinstance(value, (str, int)):
+def _rat(value, key: str) -> Fraction:
+    if type(value) is not str and type(value) is not int:
         raise InvalidInputError(f"field {key!r} must be a rational string")
     return as_rat(value)
 
 
-def _check_dense(ids: list[int], what: str):
-    if sorted(ids) != list(range(len(ids))):
-        raise InvalidInputError(f"{what} ids must be dense from 0")
+def _ids(value, key: str) -> frozenset[int]:
+    if type(value) is not list:
+        raise InvalidInputError("role id fields must be lists")
+    if not all(type(v) is int for v in value):
+        raise InvalidInputError(f"field {key!r} must list integer ids")
+    return frozenset(value)
 
 
-def _vseg_json(s: VSeg) -> dict:
-    return {"id": s.id, "x": rat_str(s.x), "y_lo": rat_str(s.y_lo), "y_hi": rat_str(s.y_hi)}
+def _legs(value, key: str) -> tuple[str, ...]:
+    if type(value) is not str or not value:
+        raise InvalidInputError("path legs must be a nonempty string")
+    return tuple(value)
 
 
-def _encode_data(data: InstanceData) -> dict:
-    if isinstance(data, StabInstance):
-        return {
-            "rays": [
-                {"id": r.id, "y": rat_str(r.y), "x_right": rat_str(r.x_right)}
-                for r in sorted(data.rays, key=lambda r: r.id)
-            ],
-            "segments": [_vseg_json(s) for s in sorted(data.segments, key=lambda s: s.id)],
-        }
-    if isinstance(data, StabbedLInstance):
-        return {
-            "line_x": rat_str(data.line_x),
-            "paths": [
-                {
-                    "id": p.id,
-                    "corner_x": rat_str(p.corner_x),
-                    "corner_y": rat_str(p.corner_y),
-                    "vlen": rat_str(p.vlen),
-                    "hlen": rat_str(p.hlen),
-                }
-                for p in sorted(data.paths, key=lambda p: p.id)
-            ],
-        }
-    if isinstance(data, OrthoInstance):
-        return {
-            "hsegs": [
-                {
-                    "id": s.id,
-                    "y": rat_str(s.y),
-                    "x_lo": rat_str(s.x_lo),
-                    "x_hi": rat_str(s.x_hi),
-                }
-                for s in sorted(data.hsegs, key=lambda s: s.id)
-            ],
-            "vsegs": [_vseg_json(s) for s in sorted(data.vsegs, key=lambda s: s.id)],
-            "constraint_ids": sorted(data.constraint_ids),
-            "candidate_ids": sorted(data.candidate_ids),
-        }
-    if isinstance(data, UnitBkInstance):
-        return {
-            "k": data.k,
-            "paths": [
-                {
-                    "id": p.id,
-                    "start_x": rat_str(p.start_x),
-                    "start_y": rat_str(p.start_y),
-                    "legs": "".join(p.legs),
-                }
-                for p in sorted(data.paths, key=lambda p: p.id)
-            ],
-        }
-    raise InvalidInputError(f"unsupported data type {type(data).__name__}")
+def _records(cls: type, value, key: str) -> tuple:
+    if type(value) is not list:
+        raise InvalidInputError(f"field {key!r} must be a list")
+    return tuple(sorted((cls(*_read(cls, v)) for v in value), key=_by_id))
 
 
-def dumps(f: InstanceFile) -> str:
-    payload = {"kind": f.kind}
-    payload.update(_encode_data(f.data))
-    return canonical_json(payload)
+_PARSERS = {int: _int, Fraction: _rat, frozenset[int]: _ids, tuple[str, ...]: _legs}
 
 
-def _decode_rays(items) -> tuple[HRay, ...]:
-    rays = tuple(
-        HRay(_int_field(r, "id"), _rat_field(r, "y"), _rat_field(r, "x_right"))
-        for r in items
+@cache
+def _parsers(cls: type) -> tuple:
+    """(name, parser) of each field of ``cls``; a field whose hint is not in
+    ``_PARSERS`` is a tuple of records."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, _PARSERS.get(hints[f.name]) or partial(_records, get_args(hints[f.name])[0]))
+        for f in fields(cls)
     )
-    _check_dense([r.id for r in rays], "ray")
-    return tuple(sorted(rays, key=lambda r: r.id))
 
 
-def _vseg(s: dict) -> VSeg:
-    return VSeg(_int_field(s, "id"), _rat_field(s, "x"), _rat_field(s, "y_lo"), _rat_field(s, "y_hi"))
-
-
-def _decode_vsegs(items) -> tuple[VSeg, ...]:
-    segs = tuple(_vseg(s) for s in items)
-    _check_dense([s.id for s in segs], "segment")
-    return tuple(sorted(segs, key=lambda s: s.id))
+def _read(cls: type, obj) -> list:
+    """The fields of a ``cls`` record, in field order, parsed from its JSON
+    object."""
+    if type(obj) is not dict:
+        raise InvalidInputError(f"each {cls.__name__} must be a JSON object")
+    out = []
+    for name, parse in _parsers(cls):
+        if name not in obj:
+            raise InvalidInputError(f"missing field {name!r}")
+        out.append(parse(obj[name], name))
+    return out
 
 
 def loads(text: str) -> InstanceFile:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"not valid JSON: {exc}")
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise InvalidInputError("instance file must be a JSON object")
-    kind = _require(payload, "kind")
-    if kind in _STAB_TYPES:
-        return InstanceFile(
-            kind,
-            _STAB_TYPES[kind](
-                _decode_rays(_require(payload, "rays")),
-                _decode_vsegs(_require(payload, "segments")),
-            ),
-        )
-    if kind == "stabbed_l":
-        paths = tuple(
-            LPath(
-                _int_field(p, "id"),
-                _rat_field(p, "corner_x"),
-                _rat_field(p, "corner_y"),
-                _rat_field(p, "vlen"),
-                _rat_field(p, "hlen"),
-            )
-            for p in _require(payload, "paths")
-        )
-        _check_dense([p.id for p in paths], "path")
-        return InstanceFile(
-            "stabbed_l",
-            StabbedLInstance(
-                tuple(sorted(paths, key=lambda p: p.id)),
-                _rat_field(payload, "line_x"),
-            ),
-        )
-    if kind == "ortho_psd":
-        hsegs = tuple(
-            HSeg(
-                _int_field(s, "id"),
-                _rat_field(s, "y"),
-                _rat_field(s, "x_lo"),
-                _rat_field(s, "x_hi"),
-            )
-            for s in _require(payload, "hsegs")
-        )
-        vsegs = tuple(_vseg(s) for s in _require(payload, "vsegs"))
-        _check_dense([s.id for s in hsegs] + [s.id for s in vsegs], "segment")
-        cons = _require(payload, "constraint_ids")
-        cands = _require(payload, "candidate_ids")
-        if not isinstance(cons, list) or not isinstance(cands, list):
-            raise InvalidInputError("role id fields must be lists")
-        return InstanceFile(
-            "ortho_psd",
-            OrthoInstance(
-                tuple(sorted(hsegs, key=lambda s: s.id)),
-                tuple(sorted(vsegs, key=lambda s: s.id)),
-                frozenset(cons),
-                frozenset(cands),
-            ),
-        )
-    if kind == "unit_bk":
-        k = _int_field(payload, "k")
-        paths = []
-        for p in _require(payload, "paths"):
-            legs = _require(p, "legs")
-            if not isinstance(legs, str) or not legs:
-                raise InvalidInputError("path legs must be a nonempty string")
-            paths.append(
-                UnitKBendPath(
-                    _int_field(p, "id"),
-                    _rat_field(p, "start_x"),
-                    _rat_field(p, "start_y"),
-                    tuple(legs),
-                )
-            )
-        _check_dense([p.id for p in paths], "path")
-        for p in paths:
-            if len(p.legs) > k + 1:
-                raise InvalidInputError(f"path {p.id} exceeds the bend bound")
-        return InstanceFile(
-            "unit_bk", UnitBkInstance(k, tuple(sorted(paths, key=lambda p: p.id)))
-        )
-    raise InvalidInputError(f"unknown instance kind {kind!r}")
+    if "kind" not in payload:
+        raise InvalidInputError("missing field 'kind'")
+    kind = payload["kind"]
+    if type(kind) is not str or kind not in _SCHEMAS:
+        raise InvalidInputError(f"unknown instance kind {kind!r}")
+    cls, id_spaces = _SCHEMAS[kind]
+    values = _read(cls, payload)
+    named = dict(zip(_field_names(cls), values))
+    for what, keys in id_spaces.items():
+        ids = sorted(r.id for key in keys for r in named[key])
+        if ids != list(range(len(ids))):
+            raise InvalidInputError(f"{what} ids must be dense from 0")
+    return InstanceFile(kind, cls(*values))
 
 
 def load(path: str) -> InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}")
+    return loads(text)
 
 
 def dump(f: InstanceFile, path: str):

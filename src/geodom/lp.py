@@ -67,9 +67,6 @@ class CoverSolution:
     integral: bool
     duals: Optional[tuple[Rat, ...]] = None
 
-    def value(self, var: int) -> Rat:
-        return self.values[var]
-
     def mass(self, var_ids) -> Rat:
         return sum((self.values[j] for j in var_ids), ZERO)
 

@@ -1,6 +1,7 @@
 """Instance files, generators, and the command-line surface."""
 
 import csv
+import dataclasses
 import json
 import os
 import random
@@ -10,13 +11,20 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodom.errors import GenerationExhaustedError, InvalidInputError
 import geodom
 from geodom import instances, psd, srs, ssr, stabbedl, uvpg
 from geodom.cli import run_cli
+from geodom.geom import OrthoInstance
+from geodom.srs import SrsInstance
+from geodom.ssr import SsrInstance
+from geodom.stabbedl import StabbedLInstance
 
 from helpers import reference_gen_ssr
+from strategies import GRID, GRID_LENGTHS, WIDE, WIDE_LENGTHS, lpath_instances, ortho_instances, ssr_instances, unit_path_lists
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +45,125 @@ def test_roundtrip_all_kinds():
             # same seed, same bytes
             g = instances.generate(kind, {"n": 5, "m": 4, "k": 2}, seed)
             assert instances.dumps(g) == text
+
+
+def _dense(*families):
+    """The record families with their ids, one space across them,
+    relabelled 0, 1, ... in id order; each family sorted by id."""
+    by_id = lambda r: r.id  # noqa: E731
+    new_id = {r.id: i for i, r in enumerate(sorted((r for fam in families for r in fam), key=by_id))}
+    return [tuple(sorted((dataclasses.replace(r, id=new_id[r.id]) for r in fam), key=by_id)) for fam in families]
+
+
+@st.composite
+def _any_file(draw):
+    """An instance file of any kind, with negative and non-integer
+    rationals (``GRID``, sometimes ``WIDE``) and ids dense from 0."""
+    kind = draw(st.sampled_from(instances.KINDS))
+    wide = draw(st.booleans())
+    coords, lengths = (WIDE, WIDE_LENGTHS) if wide else (GRID, GRID_LENGTHS)
+    if kind in ("ssr", "srs"):
+        inst = draw(ssr_instances(coords, lengths))
+        cls = SsrInstance if kind == "ssr" else SrsInstance
+        data = cls(*_dense(inst.rays), *_dense(inst.segments))
+    elif kind == "stabbed_l":
+        data = StabbedLInstance(*_dense(draw(lpath_instances(coords)).paths), draw(coords))
+    elif kind == "ortho_psd":
+        inst = draw(ortho_instances(coords, lengths, roles=True))
+        rank = {sid: i for i, sid in enumerate(sorted(s.id for s in inst.all_segments()))}
+        roles = (frozenset(map(rank.get, ids)) for ids in (inst.constraint_ids, inst.candidate_ids))
+        data = OrthoInstance(*_dense(inst.hsegs, inst.vsegs), *roles)
+    else:
+        k = draw(st.integers(0, 3))
+        data = instances.UnitBkInstance(k, *_dense(draw(unit_path_lists(k, coords))))
+    return instances.InstanceFile(kind, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_file())
+def test_roundtrip_property_all_kinds(f):
+    text = instances.dumps(f)
+    again = instances.loads(text)
+    assert again == f
+    assert instances.dumps(again) == text
+    # records are written in id order, whatever order the instance holds
+    reversed_records = {
+        field.name: getattr(f.data, field.name)[::-1]
+        for field in dataclasses.fields(f.data)
+        if field.name in ("rays", "segments", "paths", "hsegs", "vsegs")
+    }
+    shuffled = instances.InstanceFile(f.kind, dataclasses.replace(f.data, **reversed_records))
+    assert instances.dumps(shuffled) == text
+
+
+def _mutated(kind, path, value):
+    """The text of a small generated ``kind`` file with the value at
+    ``path`` (keys and list indices) replaced by ``value``."""
+    payload = json.loads(instances.dumps(instances.generate(kind, {"n": 2, "m": 2, "k": 1}, seed=1)))
+    *head, last = path
+    target = payload
+    for step in head:
+        target = target[step]
+    target[last] = value
+    return json.dumps(payload)
+
+
+# one case per way a file breaks the schema's structure: a non-list for a
+# list, a non-object for a record, a bool for an int or a rational, a
+# non-string kind, a role id that is not an int, and JSON that Python's
+# decoder cannot hold
+MALFORMED = {
+    "rays-string": _mutated("ssr", ["rays"], ""),
+    "segments-object": _mutated("ssr", ["segments"], {}),
+    "paths-int": _mutated("stabbed_l", ["paths"], 3),
+    "paths-null": _mutated("unit_bk", ["paths"], None),
+    "roles-string": _mutated("ortho_psd", ["constraint_ids"], "0"),
+    "ray-int": _mutated("ssr", ["rays", 0], 1),
+    "hseg-list": _mutated("ortho_psd", ["hsegs", 0], [0, "1", "2", "3"]),
+    "path-string": _mutated("unit_bk", ["paths", 0], "RU"),
+    "id-bool": _mutated("srs", ["segments", 0, "id"], False),
+    "rational-bool": _mutated("ssr", ["rays", 0, "y"], True),
+    "line_x-bool": _mutated("stabbed_l", ["line_x"], False),
+    "k-bool": _mutated("unit_bk", ["k"], True),
+    "kind-list": _mutated("ssr", ["kind"], ["ssr"]),
+    "kind-object": _mutated("srs", ["kind"], {"srs": 1}),
+    "kind-null": _mutated("ssr", ["kind"], None),
+    "role-string": _mutated("ortho_psd", ["constraint_ids", 0], "0"),
+    "role-list": _mutated("ortho_psd", ["candidate_ids", 0], [0]),
+    "role-float": _mutated("ortho_psd", ["candidate_ids", 0], 0.0),
+    "role-bool": _mutated("ortho_psd", ["constraint_ids", 0], True),
+    "huge-int": '{"kind": "ssr", "rays": [], "segments": [], "x": 1' + "0" * 5000 + "}",
+    "deep-nesting": "[" * 100_000,
+}
+
+
+def _assert_cli_rejects(tmp_path, capsys, raw: bytes):
+    """``solve``, ``verify`` and ``render`` on the file ``raw`` exit 3 with
+    one ``error:`` line."""
+    inst, sol = tmp_path / "bad.json", tmp_path / "bad.sol.json"
+    inst.write_bytes(raw)
+    sol.write_text('{"selected": []}')
+    for argv in (
+        ["solve", "--alg", "ssr", "-i", str(inst), "-o", str(tmp_path / "out.json")],
+        ["verify", "-i", str(inst), "-s", str(sol)],
+        ["render", "-i", str(inst), "-o", str(tmp_path / "out.svg")],
+    ):
+        capsys.readouterr()
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_files_are_invalid_input(tmp_path, capsys, name):
+    text = MALFORMED[name]
+    with pytest.raises(InvalidInputError):
+        instances.loads(text)
+    _assert_cli_rejects(tmp_path, capsys, text.encode())
+
+
+def test_undecodable_file_is_invalid_input(tmp_path, capsys):
+    _assert_cli_rejects(tmp_path, capsys, b'{"kind": "ssr\xff"}')
 
 
 def test_dump_load_files(tmp_path):
@@ -241,6 +368,21 @@ def test_verify_rejects_undersized_solution(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
     sol.write_text(json.dumps({"selected": ["zero"]}))
     assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"selected": [1\xff]}',
+    b'{"selected": [1' + b"0" * 5000 + b"]}",
+    b"[" * 100_000,
+], ids=["not-utf8", "huge-int", "deep-nesting"])
+def test_undecodable_solution_file_is_invalid_input(tmp_path, capsys, raw):
+    inst = gen(tmp_path, "ssr", "u.json", extra=["-n", "3", "-m", "3"])
+    sol = tmp_path / "u.sol.json"
+    sol.write_bytes(raw)
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_infeasible_instance_exits_two(tmp_path):

@@ -3,12 +3,18 @@
 All coordinates are exact rationals (``fractions.Fraction``).  Intersection
 is closed: touching at a single point counts.  A leftward ray is the closed
 half-line {(t, y) : t <= x_right}.
+
+The per-item kernels (``containment_violation``, ``properize``'s stretch,
+``min_positive_gap``) compare, rank and shift ``scaled`` ints and build a
+``Fraction`` only for a value they return.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError
@@ -20,17 +26,34 @@ Rat = Fraction
 NO_GAP = None
 
 
+#: the strings ``rat_str`` writes: ASCII digits, no leading zero, no "-0",
+#: and a denominator above 1 if any
+_CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
+
+
 def as_rat(value) -> Rat:
-    """Coerce an int, Fraction, or canonical "p/q" string to a Rat."""
+    """Coerce an int, Fraction, or canonical "p/q" string to a Rat.
+
+    A string must be exactly what ``rat_str`` writes for its value ("p", or
+    "p/q" with q > 1 and gcd(p, q) = 1), so "1e1", " 0.5", "1_000", "+2",
+    "2/4" and non-ASCII digits are rejected.  The value is built from the
+    two ints.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad rational literal {value!r}") from exc
+        m = _CANONICAL.fullmatch(value)
+        if m is not None:
+            try:
+                p, q = int(m[1]), int(m[2] or 1)
+            except ValueError:  # past the interpreter's int digit limit
+                pass
+            else:
+                if math.gcd(p, q) == 1:
+                    return Fraction(p, q)
+        raise InvalidInputError(f"bad rational literal {value!r}")
     raise InvalidInputError(f"cannot interpret {value!r} as a rational")
 
 
@@ -114,11 +137,20 @@ def intersects(a: GeomObject, b: GeomObject) -> bool:
     raise InvalidInputError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 def scaled(*families: Sequence[Rat]) -> tuple[int, list[list[int]]]:
     """``(scale, ints)``: ``scale`` is the LCM of every denominator in the
     families, and ``ints`` holds each family times ``scale``.  Ints on one
     scale order, tie and subtract exactly as the rationals do."""
-    scale = math.lcm(*{v.denominator for fam in families for v in fam})
+    denominators = set()
+    for fam in families:
+        denominators.update(map(_denominator, fam))
+    scale = math.lcm(*denominators)
+    if scale == 1:  # integral families are their numerators
+        return 1, [list(map(_numerator, fam)) for fam in families]
     return scale, [[v.numerator * (scale // v.denominator) for v in fam] for fam in families]
 
 
@@ -334,11 +366,20 @@ def properize(inst: OrthoInstance) -> OrthoInstance:
     stay equal and containment would force two identical intervals, which
     distinct ranks rule out.  eps is chosen well below half the instance
     gap, so disjoint segments stay disjoint.
+
+    Lengths, ranks and shifts are ints on the ``scaled`` scale of each
+    orientation's two endpoint families; each new endpoint is one
+    ``Fraction(p, q)``.
     """
-    segs = inst.all_segments()
-    if not segs:
+    if not inst.hsegs and not inst.vsegs:
         return inst
-    lengths = {s.length for s in segs}
+    spans = (
+        scaled([s.x_lo for s in inst.hsegs], [s.x_hi for s in inst.hsegs]),
+        scaled([s.y_lo for s in inst.vsegs], [s.y_hi for s in inst.vsegs]),
+    )
+    lengths = {
+        Fraction(d, scale) for scale, (lo, hi) in spans for d in {b - a for a, b in zip(lo, hi)}
+    }
     if len(lengths) != 1:
         raise InvalidInputError("properize requires all segments of equal length")
 
@@ -351,15 +392,24 @@ def properize(inst: OrthoInstance) -> OrthoInstance:
         if gap is None:
             gap = Fraction(1)
 
-    def stretch(items, low, grow):
-        # grow(s, a, b) moves s's low end down by a and its high end up by b
-        eps = gap / (4 * (len(items) + 1))
-        order = sorted(items, key=lambda s: (low(s), s.id))
-        out = [grow(s, i * eps, (len(items) - i) * eps) for i, s in enumerate(order)]
+    def stretch(items, span, grow):
+        # grow(s, lo, hi) is s with its span replaced.  Over the common
+        # denominator den = scale * 4(n + 1) * gap.denominator, an endpoint
+        # v / scale is v * unit and eps = gap / (4(n + 1)) is step.
+        scale, (lows, highs) = span
+        n = len(items)
+        unit = 4 * (n + 1) * gap.denominator
+        den, step = scale * unit, gap.numerator * scale
+        order = sorted(zip(lows, [s.id for s in items], range(n)))
+        out = [
+            grow(items[k], Fraction(lows[k] * unit - i * step, den),
+                 Fraction(highs[k] * unit + (n - i) * step, den))
+            for i, (_, _, k) in enumerate(order)
+        ]
         return sorted(out, key=lambda s: s.id)
 
-    new_h = stretch(inst.hsegs, lambda s: s.x_lo, lambda s, a, b: HSeg(s.id, s.y, s.x_lo - a, s.x_hi + b))
-    new_v = stretch(inst.vsegs, lambda s: s.y_lo, lambda s, a, b: VSeg(s.id, s.x, s.y_lo - a, s.y_hi + b))
+    new_h = stretch(inst.hsegs, spans[0], lambda s, a, b: HSeg(s.id, s.y, a, b))
+    new_v = stretch(inst.vsegs, spans[1], lambda s, a, b: VSeg(s.id, s.x, a, b))
     return OrthoInstance(tuple(new_h), tuple(new_v), inst.constraint_ids, inst.candidate_ids)
 
 
@@ -370,13 +420,16 @@ def containment_violation(
     where one contains the other (identical ones included), or None.
 
     In (lo, -hi, id) order an interval is contained in an earlier one exactly
-    when its hi does not pass its predecessor's.
+    when its hi does not pass its predecessor's.  The order is taken on
+    ``scaled`` ints, one scale per end.
     """
-    prev = None
-    for lo, hi, iid in sorted(intervals, key=lambda t: (t[0], -t[1], t[2])):
-        if prev is not None and hi <= prev[1]:
-            return prev[2], iid
-        prev = (lo, hi, iid)
+    spans = list(intervals)
+    _, (los,) = scaled([t[0] for t in spans])
+    _, (his,) = scaled([t[1] for t in spans])
+    order = sorted(zip(los, [-hi for hi in his], [t[2] for t in spans]))
+    for (_, outer_hi, outer), (_, inner_hi, inner) in zip(order, order[1:]):
+        if inner_hi >= outer_hi:  # negated: hi(inner) <= hi(outer)
+            return outer, inner
     return None
 
 

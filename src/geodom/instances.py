@@ -7,8 +7,10 @@ same way.  A rational is written as its canonical "p/q" string (plain "p"
 when integral), a set of ids as a sorted list, records as a list in id
 order with ids dense from 0, and a path's legs as one string.  Object keys
 are sorted, so dumping a parsed file reproduces it byte for byte.  Fields
-are read by their type hints; a file that breaks the schema raises
-``InvalidInputError``.
+are read and written by their type hints: a rational field is written as a
+string whatever the Python type of its value, and read only in the
+canonical form ``geom.as_rat`` accepts.  A file that breaks the schema
+raises ``InvalidInputError``.
 """
 from __future__ import annotations
 
@@ -77,21 +79,27 @@ _by_id = attrgetter("id")
 
 
 @cache
-def _field_names(cls: type) -> Optional[tuple[str, ...]]:
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+def _encoded_fields(cls: type) -> Optional[tuple[tuple[str, bool], ...]]:
+    """(name, whether its type hint is a rational) per field of ``cls``;
+    None when ``cls`` is not a dataclass."""
+    if not is_dataclass(cls):
+        return None
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name] is Fraction) for f in fields(cls))
 
 
 def to_json(x):
     """``x`` as JSON values: a dataclass becomes an object keyed by its
     field names, a rational its ``rat_str``, a map's keys strings, a
     collection of ids a sorted list, records with ids a list in id order,
-    and a tuple of strings (a path's legs) one string."""
-    names = _field_names(type(x))
-    if names is not None:
+    and a tuple of strings (a path's legs) one string.  A dataclass field
+    is a rational when its type hint says so, whatever type its value has."""
+    spec = _encoded_fields(type(x))
+    if spec is not None:
         out = {}
-        for name in names:  # rationals and ints, most of a file, without a call
+        for name, rational in spec:  # rationals and ints, most of a file, without a call
             v = getattr(x, name)
-            out[name] = rat_str(v) if type(v) is Fraction else v if type(v) is int else to_json(v)
+            out[name] = rat_str(v) if rational else v if type(v) is int else to_json(v)
         return out
     if type(x) is Fraction:
         return rat_str(x)
@@ -186,7 +194,7 @@ def loads(text: str) -> InstanceFile:
         raise InvalidInputError(f"unknown instance kind {kind!r}")
     cls, id_spaces = _SCHEMAS[kind]
     values = _read(cls, payload)
-    named = dict(zip(_field_names(cls), values))
+    named = {name: v for (name, _), v in zip(_parsers(cls), values)}
     for what, keys in id_spaces.items():
         ids = sorted(r.id for key in keys for r in named[key])
         if ids != list(range(len(ids))):

@@ -11,6 +11,10 @@ carries a dual witness that ``check_feasible`` verifies in O(nnz).
 ``lp_round`` is the LP-rounding skeleton the three MDS pipelines share:
 solve the covering LP, split each row by which labelled block holds mass
 >= theta, solve each label as a sub-problem and certify the union.
+
+The checks and the split run on the values as ``geom.scaled`` ints: row
+sums, block masses and the dual bound are int sums, compared with 1, theta
+and the objective on that one scale.
 """
 from __future__ import annotations
 
@@ -31,6 +35,11 @@ DEFAULT_SIZE_CAP = 24
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+
+def _equals(value: Rat, num: int, den: int) -> bool:
+    """value == num / den, by one int cross-multiplication."""
+    return value.numerator * den == num * value.denominator
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,11 @@ class CoverSolution:
         return frozenset(j for j, v in enumerate(self.values) if v > 0)
 
     def check_feasible(self, program: CoverProgram) -> None:
+        self._scaled_checked(program)
+
+    def _scaled_checked(self, program: CoverProgram) -> tuple[int, list[int]]:
+        """``check_feasible``, then the values as ``scaled`` ints
+        ``(scale, xs)``.  Every check compares ints."""
         if len(self.values) != program.num_vars:
             raise InvalidInputError("solution length mismatch")
         scale, (xs,) = scaled(self.values)
@@ -81,14 +95,15 @@ class CoverSolution:
             if not (0 <= x <= scale):
                 raise InvalidInputError("variable value outside [0,1]")
         for i, row in enumerate(program.rows):
-            if sum(xs[j] for j in row) < scale:
+            if sum(map(xs.__getitem__, row)) < scale:
                 raise InvalidInputError(f"row {i} not covered")
-        if self.objective_value != Fraction(sum(xs), scale):
+        if not _equals(self.objective_value, sum(xs), scale):
             raise InvalidInputError("objective_value inconsistent with values")
         if self.integral and any(x not in (0, scale) for x in xs):
             raise InvalidInputError("integral flag set on fractional values")
         if self.duals is not None:
             self._check_duals(program)
+        return scale, xs
 
     def _check_duals(self, program: CoverProgram) -> None:
         if len(self.duals) != len(program.rows):
@@ -102,7 +117,7 @@ class CoverSolution:
                 for j in row:
                     colsum[j] += y
         bound = sum(ys) - sum(c - scale for c in colsum if c > scale)
-        if Fraction(bound, scale) != self.objective_value:
+        if not _equals(self.objective_value, bound, scale):
             raise InvalidInputError("dual bound differs from objective_value")
 
 
@@ -272,8 +287,9 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     for r, b in enumerate(basis):
         if b < n:
             values[b] = Fraction(rhs[r], den[r])
-    objective = sum(values, ZERO)
-    integral = all(v in (ZERO, ONE) for v in values)
+    scale, (xs,) = scaled(values)
+    objective = Fraction(sum(xs), scale)
+    integral = scale == 1  # all ints, each in [0, 1] as check_feasible confirms
     duals = tuple(Fraction(cost.get(n + i, 0), cost_den) for i in range(m))
     sol = CoverSolution(tuple(values), objective, integral, duals)
     sol.check_feasible(program)
@@ -362,24 +378,24 @@ def threshold_split(
     joins every label whose block holds mass >= theta (ties inclusive, so one
     row may land in several labels).  Returns, per label, the selected row
     ids and the union of that label's blocks over those rows.
+
+    Masses are int sums of the ``scaled`` values ``check_feasible`` reads,
+    compared with theta on that scale.
     """
-    sol.check_feasible(program)
+    scale, xs = sol._scaled_checked(program)
+    # an int sum reaches theta * scale exactly when it reaches its ceiling
+    need = -(-theta.numerator * scale // theta.denominator)
     out_rows: dict[object, set[int]] = {}
     out_vars: dict[object, set[int]] = {}
     for i, row in enumerate(program.rows):
         if i not in parts:
             raise InvalidInputError(f"row {i} has no partition")
         blocks = parts[i]
-        merged: set[int] = set()
-        count = 0
-        for block in blocks.values():
-            merged |= block
-            count += len(block)
-        if merged != set(row) or count != len(row):
+        if sum(map(len, blocks.values())) != len(row) or row.union(*blocks.values()) != row:
             raise InvalidInputError(f"row {i} partition does not tile its variable set")
         hit = False
         for label, block in blocks.items():
-            if sol.mass(block) >= theta:
+            if sum(map(xs.__getitem__, block)) >= need:
                 hit = True
                 out_rows.setdefault(label, set()).add(i)
                 out_vars.setdefault(label, set()).update(block)

@@ -287,11 +287,12 @@ def _rotate_v(seg: VSeg) -> HSeg:
 
 
 def _cover_rows(table, horiz, constraints, cand_order):
-    """(same, cross) candidate-index sets meeting each constraint, in order.
+    """(same, cross) candidate-index sets meeting each constraint, in order,
+    and each segment id's high end as an int.
 
-    Both axes go to ints once.  Parallel segments meet only on a shared
-    carrier line, so same-orientation candidates are bucketed by line;
-    crossing candidates are sorted by line, and those whose line falls
+    Both axes go to ints once, on one scale.  Parallel segments meet only on
+    a shared carrier line, so same-orientation candidates are bucketed by
+    line; crossing candidates are sorted by line, and those whose line falls
     inside the constraint's span are found by bisection.
     """
     segs = [table[u] for u in constraints] + [table[c] for c in cand_order]
@@ -300,8 +301,7 @@ def _cover_rows(table, horiz, constraints, cand_order):
     x_vals += [s.x_hi if h else s.x for s, h in zip(segs, is_h)]
     y_vals = [s.y if h else s.y_lo for s, h in zip(segs, is_h)]
     y_vals += [s.y if h else s.y_hi for s, h in zip(segs, is_h)]
-    _, (xs,) = scaled(x_vals)
-    _, (ys,) = scaled(y_vals)
+    _, (xs, ys) = scaled(x_vals, y_vals)
     n = len(segs)
     # (line, lo, hi): the carrier line (y or x) and the span along it
     spans = [
@@ -336,7 +336,7 @@ def _cover_rows(table, horiz, constraints, cand_order):
         if not same and not cross:
             raise InfeasibleConstraintError(u)
         out.append((frozenset(same), frozenset(cross)))
-    return out
+    return out, {s.id: span[2] for s, span in zip(segs, spans)}
 
 
 def psd_solve(inst: OrthoInstance, want_details: bool = False):
@@ -348,17 +348,14 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
     horiz = {s.id for s in inst.hsegs}
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
-    parts = [
-        {"same": same, "cross": cross}
-        for same, cross in _cover_rows(table, horiz, constraints, cand_order)
-    ]
+    cover, hi = _cover_rows(table, horiz, constraints, cand_order)
+    parts = [{"same": same, "cross": cross} for same, cross in cover]
     poss_certs: list[SolveCertificate] = []
 
     def solve_label(label, rows, cands):
         if label == "same":
             # a same block holds only contacts on the constraint's own line
             hits = {constraints[i]: [cand_order[j] for j in parts[i]["same"]] for i in rows}
-            hi = {s.id: s.x_hi for s in inst.hsegs} | {s.id: s.y_hi for s in inst.vsegs}
             return _interval_cover(hits, hits, hi)
         targets = [table[constraints[i]] for i in sorted(rows)]
         pool = [table[cand_order[j]] for j in sorted(cands)]

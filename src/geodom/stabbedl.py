@@ -4,7 +4,8 @@ Every path is an L: a vertical leg rising from the corner plus a horizontal
 leg running right from it.  The pipeline is ``lp.lp_round`` over the
 domination LP, with each closed neighbourhood row split into its
 horizontal-leg and vertical-leg contacts; the two labels reduce to the
-ray/segment stabbing problems ``srs`` and ``ssr``.
+ray/segment stabbing problems ``srs`` and ``ssr``.  The layout checks of
+``normalize`` and the vertical label's shrink compare ``geom.scaled`` ints.
 """
 from __future__ import annotations
 
@@ -57,31 +58,37 @@ def normalize(inst: StabbedLInstance) -> StabbedLInstance:
     horizontal leg must cross x=0 while corners sit strictly left of it,
     equal corner heights always force an overlap, so (iii) reduces to
     distinct corner heights plus non-overlapping collinear vertical legs.
+
+    The input paths are kept when the line is already at x=0.  The checks
+    run on ``scaled`` ints, one scale per axis.
     """
     shift = inst.line_x
-    paths = tuple(
+    paths = inst.paths if shift == 0 else tuple(
         LPath(p.id, p.corner_x - shift, p.corner_y, p.vlen, p.hlen) for p in inst.paths
     )
-    missing = [p.id for p in paths if p.corner_x > 0 or p.corner_x + p.hlen < 0]
+    ids = [p.id for p in paths]
+    _, (x0, hlen) = scaled([p.corner_x for p in paths], [p.hlen for p in paths])
+    _, (y0, vlen) = scaled([p.corner_y for p in paths], [p.vlen for p in paths])
+    missing = [i for i, x, h in zip(ids, x0, hlen) if x > 0 or x + h < 0]
     if missing:
         raise AssumptionViolationError("i", missing)
-    on_line = [p.id for p in paths if p.corner_x == 0]
+    on_line = [i for i, x in zip(ids, x0) if x == 0]
     if on_line:
         raise AssumptionViolationError("ii", on_line)
-    by_y: dict[Rat, list[int]] = {}
-    for p in paths:
-        by_y.setdefault(p.corner_y, []).append(p.id)
-    clashes = [ids for ids in by_y.values() if len(ids) > 1]
+    by_y: dict[int, list[int]] = {}
+    for i, y in zip(ids, y0):
+        by_y.setdefault(y, []).append(i)
+    clashes = [group for group in by_y.values() if len(group) > 1]
     if clashes:
         raise AssumptionViolationError("iii", sorted(clashes[0]))
-    by_x: dict[Rat, list[LPath]] = {}
-    for p in paths:
-        by_x.setdefault(p.corner_x, []).append(p)
+    by_x: dict[int, list[int]] = {}  # positions in ``paths``
+    for k, x in enumerate(x0):
+        by_x.setdefault(x, []).append(k)
     for group in by_x.values():
-        group.sort(key=lambda p: p.corner_y)
+        group.sort(key=y0.__getitem__)
         for lo, hi in zip(group, group[1:]):
-            if lo.corner_y + lo.vlen > hi.corner_y:
-                raise AssumptionViolationError("iii", sorted([lo.id, hi.id]))
+            if y0[lo] + vlen[lo] > y0[hi]:
+                raise AssumptionViolationError("iii", sorted([ids[lo], ids[hi]]))
     return StabbedLInstance(paths, Fraction(0))
 
 
@@ -177,12 +184,14 @@ class StabbedLDetails:
 def _vertical_shrink(paths_by_id, constraint_ids) -> Rat:
     """Half the least positive corner-height difference, capped by the
     shortest constrained vertical leg; shrinking constraint segments up by
-    this keeps every genuine contact and removes only corner self-hits."""
-    ys = sorted(p.corner_y for p in paths_by_id.values())
-    diffs = [b - a for a, b in zip(ys, ys[1:]) if b > a]
-    candidates = [p.vlen for pid in constraint_ids for p in (paths_by_id[pid],)]
-    pool = diffs + candidates
-    return min(pool) / 2
+    this keeps every genuine contact and removes only corner self-hits.
+    Taken on ``scaled`` ints, so int coordinates give a Fraction too."""
+    scale, (ys, lens) = scaled(
+        [p.corner_y for p in paths_by_id.values()],
+        [paths_by_id[pid].vlen for pid in constraint_ids],
+    )
+    ys = sorted(set(ys))
+    return Fraction(min([b - a for a, b in zip(ys, ys[1:])] + lens), 2 * scale)
 
 
 def solve_mds(inst: StabbedLInstance, want_details: bool = False):

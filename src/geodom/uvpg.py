@@ -4,7 +4,9 @@ A path is a chain of unit-length legs, alternating between horizontal and
 vertical.  Two paths are adjacent when any pair of legs meets.  Domination
 is ``lp.lp_round`` over the domination LP with each row split by first-
 contact label (i, j); each label reduces to segment covering with proper
-projections, solved by ``psd.psd_solve``.
+projections, solved by ``psd.psd_solve``.  ``solve_mds`` builds each path's
+canonical leg segments once per call and every label's instance indexes
+into them; ``geom.properize`` stretches each label's legs on ints.
 """
 from __future__ import annotations
 
@@ -184,11 +186,13 @@ class UvpgDetails:
 
 def _label_instance(
     label: tuple[int, int],
-    row_paths: list[UnitKBendPath],
-    var_paths: list[UnitKBendPath],
+    legs: dict[int, list[Union[HSeg, VSeg]]],
+    row_ids: list[int],
+    var_ids: list[int],
 ):
     """Geometric covering instance for one contact label.
 
+    ``legs[pid]`` is the ``leg_segments`` of path pid's canonical form.
     Constraints are the i-th legs of the row paths, candidates the j-th legs
     of the column paths.  A leg playing both roles is entered twice under
     fresh ids; the maps recover path ids afterwards.
@@ -215,10 +219,10 @@ def _label_instance(
             candidate_ids.add(rid)
             cand_owner[rid] = owner
 
-    for p in row_paths:
-        add(p.leg_segments()[i - 1], True, p.id)
-    for p in var_paths:
-        add(p.leg_segments()[j - 1], False, p.id)
+    for pid in row_ids:
+        add(legs[pid][i - 1], True, pid)
+    for pid in var_ids:
+        add(legs[pid][j - 1], False, pid)
     inst = OrthoInstance(
         tuple(hsegs), tuple(vsegs), frozenset(constraint_ids), frozenset(candidate_ids)
     )
@@ -239,13 +243,14 @@ def solve_mds(paths: list[UnitKBendPath], k: int, want_details: bool = False):
         {lab: frozenset(index_of[v] for v in vs) for lab, vs in contacts.partition[u].items()}
         for u in order
     ]
-    canon = {p.id: p.canonical() for p in paths}
+    # every label reads one leg of each of its paths: build them once
+    legs = {p.id: p.canonical().leg_segments() for p in paths}
     labels: dict[tuple[int, int], LabelOutcome] = {}
 
     def solve_label(label, rows, cands):
-        row_paths = [canon[order[r]] for r in sorted(rows)]
-        var_paths = [canon[order[b]] for b in sorted(cands)]
-        inst, cand_owner = _label_instance(label, row_paths, var_paths)
+        row_ids = [order[r] for r in sorted(rows)]
+        var_ids = [order[b] for b in sorted(cands)]
+        inst, cand_owner = _label_instance(label, legs, row_ids, var_ids)
         cert = psd_solve(properize(inst))
         picked = frozenset(cand_owner[rid] for rid in cert.heuristic_ids)
         labels[label] = LabelOutcome(

@@ -916,3 +916,126 @@ def reference_collinear_exact(constraints, candidates) -> set:
     for key in sorted(targets_by_line, key=str):
         chosen |= reference_interval_cover(cands_by_line.get(key, []), targets_by_line[key])
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# per-item Fraction formulas, as the LP pipelines' per-label steps computed
+# them before their int kernels
+
+
+def reference_threshold_split(program, sol, parts, theta):
+    """``lp.threshold_split`` with each block's mass summed as Fractions."""
+    from geodom.errors import UncoveredRowError
+
+    sol.check_feasible(program)
+    out_rows, out_vars = {}, {}
+    for i, row in enumerate(program.rows):
+        if i not in parts:
+            raise InvalidInputError(f"row {i} has no partition")
+        blocks = parts[i]
+        merged, count = set(), 0
+        for block in blocks.values():
+            merged |= block
+            count += len(block)
+        if merged != set(row) or count != len(row):
+            raise InvalidInputError(f"row {i} partition does not tile its variable set")
+        hit = False
+        for label, block in blocks.items():
+            if sum((sol.values[j] for j in block), Fraction(0)) >= theta:
+                hit = True
+                out_rows.setdefault(label, set()).add(i)
+                out_vars.setdefault(label, set()).update(block)
+        if not hit:
+            raise UncoveredRowError(i)
+    return {label: (frozenset(out_rows[label]), frozenset(out_vars[label])) for label in out_rows}
+
+
+def reference_containment_violation(intervals):
+    """``geom.containment_violation`` sorting Fraction (lo, -hi, id) keys."""
+    prev = None
+    for lo, hi, iid in sorted(intervals, key=lambda t: (t[0], -t[1], t[2])):
+        if prev is not None and hi <= prev[1]:
+            return prev[2], iid
+        prev = (lo, hi, iid)
+    return None
+
+
+def reference_properize(inst):
+    """``geom.properize`` ranking and shifting Fraction endpoints, with the
+    all-pairs gap references."""
+    from geodom.geom import HSeg, OrthoInstance
+
+    segs = inst.all_segments()
+    if not segs:
+        return inst
+    if len({s.length for s in segs}) != 1:
+        raise InvalidInputError("properize requires all segments of equal length")
+    gap = reference_min_positive_gap(inst)
+    if gap is None:
+        gap = reference_coordinate_family_gap(inst)
+        if gap is None:
+            gap = Fraction(1)
+
+    def stretch(items, low, grow):
+        eps = gap / (4 * (len(items) + 1))
+        order = sorted(items, key=lambda s: (low(s), s.id))
+        out = [grow(s, i * eps, (len(items) - i) * eps) for i, s in enumerate(order)]
+        return sorted(out, key=lambda s: s.id)
+
+    new_h = stretch(inst.hsegs, lambda s: s.x_lo, lambda s, a, b: HSeg(s.id, s.y, s.x_lo - a, s.x_hi + b))
+    new_v = stretch(inst.vsegs, lambda s: s.y_lo, lambda s, a, b: VSeg(s.id, s.x, s.y_lo - a, s.y_hi + b))
+    return OrthoInstance(tuple(new_h), tuple(new_v), inst.constraint_ids, inst.candidate_ids)
+
+
+def reference_stabbedl_normalize(inst):
+    """``stabbedl.normalize`` shifting every path and checking the layout
+    rules on Fractions."""
+    from geodom.errors import AssumptionViolationError
+    from geodom.stabbedl import LPath, StabbedLInstance
+
+    shift = inst.line_x
+    paths = tuple(
+        LPath(p.id, p.corner_x - shift, p.corner_y, p.vlen, p.hlen) for p in inst.paths
+    )
+    missing = [p.id for p in paths if p.corner_x > 0 or p.corner_x + p.hlen < 0]
+    if missing:
+        raise AssumptionViolationError("i", missing)
+    on_line = [p.id for p in paths if p.corner_x == 0]
+    if on_line:
+        raise AssumptionViolationError("ii", on_line)
+    by_y = {}
+    for p in paths:
+        by_y.setdefault(p.corner_y, []).append(p.id)
+    clashes = [ids for ids in by_y.values() if len(ids) > 1]
+    if clashes:
+        raise AssumptionViolationError("iii", sorted(clashes[0]))
+    by_x = {}
+    for p in paths:
+        by_x.setdefault(p.corner_x, []).append(p)
+    for group in by_x.values():
+        group.sort(key=lambda p: p.corner_y)
+        for lo, hi in zip(group, group[1:]):
+            if lo.corner_y + lo.vlen > hi.corner_y:
+                raise AssumptionViolationError("iii", sorted([lo.id, hi.id]))
+    return StabbedLInstance(paths, Fraction(0))
+
+
+#: the Fraction operations the int kernels must not make
+FRACTION_OPS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__radd__")
+
+
+def count_fraction_ops(monkeypatch) -> dict:
+    """Patch ``Fraction``'s comparisons and additions to count their calls
+    into the returned dict, until ``monkeypatch`` undoes it."""
+    counts = dict.fromkeys(FRACTION_OPS, 0)
+
+    def counted(name, fn):
+        def op(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return op
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    return counts

@@ -106,3 +106,43 @@ def ssr_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=10):
         lo = draw(st.sampled_from(ys) | coords) if ys else draw(coords)
         segs.append(VSeg(sid, draw(st.sampled_from(abscissas)), lo, lo + draw(lengths)))
     return SsrInstance(rays, tuple(segs))
+
+
+@st.composite
+def equal_length_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=8):
+    """``ortho_instances`` with one length for every segment (the input of
+    ``geom.properize``), or now and then one segment a little longer."""
+    nh = draw(st.integers(0, max_side))
+    nv = draw(st.integers(0, max_side))
+    ids = _ids(draw, nh + nv)
+    length = draw(lengths)
+    spans = [draw(coords) for _ in ids]
+    ends = [lo + length for lo in spans]
+    if ids and draw(st.integers(0, 9)) == 0:
+        ends[-1] += Fraction(1, 7)
+    hsegs = tuple(HSeg(sid, draw(coords), lo, hi) for sid, lo, hi in zip(ids[:nh], spans, ends))
+    vsegs = tuple(
+        VSeg(sid, draw(coords), lo, hi) for sid, lo, hi in zip(ids[nh:], spans[nh:], ends[nh:])
+    )
+    everything = frozenset(ids)
+    return OrthoInstance(hsegs, vsegs, everything, everything)
+
+
+@st.composite
+def stabbed_l_layouts(draw, coords=GRID, max_size=10):
+    """L-paths around a drawn line x = line_x, most of them crossing it:
+    corners on or left of the line at a few abscissas, horizontal legs that
+    end near it, so each layout rule of ``stabbedl.normalize`` fails now and
+    then (a missed line, a corner on it, a shared corner height, overlapping
+    collinear vertical legs)."""
+    line_x = draw(coords)
+    offsets = st.builds(Fraction, st.integers(-6, 0), st.sampled_from([1, 2, 3]))
+    abscissas = draw(st.lists(offsets, min_size=1, max_size=3))
+    positive = st.builds(Fraction, st.integers(1, 8), st.sampled_from([1, 2, 3]))
+    paths = []
+    for pid in _ids(draw, draw(st.integers(0, max_size))):
+        x = draw(st.sampled_from(abscissas))
+        reach = draw(st.builds(Fraction, st.integers(-1, 4), st.sampled_from([1, 2])))
+        hlen = max(reach - x, Fraction(1, 3))
+        paths.append(LPath(pid, line_x + x, draw(coords), draw(positive), hlen))
+    return StabbedLInstance(tuple(paths), line_x)

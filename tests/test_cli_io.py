@@ -18,10 +18,10 @@ from geodom.errors import GenerationExhaustedError, InvalidInputError
 import geodom
 from geodom import instances, psd, srs, ssr, stabbedl, uvpg
 from geodom.cli import run_cli
-from geodom.geom import OrthoInstance
+from geodom.geom import HRay, HSeg, OrthoInstance, VSeg
 from geodom.srs import SrsInstance
 from geodom.ssr import SsrInstance
-from geodom.stabbedl import StabbedLInstance
+from geodom.stabbedl import LPath, StabbedLInstance
 
 from helpers import reference_gen_ssr
 from strategies import GRID, GRID_LENGTHS, WIDE, WIDE_LENGTHS, lpath_instances, ortho_instances, ssr_instances, unit_path_lists
@@ -211,16 +211,33 @@ def test_loads_rejects_malformed():
 
 
 def test_loads_normalizes_rationals():
-    text = json.dumps(
-        {
-            "kind": "ssr",
-            "rays": [{"id": 0, "y": "6/2", "x_right": "4"}],
-            "segments": [{"id": 0, "x": "2", "y_lo": "1", "y_hi": "5"}],
-        }
-    )
-    f = instances.loads(text)
-    assert f.data.rays[0].y == 3
-    assert '"y":"3"' in instances.dumps(f)
+    # a rational field holding a Python int is written as its canonical
+    # string, as a Fraction is, so the bytes survive a round trip
+    files = [
+        instances.InstanceFile("ssr", SsrInstance((HRay(0, 3, 2),), (VSeg(0, 1, -1, F(7, 2)),))),
+        instances.InstanceFile("stabbed_l", StabbedLInstance((LPath(0, -1, 0, 2, 3),), 0)),
+        instances.InstanceFile(
+            "ortho_psd", OrthoInstance((HSeg(0, 1, 0, 2),), (VSeg(1, 1, 0, 2),), {0, 1}, {0})
+        ),
+    ]
+    for f in files:
+        text = instances.dumps(f)
+        payload = json.loads(text)
+        for key, value in payload.items():
+            if key == "line_x":
+                assert type(value) is str
+            if type(value) is list and value and type(value[0]) is dict:
+                for record in value:
+                    assert all(type(v) is str for k, v in record.items() if k != "id"), record
+        assert instances.dumps(instances.loads(text)) == text
+    assert '"x_right":"2","y":"3"' in instances.dumps(files[0])
+
+
+@pytest.mark.parametrize("literal", ["6/2", "1e1", " 0.5", "1_000", "+2", "-0", "3/1", "007"])
+def test_loads_rejects_non_canonical_rationals(literal):
+    text = _mutated("ssr", ["rays", 0, "y"], literal)
+    with pytest.raises(InvalidInputError, match="bad rational literal"):
+        instances.loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,31 @@ from geodom.geom import (
     OrthoInstance,
     VSeg,
     as_rat,
+    containment_violation,
     intersects,
     is_proper,
     min_positive_gap,
     properize,
     rat_str,
+    scaled,
 )
 from geodom import instances
-from helpers import intersection_matrix, reference_min_positive_gap
-from strategies import WIDE, WIDE_LENGTHS, ortho_instances, star_instances
+from helpers import (
+    count_fraction_ops,
+    intersection_matrix,
+    reference_containment_violation,
+    reference_min_positive_gap,
+    reference_properize,
+)
+from strategies import (
+    GRID,
+    GRID_LENGTHS,
+    WIDE,
+    WIDE_LENGTHS,
+    equal_length_instances,
+    ortho_instances,
+    star_instances,
+)
 
 
 def test_as_rat_accepts_ints_fractions_and_strings():
@@ -38,6 +54,42 @@ def test_as_rat_rejects_garbage():
     for bad in ("3/0", "abc", "1.5.2", None, 2.5):
         with pytest.raises(InvalidInputError):
             as_rat(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1e1", " 0.5", "1_000", "+2", "\u0663", "2/4", "-0", "3/1", "007", "0/5", "1/-2", "1/2 "],
+)
+def test_as_rat_accepts_only_canonical_strings(bad):
+    with pytest.raises(InvalidInputError, match="bad rational literal"):
+        as_rat(bad)
+
+
+def test_as_rat_keeps_its_messages():
+    for value, message in (
+        ("1/0", "bad rational literal '1/0'"),
+        ("x", "bad rational literal 'x'"),
+        (2.5, "cannot interpret 2.5 as a rational"),
+        (None, "cannot interpret None as a rational"),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            as_rat(value)
+        assert str(exc.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(WIDE, GRID, st.integers(-10**30, 10**30).map(F)))
+def test_as_rat_reads_back_what_rat_str_writes(value):
+    assert as_rat(rat_str(value)) == value
+    assert type(as_rat(rat_str(value))) is F
+
+
+def test_scaled_integral_families_are_their_numerators():
+    scale, (a, b) = scaled([F(3), -2, F(0)], [F(-7)])
+    assert (scale, a, b) == (1, [3, -2, 0], [-7])
+    assert all(type(v) is int for v in a + b)
+    assert scaled([F(1, 2), 3], [F(-1, 3)]) == (6, [[3, 18], [-2]])
+    assert scaled() == (1, [])
 
 
 def test_rat_str_is_canonical():
@@ -147,6 +199,60 @@ def test_properize_random_sweep_preserves_matrix():
         assert intersection_matrix(out.all_segments()) == intersection_matrix(inst.all_segments())
         assert is_proper([(s.x_lo, s.x_hi) for s in out.hsegs])
         assert is_proper([(s.y_lo, s.y_hi) for s in out.vsegs])
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except InvalidInputError as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(equal_length_instances(), star_instances(lengths=st.just(F(1)))))
+def test_properize_matches_fraction_reference(inst):
+    got, want = _outcome(properize, inst), _outcome(reference_properize, inst)
+    assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(equal_length_instances(coords=WIDE, lengths=WIDE_LENGTHS, max_side=6))
+def test_properize_matches_fraction_reference_coprime(inst):
+    got, want = _outcome(properize, inst), _outcome(reference_properize, inst)
+    assert got == want and repr(got) == repr(want)
+
+
+def _spans(coords, lengths):
+    """(lo, hi, id) lists with unique ids; ends often tie, and an interval
+    may be empty or inverted."""
+    span = st.tuples(coords, st.one_of(lengths, lengths.map(lambda v: -v)))
+    return st.lists(span, max_size=12).flatmap(
+        lambda spans: st.permutations(range(len(spans))).map(
+            lambda ids: [(lo, lo + d, i) for (lo, d), i in zip(spans, ids)]
+        )
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_spans(GRID, GRID_LENGTHS), _spans(WIDE, WIDE_LENGTHS)))
+def test_containment_violation_matches_fraction_reference(spans):
+    assert containment_violation(spans) == reference_containment_violation(spans)
+    assert containment_violation(iter(spans)) == reference_containment_violation(spans)
+
+
+def test_containment_violation_makes_no_fraction_comparisons_or_additions(monkeypatch):
+    rng = random.Random(200)
+    # distinct left ends and one length: no interval contains another
+    los = [F(7 * i, 3) - F(rng.randint(0, 50), 23) for i in range(200)]
+    proper = [(lo, lo + 3, i) for i, lo in enumerate(los)]
+    rng.shuffle(proper)
+    nested = proper + [(proper[0][0] + F(1, 2), proper[0][0] + 1, 200)]
+    counts = count_fraction_ops(monkeypatch)
+    assert containment_violation(proper) is None
+    got = containment_violation(nested)
+    assert sum(counts.values()) == 0
+    assert got[1] == 200 and got == reference_containment_violation(nested)
+    assert sum(counts.values()) > 0  # the counting patch is live
 
 
 def test_is_proper():

@@ -11,13 +11,20 @@ from geodom.errors import InvalidInputError, SizeCapExceededError, UncoveredRowE
 from geodom.lp import (
     HALF,
     CoverProgram,
+    CoverSolution,
     SolveCertificate,
     lp_round,
     solve_ilp_exact,
     solve_lp,
     threshold_split,
 )
-from helpers import lp_min_bruteforce, naive_min_cover, solve_lp_reference
+from helpers import (
+    count_fraction_ops,
+    lp_min_bruteforce,
+    naive_min_cover,
+    reference_threshold_split,
+    solve_lp_reference,
+)
 
 
 def test_cover_program_validation():
@@ -120,6 +127,73 @@ def test_threshold_split_uncovered_row():
             threshold_split(prog, sol, parts, HALF)
     else:
         threshold_split(prog, sol, parts, HALF)
+
+
+def _split_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (InvalidInputError, UncoveredRowError) as exc:
+        return "error", type(exc), str(exc)
+
+
+@st.composite
+def split_cases(draw):
+    """(program, solution, parts, theta): values with denominators up to 6,
+    rows kept only where the values cover them, each row's variables dealt
+    to up to three labels (an empty block now and then), and theta either a
+    block's exact mass (a tie) or any small rational, zero or negative ones
+    included."""
+    n = draw(st.integers(1, 7))
+    values = tuple(draw(st.builds(F, st.integers(0, 6), st.just(6))) for _ in range(n))
+    rows = [
+        frozenset(r)
+        for r in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))
+        if sum((values[j] for j in r), F(0)) >= 1
+    ]
+    prog = CoverProgram(n, tuple(rows))
+    sol = CoverSolution(values, sum(values, F(0)), all(v in (0, 1) for v in values))
+    parts = {}
+    masses = [F(0)]
+    for i, row in enumerate(rows):
+        blocks = {}
+        for j in sorted(row):
+            blocks.setdefault(draw(st.sampled_from("abc")), set()).add(j)
+        if draw(st.booleans()):
+            blocks.setdefault("z", set())
+        parts[i] = {label: frozenset(b) for label, b in blocks.items()}
+        masses += [sum((values[j] for j in b), F(0)) for b in parts[i].values()]
+    theta = draw(st.one_of(st.sampled_from(masses), st.builds(F, st.integers(-3, 8), st.integers(1, 7))))
+    return prog, sol, parts, theta
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_cases())
+def test_threshold_split_matches_fraction_reference(case):
+    assert _split_outcome(threshold_split, *case) == _split_outcome(reference_threshold_split, *case)
+
+
+def test_threshold_split_matches_fraction_reference_on_dropped_rows():
+    prog = CoverProgram(2, (frozenset({0, 1}), frozenset({1})))
+    sol = solve_lp(prog)
+    parts = {1: {"a": frozenset({1})}}  # row 0 has no partition
+    assert _split_outcome(threshold_split, prog, sol, parts, HALF) == _split_outcome(
+        reference_threshold_split, prog, sol, parts, HALF
+    )
+
+
+def test_threshold_split_makes_no_fraction_comparisons_or_additions(monkeypatch):
+    inst = stabbedl.normalize(instances.generate("stabbed_l", {"n": 200, "coord_range": 25}, seed=11).data)
+    _, part = stabbedl.build_graph(inst)
+    ids = sorted(p.id for p in inst.paths)
+    prog = CoverProgram(200, tuple(part.closed_neighborhood(u) for u in ids))
+    parts = {u: {"h": part.horizontal[u], "v": part.vertical[u]} for u in ids}
+    sol = solve_lp(prog)
+    assert len(prog.rows) == 200 and sol.duals is not None
+    counts = count_fraction_ops(monkeypatch)
+    got = threshold_split(prog, sol, parts, HALF)
+    assert sum(counts.values()) == 0
+    assert got == reference_threshold_split(prog, sol, parts, HALF)
+    assert sum(counts.values()) > 0  # the counting patch is live
 
 
 # the triangle program (LP optimum 3/2, every x_j = 1/2) with labelled rows;

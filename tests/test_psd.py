@@ -277,7 +277,7 @@ def test_psd_coverage_ratio_and_chain():
 
 def _rows_as_reference(inst):
     try:
-        rows = psd._cover_rows(
+        rows, _ = psd._cover_rows(
             inst.segment_by_id(),
             {s.id for s in inst.hsegs},
             sorted(inst.constraint_ids),
@@ -309,8 +309,9 @@ def test_cover_rows_match_all_pairs_scan_on_generated():
 
 
 def _same_label_inputs(inst):
-    """Constraints with a non-empty same row, and their same-line hits as
-    ``psd_solve``'s same label reads them from ``psd._cover_rows``."""
+    """Constraints with a non-empty same row, their same-line hits and the
+    int high ends, as ``psd_solve``'s same label reads them from
+    ``psd._cover_rows``."""
     table = inst.segment_by_id()
     horiz = {s.id for s in inst.hsegs}
     cand_order = sorted(inst.candidate_ids)
@@ -318,8 +319,8 @@ def _same_label_inputs(inst):
         u for u in sorted(inst.constraint_ids)
         if any((c in horiz) == (u in horiz) and intersects(table[u], table[c]) for c in cand_order)
     ]
-    rows = psd._cover_rows(table, horiz, targets, cand_order)
-    return {u: [cand_order[j] for j in same] for u, (same, _) in zip(targets, rows)}
+    rows, hi = psd._cover_rows(table, horiz, targets, cand_order)
+    return {u: [cand_order[j] for j in same] for u, (same, _) in zip(targets, rows)}, hi
 
 
 # few lines, so several constraints and candidates share one
@@ -329,12 +330,13 @@ NARROW = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2]))
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(ortho_instances(roles=True), ortho_instances(coords=NARROW, roles=True)))
 def test_same_label_matches_reference_per_line_cover(inst):
-    hits = _same_label_inputs(inst)
+    hits, int_hi = _same_label_inputs(inst)
     hi = {s.id: s.x_hi for s in inst.hsegs} | {s.id: s.y_hi for s in inst.vsegs}
     table = inst.segment_by_id()
     pool = sorted({c for row in hits.values() for c in row})
     want = reference_collinear_exact([table[u] for u in hits], [table[c] for c in pool])
     assert psd._interval_cover(hits, hits, hi) == want
+    assert psd._interval_cover(hits, hits, int_hi) == want
 
 
 def test_psd_same_label_matches_reference_on_generated():

@@ -11,8 +11,8 @@ from geodom import AbstractGraph, HRay, LPath, SsrInstance, StabbedLInstance, VS
 from geodom.errors import AssumptionViolationError
 from geodom import instances, ssr, stabbedl
 
-from helpers import naive_min_dominating, reference_stabbedl_build_graph
-from strategies import WIDE, lpath_instances
+from helpers import naive_min_dominating, reference_stabbedl_build_graph, reference_stabbedl_normalize
+from strategies import WIDE, lpath_instances, stabbed_l_layouts
 
 
 def crossing_triple() -> StabbedLInstance:
@@ -77,6 +77,36 @@ def test_normalize_shifts_line():
     assert norm.line_x == 0
     assert [p.corner_x for p in norm.paths] == [F(-3), F(-1)]
     assert [p.corner_y for p in norm.paths] == [F(0), F(-2)]
+
+
+def _normalize_outcome(fn, inst):
+    try:
+        return "ok", fn(inst)
+    except AssumptionViolationError as exc:
+        return "error", exc.which, tuple(exc.ids), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(stabbed_l_layouts() | stabbed_l_layouts(coords=WIDE) | lpath_instances())
+def test_normalize_matches_fraction_reference(inst):
+    got = _normalize_outcome(stabbedl.normalize, inst)
+    assert got == _normalize_outcome(reference_stabbedl_normalize, inst)
+    if got[0] == "ok" and inst.line_x == 0:
+        assert got[1].paths is inst.paths  # the line is already at x=0
+
+
+def test_int_coordinates_solve_like_fractions():
+    # int coordinates once made the vertical label's shrink a float
+    triples = [(0, -1, 0, 2, 3), (1, -2, 1, 2, 4), (2, -3, 5, 1, 5)]
+    ints = StabbedLInstance(tuple(LPath(*t) for t in triples))
+    fracs = StabbedLInstance(tuple(LPath(t[0], *map(F, t[1:])) for t in triples))
+    cert, det = stabbedl.solve_mds(ints, want_details=True)
+    assert det.v_rows  # the vertical label ran
+    assert cert == stabbedl.solve_mds(fracs)
+    by_id = {p.id: p for p in ints.paths}
+    delta = stabbedl._vertical_shrink(by_id, det.v_rows)
+    assert type(delta) is F
+    assert delta == stabbedl._vertical_shrink({p.id: p for p in fracs.paths}, det.v_rows)
 
 
 def test_frozen_graph_and_partition():

@@ -171,6 +171,18 @@ def test_domination_and_bound():
             assert outcome.chosen_paths <= outcome.vars
 
 
+def test_solve_mds_builds_each_paths_legs_once(monkeypatch):
+    paths = list(instances.generate("unit_bk", {"n": 60, "k": 2}, seed=5).data.paths)
+    want = uvpg.solve_mds(paths, 2, want_details=True)
+    calls = []
+    leg_segments = UnitKBendPath.leg_segments
+    monkeypatch.setattr(UnitKBendPath, "leg_segments", lambda p: calls.append(p.id) or leg_segments(p))
+    got = uvpg.solve_mds(paths, 2, want_details=True)
+    assert sorted(calls) == sorted(p.id for p in paths)
+    assert len(got[1].labels) > 1
+    assert got == want
+
+
 def _contacts_as_reference(paths):
     contacts = uvpg.build_graph(paths)
     return contacts.neighborhoods, contacts.phi, contacts.partition

@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -22,10 +22,9 @@ from .errors import (
     InvalidInputError,
     SizeCapExceededError,
 )
-from .geom import OrthoInstance, intersects, rat_str
+from .geom import OrthoInstance, rat_str
 from .instances import InstanceFile, UnitBkInstance
 from .lp import CoverProgram, SolveCertificate, solve_lp
-from .oracle import AbstractGraph
 from .srs import SrsInstance
 from .ssr import SsrInstance
 from .stabbedl import StabbedLInstance
@@ -103,13 +102,12 @@ def _build_parser() -> _Parser:
 # shared pieces
 
 
+_GRAPH_KINDS = ("stabbed_l", "unit_bk")
+
+
 def _stab_certificate(data, selected) -> SolveCertificate:
     """Factor-2 certificate of a stabbing answer against the covering LP."""
-    cands, cons, _ = oracle.stab_sides(data)
-    index_of = {c.id: i for i, c in enumerate(cands)}
-    rows = tuple(
-        frozenset(index_of[c.id] for c in cands if intersects(c, u)) for u in cons
-    )
+    cands, _, rows = oracle.cover_rows(data)
     cert = SolveCertificate(
         heuristic_ids=frozenset(selected),
         heuristic_size=len(selected),
@@ -120,23 +118,11 @@ def _stab_certificate(data, selected) -> SolveCertificate:
     return cert
 
 
-def _neighborhoods(data) -> Optional[dict[int, frozenset[int]]]:
-    """Closed neighbourhoods of a graph kind, None for the other kinds."""
-    if isinstance(data, StabbedLInstance):
-        return stabbedl.build_graph(data)[0]
-    if isinstance(data, UnitBkInstance):
-        return uvpg.build_graph(list(data.paths)).neighborhoods
-    return None
-
-
 def _exact_size(f: InstanceFile, cap: Optional[int]) -> set[int]:
-    if isinstance(f.data, (SsrInstance, SrsInstance, OrthoInstance)):
+    if f.kind not in _GRAPH_KINDS:
         return oracle.exact_stab(f.data, cap)
-    neighborhoods = _neighborhoods(f.data)
-    if neighborhoods is None:
-        raise InvalidInputError(f"kind {f.kind!r} has no graph form")
-    n = len(neighborhoods)
-    return oracle.exact_mds(AbstractGraph(n, tuple(neighborhoods[u] for u in range(n))), cap)
+    ids, _, closed = oracle.cover_rows(f.data)
+    return {ids[u] for u in oracle.exact_mds(oracle.AbstractGraph(len(ids), closed), cap)}
 
 
 def _certificate_payload(cert: SolveCertificate) -> dict:
@@ -149,15 +135,12 @@ def _certificate_payload(cert: SolveCertificate) -> dict:
     return payload
 
 
-def _with_exact(cert: SolveCertificate, f: InstanceFile, cap) -> SolveCertificate:
-    """Attach the oracle optimum when the instance is within the cap."""
+def _exact_opt(f: InstanceFile, cap) -> Optional[int]:
+    """The oracle optimum's size, None when the instance is over the cap."""
     try:
-        exact = len(_exact_size(f, cap))
+        return len(_exact_size(f, cap))
     except SizeCapExceededError:
-        return cert
-    out = replace(cert, exact_opt=exact)
-    out.validate()
-    return out
+        return None
 
 
 def _solve_for(f: InstanceFile, want_trace: bool):
@@ -210,7 +193,8 @@ def _cmd_solve(args) -> int:
     if args.certify:
         if cert is None:
             cert = _stab_certificate(f.data, selected)
-        cert = _with_exact(cert, f, args.cap)
+        cert = replace(cert, exact_opt=_exact_opt(f, args.cap))
+        cert.validate()
 
     payload = {
         "kind": f.kind,
@@ -253,45 +237,56 @@ def _load_solution(path: str) -> dict:
     if not isinstance(payload, dict) or "selected" not in payload:
         raise InvalidInputError("solution file needs a 'selected' list")
     sel = payload["selected"]
-    if not isinstance(sel, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in sel
-    ):
+    if type(sel) is not list or not all(type(v) is int for v in sel):
         raise InvalidInputError("'selected' must be a list of integers")
     return payload
 
 
 def _verify_problems(f: InstanceFile, selected: set[int]) -> list[str]:
-    data = f.data
-    problems = []
-    if isinstance(data, (SsrInstance, SrsInstance, OrthoInstance)):
-        cands, cons, _ = oracle.stab_sides(data)
-        table = {c.id: c for c in cands}
-        unknown = selected - set(table)
-        if unknown:
-            problems.append(f"selected ids not selectable: {sorted(unknown)}")
-            return problems
-        picked = [table[i] for i in sorted(selected)]
-        for u in cons:
-            if not any(intersects(c, u) for c in picked):
-                problems.append(f"constraint {u.id} is not covered")
-        return problems
-    neighborhoods = _neighborhoods(data)
-    if neighborhoods is None:
-        raise InvalidInputError(f"cannot verify kind {f.kind!r}")
-    unknown = selected - set(neighborhoods)
+    cands, cons, rows = oracle.cover_rows(f.data)
+    graph = f.kind in _GRAPH_KINDS
+    unknown = selected - set(cands)
     if unknown:
-        problems.append(f"selected ids not in the instance: {sorted(unknown)}")
-        return problems
-    for u, nbrs in sorted(neighborhoods.items()):
-        if not (nbrs & selected):
-            problems.append(f"vertex {u} is not dominated")
+        where = "not in the instance" if graph else "not selectable"
+        return [f"selected ids {where}: {sorted(unknown)}"]
+    picked = {i for i, c in enumerate(cands) if c in selected}
+    unmet = "vertex {} is not dominated" if graph else "constraint {} is not covered"
+    return [unmet.format(u) for u, row in zip(cons, rows) if picked.isdisjoint(row)]
+
+
+def _certificate_problems(sol: dict) -> list[str]:
+    """Problems with the solution's ``certificate`` block, none without one:
+    ``size`` against the selected ids, then the first failing
+    ``SolveCertificate.validate`` check.  A malformed block is invalid input."""
+    if "certificate" not in sol:
+        return []
+    block = sol["certificate"]
+    if type(block) is not dict:
+        raise InvalidInputError("'certificate' must be a JSON object")
+    picked = frozenset(sol["selected"])
+    size = instances._int(sol.get("size"), "size")
+    exact = block.get("exact_opt")
+    cert = SolveCertificate(
+        picked,
+        len(picked),
+        instances._rat(block.get("lp_opt"), "lp_opt"),
+        instances._rat(block.get("bound"), "bound"),
+        None if exact is None else instances._int(exact, "exact_opt"),
+    )
+    problems = []
+    if size != len(picked):
+        problems.append(f"size {size} is not the number of selected ids ({len(picked)})")
+    try:
+        cert.validate()
+    except InvalidInputError as exc:
+        problems.append(f"certificate: {exc}")
     return problems
 
 
 def _cmd_verify(args) -> int:
     f = instances.load(args.infile)
     sol = _load_solution(args.solution)
-    problems = _verify_problems(f, set(sol["selected"]))
+    problems = _verify_problems(f, set(sol["selected"])) + _certificate_problems(sol)
     if problems:
         for line in problems:
             print(f"FAIL: {line}", file=sys.stderr)
@@ -326,10 +321,7 @@ class BenchRecord:
         ]
 
 
-_BENCH_HEADER = [
-    "kind", "seed", "sizes", "heuristic_size", "lp_opt", "exact_opt",
-    "ratio", "bound", "wall_time_ms",
-]
+_BENCH_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> BenchRecord:
@@ -340,10 +332,7 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> Benc
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if cert is None:
         cert = _stab_certificate(f.data, selected)
-    try:
-        exact: Optional[int] = len(_exact_size(f, cap))
-    except SizeCapExceededError:
-        exact = None
+    exact = _exact_opt(f, cap)
     ratio = rat_str(Fraction(cert.heuristic_size, exact)) if exact else ""
     if kind == "unit_bk":
         sizes = f"n={size};k={k}"
@@ -410,10 +399,7 @@ def run_cli(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, GenerationExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (InputError, GenerationExhaustedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -433,11 +433,6 @@ def containment_violation(
     return None
 
 
-def is_proper(intervals: list[tuple[Rat, Rat]]) -> bool:
-    """True when no interval in the list contains another (identity included)."""
-    return containment_violation((lo, hi, i) for i, (lo, hi) in enumerate(intervals)) is None
-
-
 class Fenwick:
     """Counts over 0..n-1 with point updates and k-th search, for sweeps."""
 

@@ -76,9 +76,6 @@ class CoverSolution:
     integral: bool
     duals: Optional[tuple[Rat, ...]] = None
 
-    def mass(self, var_ids) -> Rat:
-        return sum((self.values[j] for j in var_ids), ZERO)
-
     def support(self) -> frozenset[int]:
         return frozenset(j for j, v in enumerate(self.values) if v > 0)
 

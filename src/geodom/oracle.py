@@ -1,15 +1,19 @@
 """Exact brute-force baselines for domination and stabbing at desk scale.
 
-One bitmask set-cover engine drives both entry points.  It is deliberately
-independent of the LP-based branch-and-bound in ``lp`` so the two exact
-routes can certify each other in tests.
+``cover_rows`` gives every kind's constraint -> candidates rows, read off
+the geometry code that finds contacts, and one bitmask set-cover engine
+searches them.  It uses no heuristic's selection and is independent of the
+LP-based branch-and-bound in ``lp``, so the exact routes can certify each
+other in tests.
 """
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import instances, psd, stabbedl, uvpg
 from .errors import (
     InfeasibleConstraintError,
     InfeasibleRayError,
@@ -17,7 +21,7 @@ from .errors import (
     InvalidInputError,
     SizeCapExceededError,
 )
-from .geom import OrthoInstance, intersects
+from .geom import OrthoInstance, int_coords
 from .srs import SrsInstance
 from .ssr import SsrInstance
 
@@ -66,26 +70,23 @@ class AbstractGraph:
         return cls(n, tuple(frozenset(s) for s in nbrs))
 
 
-def _min_cover(num_constraints: int, candidates: list[tuple[int, int]]) -> set[int]:
-    """Smallest candidate subset whose masks OR to the full constraint set.
+def _min_cover(ids, rows) -> set[int]:
+    """Smallest subset of ``ids`` meeting every row, where a row holds the
+    positions in ``ids`` of the candidates meeting one constraint.
 
-    Iterative deepening on cardinality; branches on the lowest uncovered
-    constraint, so completeness is immediate.  Callers guarantee that the
-    union of all masks is full.
+    Iterative deepening on cardinality over constraint bitmasks; branches
+    on the lowest uncovered constraint, so completeness is immediate.
+    Callers guarantee that no row is empty.
     """
-    if num_constraints == 0:
+    if not rows:
         return set()
-    full = (1 << num_constraints) - 1
-    covers_bit: dict[int, list[tuple[int, int]]] = {
-        b: [] for b in range(num_constraints)
-    }
-    for cid, mask in candidates:
-        m = mask
-        while m:
-            b = (m & -m).bit_length() - 1
-            covers_bit[b].append((cid, mask))
-            m &= m - 1
-    max_gain = max(mask.bit_count() for _, mask in candidates)
+    full = (1 << len(rows)) - 1
+    masks = [0] * len(ids)
+    for b, row in enumerate(rows):
+        for p in row:
+            masks[p] |= 1 << b
+    covers_bit = [[(ids[p], masks[p]) for p in sorted(row)] for row in rows]
+    max_gain = max(m.bit_count() for m in masks)
 
     def dfs(covered: int, budget: int, chosen: list[int]) -> Optional[list[int]]:
         if covered == full:
@@ -100,8 +101,8 @@ def _min_cover(num_constraints: int, candidates: list[tuple[int, int]]) -> set[i
                 return got
         return None
 
-    lower = -(-num_constraints // max_gain)
-    for budget in range(lower, len(candidates) + 1):
+    lower = -(-len(rows) // max_gain)
+    for budget in range(lower, len(ids) + 1):
         got = dfs(0, budget, [])
         if got is not None:
             return set(got)
@@ -113,27 +114,55 @@ def exact_mds(g: AbstractGraph, cap: Optional[int] = None) -> set[int]:
     limit = _resolve_cap(cap)
     if g.n > limit:
         raise SizeCapExceededError(f"graph has {g.n} vertices, cap is {limit}")
-    cands = []
-    for u in range(g.n):
-        mask = 0
-        for v in g.closed[u]:
-            mask |= 1 << v
-        cands.append((u, mask))
-    return _min_cover(g.n, cands)
+    return _min_cover(range(g.n), g.closed)
 
 
-def stab_sides(instance: Union[SsrInstance, SrsInstance, OrthoInstance]):
-    """(candidates, constraints, error raised for an uncoverable constraint)
-    of a covering instance."""
-    if isinstance(instance, SsrInstance):
-        return list(instance.rays), list(instance.segments), InfeasibleSegmentError
-    if isinstance(instance, SrsInstance):
-        return list(instance.segments), list(instance.rays), InfeasibleRayError
-    if isinstance(instance, OrthoInstance):
-        table = instance.segment_by_id()
-        cands = [table[i] for i in sorted(instance.candidate_ids)]
-        return cands, [table[i] for i in sorted(instance.constraint_ids)], InfeasibleConstraintError
-    raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
+def _ray_rows(inst) -> list[list[int]]:
+    """Per segment, the positions of the rays meeting it: one bisection of
+    its y-span over the rays sorted by height, then a reach test, all on
+    ``int_coords`` ints."""
+    c = int_coords(inst.rays, inst.segments)
+    by_y = sorted(range(len(c.ray_y)), key=c.ray_y.__getitem__)
+    ys = sorted(c.ray_y)
+    return [
+        [r for r in by_y[bisect_left(ys, lo):bisect_right(ys, hi)] if c.reach[r] >= x]
+        for x, lo, hi in zip(c.seg_x, c.seg_lo, c.seg_hi)
+    ]
+
+
+def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
+    """(candidate ids, constraint ids, rows) of an instance of any kind: row
+    i holds the positions of the candidates meeting constraint i, and may be
+    empty.  ssr and srs keep instance order (srs rows are the ssr table
+    transposed); ortho_psd and the graph kinds, whose rows are closed
+    neighbourhoods, go in id order."""
+    if isinstance(data, SsrInstance):
+        rows = map(frozenset, _ray_rows(data))
+        return [r.id for r in data.rays], [s.id for s in data.segments], tuple(rows)
+    if isinstance(data, SrsInstance):
+        cols: list[list[int]] = [[] for _ in data.rays]
+        for s, row in enumerate(_ray_rows(data)):
+            for r in row:
+                cols[r].append(s)
+        return [s.id for s in data.segments], [r.id for r in data.rays], tuple(map(frozenset, cols))
+    if isinstance(data, OrthoInstance):
+        cands, cons = sorted(data.candidate_ids), sorted(data.constraint_ids)
+        pairs, _ = psd._cover_rows(data.segment_by_id(), {s.id for s in data.hsegs}, cons, cands)
+        return cands, cons, tuple(same | cross for same, cross in pairs)
+    if isinstance(data, stabbedl.StabbedLInstance):
+        closed = stabbedl.build_graph(data)[0]
+    elif isinstance(data, instances.UnitBkInstance):
+        closed = uvpg.build_graph(list(data.paths)).neighborhoods
+    else:
+        raise InvalidInputError(f"unsupported instance type {type(data).__name__}")
+    ids = sorted(closed)
+    pos = {u: i for i, u in enumerate(ids)}
+    return ids, ids, tuple(frozenset(map(pos.__getitem__, closed[u])) for u in ids)
+
+
+#: the error of each stabbing kind for a constraint nothing meets
+_UNMET = ((SsrInstance, InfeasibleSegmentError), (SrsInstance, InfeasibleRayError),
+          (OrthoInstance, InfeasibleConstraintError))
 
 
 def exact_stab(
@@ -142,21 +171,13 @@ def exact_stab(
 ) -> set[int]:
     """Minimum candidate subset meeting every constraint of the instance."""
     limit = _resolve_cap(cap)
-    cands, cons, misses = stab_sides(instance)
+    misses = next((err for kind, err in _UNMET if isinstance(instance, kind)), None)
+    if misses is None:
+        raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
+    cands, cons, rows = cover_rows(instance)
     if len(cands) > limit:
         raise SizeCapExceededError(f"{len(cands)} candidates, cap is {limit}")
-
-    masks = []
-    for c in cands:
-        mask = 0
-        for b, u in enumerate(cons):
-            if intersects(c, u):
-                mask |= 1 << b
-        masks.append((c.id, mask))
-    union = 0
-    for _, m in masks:
-        union |= m
-    for b, u in enumerate(cons):
-        if not (union >> b) & 1:
-            raise misses(u.id)
-    return _min_cover(len(cons), masks)
+    for u, row in zip(cons, rows):
+        if not row:
+            raise misses(u)
+    return _min_cover(cands, rows)

@@ -287,8 +287,9 @@ def _rotate_v(seg: VSeg) -> HSeg:
 
 
 def _cover_rows(table, horiz, constraints, cand_order):
-    """(same, cross) candidate-index sets meeting each constraint, in order,
-    and each segment id's high end as an int.
+    """(same, cross) candidate-index sets meeting each constraint, in order
+    (both empty when nothing meets it), and each segment id's high end as
+    an int.
 
     Both axes go to ints once, on one scale.  Parallel segments meet only on
     a shared carrier line, so same-orientation candidates are bucketed by
@@ -320,7 +321,7 @@ def _cover_rows(table, horiz, constraints, cand_order):
         pairs.sort()
     lines = {h: [line for line, _ in pairs] for h, pairs in by_line.items()}
     out = []
-    for r, u in enumerate(constraints):
+    for r in range(len(constraints)):
         h = is_h[r]
         line, lo, hi = spans[r]
         same = sorted(
@@ -333,8 +334,6 @@ def _cover_rows(table, horiz, constraints, cand_order):
             idx for _, idx in by_line[not h][a:b]
             if cands[idx][1] <= line <= cands[idx][2]
         )
-        if not same and not cross:
-            raise InfeasibleConstraintError(u)
         out.append((frozenset(same), frozenset(cross)))
     return out, {s.id: span[2] for s, span in zip(segs, spans)}
 
@@ -349,6 +348,9 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
     cover, hi = _cover_rows(table, horiz, constraints, cand_order)
+    for u, (same, cross) in zip(constraints, cover):
+        if not same and not cross:
+            raise InfeasibleConstraintError(u)
     parts = [{"same": same, "cross": cross} for same, cross in cover]
     poss_certs: list[SolveCertificate] = []
 

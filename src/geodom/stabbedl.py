@@ -105,9 +105,6 @@ class NeighborhoodPartition:
     horizontal: dict[int, frozenset[int]]
     vertical: dict[int, frozenset[int]]
 
-    def closed_neighborhood(self, u: int) -> frozenset[int]:
-        return self.horizontal[u] | self.vertical[u]
-
 
 def build_graph(inst: StabbedLInstance):
     """Adjacency (closed neighbourhoods) plus the leg-contact partition.

@@ -9,9 +9,20 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from geodom.errors import InfeasibleRayError, InfeasibleSegmentError, InvalidInputError
-from geodom.geom import HRay, VSeg, intersects
+from geodom import oracle, stabbedl, uvpg
+from geodom.errors import (
+    InfeasibleConstraintError,
+    InfeasibleRayError,
+    InfeasibleSegmentError,
+    InvalidInputError,
+    SizeCapExceededError,
+)
+from geodom.geom import HRay, OrthoInstance, VSeg, intersects
+from geodom.instances import UnitBkInstance
 from geodom.lp import CoverProgram, CoverSolution
+from geodom.srs import SrsInstance
+from geodom.ssr import SsrInstance
+from geodom.stabbedl import StabbedLInstance
 
 
 def solve_linear(a, b):
@@ -1039,3 +1050,134 @@ def count_fraction_ops(monkeypatch) -> dict:
     for name in FRACTION_OPS:
         monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# the covering view before ``oracle.cover_rows``: literal copies of the
+# all-pairs code it replaced, kept as references for its consumers
+
+
+def reference_stab_sides(instance):
+    """(candidates, constraints, error raised for an uncoverable constraint)
+    of a covering instance."""
+    if isinstance(instance, SsrInstance):
+        return list(instance.rays), list(instance.segments), InfeasibleSegmentError
+    if isinstance(instance, SrsInstance):
+        return list(instance.segments), list(instance.rays), InfeasibleRayError
+    if isinstance(instance, OrthoInstance):
+        table = instance.segment_by_id()
+        cands = [table[i] for i in sorted(instance.candidate_ids)]
+        return cands, [table[i] for i in sorted(instance.constraint_ids)], InfeasibleConstraintError
+    raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
+
+
+def reference_neighborhoods(data) -> Optional[dict[int, frozenset[int]]]:
+    """Closed neighbourhoods of a graph kind, None for the other kinds."""
+    if isinstance(data, StabbedLInstance):
+        return stabbedl.build_graph(data)[0]
+    if isinstance(data, UnitBkInstance):
+        return uvpg.build_graph(list(data.paths)).neighborhoods
+    return None
+
+
+def reference_cover_rows(data):
+    """``oracle.cover_rows`` of a stabbing kind by an all-pairs
+    ``intersects`` scan over ``reference_stab_sides``."""
+    cands, cons, _ = reference_stab_sides(data)
+    rows = tuple(
+        frozenset(i for i, c in enumerate(cands) if intersects(c, u)) for u in cons
+    )
+    return [c.id for c in cands], [u.id for u in cons], rows
+
+
+def reference_min_cover(num_constraints: int, candidates: list[tuple[int, int]]) -> set[int]:
+    """Smallest candidate subset whose masks OR to the full constraint set.
+
+    Iterative deepening on cardinality; branches on the lowest uncovered
+    constraint, so completeness is immediate.  Callers guarantee that the
+    union of all masks is full.
+    """
+    if num_constraints == 0:
+        return set()
+    full = (1 << num_constraints) - 1
+    covers_bit: dict[int, list[tuple[int, int]]] = {
+        b: [] for b in range(num_constraints)
+    }
+    for cid, mask in candidates:
+        m = mask
+        while m:
+            b = (m & -m).bit_length() - 1
+            covers_bit[b].append((cid, mask))
+            m &= m - 1
+    max_gain = max(mask.bit_count() for _, mask in candidates)
+
+    def dfs(covered: int, budget: int, chosen: list[int]) -> Optional[list[int]]:
+        if covered == full:
+            return chosen
+        missing = (full & ~covered).bit_count()
+        if budget == 0 or missing > budget * max_gain:
+            return None
+        low = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
+        for cid, mask in covers_bit[low]:
+            got = dfs(covered | mask, budget - 1, chosen + [cid])
+            if got is not None:
+                return got
+        return None
+
+    lower = -(-num_constraints // max_gain)
+    for budget in range(lower, len(candidates) + 1):
+        got = dfs(0, budget, [])
+        if got is not None:
+            return set(got)
+    raise InvalidInputError("cover search exhausted on a feasible input")
+
+
+def reference_exact_stab(instance, cap: Optional[int] = None) -> set[int]:
+    """Minimum candidate subset meeting every constraint of the instance."""
+    limit = oracle._resolve_cap(cap)
+    cands, cons, misses = reference_stab_sides(instance)
+    if len(cands) > limit:
+        raise SizeCapExceededError(f"{len(cands)} candidates, cap is {limit}")
+
+    masks = []
+    for c in cands:
+        mask = 0
+        for b, u in enumerate(cons):
+            if intersects(c, u):
+                mask |= 1 << b
+        masks.append((c.id, mask))
+    union = 0
+    for _, m in masks:
+        union |= m
+    for b, u in enumerate(cons):
+        if not (union >> b) & 1:
+            raise misses(u.id)
+    return reference_min_cover(len(cons), masks)
+
+
+def reference_verify_problems(f, selected: set[int]) -> list[str]:
+    data = f.data
+    problems = []
+    if isinstance(data, (SsrInstance, SrsInstance, OrthoInstance)):
+        cands, cons, _ = reference_stab_sides(data)
+        table = {c.id: c for c in cands}
+        unknown = selected - set(table)
+        if unknown:
+            problems.append(f"selected ids not selectable: {sorted(unknown)}")
+            return problems
+        picked = [table[i] for i in sorted(selected)]
+        for u in cons:
+            if not any(intersects(c, u) for c in picked):
+                problems.append(f"constraint {u.id} is not covered")
+        return problems
+    neighborhoods = reference_neighborhoods(data)
+    if neighborhoods is None:
+        raise InvalidInputError(f"cannot verify kind {f.kind!r}")
+    unknown = selected - set(neighborhoods)
+    if unknown:
+        problems.append(f"selected ids not in the instance: {sorted(unknown)}")
+        return problems
+    for u, nbrs in sorted(neighborhoods.items()):
+        if not (nbrs & selected):
+            problems.append(f"vertex {u} is not dominated")
+    return problems

@@ -24,6 +24,7 @@ from geodom import (
     properize,
 )
 from geodom import instances, lp, psd, srs, ssr, stabbedl, uvpg
+from geodom.cli import run_cli
 from geodom.geom import containment_violation
 
 from helpers import ssr_cover_ok
@@ -369,3 +370,17 @@ def test_criterion_11_properize():
         assert containment_violation((s.y_lo, s.y_hi, s.id) for s in out.vsegs) is None
     print("PASS criterion 11: properize keeps the intersection matrix and "
           "yields proper projections on 500 instances")
+
+
+def test_certify_and_verify_wall_clock(tmp_path, capsys):
+    """gen, solve --certify and verify on one ssr file at n = m = 5000, in
+    one process, under a fixed 10 s."""
+    inst, sol = str(tmp_path / "big.json"), str(tmp_path / "big.sol.json")
+    t0 = time.perf_counter()
+    assert run_cli(["gen", "--kind", "ssr", "-n", "5000", "-m", "5000", "--seed", "5", "-o", inst]) == 0
+    assert run_cli(["solve", "--alg", "ssr", "-i", inst, "-o", sol, "--certify"]) == 0
+    assert run_cli(["verify", "-i", inst, "-s", sol]) == 0
+    elapsed = time.perf_counter() - t0
+    assert "solution verified" in capsys.readouterr().out
+    assert elapsed < 10.0
+    print(f"PASS gen + solve --certify + verify, ssr n=m=5000 ({elapsed:.2f}s)")

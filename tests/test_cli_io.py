@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 from geodom.errors import GenerationExhaustedError, InvalidInputError
 import geodom
-from geodom import instances, psd, srs, ssr, stabbedl, uvpg
+from geodom import cli, instances, psd, srs, ssr, stabbedl, uvpg
 from geodom.cli import run_cli
 from geodom.geom import HRay, HSeg, OrthoInstance, VSeg
 from geodom.srs import SrsInstance
 from geodom.ssr import SsrInstance
 from geodom.stabbedl import LPath, StabbedLInstance
 
-from helpers import reference_gen_ssr
+from helpers import reference_gen_ssr, reference_verify_problems
 from strategies import GRID, GRID_LENGTHS, WIDE, WIDE_LENGTHS, lpath_instances, ortho_instances, ssr_instances, unit_path_lists
 
 
@@ -385,6 +385,91 @@ def test_verify_rejects_undersized_solution(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
     sol.write_text(json.dumps({"selected": ["zero"]}))
     assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+
+
+def _with_unmet_constraint(f):
+    """``f`` plus one constraint, far from everything, that nothing meets."""
+    data, far = f.data, F(10**6)
+    if f.kind == "ssr":
+        data = SsrInstance(data.rays, data.segments + (VSeg(len(data.segments), far, F(0), F(1)),))
+    elif f.kind == "srs":
+        data = SrsInstance(data.rays + (HRay(len(data.rays), far, F(0)),), data.segments)
+    else:
+        new = HSeg(1 + max(s.id for s in data.all_segments()), far, F(0), F(1))
+        data = OrthoInstance(data.hsegs + (new,), data.vsegs, data.constraint_ids | {new.id},
+                             data.candidate_ids)
+    return instances.InstanceFile(f.kind, data)
+
+
+def test_verify_problems_match_old_all_pairs_function():
+    """Every kind, with the solver's selection, one pick dropped, and an id
+    the instance does not have added; every other stabbing instance has a
+    constraint nothing meets."""
+    rng = random.Random(2024)
+    failing = 0
+    for i in range(250):
+        kind = instances.KINDS[i % len(instances.KINDS)]
+        f = instances.generate(kind, {"n": rng.randint(1, 12), "m": rng.randint(1, 12), "k": 1},
+                               rng.randrange(10**9))
+        selected, cert, _ = cli._solve_for(f, want_trace=False)
+        picks = sorted(cert.heuristic_ids if cert is not None else selected)
+        if i % 2 and kind in ("ssr", "srs", "ortho_psd"):
+            f = _with_unmet_constraint(f)
+        dropped = set(picks) - {rng.choice(picks)} if picks else set()
+        for sel in (set(picks), dropped, set(picks) | {1000 + i}):
+            got = cli._verify_problems(f, sel)
+            assert got == reference_verify_problems(f, sel)
+            failing += bool(got)
+    assert failing >= 400
+
+
+def _certified_one_ray(tmp_path):
+    inst = tmp_path / "one.json"
+    inst.write_text(json.dumps({
+        "kind": "ssr",
+        "rays": [{"id": 0, "y": "1", "x_right": "2"}],
+        "segments": [{"id": 0, "x": "1", "y_lo": "0", "y_hi": "3"}],
+    }))
+    sol = tmp_path / "one.sol.json"
+    assert run_cli(["solve", "--alg", "ssr", "-i", str(inst), "-o", str(sol), "--certify"]) == 0
+    payload = json.loads(sol.read_text())
+    assert payload["certificate"] == {"bound": "2", "exact_opt": 1, "lp_opt": "1"}
+    return inst, sol, payload
+
+
+@pytest.mark.parametrize("where, key, value, line", [
+    ("certificate", "lp_opt", "1000", "certificate: heuristic smaller than the LP lower bound"),
+    ("certificate", "bound", "1/2", "certificate: claimed ratio bound violated"),
+    ("certificate", "exact_opt", 7, "certificate: exact optimum outside [lp_opt, heuristic_size]"),
+    (None, "size", 9, "size 9 is not the number of selected ids (1)"),
+])
+def test_verify_rejects_tampered_certificate(tmp_path, capsys, where, key, value, line):
+    inst, sol, payload = _certified_one_ray(tmp_path)
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 0
+    assert capsys.readouterr().out == "solution verified\n"
+    (payload[where] if where else payload)[key] = value
+    sol.write_text(json.dumps(payload))
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"FAIL: {line}"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["certificate"].update(lp_opt="x"),
+    lambda p: p["certificate"].update(bound=2.0),
+    lambda p: p["certificate"].update(exact_opt="7"),
+    lambda p: p["certificate"].pop("lp_opt"),
+    lambda p: p.pop("size"),
+    lambda p: p.update(certificate=["1"]),
+], ids=["bad-rational", "float-bound", "string-exact", "no-lp-opt", "no-size", "not-object"])
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, edit):
+    inst, sol, payload = _certified_one_ray(tmp_path)
+    edit(payload)
+    sol.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 @pytest.mark.parametrize("raw", [

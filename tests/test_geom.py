@@ -18,7 +18,6 @@ from geodom.geom import (
     as_rat,
     containment_violation,
     intersects,
-    is_proper,
     min_positive_gap,
     properize,
     rat_str,
@@ -160,7 +159,7 @@ def test_properize_identical_segments_stay_intersecting():
     )
     out = properize(inst)
     assert intersects(out.hsegs[0], out.hsegs[1])
-    assert is_proper([(s.x_lo, s.x_hi) for s in out.hsegs])
+    assert containment_violation((s.x_lo, s.x_hi, s.id) for s in out.hsegs) is None
 
 
 def test_properize_tight_offsets_still_resolve():
@@ -173,8 +172,8 @@ def test_properize_tight_offsets_still_resolve():
     )
     out = properize(inst)
     assert intersection_matrix(out.all_segments()) == intersection_matrix(inst.all_segments())
-    assert is_proper([(s.x_lo, s.x_hi) for s in out.hsegs])
-    assert is_proper([(s.y_lo, s.y_hi) for s in out.vsegs])
+    assert containment_violation((s.x_lo, s.x_hi, s.id) for s in out.hsegs) is None
+    assert containment_violation((s.y_lo, s.y_hi, s.id) for s in out.vsegs) is None
 
 
 def _random_equal_length_instance(rng, n, m):
@@ -197,8 +196,8 @@ def test_properize_random_sweep_preserves_matrix():
         inst = _random_equal_length_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
         out = properize(inst)
         assert intersection_matrix(out.all_segments()) == intersection_matrix(inst.all_segments())
-        assert is_proper([(s.x_lo, s.x_hi) for s in out.hsegs])
-        assert is_proper([(s.y_lo, s.y_hi) for s in out.vsegs])
+        assert containment_violation((s.x_lo, s.x_hi, s.id) for s in out.hsegs) is None
+        assert containment_violation((s.y_lo, s.y_hi, s.id) for s in out.vsegs) is None
 
 
 def _outcome(fn, *args):
@@ -255,11 +254,11 @@ def test_containment_violation_makes_no_fraction_comparisons_or_additions(monkey
     assert sum(counts.values()) > 0  # the counting patch is live
 
 
-def test_is_proper():
-    assert is_proper([(F(0), F(2)), (F(1), F(3))])
-    assert not is_proper([(F(0), F(3)), (F(1), F(2))])   # nested
-    assert not is_proper([(F(0), F(2)), (F(0), F(2))])   # identical
-    assert is_proper([])
+def test_containment_violation_small_cases():
+    assert containment_violation([(F(0), F(2), 0), (F(1), F(3), 1)]) is None
+    assert containment_violation([(F(0), F(3), 0), (F(1), F(2), 1)]) is not None   # nested
+    assert containment_violation([(F(0), F(2), 0), (F(0), F(2), 1)]) is not None   # identical
+    assert containment_violation([]) is None
 
 
 @settings(max_examples=400, deadline=None)

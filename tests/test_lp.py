@@ -185,7 +185,7 @@ def test_threshold_split_makes_no_fraction_comparisons_or_additions(monkeypatch)
     inst = stabbedl.normalize(instances.generate("stabbed_l", {"n": 200, "coord_range": 25}, seed=11).data)
     _, part = stabbedl.build_graph(inst)
     ids = sorted(p.id for p in inst.paths)
-    prog = CoverProgram(200, tuple(part.closed_neighborhood(u) for u in ids))
+    prog = CoverProgram(200, tuple(part.horizontal[u] | part.vertical[u] for u in ids))
     parts = {u: {"h": part.horizontal[u], "v": part.vertical[u]} for u in ids}
     sol = solve_lp(prog)
     assert len(prog.rows) == 200 and sol.duals is not None

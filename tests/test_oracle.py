@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from geodom import (
     AbstractGraph,
@@ -36,9 +37,15 @@ from geodom.errors import (
     UnmetConstraintError,
 )
 from geodom import instances, lp, oracle, srs, ssr
+from geodom.instances import UnitBkInstance
 
-from helpers import naive_min_dominating
-from strategies import ssr_instances
+from helpers import (
+    naive_min_dominating,
+    reference_cover_rows,
+    reference_exact_stab,
+    reference_neighborhoods,
+)
+from strategies import lpath_instances, ortho_instances, ssr_instances, unit_path_lists
 
 
 def test_graph_validation():
@@ -249,3 +256,79 @@ def test_cap_env_override(monkeypatch):
     # explicit argument beats the environment
     monkeypatch.setenv("GEODOM_SIZE_CAP", "4")
     assert len(exact_mds(g, cap=18)) == 18
+
+
+# ---------------------------------------------------------------------------
+# the covering view against the all-pairs code it replaced
+
+
+@settings(max_examples=500, deadline=None)
+@given(ssr_instances())
+def test_cover_rows_match_all_pairs_scan_as_ssr_and_srs(inst):
+    """Shared abscissas, repeated heights, x == reach and touching ends,
+    read both ways: ssr rows, and srs rows as their transpose."""
+    assert oracle.cover_rows(inst) == reference_cover_rows(inst)
+    flipped = SrsInstance(inst.rays, inst.segments)
+    assert oracle.cover_rows(flipped) == reference_cover_rows(flipped)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ortho_instances(roles=True))
+def test_cover_rows_match_all_pairs_scan_on_ortho(inst):
+    assert oracle.cover_rows(inst) == reference_cover_rows(inst)
+
+
+def _as_neighborhoods(view):
+    ids, cons, rows = view
+    assert cons == ids == sorted(ids)
+    return {u: frozenset(ids[p] for p in row) for u, row in zip(ids, rows)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    lpath_instances(),
+    st.integers(0, 2).flatmap(lambda k: unit_path_lists(k).map(lambda ps: UnitBkInstance(k, tuple(ps)))),
+))
+def test_cover_rows_of_graph_kinds_match_old_neighborhoods(data):
+    assert _as_neighborhoods(oracle.cover_rows(data)) == reference_neighborhoods(data)
+
+
+def _desk_instance(rng: random.Random, kind: str):
+    """A seeded desk-size instance; some lose candidates (so may be
+    infeasible) and some have more candidates than the default cap."""
+    top = 9 if kind == "ortho_psd" else 18
+    data = instances.generate(kind, {"n": rng.randint(1, top), "m": rng.randint(1, top)},
+                              rng.randrange(10**9)).data
+    if rng.random() < 0.3:
+        if kind == "ssr":
+            data = SsrInstance(tuple(r for r in data.rays if rng.random() < 0.6), data.segments)
+        elif kind == "srs":
+            data = SrsInstance(data.rays, tuple(s for s in data.segments if rng.random() < 0.6))
+        else:
+            kept = frozenset(c for c in data.candidate_ids if rng.random() < 0.6)
+            data = OrthoInstance(data.hsegs, data.vsegs, data.constraint_ids, kept)
+    return data
+
+
+def _stab_outcome(fn, data, cap):
+    try:
+        return fn(data, cap)
+    except UnmetConstraintError as exc:
+        return type(exc), exc.id
+    except SizeCapExceededError as exc:
+        return type(exc), str(exc)
+
+
+def test_exact_stab_matches_old_all_pairs_function():
+    rng = random.Random(1313)
+    seen = {"set": 0, "unmet": 0, "cap": 0}
+    for i in range(3000):
+        data = _desk_instance(rng, ("ssr", "srs", "ortho_psd")[i % 3])
+        cap = rng.choice([None, None, None, 4])
+        got = _stab_outcome(exact_stab, data, cap)
+        assert got == _stab_outcome(reference_exact_stab, data, cap)
+        if isinstance(got, set):
+            seen["set"] += 1
+        else:
+            seen["cap" if got[0] is SizeCapExceededError else "unmet"] += 1
+    assert min(seen.values()) >= 200, seen

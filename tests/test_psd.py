@@ -276,15 +276,15 @@ def test_psd_coverage_ratio_and_chain():
 
 
 def _rows_as_reference(inst):
-    try:
-        rows, _ = psd._cover_rows(
-            inst.segment_by_id(),
-            {s.id for s in inst.hsegs},
-            sorted(inst.constraint_ids),
-            sorted(inst.candidate_ids),
-        )
-    except InfeasibleConstraintError as exc:
-        return None, exc.constraint_id
+    """``psd._cover_rows`` in ``reference_psd_rows``' shape: (None, id) of
+    the first constraint whose row is empty."""
+    constraints = sorted(inst.constraint_ids)
+    rows, _ = psd._cover_rows(
+        inst.segment_by_id(), {s.id for s in inst.hsegs}, constraints, sorted(inst.candidate_ids)
+    )
+    for u, (same, cross) in zip(constraints, rows):
+        if not same and not cross:
+            return None, u
     return rows, None
 
 

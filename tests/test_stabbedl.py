@@ -128,7 +128,7 @@ def test_frozen_graph_and_partition():
         2: frozenset(),
     }
     for u in nb:
-        assert parts.closed_neighborhood(u) == nb[u]
+        assert parts.horizontal[u] | parts.vertical[u] == nb[u]
 
 
 def test_frozen_solution():

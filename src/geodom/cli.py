@@ -239,6 +239,8 @@ def _load_solution(path: str) -> dict:
     sel = payload["selected"]
     if type(sel) is not list or not all(type(v) is int for v in sel):
         raise InvalidInputError("'selected' must be a list of integers")
+    if len(set(sel)) != len(sel):
+        raise InvalidInputError("'selected' repeats an id")
     return payload
 
 
@@ -254,17 +256,22 @@ def _verify_problems(f: InstanceFile, selected: set[int]) -> list[str]:
     return [unmet.format(u) for u, row in zip(cons, rows) if picked.isdisjoint(row)]
 
 
-def _certificate_problems(sol: dict) -> list[str]:
-    """Problems with the solution's ``certificate`` block, none without one:
-    ``size`` against the selected ids, then the first failing
-    ``SolveCertificate.validate`` check.  A malformed block is invalid input."""
+def _claim_problems(sol: dict) -> list[str]:
+    """Problems with what the solution claims: ``size`` against the selected
+    ids, then the first failing ``SolveCertificate.validate`` check of its
+    ``certificate`` block.  ``size`` may be left out only without a block;
+    a malformed field is invalid input."""
+    picked = frozenset(sol["selected"])
+    problems = []
+    if "size" in sol or "certificate" in sol:
+        size = instances._int(sol.get("size"), "size")
+        if size != len(picked):
+            problems.append(f"size {size} is not the number of selected ids ({len(picked)})")
     if "certificate" not in sol:
-        return []
+        return problems
     block = sol["certificate"]
     if type(block) is not dict:
         raise InvalidInputError("'certificate' must be a JSON object")
-    picked = frozenset(sol["selected"])
-    size = instances._int(sol.get("size"), "size")
     exact = block.get("exact_opt")
     cert = SolveCertificate(
         picked,
@@ -273,9 +280,6 @@ def _certificate_problems(sol: dict) -> list[str]:
         instances._rat(block.get("bound"), "bound"),
         None if exact is None else instances._int(exact, "exact_opt"),
     )
-    problems = []
-    if size != len(picked):
-        problems.append(f"size {size} is not the number of selected ids ({len(picked)})")
     try:
         cert.validate()
     except InvalidInputError as exc:
@@ -286,7 +290,7 @@ def _certificate_problems(sol: dict) -> list[str]:
 def _cmd_verify(args) -> int:
     f = instances.load(args.infile)
     sol = _load_solution(args.solution)
-    problems = _verify_problems(f, set(sol["selected"])) + _certificate_problems(sol)
+    problems = _verify_problems(f, set(sol["selected"])) + _claim_problems(sol)
     if problems:
         for line in problems:
             print(f"FAIL: {line}", file=sys.stderr)

@@ -5,8 +5,8 @@ is closed: touching at a single point counts.  A leftward ray is the closed
 half-line {(t, y) : t <= x_right}.
 
 The per-item kernels (``containment_violation``, ``properize``'s stretch,
-``min_positive_gap``) compare, rank and shift ``scaled`` ints and build a
-``Fraction`` only for a value they return.
+``min_positive_gap``, ``leg_contacts``) compare, rank and shift ``scaled``
+ints and build a ``Fraction`` only for a value they return.
 """
 from __future__ import annotations
 
@@ -135,6 +135,48 @@ def intersects(a: GeomObject, b: GeomObject) -> bool:
             return a.y == b.y and _ranges_overlap(a.x_lo, a.x_hi, b.x_lo, b.x_hi)
         return intersects(b, a)
     raise InvalidInputError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
+
+
+#: a closed int box (x_lo, x_hi, y_lo, y_hi); a leg is a degenerate one
+Box = tuple[int, int, int, int]
+
+
+def leg_contacts(legs: Sequence[Sequence[Box]]) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """``(p, q, hits)`` for every pair of positions p < q in ``legs`` whose
+    legs meet, in (p, q) order; ``hits`` lists, in lex order, the (i, j) with
+    leg i of p meeting leg j of q, legs numbered from 1.
+
+    One sweep over the owners' bounding boxes in y_lo order: a box meets
+    later ones only up to its y_hi, and pairs with disjoint x extents are
+    skipped before any legs are compared.
+    """
+    boxes = []
+    for own in legs:
+        x_lo, x_hi, y_lo, y_hi = zip(*own)
+        boxes.append((min(x_lo), max(x_hi), min(y_lo), max(y_hi)))
+    numbered = [list(enumerate(own, start=1)) for own in legs]
+    by_y = sorted(range(len(boxes)), key=lambda p: boxes[p][2])
+    found = []
+    for pos, p in enumerate(by_y):
+        px0, px1, _, py1 = boxes[p]
+        for r in range(pos + 1, len(by_y)):
+            q = by_y[r]
+            qx0, qx1, qy0, _ = boxes[q]
+            if qy0 > py1:
+                break
+            if qx0 > px1 or px0 > qx1:
+                continue
+            lo, hi = (p, q) if p < q else (q, p)
+            hits = [
+                (i, j)
+                for i, (ax0, ax1, ay0, ay1) in numbered[lo]
+                for j, (bx0, bx1, by0, by1) in numbered[hi]
+                if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+            ]
+            if hits:
+                found.append((lo, hi, hits))
+    found.sort()  # (p, q) pairs are distinct, so no two hit lists are compared
+    return found
 
 
 _numerator = attrgetter("numerator")

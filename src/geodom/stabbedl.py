@@ -4,8 +4,9 @@ Every path is an L: a vertical leg rising from the corner plus a horizontal
 leg running right from it.  The pipeline is ``lp.lp_round`` over the
 domination LP, with each closed neighbourhood row split into its
 horizontal-leg and vertical-leg contacts; the two labels reduce to the
-ray/segment stabbing problems ``srs`` and ``ssr``.  The layout checks of
-``normalize`` and the vertical label's shrink compare ``geom.scaled`` ints.
+ray/segment stabbing problems ``srs`` and ``ssr``.  ``build_graph`` reads
+both labels off ``geom.leg_contacts``.  The layout checks of ``normalize``
+and the vertical label's shrink compare ``geom.scaled`` ints.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Optional
 
 from . import srs, ssr
 from .errors import AssumptionViolationError, InvalidInputError
-from .geom import HRay, HSeg, Rat, VSeg, scaled
+from .geom import HRay, HSeg, Rat, VSeg, leg_contacts, scaled
 from .lp import HALF, CoverProgram, CoverSolution, lp_round
 
 
@@ -109,51 +110,24 @@ class NeighborhoodPartition:
 def build_graph(inst: StabbedLInstance):
     """Adjacency (closed neighbourhoods) plus the leg-contact partition.
 
-    Each path is its legs' bounding box [x, x + hlen] x [y, y + vlen] in ints
-    (one scale per axis), and any contact lies in both boxes.  A sweep over
-    the boxes in corner-height order visits only pairs whose boxes meet and
-    reads the leg contacts off the two corners.  Sets are filled in the
-    input-order pair sequence of the all-pairs definition.
+    Each path is passed to ``geom.leg_contacts`` as its vertical leg (leg 1)
+    and its horizontal leg (leg 2), in ints with one scale per axis.  v
+    joins horizontal[u] exactly when u's horizontal leg meets v's vertical
+    one.  Sets are filled in the input-order pair sequence of the all-pairs
+    definition.
     """
     paths = inst.paths
     _, (x0, hlen) = scaled([p.corner_x for p in paths], [p.hlen for p in paths])
     _, (y0, vlen) = scaled([p.corner_y for p in paths], [p.vlen for p in paths])
-    x1 = [a + b for a, b in zip(x0, hlen)]
-    y1 = [a + b for a, b in zip(y0, vlen)]
-    n = len(paths)
-    by_height = sorted(range(n), key=y0.__getitem__)
-    # (i, j, j's vertical leg meets i's horizontal one, and vice versa), i < j
-    edges = []
-    for pos, i in enumerate(by_height):
-        ax0, ax1, ay0, ay1 = x0[i], x1[i], y0[i], y1[i]
-        for q in range(pos + 1, n):
-            j = by_height[q]
-            bx0, by0 = x0[j], y0[j]
-            if by0 > ay1:
-                break
-            if bx0 > ax1 or ax0 > x1[j]:
-                continue
-            # b's corner height lies in [ay0, ay1] and the x-extents overlap:
-            # b's horizontal leg meets a's vertical one iff it starts at or
-            # left of it, and b's vertical leg (x = bx0, rising from by0 >= ay0)
-            # can meet a's horizontal leg only at equal corner heights.  The
-            # collinear contacts are special cases of these two.
-            a_v_b_h = bx0 <= ax0
-            b_v_a_h = ax0 <= bx0 and ay0 == by0
-            if a_v_b_h or b_v_a_h:
-                edges.append((i, j, b_v_a_h, a_v_b_h) if i < j else (j, i, a_v_b_h, b_v_a_h))
-    edges.sort()
-    adjacency: dict[int, set[int]] = {p.id: {p.id} for p in paths}
+    legs = [((x, x, y, y + v), (x, x + h, y, y)) for x, h, y, v in zip(x0, hlen, y0, vlen)]
     horizontal: dict[int, set[int]] = {p.id: {p.id} for p in paths}
     vertical: dict[int, set[int]] = {p.id: set() for p in paths}
-    for i, j, j_on_i_h, i_on_j_h in edges:
+    for i, j, hits in leg_contacts(legs):
         a, b = paths[i].id, paths[j].id
-        adjacency[a].add(b)
-        adjacency[b].add(a)
         # contact classification is per endpoint's own horizontal leg
-        (horizontal if j_on_i_h else vertical)[a].add(b)
-        (horizontal if i_on_j_h else vertical)[b].add(a)
-    neighborhoods = {u: frozenset(v) for u, v in adjacency.items()}
+        (horizontal if (2, 1) in hits else vertical)[a].add(b)
+        (horizontal if (1, 2) in hits else vertical)[b].add(a)
+    neighborhoods = {u: frozenset(horizontal[u] | vertical[u]) for u in horizontal}
     partition = NeighborhoodPartition(
         {u: frozenset(v) for u, v in horizontal.items()},
         {u: frozenset(v) for u, v in vertical.items()},

@@ -1,9 +1,10 @@
 """Dominating sets in intersection graphs of unit axis-parallel paths.
 
 A path is a chain of unit-length legs, alternating between horizontal and
-vertical.  Two paths are adjacent when any pair of legs meets.  Domination
-is ``lp.lp_round`` over the domination LP with each row split by first-
-contact label (i, j); each label reduces to segment covering with proper
+vertical.  Two paths are adjacent when any pair of legs meets, which
+``geom.leg_contacts`` finds.  Domination is ``lp.lp_round`` over the
+domination LP with each row split by first-contact label (i, j), read off
+those leg contacts; each label reduces to segment covering with proper
 projections, solved by ``psd.psd_solve``.  ``solve_mds`` builds each path's
 canonical leg segments once per call and every label's instance indexes
 into them; ``geom.properize`` stretches each label's legs on ints.
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidInputError, InvalidPathError
-from .geom import HSeg, OrthoInstance, Rat, VSeg, as_rat, properize, scaled
+from .geom import Box, HSeg, OrthoInstance, Rat, VSeg, as_rat, leg_contacts, properize, scaled
 from .lp import CoverProgram, CoverSolution, SolveCertificate, lp_round
 from .psd import psd_solve
 
@@ -87,7 +88,7 @@ class ContactStructure:
     partition: dict[int, dict[tuple[int, int], frozenset[int]]]
 
 
-def _leg_boxes(legs: tuple[str, ...], x: int, y: int, lx: int, ly: int) -> list[tuple[int, int, int, int]]:
+def _leg_boxes(legs: tuple[str, ...], x: int, y: int, lx: int, ly: int) -> list[Box]:
     """Legs as closed boxes (x_lo, x_hi, y_lo, y_hi), axes scaled by lx, ly,
     walked from the start point (x, y) on those scales.
 
@@ -110,61 +111,32 @@ def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
     strictly smaller crossing pair, so it matches the partition rule.  A
     path meets itself first at (1, 1).
 
-    Other pairs come from a sweep over the paths' bounding boxes in x_lo
-    order: only pairs whose boxes meet get their legs compared, once per
-    unordered pair, and both labels are read off the same contacts.
+    Other pairs come from ``geom.leg_contacts`` over the canonical paths'
+    ``_leg_boxes``: phi[(u, v)] is the first of its hits and phi[(v, u)] the
+    least of them reversed.
     """
     ids = [p.id for p in paths]
     if len(ids) != len(set(ids)):
         raise InvalidInputError("duplicate path ids")
-    canon = {p.id: p.canonical() for p in paths}
-    order = sorted(canon)
+    canon = [p.canonical() for p in paths]
     # every point of a path is its start plus whole steps
-    lx, (xs,) = scaled([p.start_x for p in canon.values()])
-    ly, (ys,) = scaled([p.start_y for p in canon.values()])
-    legs = {pid: _leg_boxes(p.legs, x, y, lx, ly) for (pid, p), x, y in zip(canon.items(), xs, ys)}
-    bbox = {}
-    for pid, boxes in legs.items():
-        x_lo, x_hi, y_lo, y_hi = zip(*boxes)
-        bbox[pid] = (min(x_lo), max(x_hi), min(y_lo), max(y_hi))
-    by_x = sorted(order, key=lambda pid: bbox[pid][0])
-    found: dict[tuple[int, int], tuple[int, int]] = {}
-    adjacent: dict[int, list[int]] = {u: [u] for u in order}
-    for pos, u in enumerate(by_x):
-        _, ux1, uy0, uy1 = bbox[u]
-        for q in range(pos + 1, len(by_x)):
-            v = by_x[q]
-            vx0, _, vy0, vy1 = bbox[v]
-            if vx0 > ux1:
-                break
-            if vy0 > uy1 or uy0 > vy1:
-                continue
-            contacts = [
-                (i, j)
-                for i, a in enumerate(legs[u], start=1)
-                for j, b in enumerate(legs[v], start=1)
-                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
-            ]
-            if contacts:
-                found[(u, v)] = contacts[0]  # generated in lex order
-                found[(v, u)] = min((j, i) for i, j in contacts)
-                adjacent[u].append(v)
-                adjacent[v].append(u)
-    neighborhoods: dict[int, set[int]] = {pid: set() for pid in canon}
-    phi: dict[tuple[int, int], tuple[int, int]] = {}
-    for u in order:
-        for v in sorted(adjacent[u]):
-            neighborhoods[u].add(v)
-            phi[(u, v)] = (1, 1) if u == v else found[(u, v)]
+    lx, (xs,) = scaled([p.start_x for p in canon])
+    ly, (ys,) = scaled([p.start_y for p in canon])
+    legs = [_leg_boxes(p.legs, x, y, lx, ly) for p, x, y in zip(canon, xs, ys)]
+    # contacts[u][v] is phi[(u, v)]
+    contacts = {u: {u: (1, 1)} for u in sorted(ids)}
+    for p, q, hits in leg_contacts(legs):
+        u, v = ids[p], ids[q]
+        contacts[u][v] = hits[0]
+        contacts[v][u] = min([(j, i) for i, j in hits])
+    phi = {(u, v): row[v] for u, row in contacts.items() for v in sorted(row)}
     partition: dict[int, dict[tuple[int, int], frozenset[int]]] = {}
-    for u in order:
+    for u, row in contacts.items():
         blocks: dict[tuple[int, int], set[int]] = {}
-        for v in neighborhoods[u]:
-            blocks.setdefault(phi[(u, v)], set()).add(v)
+        for v, label in row.items():
+            blocks.setdefault(label, set()).add(v)
         partition[u] = {lab: frozenset(vs) for lab, vs in blocks.items()}
-    return ContactStructure(
-        {u: frozenset(ns) for u, ns in neighborhoods.items()}, phi, partition
-    )
+    return ContactStructure({u: frozenset(contacts[u]) for u in ids}, phi, partition)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from geodom.errors import (
     InvalidInputError,
     SizeCapExceededError,
 )
-from geodom.geom import HRay, OrthoInstance, VSeg, intersects
+from geodom.geom import HRay, HSeg, OrthoInstance, VSeg, intersects
 from geodom.instances import UnitBkInstance
 from geodom.lp import CoverProgram, CoverSolution
 from geodom.srs import SrsInstance
@@ -799,6 +799,27 @@ def reference_min_positive_gap(inst):
     if fam is not None and fam < best_dist:
         return fam
     return best_dist
+
+
+def reference_leg_contacts(legs):
+    """All-pairs ``geom.leg_contacts``: each leg box becomes a ``VSeg`` (or an
+    ``HSeg`` when its x extent is not a point) and pairs meet by ``intersects``."""
+    def seg(box):
+        x_lo, x_hi, y_lo, y_hi = box
+        return VSeg(0, x_lo, y_lo, y_hi) if x_lo == x_hi else HSeg(0, y_lo, x_lo, x_hi)
+
+    segs = [[seg(box) for box in own] for own in legs]
+    found = []
+    for p, q in combinations(range(len(segs)), 2):
+        hits = [
+            (i, j)
+            for i, a in enumerate(segs[p], start=1)
+            for j, b in enumerate(segs[q], start=1)
+            if intersects(a, b)
+        ]
+        if hits:
+            found.append((p, q, hits))
+    return found
 
 
 def _reference_paths_intersect(a, b):

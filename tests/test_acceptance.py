@@ -114,12 +114,13 @@ def _big_ssr(rng: random.Random, n: int, m: int) -> SsrInstance:
     return SsrInstance(rays, tuple(segs))
 
 
-def _timed_fast(inst: SsrInstance) -> float:
-    t0 = time.perf_counter()
+def _timed_fast(inst: SsrInstance) -> tuple[float, float]:
+    """Wall and process seconds of one ``solve_fast`` run."""
+    t0, c0 = time.perf_counter(), time.process_time()
     sel = ssr.solve_fast(inst)
-    dt = time.perf_counter() - t0
+    dt, dc = time.perf_counter() - t0, time.process_time() - c0
     assert ssr_cover_ok(inst, sel)
-    return dt
+    return dt, dc
 
 
 def test_criterion_4_fast_engine():
@@ -130,12 +131,16 @@ def test_criterion_4_fast_engine():
     rng = random.Random(405)
     half = _big_ssr(rng, 50_000, 50_000)
     full = _big_ssr(rng, 100_000, 100_000)
-    t_half = min(_timed_fast(half) for _ in range(3))
-    t_full = min(_timed_fast(full) for _ in range(2))
+    runs_half = [_timed_fast(half) for _ in range(3)]
+    runs_full = [_timed_fast(full) for _ in range(2)]
+    t_full = min(wall for wall, _ in runs_full)
+    # the doubling factor is taken on process time, which leaves out time spent waiting for a CPU
+    c_half = min(cpu for _, cpu in runs_half)
+    c_full = min(cpu for _, cpu in runs_full)
     assert t_full < 10.0
-    assert t_full < 3.0 * t_half
+    assert c_full < 3.0 * c_half
     print(f"PASS criterion 4: slow/fast agree on 1000 instances; 1e5 run "
-          f"{t_full:.2f}s with doubling factor {t_full / t_half:.2f}")
+          f"{t_full:.2f}s with doubling factor {c_full / c_half:.2f}")
 
 
 def test_criterion_5_interval_domination_integrality():

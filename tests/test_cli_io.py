@@ -472,6 +472,51 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys, edit):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def _uncertified_ssr(tmp_path):
+    inst = gen(tmp_path, "ssr", "u.json", seed=1, extra=["-n", "4", "-m", "4"])
+    sol = tmp_path / "u.sol.json"
+    assert run_cli(["solve", "--alg", "ssr", "-i", str(inst), "-o", str(sol)]) == 0
+    payload = json.loads(sol.read_text())
+    assert "certificate" not in payload
+    return inst, sol, payload
+
+
+def test_verify_checks_size_without_certificate(tmp_path, capsys):
+    inst, sol, payload = _uncertified_ssr(tmp_path)
+    picked = len(payload["selected"])
+    payload["size"] = 9
+    sol.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAIL: size 9 is not the number of selected ids ({picked})"
+    ]
+    del payload["size"]  # size is optional without a certificate block
+    sol.write_text(json.dumps(payload))
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 0
+
+
+def test_verify_rejects_non_integer_size_without_certificate(tmp_path, capsys):
+    inst, sol, payload = _uncertified_ssr(tmp_path)
+    payload["size"] = str(payload["size"])
+    sol.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: field 'size' must be an integer"]
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["plain", "certified"])
+def test_verify_rejects_repeated_selected_id(tmp_path, capsys, certified):
+    inst, sol, payload = (_certified_one_ray if certified else _uncertified_ssr)(tmp_path)
+    first = payload["selected"][0]
+    payload["selected"] = [first] + payload["selected"]
+    payload["size"] = len(payload["selected"])
+    sol.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: 'selected' repeats an id"]
+
+
 @pytest.mark.parametrize("raw", [
     b'{"selected": [1\xff]}',
     b'{"selected": [1' + b"0" * 5000 + b"]}",

@@ -18,6 +18,7 @@ from geodom.geom import (
     as_rat,
     containment_violation,
     intersects,
+    leg_contacts,
     min_positive_gap,
     properize,
     rat_str,
@@ -28,6 +29,7 @@ from helpers import (
     count_fraction_ops,
     intersection_matrix,
     reference_containment_violation,
+    reference_leg_contacts,
     reference_min_positive_gap,
     reference_properize,
 )
@@ -112,6 +114,38 @@ def test_segment_segment_intersection():
     assert intersects(h, HSeg(3, F(1), F(4), F(6)))      # collinear touch
     assert not intersects(h, HSeg(4, F(2), F(0), F(4)))
     assert intersects(VSeg(5, F(0), F(0), F(2)), VSeg(6, F(0), F(2), F(3)))
+
+
+@st.composite
+def _leg_owners(draw):
+    """1-4 legs on a 7-point grid, so zero-length legs, legs on one line
+    and touching ends are common."""
+    coord, length = st.integers(-2, 4), st.integers(0, 3)
+    legs = []
+    for _ in range(draw(st.integers(1, 4))):
+        at, lo, span = draw(coord), draw(coord), draw(length)
+        legs.append((at, at, lo, lo + span) if draw(st.booleans()) else (lo, lo + span, at, at))
+    return legs
+
+
+def test_leg_contacts_small_cases():
+    assert leg_contacts([]) == []
+    assert leg_contacts([[(0, 0, 0, 2)]]) == []
+    # an L (up, then right) whose horizontal leg ends on the next one's
+    # vertical foot, and a point leg on the first one's vertical leg
+    first = [(0, 0, 0, 2), (0, 3, 2, 2)]
+    second = [(3, 3, 2, 5), (-1, 3, 5, 5)]
+    assert leg_contacts([first, second, [(0, 0, 1, 1)]]) == [
+        (0, 1, [(2, 1)]),
+        (0, 2, [(1, 1)]),
+    ]
+    assert leg_contacts([second, first]) == [(0, 1, [(1, 2)])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_leg_owners(), max_size=8))
+def test_leg_contacts_matches_all_pairs(legs):
+    assert leg_contacts(legs) == reference_leg_contacts(legs)
 
 
 def test_vseg_rejects_inverted_range():

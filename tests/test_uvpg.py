@@ -1,6 +1,7 @@
 """Unit-leg path graphs: contacts, first-contact labels, domination."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -205,3 +206,13 @@ def test_build_graph_matches_all_pairs_scan_on_generated():
         for k in range(4):
             paths = list(instances.generate("unit_bk", {"n": 50, "k": k}, seed).data.paths)
             assert _contacts_as_reference(paths) == reference_uvpg_build_graph(paths)
+
+
+def test_build_graph_2000_paths_under_2s():
+    params = {"n": 2000, "k": 2, "coord_range": 100}
+    paths = list(instances.generate("unit_bk", params, 2000).data.paths)
+    start = time.perf_counter()
+    contacts = uvpg.build_graph(paths)
+    elapsed = time.perf_counter() - start
+    assert sum(len(v) - 1 for v in contacts.neighborhoods.values()) > 0
+    assert elapsed < 2.0, f"build_graph on 2000 paths took {elapsed:.2f}s"

@@ -226,7 +226,7 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _load_solution(path: str) -> dict:
+def _load_solution(path: str, kind: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -241,6 +241,8 @@ def _load_solution(path: str) -> dict:
         raise InvalidInputError("'selected' must be a list of integers")
     if len(set(sel)) != len(sel):
         raise InvalidInputError("'selected' repeats an id")
+    if payload.get("kind", kind) != kind:
+        raise InvalidInputError(f"solution is for kind {payload['kind']!r}, not {kind!r}")
     return payload
 
 
@@ -289,7 +291,7 @@ def _claim_problems(sol: dict) -> list[str]:
 
 def _cmd_verify(args) -> int:
     f = instances.load(args.infile)
-    sol = _load_solution(args.solution)
+    sol = _load_solution(args.solution, f.kind)
     problems = _verify_problems(f, set(sol["selected"])) + _claim_problems(sol)
     if problems:
         for line in problems:
@@ -380,7 +382,7 @@ def _cmd_render(args) -> int:
     f = instances.load(args.infile)
     selected = None
     if args.solution:
-        selected = set(_load_solution(args.solution)["selected"])
+        selected = set(_load_solution(args.solution, f.kind)["selected"])
     svg = render.render_svg(f, selected)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -10,7 +10,8 @@ carries a dual witness that ``check_feasible`` verifies in O(nnz).
 
 ``lp_round`` is the LP-rounding skeleton the three MDS pipelines share:
 solve the covering LP, split each row by which labelled block holds mass
->= theta, solve each label as a sub-problem and certify the union.
+>= theta, solve each label as a sub-problem and certify the union, all in
+ids; only the program it builds numbers rows and columns by position.
 
 The checks and the split run on the values as ``geom.scaled`` ints: row
 sums, block masses and the dual bound are int sums, compared with 1, theta
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     InvalidInputError,
@@ -406,39 +407,51 @@ def threshold_split(
 
 @dataclass(frozen=True)
 class RoundingResult:
-    """Everything ``lp_round`` computed, for the pipelines' ``*Details``."""
+    """Everything ``lp_round`` computed, for the pipelines' ``*Details``:
+    the program in positions, column j being ``var_ids[j]``; the rest in ids."""
 
     program: CoverProgram
     lp_solution: CoverSolution
+    var_ids: tuple[int, ...]
     split: dict[object, tuple[frozenset[int], frozenset[int]]]
     selected: dict[object, frozenset[int]]
     certificate: SolveCertificate
 
     def part(self, label) -> tuple[frozenset[int], frozenset[int]]:
-        """(row indices, var indices) of a label; both empty if no row
-        reached it."""
+        """(row ids, var ids) of a label; both empty if no row reached it."""
         return self.split.get(label, (frozenset(), frozenset()))
 
 
 def lp_round(
-    num_vars: int,
-    parts: list[dict[object, frozenset[int]]],
+    var_ids: Iterable[int],
+    parts: dict[int, dict[object, frozenset[int]]],
     theta: Rat,
     solve_label: Callable[[object, frozenset[int], frozenset[int]], frozenset[int]],
     ratio: Rat,
 ) -> RoundingResult:
-    """Threshold rounding of the covering LP whose row i is the union of
-    ``parts[i]``'s blocks.
+    """Threshold rounding of the covering LP with one row per key of
+    ``parts``: row r is the union of the var-id blocks of ``parts[r]``.
 
-    ``solve_label(label, rows, vars)`` runs once per label of the split, in
-    sorted label order, and returns the ids it selects; their union is the
-    answer, certified against the LP optimum with ``ratio``.
+    Columns go in sorted ``var_ids`` order and rows in sorted row-id order.
+    ``solve_label(label, row ids, var ids)`` runs once per label of the
+    split, in sorted label order, and returns the ids it selects; their
+    union is the answer, certified against the LP optimum with ``ratio``.
     """
+    var_ids = tuple(sorted(var_ids))
+    row_ids = sorted(parts)
+    pos = {v: j for j, v in enumerate(var_ids)}.__getitem__
+    blocks = {
+        i: {label: frozenset(map(pos, b)) for label, b in parts[r].items()}
+        for i, r in enumerate(row_ids)
+    }
     program = CoverProgram(
-        num_vars, tuple(frozenset().union(*blocks.values()) for blocks in parts)
+        len(var_ids), tuple(frozenset().union(*bs.values()) for bs in blocks.values())
     )
     lp_sol = solve_lp(program)
-    split = threshold_split(program, lp_sol, dict(enumerate(parts)), theta)
+    split = {
+        label: (frozenset(map(row_ids.__getitem__, r)), frozenset(map(var_ids.__getitem__, c)))
+        for label, (r, c) in threshold_split(program, lp_sol, blocks, theta).items()
+    }
     selected = {
         label: frozenset(solve_label(label, *split[label])) for label in sorted(split)
     }
@@ -450,4 +463,4 @@ def lp_round(
         claimed_ratio_bound=Fraction(ratio),
     )
     cert.validate()
-    return RoundingResult(program, lp_sol, split, selected, cert)
+    return RoundingResult(program, lp_sol, var_ids, split, selected, cert)

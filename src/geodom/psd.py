@@ -211,54 +211,44 @@ def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool =
     left | right is exactly that row.
     """
     _require_proper("h", ((c.x_lo, c.x_hi, c.id) for c in candidates))
-    order = sorted(c.id for c in candidates)
-    if len(order) != len(set(order)):
-        raise InvalidInputError("duplicate candidate ids")
-    index_of = {cid: i for i, cid in enumerate(order)}
     cand_by_id = {c.id: c for c in candidates}
+    if len(cand_by_id) != len(candidates):
+        raise InvalidInputError("duplicate candidate ids")
     target_by_id = {t.id: t for t in targets}
     if len(target_by_id) != len(targets):
         raise InvalidInputError("duplicate target ids")
 
     dec = build_strips(candidates, targets)
-    row_targets = sorted(targets, key=lambda t: t.id)
-    for t in row_targets:
-        if not (dec.left[t.id] or dec.right[t.id]):
-            raise InfeasibleTargetError(t.id)
-    parts = [
-        {
-            "left": frozenset(index_of[c] for c in dec.left[t.id]),
-            "right": frozenset(index_of[c] for c in dec.right[t.id]),
-        }
-        for t in row_targets
-    ]
+    for tid in sorted(target_by_id):
+        if not (dec.left[tid] or dec.right[tid]):
+            raise InfeasibleTargetError(tid)
+    parts = {tid: {"left": dec.left[tid], "right": dec.right[tid]} for tid in target_by_id}
 
     def solve_label(side, rows, cands):
         step = 0 if side == "left" else 1
-        row_ids = {row_targets[i].id for i in rows}
-        pool = [cand_by_id[order[j]] for j in sorted(cands)]
+        pool = [cand_by_id[c] for c in sorted(cands)]
         selected: set[int] = set()
         for i, strip in enumerate(dec.strips):
-            strip_targets = [target_by_id[tid] for tid in sorted(strip & row_ids)]
+            strip_targets = [target_by_id[tid] for tid in sorted(strip & rows)]
             if strip_targets:
                 boundary = dec.points[i + step]
                 near = [c for c in pool if c.x_lo <= boundary <= c.x_hi]
                 selected |= _solve_boundary_side(near, strip_targets, mirror=step == 1)
         return selected
 
-    res = lp_round(len(order), parts, HALF, solve_label, 8)
+    res = lp_round(cand_by_id, parts, HALF, solve_label, 8)
     if not want_details:
         return res.certificate
     (l_rows, l_vars), (r_rows, r_vars) = res.part("left"), res.part("right")
     return res.certificate, PossDetails(
         program=res.program,
         lp_solution=res.lp_solution,
-        var_order=tuple(order),
+        var_order=res.var_ids,
         decomposition=dec,
-        left_rows=frozenset(row_targets[i].id for i in l_rows),
-        right_rows=frozenset(row_targets[i].id for i in r_rows),
-        left_vars=frozenset(order[j] for j in l_vars),
-        right_vars=frozenset(order[j] for j in r_vars),
+        left_rows=l_rows,
+        right_rows=r_rows,
+        left_vars=l_vars,
+        right_vars=r_vars,
         left_selected=res.selected.get("left", frozenset()),
         right_selected=res.selected.get("right", frozenset()),
     )
@@ -348,19 +338,22 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
     cover, hi = _cover_rows(table, horiz, constraints, cand_order)
+    parts = {}
     for u, (same, cross) in zip(constraints, cover):
         if not same and not cross:
             raise InfeasibleConstraintError(u)
-    parts = [{"same": same, "cross": cross} for same, cross in cover]
+        parts[u] = {
+            "same": frozenset(map(cand_order.__getitem__, same)),
+            "cross": frozenset(map(cand_order.__getitem__, cross)),
+        }
     poss_certs: list[SolveCertificate] = []
 
     def solve_label(label, rows, cands):
         if label == "same":
             # a same block holds only contacts on the constraint's own line
-            hits = {constraints[i]: [cand_order[j] for j in parts[i]["same"]] for i in rows}
-            return _interval_cover(hits, hits, hi)
-        targets = [table[constraints[i]] for i in sorted(rows)]
-        pool = [table[cand_order[j]] for j in sorted(cands)]
+            return _interval_cover(rows, {u: parts[u]["same"] for u in rows}, hi)
+        targets = [table[u] for u in sorted(rows)]
+        pool = [table[c] for c in sorted(cands)]
         selected: set[int] = set()
         v_targets = [u for u in targets if u.id not in horiz]
         if v_targets:
@@ -376,18 +369,18 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
             selected |= cert.heuristic_ids
         return selected
 
-    res = lp_round(len(cand_order), parts, HALF, solve_label, 18)
+    res = lp_round(cand_order, parts, HALF, solve_label, 18)
     if not want_details:
         return res.certificate
     (s_rows, s_vars), (c_rows, c_vars) = res.part("same"), res.part("cross")
     return res.certificate, PsdDetails(
         program=res.program,
         lp_solution=res.lp_solution,
-        var_order=tuple(cand_order),
-        same_rows=frozenset(constraints[i] for i in s_rows),
-        cross_rows=frozenset(constraints[i] for i in c_rows),
-        same_vars=frozenset(cand_order[j] for j in s_vars),
-        cross_vars=frozenset(cand_order[j] for j in c_vars),
+        var_order=res.var_ids,
+        same_rows=s_rows,
+        cross_rows=c_rows,
+        same_vars=s_vars,
+        cross_vars=c_vars,
         exact_selected=res.selected.get("same", frozenset()),
         cross_selected=res.selected.get("cross", frozenset()),
         poss_certs=tuple(poss_certs),

@@ -1,6 +1,7 @@
 """Static SVG pictures of instances, with an optional highlighted solution."""
 from __future__ import annotations
 
+from math import isfinite
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError
@@ -12,6 +13,7 @@ from .stabbedl import StabbedLInstance
 
 _W = 640.0
 _PAD = 24.0
+_TOO_LARGE = "coordinates are too large to draw with floats"
 
 
 def _style(selected: bool, cls: str) -> str:
@@ -70,7 +72,10 @@ def _polylines(f: InstanceFile, selected: set[int]):
 
 def render_svg(f: InstanceFile, selected: Optional[Iterable[int]] = None) -> str:
     chosen = set(selected) if selected is not None else set()
-    items = list(_polylines(f, chosen))
+    try:
+        items = list(_polylines(f, chosen))
+    except OverflowError:  # a coordinate beyond the float range
+        raise InvalidInputError(_TOO_LARGE) from None
     points = [pt for pts, _, _, _ in items for pt in pts]
     if not points:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="64" height="64"/>\n'
@@ -82,6 +87,8 @@ def render_svg(f: InstanceFile, selected: Optional[Iterable[int]] = None) -> str
     span_y = max(ymax - ymin, 1.0)
     scale = (_W - 2 * _PAD) / span_x
     height = span_y * scale + 2 * _PAD
+    if not (isfinite(span_x) and isfinite(height)):  # floats that overflowed
+        raise InvalidInputError(_TOO_LARGE)
 
     def sx(x: float) -> float:
         return _PAD + (x - xmin) * scale

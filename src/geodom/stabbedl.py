@@ -170,15 +170,7 @@ def solve_mds(inst: StabbedLInstance, want_details: bool = False):
     norm = normalize(inst)
     _, partition = build_graph(norm)
     by_id = {p.id: p for p in norm.paths}
-    order = sorted(by_id)
-    index_of = {pid: i for i, pid in enumerate(order)}
-    parts = [
-        {
-            "h": frozenset(index_of[v] for v in partition.horizontal[u]),
-            "v": frozenset(index_of[v] for v in partition.vertical[u]),
-        }
-        for u in order
-    ]
+    parts = {u: {"h": partition.horizontal[u], "v": partition.vertical[u]} for u in by_id}
     subs = {}
 
     def ray(u):  # path u as a leftward ray, x mirrored
@@ -189,8 +181,7 @@ def solve_mds(inst: StabbedLInstance, want_details: bool = False):
         return VSeg(u, -p.corner_x, p.corner_y + lift, p.corner_y + p.vlen)
 
     def solve_label(label, rows, cands):
-        rows = sorted(order[i] for i in rows)
-        cands = sorted(order[j] for j in cands)
+        rows, cands = sorted(rows), sorted(cands)
         if label == "h":
             # constrained paths become rays, candidate vertical legs stay exact
             subs[label] = srs.SrsInstance(tuple(map(ray, rows)), tuple(map(vleg, cands)))
@@ -203,18 +194,18 @@ def solve_mds(inst: StabbedLInstance, want_details: bool = False):
         subs[label] = ssr.normalize(ssr.SsrInstance(tuple(map(ray, cands)), segs))
         return ssr.solve_fast(subs[label])
 
-    res = lp_round(len(order), parts, HALF, solve_label, 8)
+    res = lp_round(by_id, parts, HALF, solve_label, 8)
     if not want_details:
         return res.certificate
     (h_rows, h_vars), (v_rows, v_vars) = res.part("h"), res.part("v")
     details = StabbedLDetails(
         program=res.program,
         lp_solution=res.lp_solution,
-        index_of=index_of,
-        h_rows=frozenset(order[i] for i in h_rows),
-        v_rows=frozenset(order[i] for i in v_rows),
-        h_candidates=frozenset(order[j] for j in h_vars),
-        v_candidates=frozenset(order[j] for j in v_vars),
+        index_of={pid: i for i, pid in enumerate(res.var_ids)},
+        h_rows=h_rows,
+        v_rows=v_rows,
+        h_candidates=h_vars,
+        v_candidates=v_vars,
         srs_instance=subs.get("h"),
         ssr_instance=subs.get("v"),
         srs_selected=res.selected.get("h", frozenset()),

@@ -209,37 +209,30 @@ def solve_mds(paths: list[UnitKBendPath], k: int, want_details: bool = False):
         if len(p.legs) > k + 1:
             raise InvalidPathError(p.id, f"more than {k + 1} legs")
     contacts = build_graph(paths)
-    order = tuple(sorted(contacts.neighborhoods))
-    index_of = {pid: i for i, pid in enumerate(order)}
-    parts = [
-        {lab: frozenset(index_of[v] for v in vs) for lab, vs in contacts.partition[u].items()}
-        for u in order
-    ]
     # every label reads one leg of each of its paths: build them once
     legs = {p.id: p.canonical().leg_segments() for p in paths}
     labels: dict[tuple[int, int], LabelOutcome] = {}
 
     def solve_label(label, rows, cands):
-        row_ids = [order[r] for r in sorted(rows)]
-        var_ids = [order[b] for b in sorted(cands)]
-        inst, cand_owner = _label_instance(label, legs, row_ids, var_ids)
+        inst, cand_owner = _label_instance(label, legs, sorted(rows), sorted(cands))
         cert = psd_solve(properize(inst))
         picked = frozenset(cand_owner[rid] for rid in cert.heuristic_ids)
         labels[label] = LabelOutcome(
-            rows=frozenset(order[r] for r in rows),
-            vars=frozenset(order[b] for b in cands),
+            rows=rows,
+            vars=cands,
             certificate=cert,
             chosen_paths=picked,
         )
         return picked
 
-    res = lp_round(len(order), parts, Fraction(1, (k + 1) ** 2), solve_label, 18 * (k + 1) ** 4)
+    theta, ratio = Fraction(1, (k + 1) ** 2), 18 * (k + 1) ** 4
+    res = lp_round(contacts.neighborhoods, contacts.partition, theta, solve_label, ratio)
     if not want_details:
         return res.certificate
     return res.certificate, UvpgDetails(
         program=res.program,
         lp_solution=res.lp_solution,
-        order=order,
+        order=res.var_ids,
         contacts=contacts,
         labels=labels,
     )

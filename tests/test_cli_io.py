@@ -606,6 +606,51 @@ def test_render_svg(tmp_path):
     assert "#d62728" in pic.read_text()  # highlight stroke for chosen items
 
 
+
+@pytest.mark.parametrize("coords", [
+    {"x_right": "1" + "0" * 400},                    # no float holds it
+    {"x_right": "1" + "0" * 308, "x": "-1" + "0" * 308},  # floats, but the extent is not
+], ids=["coordinate", "extent"])
+def test_render_rejects_coordinates_beyond_floats(tmp_path, capsys, coords):
+    payload = json.loads(instances.dumps(instances.generate("ssr", {"n": 2, "m": 2}, seed=1)))
+    payload["rays"][0]["x_right"] = coords["x_right"]
+    payload["segments"][0]["x"] = coords.get("x", payload["segments"][0]["x"])
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps(payload))
+    sol = tmp_path / "big.sol.json"
+    assert run_cli(["solve", "--alg", "ssr", "--certify", "-i", str(inst), "-o", str(sol)]) == 0
+    capsys.readouterr()
+    assert run_cli(["render", "-i", str(inst), "-s", str(sol), "-o", str(tmp_path / "b.svg")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: coordinates are too large to draw with floats"
+    ]
+    assert not (tmp_path / "b.svg").exists()
+
+
+def test_verify_and_render_reject_a_solution_of_another_kind(tmp_path, capsys):
+    ssr_inst = gen(tmp_path, "ssr", "k.ssr.json", seed=3, extra=["-n", "6", "-m", "6"])
+    srs_inst = gen(tmp_path, "srs", "k.srs.json", seed=3, extra=["-n", "6", "-m", "6"])
+    sol = tmp_path / "k.sol.json"
+    assert run_cli(["solve", "--alg", "srs", "--certify", "-i", str(srs_inst), "-o", str(sol)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(ssr_inst), "-s", str(sol)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solution is for kind 'srs', not 'ssr'"
+    ]
+    assert run_cli(["verify", "-i", str(srs_inst), "-s", str(sol)]) == 0
+    # render reads the same file the same way
+    pic = tmp_path / "k.svg"
+    assert run_cli(["render", "-i", str(ssr_inst), "-s", str(sol), "-o", str(pic)]) == 3
+    assert not pic.exists()
+    # without a kind the ids are read against the instance, as before
+    payload = json.loads(sol.read_text())
+    del payload["kind"]
+    sol.write_text(json.dumps(payload))
+    assert run_cli(["verify", "-i", str(srs_inst), "-s", str(sol)]) == 0
+    assert run_cli(["verify", "-i", str(ssr_inst), "-s", str(sol)]) == 2
+    assert run_cli(["render", "-i", str(ssr_inst), "-s", str(sol), "-o", str(pic)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the installed entry points, run as separate processes
 

@@ -212,7 +212,7 @@ def test_lp_round_solves_each_label_once_in_sorted_order():
         calls.append((label, rows, vars_))
         return {10 + len(calls)}
 
-    res = lp_round(3, TRIANGLE_PARTS, HALF, solve_label, 2)
+    res = lp_round(range(3), dict(enumerate(TRIANGLE_PARTS)), HALF, solve_label, 2)
     assert res.program.rows == (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
     assert res.lp_solution == solve_lp(res.program)
     split = threshold_split(
@@ -237,17 +237,44 @@ def test_lp_round_solves_each_label_once_in_sorted_order():
 
 def test_lp_round_never_calls_an_absent_label():
     seen = []
-    lp_round(3, TRIANGLE_PARTS, HALF, lambda label, rows, vars_: seen.append(label) or {label}, 3)
+    lp_round(range(3), dict(enumerate(TRIANGLE_PARTS)), HALF, lambda label, rows, vars_: seen.append(label) or {label}, 3)
     assert "z" not in seen and seen == ["a", "b", "c"]
 
 
 def test_lp_round_validates_the_certificate():
     # 3 ids against ratio 1 x LP 3/2 breaks the claimed bound
     with pytest.raises(InvalidInputError, match="claimed ratio bound violated"):
-        lp_round(3, TRIANGLE_PARTS, HALF, lambda label, rows, vars_: {label}, 1)
+        lp_round(range(3), dict(enumerate(TRIANGLE_PARTS)), HALF, lambda label, rows, vars_: {label}, 1)
     # no ids at all is below the LP lower bound
     with pytest.raises(InvalidInputError, match="smaller than the LP"):
-        lp_round(3, TRIANGLE_PARTS, HALF, lambda label, rows, vars_: set(), 2)
+        lp_round(range(3), dict(enumerate(TRIANGLE_PARTS)), HALF, lambda label, rows, vars_: set(), 2)
+
+
+def test_lp_round_speaks_ids_in_sorted_order():
+    # sparse ids, given out of order: columns and rows still go in id order
+    # (3, 7, 11 and 5, 20), and everything handed back is ids again
+    parts = {
+        20: {"a": frozenset({11}), "b": frozenset({3})},
+        5: {"a": frozenset({3}), "b": frozenset({7})},
+    }
+    calls = []
+
+    def solve_label(label, rows, vars_):
+        calls.append((label, rows, vars_))
+        return vars_
+
+    res = lp_round([11, 3, 7], parts, HALF, solve_label, 2)
+    assert res.var_ids == (3, 7, 11)
+    assert res.program == CoverProgram(3, (frozenset({0, 1}), frozenset({0, 2})))
+    assert res.lp_solution.values == (1, 0, 0)
+    # row 5 reaches "a" through x_3 = 1, row 20 reaches "b" the same way
+    assert calls == [
+        ("a", frozenset({5}), frozenset({3})),
+        ("b", frozenset({20}), frozenset({3})),
+    ]
+    assert res.part("b") == (frozenset({20}), frozenset({3}))
+    assert res.selected == {"a": {3}, "b": {3}}
+    assert res.certificate.heuristic_ids == {3}
 
 
 def test_certificate_validation():

@@ -271,6 +271,13 @@ class StabInstance:
         object.__setattr__(out, "_columns", columns)
         return out
 
+    def _int_columns(self) -> StabColumns:
+        """The columns of a ``from_columns`` instance whose fields are not
+        built yet, else ``int_coords`` of the fields; reading them builds
+        nothing."""
+        columns = self.__dict__.get("_columns")
+        return int_coords(self.rays, self.segments) if columns is None else columns
+
     def __getattr__(self, name: str):
         # reached only when normal lookup fails; copy and pickle probe other
         # names on a bare object, so those must fail before anything is read

@@ -439,11 +439,16 @@ def lp_round(
     """
     var_ids = tuple(sorted(var_ids))
     row_ids = sorted(parts)
-    pos = {v: j for j, v in enumerate(var_ids)}.__getitem__
-    blocks = {
-        i: {label: frozenset(map(pos, b)) for label, b in parts[r].items()}
-        for i, r in enumerate(row_ids)
-    }
+    index = {v: j for j, v in enumerate(var_ids)}
+    pos = index.__getitem__
+    try:
+        blocks = {
+            i: {label: frozenset(map(pos, b)) for label, b in parts[r].items()}
+            for i, r in enumerate(row_ids)
+        }
+    except KeyError:
+        r, v = next((r, v) for r in row_ids for b in parts[r].values() for v in b if v not in index)
+        raise InvalidInputError(f"row {r} names id {v}, which is not among the variables") from None
     program = CoverProgram(
         len(var_ids), tuple(frozenset().union(*bs.values()) for bs in blocks.values())
     )

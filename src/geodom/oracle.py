@@ -147,8 +147,10 @@ def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
         return [s.id for s in data.segments], [r.id for r in data.rays], tuple(map(frozenset, cols))
     if isinstance(data, OrthoInstance):
         cands, cons = sorted(data.candidate_ids), sorted(data.constraint_ids)
-        pairs, _ = psd._cover_rows(data.segment_by_id(), {s.id for s in data.hsegs}, cons, cands)
-        return cands, cons, tuple(same | cross for same, cross in pairs)
+        _, seg, horiz = psd._int_view(data)
+        pos = {c: i for i, c in enumerate(cands)}.__getitem__
+        rows = psd._cover_rows(seg, horiz, cons, cands)
+        return cands, cons, tuple(frozenset(map(pos, same | cross)) for same, cross in rows)
     if isinstance(data, stabbedl.StabbedLInstance):
         closed = stabbedl.build_graph(data)[0]
     elif isinstance(data, instances.UnitBkInstance):

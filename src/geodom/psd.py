@@ -6,12 +6,21 @@ vertical targets with horizontal candidates via strip decomposition, and
 the 18-approximation combining both over a mixed instance.  The last two
 are ``lp.lp_round``: each LP row is split by strip boundary (left/right)
 or by orientation (same/cross), and each label is solved on its own.
+
+Both run on one int view of their segments: a ``Seg`` (id, line, lo, hi)
+holds ``geom.scaled`` ints on one scale, the segment's carrier line (the y
+of a horizontal segment, the x of a vertical one) and its extent along it.
+A quarter turn of the plane keeps every ``Seg``, so the cross label covers
+horizontal targets with vertical candidates through the same core.  Each
+strip boundary's sub-problem travels to ``ssr`` as ``geom.StabColumns``;
+no ``HRay``/``VSeg`` and no ``Fraction`` is built between the LP and the
+selected ids.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ssr
 from .errors import (
@@ -21,16 +30,15 @@ from .errors import (
     NotProperError,
 )
 from .geom import (
-    HRay,
     HSeg,
     OrthoInstance,
     Rat,
+    StabColumns,
     VSeg,
     containment_violation,
-    intersects,
     scaled,
 )
-from .lp import HALF, CoverProgram, CoverSolution, SolveCertificate, lp_round
+from .lp import HALF, CoverProgram, CoverSolution, RoundingResult, SolveCertificate, lp_round
 from .lp import solve_lp  # noqa: F401  re-exported: perfbench's tracer tests rebind psd.solve_lp
 
 
@@ -103,6 +111,26 @@ def spid_exact(s: ProperIntervalSet, t_ids) -> set[int]:
     return _interval_cover(t_ids, hits, {iv.id: iv.hi for iv in ivs})
 
 
+#: (id, line, lo, hi): a segment's id, its carrier line and its extent
+#: along that line, as ints
+Seg = tuple[int, int, int, int]
+
+
+def _int_segs(hsegs, vsegs) -> tuple[int, list[Seg], list[Seg]]:
+    """The common ``scaled`` scale of both families and their ``Seg``s in
+    input order: (id, y, x_lo, x_hi) of a horizontal segment, (id, x, y_lo,
+    y_hi) of a vertical one."""
+    scale, (hy, hlo, hhi, vx, vlo, vhi) = scaled(
+        [s.y for s in hsegs], [s.x_lo for s in hsegs], [s.x_hi for s in hsegs],
+        [s.x for s in vsegs], [s.y_lo for s in vsegs], [s.y_hi for s in vsegs],
+    )
+    return (
+        scale,
+        list(zip([s.id for s in hsegs], hy, hlo, hhi)),
+        list(zip([s.id for s in vsegs], vx, vlo, vhi)),
+    )
+
+
 @dataclass(frozen=True)
 class StripDecomposition:
     """Hit points and per-target boundary candidate sets.
@@ -120,39 +148,74 @@ class StripDecomposition:
     right: dict[int, frozenset[int]]
 
 
-def build_strips(candidates: list[HSeg], targets: list[VSeg]) -> StripDecomposition:
-    """Greedy disjoint-subfamily hit points plus boundary membership."""
-    picked_rights: list[Rat] = []
-    last_r: Optional[Rat] = None
-    for c in sorted(candidates, key=lambda c: (c.x_hi, c.x_lo, c.id)):
-        if last_r is None or c.x_lo > last_r:
-            picked_rights.append(c.x_hi)
-            last_r = c.x_hi
-    coords = (
-        [c.x_lo for c in candidates]
-        + [c.x_hi for c in candidates]
-        + [t.x for t in targets]
-    )
-    if not coords:
-        return StripDecomposition((), (), (), {}, {}, {})
-    q = min(coords) - 1
-    q_prime = max(coords) + 1
-    points = tuple([q] + picked_rights + [q_prime])
+class _Strips(NamedTuple):
+    """A ``StripDecomposition`` on ints: ``points`` has int sentinels below
+    and above every abscissa, and ``picked`` holds the positions of the
+    candidates whose right ends are the hit points."""
+
+    points: list[int]
+    picked: list[int]
+    strips: list[set[int]]
+    strip_of: dict[int, int]
+    left: dict[int, frozenset[int]]
+    right: dict[int, frozenset[int]]
+
+
+def _strips(cands: list[Seg], targets: list[Seg]) -> _Strips:
+    """The strips of horizontal candidates and vertical targets.  The
+    candidates meeting a target are those of the y-sorted run inside its y
+    extent, found by bisection, whose x extent holds its x."""
+    picked: list[int] = []
+    last_r: Optional[int] = None
+    for k in sorted(range(len(cands)), key=lambda k: (cands[k][3], cands[k][2], cands[k][0])):
+        if last_r is None or cands[k][2] > last_r:
+            picked.append(k)
+            last_r = cands[k][3]
+    xs = [c[2] for c in cands] + [c[3] for c in cands] + [t[1] for t in targets]
+    if not xs:
+        return _Strips([], [], [], {}, {}, {})
+    points = [min(xs) - 1] + [cands[k][3] for k in picked] + [max(xs) + 1]
+    by_y = sorted(range(len(cands)), key=lambda k: cands[k][1])
+    ys = [cands[k][1] for k in by_y]
     strips: list[set[int]] = [set() for _ in range(len(points) - 1)]
     strip_of: dict[int, int] = {}
     left: dict[int, frozenset[int]] = {}
     right: dict[int, frozenset[int]] = {}
-    for t in targets:
-        i = bisect_right(points, t.x) - 1
-        strips[i].add(t.id)
-        strip_of[t.id] = i
-        meets = [c for c in candidates if intersects(c, t)]
-        left[t.id] = frozenset(c.id for c in meets if c.x_lo <= points[i] <= c.x_hi)
-        right[t.id] = frozenset(c.id for c in meets if c.x_lo <= points[i + 1] <= c.x_hi)
-    return StripDecomposition(
-        points, tuple(picked_rights), tuple(frozenset(s) for s in strips),
-        strip_of, left, right,
-    )
+    for tid, x, y_lo, y_hi in targets:
+        i = bisect_right(points, x) - 1
+        strips[i].add(tid)
+        strip_of[tid] = i
+        # in input order, which fixes each frozenset's iteration order
+        meets = [cands[k] for k in sorted(
+            k for k in by_y[bisect_left(ys, y_lo):bisect_right(ys, y_hi)]
+            if cands[k][2] <= x <= cands[k][3]
+        )]
+        a, b = points[i], points[i + 1]
+        left[tid] = frozenset(c[0] for c in meets if c[2] <= a <= c[3])
+        right[tid] = frozenset(c[0] for c in meets if c[2] <= b <= c[3])
+    return _Strips(points, picked, strips, strip_of, left, right)
+
+
+def build_strips(candidates: list[HSeg], targets: list[VSeg]) -> StripDecomposition:
+    """Greedy disjoint-subfamily hit points plus boundary membership.
+
+    The work runs on the inputs' ``Seg``s; the points are the inputs' own
+    values.  The returned decomposition also carries that int view, outside
+    its fields, for ``poss_solve`` to take off instead of scaling again.
+    """
+    scale, cands, tgts = _int_segs(candidates, targets)
+    st = _strips(cands, tgts)
+    if not st.points:
+        dec = StripDecomposition((), (), (), {}, {}, {})
+    else:
+        coords = [c.x_lo for c in candidates] + [c.x_hi for c in candidates] + [t.x for t in targets]
+        interior = tuple(candidates[k].x_hi for k in st.picked)
+        dec = StripDecomposition(
+            (min(coords) - 1, *interior, max(coords) + 1), interior,
+            tuple(map(frozenset, st.strips)), st.strip_of, st.left, st.right,
+        )
+    object.__setattr__(dec, "_ints", (scale, cands, tgts, st))
+    return dec
 
 
 @dataclass(frozen=True)
@@ -175,68 +238,78 @@ def _require_proper(orientation: str, spans) -> None:
         raise NotProperError(orientation, list(bad))
 
 
-def _dedup_rays(rays: list[HRay]) -> list[HRay]:
-    # same-height rays: only the farthest-reaching one can matter
-    best: dict[Rat, HRay] = {}
-    for r in rays:
-        cur = best.get(r.y)
-        if cur is None or (r.x_right, -r.id) > (cur.x_right, -cur.id):
-            best[r.y] = r
-    return sorted(best.values(), key=lambda r: r.id)
-
-
-def _solve_boundary_side(candidates: list[HSeg], targets: list[VSeg], mirror: bool) -> set[int]:
-    """One strip/side sub-problem as a canonical ray-stabbing instance.
+def _solve_boundary_side(cands: list[Seg], targets: list[Seg], mirror: bool, scale: int) -> set[int]:
+    """One strip/side sub-problem as a canonical ray-stabbing instance, on
+    the int ``scale`` of the ``Seg``s.
 
     Left boundaries keep orientation (a candidate reaches rightward targets
     up to x_hi, exactly a leftward ray's coverage); right boundaries are
-    mirrored so the relevant reach x_lo becomes a leftward reach again.
+    mirrored (x negated) so the relevant reach x_lo becomes a leftward
+    reach again.  Of same-height rays only the farthest-reaching one can
+    matter.
     """
-    if mirror:
-        rays = [HRay(c.id, c.y, -c.x_lo) for c in candidates]
-        segs = [VSeg(t.id, -t.x, t.y_lo, t.y_hi) for t in targets]
-    else:
-        rays = [HRay(c.id, c.y, c.x_hi) for c in candidates]
-        segs = [VSeg(t.id, t.x, t.y_lo, t.y_hi) for t in targets]
-    inst = ssr.normalize(ssr.SsrInstance(tuple(_dedup_rays(rays)), tuple(segs)))
-    return ssr.solve_fast(inst)
+    best: dict[int, tuple[int, int, int]] = {}
+    for cid, y, lo, hi in cands:
+        reach = -lo if mirror else hi
+        cur = best.get(y)
+        if cur is None or (reach, -cid) > (cur[2], -cur[0]):
+            best[y] = (cid, y, reach)
+    rays = sorted(best.values())
+    sign = -1 if mirror else 1
+    columns = StabColumns(
+        [r[0] for r in rays], [r[1] for r in rays], [r[2] for r in rays],
+        [t[0] for t in targets], [sign * t[1] for t in targets],
+        [t[2] for t in targets], [t[3] for t in targets], 0, scale, 0, scale,
+    )
+    return ssr.solve_fast(ssr.normalize(ssr.SsrInstance.from_columns(columns)))
 
 
-def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool = False):
-    """8-approximate cover of vertical targets by horizontal candidates.
+def _poss(cands: list[Seg], targets: list[Seg], st: _Strips, scale: int) -> RoundingResult:
+    """``poss_solve`` on horizontal candidates and vertical targets, each
+    family with distinct ids, and their strips ``st``.
 
     Row i of the LP is the candidates meeting target i, split by the strip
     boundary they cross.  Every candidate contains a hit point, so one that
     meets a target crosses its strip's left or right boundary, and
-    left | right is exactly that row.
+    left | right is exactly that row.  A proper candidate contains exactly
+    one hit point (two would be the right ends of disjoint candidates, one
+    of them nested in it), so the candidates at a boundary are those whose
+    point it is.
     """
-    _require_proper("h", ((c.x_lo, c.x_hi, c.id) for c in candidates))
-    cand_by_id = {c.id: c for c in candidates}
-    if len(cand_by_id) != len(candidates):
-        raise InvalidInputError("duplicate candidate ids")
-    target_by_id = {t.id: t for t in targets}
-    if len(target_by_id) != len(targets):
-        raise InvalidInputError("duplicate target ids")
-
-    dec = build_strips(candidates, targets)
-    for tid in sorted(target_by_id):
-        if not (dec.left[tid] or dec.right[tid]):
+    for tid in sorted(t[0] for t in targets):
+        if not (st.left[tid] or st.right[tid]):
             raise InfeasibleTargetError(tid)
-    parts = {tid: {"left": dec.left[tid], "right": dec.right[tid]} for tid in target_by_id}
+    parts = {t[0]: {"left": st.left[t[0]], "right": st.right[t[0]]} for t in targets}
+    cand_by_id = {c[0]: c for c in cands}
+    target_by_id = {t[0]: t for t in targets}
 
-    def solve_label(side, rows, cands):
+    def solve_label(side, rows, var_ids):
         step = 0 if side == "left" else 1
-        pool = [cand_by_id[c] for c in sorted(cands)]
+        at_point: dict[int, list[Seg]] = {}
+        for c in map(cand_by_id.__getitem__, sorted(var_ids)):
+            at_point.setdefault(bisect_right(st.points, c[3]) - 1, []).append(c)
         selected: set[int] = set()
-        for i, strip in enumerate(dec.strips):
-            strip_targets = [target_by_id[tid] for tid in sorted(strip & rows)]
+        for i, strip in enumerate(st.strips):
+            strip_targets = [target_by_id[t] for t in sorted(strip & rows)]
             if strip_targets:
-                boundary = dec.points[i + step]
-                near = [c for c in pool if c.x_lo <= boundary <= c.x_hi]
-                selected |= _solve_boundary_side(near, strip_targets, mirror=step == 1)
+                near = at_point.get(i + step, [])
+                selected |= _solve_boundary_side(near, strip_targets, step == 1, scale)
         return selected
 
-    res = lp_round(cand_by_id, parts, HALF, solve_label, 8)
+    return lp_round(cand_by_id, parts, HALF, solve_label, 8)
+
+
+def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool = False):
+    """8-approximate cover of vertical targets by horizontal candidates (see
+    ``_poss``), on the int view that ``build_strips`` made."""
+    dec = build_strips(candidates, targets)
+    scale, cands, tgts, st = dec.__dict__.pop("_ints")
+    _require_proper("h", ((lo, hi, cid) for cid, _, lo, hi in cands))
+    if len({c[0] for c in cands}) != len(cands):
+        raise InvalidInputError("duplicate candidate ids")
+    if len({t[0] for t in tgts}) != len(tgts):
+        raise InvalidInputError("duplicate target ids")
+    res = _poss(cands, tgts, st, scale)
     if not want_details:
         return res.certificate
     (l_rows, l_vars), (r_rows, r_vars) = res.part("left"), res.part("right")
@@ -268,105 +341,76 @@ class PsdDetails:
     poss_certs: tuple[SolveCertificate, ...]
 
 
-def _rotate_h(seg: HSeg) -> VSeg:
-    return VSeg(seg.id, seg.y, seg.x_lo, seg.x_hi)
+def _int_view(inst: OrthoInstance) -> tuple[int, dict[int, Seg], frozenset[int]]:
+    """The scale, every segment's ``Seg`` by id and the horizontal ids."""
+    scale, h, v = _int_segs(inst.hsegs, inst.vsegs)
+    seg = {s[0]: s for s in h}
+    seg.update((s[0], s) for s in v)
+    return scale, seg, frozenset(s[0] for s in h)
 
 
-def _rotate_v(seg: VSeg) -> HSeg:
-    return HSeg(seg.id, seg.x, seg.y_lo, seg.y_hi)
+def _cover_rows(seg, horiz, constraints, cand_order) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """(same, cross) ids of the candidates meeting each constraint, in
+    order (both empty when nothing meets it), from the ``Seg``s of
+    ``_int_view``.
 
-
-def _cover_rows(table, horiz, constraints, cand_order):
-    """(same, cross) candidate-index sets meeting each constraint, in order
-    (both empty when nothing meets it), and each segment id's high end as
-    an int.
-
-    Both axes go to ints once, on one scale.  Parallel segments meet only on
-    a shared carrier line, so same-orientation candidates are bucketed by
-    line; crossing candidates are sorted by line, and those whose line falls
-    inside the constraint's span are found by bisection.
+    Parallel segments meet only on a shared carrier line, so same-orientation
+    candidates are bucketed by line; crossing candidates are sorted by line,
+    and those whose line falls inside the constraint's span are found by
+    bisection.
     """
-    segs = [table[u] for u in constraints] + [table[c] for c in cand_order]
-    is_h = [s.id in horiz for s in segs]
-    x_vals = [s.x_lo if h else s.x for s, h in zip(segs, is_h)]
-    x_vals += [s.x_hi if h else s.x for s, h in zip(segs, is_h)]
-    y_vals = [s.y if h else s.y_lo for s, h in zip(segs, is_h)]
-    y_vals += [s.y if h else s.y_hi for s, h in zip(segs, is_h)]
-    _, (xs, ys) = scaled(x_vals, y_vals)
-    n = len(segs)
-    # (line, lo, hi): the carrier line (y or x) and the span along it
-    spans = [
-        (ys[i], xs[i], xs[n + i]) if is_h[i] else (xs[i], ys[i], ys[n + i])
-        for i in range(n)
-    ]
-    k = len(constraints)
-    cands = spans[k:]
-    on_line: dict[tuple[bool, int], list[int]] = {}
-    by_line: dict[bool, list[tuple[int, int]]] = {True: [], False: []}
-    for idx, (line, _, _) in enumerate(cands):
-        h = is_h[k + idx]
-        on_line.setdefault((h, line), []).append(idx)
-        by_line[h].append((line, idx))
-    for pairs in by_line.values():
-        pairs.sort()
-    lines = {h: [line for line, _ in pairs] for h, pairs in by_line.items()}
+    on_line: dict[tuple[bool, int], list[Seg]] = {}
+    by_line: dict[bool, list[Seg]] = {True: [], False: []}
+    for c in cand_order:
+        h = c in horiz
+        on_line.setdefault((h, seg[c][1]), []).append(seg[c])
+        by_line[h].append(seg[c])
+    for segs in by_line.values():
+        segs.sort(key=lambda s: s[1])
+    lines = {h: [s[1] for s in segs] for h, segs in by_line.items()}
     out = []
-    for r in range(len(constraints)):
-        h = is_h[r]
-        line, lo, hi = spans[r]
-        same = sorted(
-            idx for idx in on_line.get((h, line), ())
-            if cands[idx][1] <= hi and lo <= cands[idx][2]
-        )
-        a = bisect_left(lines[not h], lo)
-        b = bisect_right(lines[not h], hi)
-        cross = sorted(
-            idx for _, idx in by_line[not h][a:b]
-            if cands[idx][1] <= line <= cands[idx][2]
-        )
-        out.append((frozenset(same), frozenset(cross)))
-    return out, {s.id: span[2] for s, span in zip(segs, spans)}
+    for u in constraints:
+        h = u in horiz
+        _, line, lo, hi = seg[u]
+        same = frozenset(c[0] for c in on_line.get((h, line), ()) if c[2] <= hi and lo <= c[3])
+        crossing = by_line[not h][bisect_left(lines[not h], lo):bisect_right(lines[not h], hi)]
+        cross = frozenset(sorted(c[0] for c in crossing if c[2] <= line <= c[3]))
+        out.append((same, cross))
+    return out
 
 
 def psd_solve(inst: OrthoInstance, want_details: bool = False):
     """18-approximation for covering marked segments with marked segments."""
-    _require_proper("h", ((s.x_lo, s.x_hi, s.id) for s in inst.hsegs))
-    _require_proper("v", ((s.y_lo, s.y_hi, s.id) for s in inst.vsegs))
+    scale, seg, horiz = _int_view(inst)
+    _require_proper("h", (seg[s.id][2:] + (s.id,) for s in inst.hsegs))
+    _require_proper("v", (seg[s.id][2:] + (s.id,) for s in inst.vsegs))
 
-    table = inst.segment_by_id()
-    horiz = {s.id for s in inst.hsegs}
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
-    cover, hi = _cover_rows(table, horiz, constraints, cand_order)
     parts = {}
-    for u, (same, cross) in zip(constraints, cover):
+    for u, (same, cross) in zip(constraints, _cover_rows(seg, horiz, constraints, cand_order)):
         if not same and not cross:
             raise InfeasibleConstraintError(u)
-        parts[u] = {
-            "same": frozenset(map(cand_order.__getitem__, same)),
-            "cross": frozenset(map(cand_order.__getitem__, cross)),
-        }
+        parts[u] = {"same": same, "cross": cross}
     poss_certs: list[SolveCertificate] = []
 
     def solve_label(label, rows, cands):
         if label == "same":
             # a same block holds only contacts on the constraint's own line
+            hi = {i: s[3] for i, s in seg.items()}
             return _interval_cover(rows, {u: parts[u]["same"] for u in rows}, hi)
-        targets = [table[u] for u in sorted(rows)]
-        pool = [table[c] for c in sorted(cands)]
+        rows, cands = sorted(rows), sorted(cands)
         selected: set[int] = set()
-        v_targets = [u for u in targets if u.id not in horiz]
-        if v_targets:
-            cert = poss_solve([c for c in pool if c.id in horiz], v_targets)
-            poss_certs.append(cert)
-            selected |= cert.heuristic_ids
-        h_targets = [u for u in targets if u.id in horiz]
-        if h_targets:
-            # quarter-turn the plane so candidates become horizontal again
-            v_cands = [c for c in pool if c.id not in horiz]
-            cert = poss_solve([_rotate_v(s) for s in v_cands], [_rotate_h(s) for s in h_targets])
-            poss_certs.append(cert)
-            selected |= cert.heuristic_ids
+        # vertical targets take horizontal candidates; then, after a quarter
+        # turn of the plane, which keeps every Seg, horizontal targets take
+        # vertical ones
+        for h in (False, True):
+            targets = [seg[u] for u in rows if (u in horiz) == h]
+            if targets:
+                pool = [seg[c] for c in cands if (c in horiz) != h]
+                cert = _poss(pool, targets, _strips(pool, targets), scale).certificate
+                poss_certs.append(cert)
+                selected |= cert.heuristic_ids
         return selected
 
     res = lp_round(cand_order, parts, HALF, solve_label, 18)

@@ -5,6 +5,10 @@ segments of its live neighbourhood, and retire every ray those two touch.
 A retired ray always intersects one of the kept segments, and a chosen
 ray's live neighbourhood equals its input neighbourhood, which is what the
 factor-2 LP argument needs.
+
+``solve`` reads the ints of a ``from_columns`` instance (stabbedl's
+horizontal label builds its sub-instance that way) without building its
+rays and segments, and ``int_coords`` of any other.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import InfeasibleRayError
-from .geom import IntervalStore, LiveRanks, StabInstance, int_coords
+from .geom import IntervalStore, LiveRanks, StabInstance
 
 
 class SrsInstance(StabInstance):
@@ -46,7 +50,7 @@ def solve(inst: SrsInstance, want_trace: bool = False):
     chosen reach >= the kept segments' x, so the rays they touch are the
     live ranks inside their y-ranges.
     """
-    c = int_coords(inst.rays, inst.segments)
+    c = inst._int_columns()
     n, m = len(c.ray_id), len(c.seg_id)
     by_y = sorted(range(n), key=c.ray_y.__getitem__)
     ys = [c.ray_y[i] for i in by_y]

@@ -9,6 +9,11 @@ event-driven sweep.
 that keeps those int columns: its ``Fraction`` coordinates and
 ``HRay``/``VSeg`` objects are built only when someone reads ``rays`` or
 ``segments``, so ``solve_fast(normalize(inst))`` builds none of them.
+Sub-instances travel the same way: ``normalize`` and ``solve_fast`` read
+the columns of a ``from_columns`` instance directly (every step compares
+within one axis, so any shift and scale will do), and the pipelines'
+per-label sub-problems (psd's strip boundaries, stabbedl's vertical
+label) are built as columns, so solving them builds no coordinates.
 
 The fast path works on flat int lists indexed by ray rank (rays in y
 order) or by segment index, held in a ``_Compressed``: ray ids and reach
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import IntervalStore, LiveRanks, StabColumns, StabInstance, int_coords, intersects
+from .geom import IntervalStore, LiveRanks, StabColumns, StabInstance, intersects
 
 
 class SsrInstance(StabInstance):
@@ -161,7 +166,9 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     quarter of the least positive difference among segment x values and
     positive (segment x - ray reach) gaps, so the ray/segment intersection
     matrix is unchanged and formerly equal abscissas become distinct.
-    All arithmetic runs on each axis scaled to ints.
+    All arithmetic runs on each axis scaled to ints: a ``from_columns``
+    instance's own columns, whatever their shift and scale (the output is
+    translated afresh), or else ``int_coords`` of its fields.
 
     The returned instance keeps those ints (``geom.StabColumns``) and builds
     its ``rays`` and ``segments`` on their first read, with each distinct
@@ -172,10 +179,9 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     instead of building it again.  Neither is a field, so neither changes
     ``==``, hash or repr.
     """
-    rays, segs = inst.rays, inst.segments
-    if not rays and not segs:
+    c = inst._int_columns()
+    if not c.ray_id and not c.seg_id:
         return inst
-    c = int_coords(rays, segs)
     ly, lx, seg_ids = c.y_scale, c.x_scale, c.seg_id
 
     # translate so the least x and the least y both become 1
@@ -183,7 +189,7 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     ty = ly - min(c.ray_y + c.seg_lo)
 
     seg_lo, seg_hi = c.seg_lo, c.seg_hi
-    if len(set(c.seg_x)) == len(segs):
+    if len(set(c.seg_x)) == len(seg_ids):
         reach, seg_x, x_scale, x_shift = c.reach, c.seg_x, lx, tx
     else:
         seg_xs = sorted(set(c.seg_x))
@@ -196,10 +202,10 @@ def normalize(inst: SsrInstance) -> SsrInstance:
                 gaps.append(x - reaches[j])
         # eps = min(d, 1) / den in x units, i.e. step / (lx * den) after scaling
         step = min(min(gaps), lx) if gaps else lx
-        den = 4 * (len(segs) + 1)
+        den = 4 * (len(seg_ids) + 1)
         # segments, now listed in id order, that share an abscissa move left
         # by 0, eps, 2 eps, ...; every abscissa is an int on the scale lx * den
-        by_id = sorted(range(len(segs)), key=seg_ids.__getitem__)
+        by_id = sorted(range(len(seg_ids)), key=seg_ids.__getitem__)
         seg_ids = [seg_ids[k] for k in by_id]
         seg_lo = [seg_lo[k] for k in by_id]
         seg_hi = [seg_hi[k] for k in by_id]
@@ -388,13 +394,15 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     skipped when their rank retires.
 
     The rank space comes from ``normalize`` when ``inst`` is the instance it
-    returned and this is the first call on it; otherwise it is built here.
-    Taking it over reads neither ``inst.rays`` nor ``inst.segments``, so
-    the instance's coordinates stay unbuilt.
+    returned and this is the first call on it; otherwise it is built here,
+    from the columns of a ``from_columns`` instance or from ``int_coords``.
+    Neither way reads ``inst.rays`` or ``inst.segments`` of a columns
+    instance, so its coordinates stay unbuilt.
     """
     comp = inst.__dict__.pop("_sweep_data", None)
-    if comp is None and inst.segments:
-        comp = _compress(int_coords(inst.rays, inst.segments))
+    if comp is None:
+        columns = inst._int_columns()
+        comp = _compress(columns) if columns.seg_id else None
     if comp is None or not comp.seg_id:
         return set()
     ray_id, reach, seg_id, seg_x, seg_lo, seg_hi, unique = comp

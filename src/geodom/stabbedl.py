@@ -5,8 +5,10 @@ leg running right from it.  The pipeline is ``lp.lp_round`` over the
 domination LP, with each closed neighbourhood row split into its
 horizontal-leg and vertical-leg contacts; the two labels reduce to the
 ray/segment stabbing problems ``srs`` and ``ssr``.  ``build_graph`` reads
-both labels off ``geom.leg_contacts``.  The layout checks of ``normalize``
-and the vertical label's shrink compare ``geom.scaled`` ints.
+both labels off ``geom.leg_contacts``.  The layout checks of ``normalize``,
+the graph and both labels read the paths' ``geom.scaled`` ints, one scale
+per axis: each label's sub-instance travels as ``geom.StabColumns`` of
+mirrored rays and vertical legs, and the vertical label's shrink is an int.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Optional
 
 from . import srs, ssr
 from .errors import AssumptionViolationError, InvalidInputError
-from .geom import HRay, HSeg, Rat, VSeg, leg_contacts, scaled
+from .geom import HSeg, Rat, StabColumns, VSeg, leg_contacts, scaled
 from .lp import HALF, CoverProgram, CoverSolution, lp_round
 
 
@@ -51,6 +53,14 @@ class StabbedLInstance:
             raise InvalidInputError("duplicate path ids")
 
 
+def _int_paths(paths) -> tuple[int, list[int], list[int], int, list[int], list[int]]:
+    """(x scale, corner xs, hlens, y scale, corner ys, vlens) of the paths
+    as ``scaled`` ints, one scale per axis."""
+    sx, (x0, hlen) = scaled([p.corner_x for p in paths], [p.hlen for p in paths])
+    sy, (y0, vlen) = scaled([p.corner_y for p in paths], [p.vlen for p in paths])
+    return sx, x0, hlen, sy, y0, vlen
+
+
 def normalize(inst: StabbedLInstance) -> StabbedLInstance:
     """Translate the stabbing line to x=0 and validate the layout rules.
 
@@ -68,8 +78,7 @@ def normalize(inst: StabbedLInstance) -> StabbedLInstance:
         LPath(p.id, p.corner_x - shift, p.corner_y, p.vlen, p.hlen) for p in inst.paths
     )
     ids = [p.id for p in paths]
-    _, (x0, hlen) = scaled([p.corner_x for p in paths], [p.hlen for p in paths])
-    _, (y0, vlen) = scaled([p.corner_y for p in paths], [p.vlen for p in paths])
+    _, x0, hlen, _, y0, vlen = _int_paths(paths)
     missing = [i for i, x, h in zip(ids, x0, hlen) if x > 0 or x + h < 0]
     if missing:
         raise AssumptionViolationError("i", missing)
@@ -117,8 +126,7 @@ def build_graph(inst: StabbedLInstance):
     definition.
     """
     paths = inst.paths
-    _, (x0, hlen) = scaled([p.corner_x for p in paths], [p.hlen for p in paths])
-    _, (y0, vlen) = scaled([p.corner_y for p in paths], [p.vlen for p in paths])
+    _, x0, hlen, _, y0, vlen = _int_paths(paths)
     legs = [((x, x, y, y + v), (x, x + h, y, y)) for x, h, y, v in zip(x0, hlen, y0, vlen)]
     horizontal: dict[int, set[int]] = {p.id: {p.id} for p in paths}
     vertical: dict[int, set[int]] = {p.id: set() for p in paths}
@@ -152,49 +160,60 @@ class StabbedLDetails:
     ssr_selected: frozenset[int]
 
 
+def _lift(ys, lens) -> int:
+    """The least positive difference among the corner heights ``ys``, capped
+    by the shortest constrained vertical leg in ``lens``, as an int on
+    their common scale."""
+    ys = sorted(set(ys))
+    return min([b - a for a, b in zip(ys, ys[1:])] + lens)
+
+
 def _vertical_shrink(paths_by_id, constraint_ids) -> Rat:
-    """Half the least positive corner-height difference, capped by the
-    shortest constrained vertical leg; shrinking constraint segments up by
+    """Half of ``_lift`` as a Fraction: shrinking constraint segments up by
     this keeps every genuine contact and removes only corner self-hits.
-    Taken on ``scaled`` ints, so int coordinates give a Fraction too."""
+    ``solve_mds`` raises its legs by the int half-lift on the doubled y
+    scale, which is the same value."""
     scale, (ys, lens) = scaled(
         [p.corner_y for p in paths_by_id.values()],
         [paths_by_id[pid].vlen for pid in constraint_ids],
     )
-    ys = sorted(set(ys))
-    return Fraction(min([b - a for a, b in zip(ys, ys[1:])] + lens), 2 * scale)
+    return Fraction(_lift(ys, lens), 2 * scale)
 
 
 def solve_mds(inst: StabbedLInstance, want_details: bool = False):
     """8-approximate dominating set over the path intersection graph."""
     norm = normalize(inst)
     _, partition = build_graph(norm)
-    by_id = {p.id: p for p in norm.paths}
-    parts = {u: {"h": partition.horizontal[u], "v": partition.vertical[u]} for u in by_id}
+    sx, x0, _, sy, y0, vlen = _int_paths(norm.paths)
+    pos = {p.id: k for k, p in enumerate(norm.paths)}
+    parts = {u: {"h": partition.horizontal[u], "v": partition.vertical[u]} for u in pos}
     subs = {}
 
-    def ray(u):  # path u as a leftward ray, x mirrored
-        return HRay(u, by_id[u].corner_y, -by_id[u].corner_x)
-
-    def vleg(u, lift=0):  # u's vertical leg, x mirrored, raised by lift
-        p = by_id[u]
-        return VSeg(u, -p.corner_x, p.corner_y + lift, p.corner_y + p.vlen)
+    def columns(ray_ids, leg_ids, f=1, lift=0):
+        # paths as leftward rays and vertical legs, x mirrored; y on f times
+        # its scale, legs raised by lift
+        r = [pos[u] for u in ray_ids]
+        v = [pos[u] for u in leg_ids]
+        return StabColumns(
+            ray_ids, [f * y0[k] for k in r], [-x0[k] for k in r],
+            leg_ids, [-x0[k] for k in v], [f * y0[k] + lift for k in v],
+            [f * (y0[k] + vlen[k]) for k in v], 0, f * sy, 0, sx,
+        )
 
     def solve_label(label, rows, cands):
         rows, cands = sorted(rows), sorted(cands)
         if label == "h":
             # constrained paths become rays, candidate vertical legs stay exact
-            subs[label] = srs.SrsInstance(tuple(map(ray, rows)), tuple(map(vleg, cands)))
+            subs[label] = srs.SrsInstance.from_columns(columns(rows, cands))
             return srs.solve(subs[label])[0]
-        # candidate paths become rays, constrained vertical legs lose a
-        # sliver above the corner so a path cannot satisfy its own row
+        # candidate paths become rays, constrained vertical legs lose half a
+        # lift above the corner so a path cannot satisfy its own row
         # through the shared corner point
-        delta = _vertical_shrink(by_id, rows)
-        segs = tuple(vleg(u, delta) for u in rows)
-        subs[label] = ssr.normalize(ssr.SsrInstance(tuple(map(ray, cands)), segs))
+        lift = _lift(y0, [vlen[pos[u]] for u in rows])
+        subs[label] = ssr.normalize(ssr.SsrInstance.from_columns(columns(cands, rows, 2, lift)))
         return ssr.solve_fast(subs[label])
 
-    res = lp_round(by_id, parts, HALF, solve_label, 8)
+    res = lp_round(pos, parts, HALF, solve_label, 8)
     if not want_details:
         return res.certificate
     (h_rows, h_vars), (v_rows, v_vars) = res.part("h"), res.part("v")

@@ -1202,3 +1202,126 @@ def reference_verify_problems(f, selected: set[int]) -> list[str]:
         if not (nbrs & selected):
             problems.append(f"vertex {u} is not dominated")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# psd's strip layer before it ran on ints: literal copies of the Fraction
+# scan, of the boundary sub-problem built from HRay/VSeg objects, and of
+# ``poss_solve`` on top of them
+
+
+def reference_build_strips(candidates, targets):
+    """``psd.build_strips`` as an all-pairs ``intersects`` scan."""
+    from bisect import bisect_right
+
+    from geodom.psd import StripDecomposition
+
+    picked_rights = []
+    last_r = None
+    for c in sorted(candidates, key=lambda c: (c.x_hi, c.x_lo, c.id)):
+        if last_r is None or c.x_lo > last_r:
+            picked_rights.append(c.x_hi)
+            last_r = c.x_hi
+    coords = (
+        [c.x_lo for c in candidates]
+        + [c.x_hi for c in candidates]
+        + [t.x for t in targets]
+    )
+    if not coords:
+        return StripDecomposition((), (), (), {}, {}, {})
+    q = min(coords) - 1
+    q_prime = max(coords) + 1
+    points = tuple([q] + picked_rights + [q_prime])
+    strips = [set() for _ in range(len(points) - 1)]
+    strip_of = {}
+    left = {}
+    right = {}
+    for t in targets:
+        i = bisect_right(points, t.x) - 1
+        strips[i].add(t.id)
+        strip_of[t.id] = i
+        meets = [c for c in candidates if intersects(c, t)]
+        left[t.id] = frozenset(c.id for c in meets if c.x_lo <= points[i] <= c.x_hi)
+        right[t.id] = frozenset(c.id for c in meets if c.x_lo <= points[i + 1] <= c.x_hi)
+    return StripDecomposition(
+        points, tuple(picked_rights), tuple(frozenset(s) for s in strips),
+        strip_of, left, right,
+    )
+
+
+def _reference_dedup_rays(rays):
+    # same-height rays: only the farthest-reaching one can matter
+    best = {}
+    for r in rays:
+        cur = best.get(r.y)
+        if cur is None or (r.x_right, -r.id) > (cur.x_right, -cur.id):
+            best[r.y] = r
+    return sorted(best.values(), key=lambda r: r.id)
+
+
+def reference_solve_boundary_side(candidates, targets, mirror):
+    """One strip/side sub-problem as a Fraction ``SsrInstance``."""
+    from geodom import ssr
+
+    if mirror:
+        rays = [HRay(c.id, c.y, -c.x_lo) for c in candidates]
+        segs = [VSeg(t.id, -t.x, t.y_lo, t.y_hi) for t in targets]
+    else:
+        rays = [HRay(c.id, c.y, c.x_hi) for c in candidates]
+        segs = [VSeg(t.id, t.x, t.y_lo, t.y_hi) for t in targets]
+    inst = ssr.normalize(ssr.SsrInstance(tuple(_reference_dedup_rays(rays)), tuple(segs)))
+    return ssr.solve_fast(inst)
+
+
+def reference_poss_solve(candidates, targets, want_details=False):
+    """``psd.poss_solve`` over ``reference_build_strips`` and
+    ``reference_solve_boundary_side``."""
+    from geodom.errors import InfeasibleTargetError, NotProperError
+    from geodom.geom import containment_violation
+    from geodom.lp import HALF, lp_round
+    from geodom.psd import PossDetails
+
+    bad = containment_violation((c.x_lo, c.x_hi, c.id) for c in candidates)
+    if bad is not None:
+        raise NotProperError("h", list(bad))
+    cand_by_id = {c.id: c for c in candidates}
+    if len(cand_by_id) != len(candidates):
+        raise InvalidInputError("duplicate candidate ids")
+    target_by_id = {t.id: t for t in targets}
+    if len(target_by_id) != len(targets):
+        raise InvalidInputError("duplicate target ids")
+
+    dec = reference_build_strips(candidates, targets)
+    for tid in sorted(target_by_id):
+        if not (dec.left[tid] or dec.right[tid]):
+            raise InfeasibleTargetError(tid)
+    parts = {tid: {"left": dec.left[tid], "right": dec.right[tid]} for tid in target_by_id}
+
+    def solve_label(side, rows, cands):
+        step = 0 if side == "left" else 1
+        pool = [cand_by_id[c] for c in sorted(cands)]
+        selected = set()
+        for i, strip in enumerate(dec.strips):
+            strip_targets = [target_by_id[tid] for tid in sorted(strip & rows)]
+            if strip_targets:
+                boundary = dec.points[i + step]
+                near = [c for c in pool if c.x_lo <= boundary <= c.x_hi]
+                selected |= reference_solve_boundary_side(near, strip_targets, mirror=step == 1)
+        return selected
+
+    res = lp_round(cand_by_id, parts, HALF, solve_label, 8)
+    if not want_details:
+        return res.certificate
+    (l_rows, l_vars), (r_rows, r_vars) = res.part("left"), res.part("right")
+    return res.certificate, PossDetails(
+        program=res.program,
+        lp_solution=res.lp_solution,
+        var_order=res.var_ids,
+        decomposition=dec,
+        left_rows=l_rows,
+        right_rows=r_rows,
+        left_vars=l_vars,
+        right_vars=r_vars,
+        left_selected=res.selected.get("left", frozenset()),
+        right_selected=res.selected.get("right", frozenset()),
+    )

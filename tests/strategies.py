@@ -146,3 +146,46 @@ def stabbed_l_layouts(draw, coords=GRID, max_size=10):
         hlen = max(reach - x, Fraction(1, 3))
         paths.append(LPath(pid, line_x + x, draw(coords), draw(positive), hlen))
     return StabbedLInstance(tuple(paths), line_x)
+
+
+def _over(dens, lo=-24, hi=24):
+    return st.builds(Fraction, st.integers(lo, hi), st.sampled_from(dens))
+
+
+@st.composite
+def poss_families(draw, x_dens=(1, 2, 3), y_dens=(1, 2, 3), proper=True, max_side=9):
+    """(horizontal candidates, vertical targets) for ``psd.poss_solve``.
+
+    Candidates form a proper family unless ``proper`` is false; their heights
+    come from a few values, so same-height candidates are common.  Target
+    abscissas come from a few values too, mostly candidate endpoints (so
+    some sit exactly on a hit point and some touch a candidate only at its
+    end), and target ends snap to candidate heights now and then.  x and y
+    coordinates are multiples of 1/d for the d of ``x_dens`` and
+    ``y_dens``, which may be coprime to each other.
+    """
+    n = draw(st.integers(0, max_side))
+    ids = _ids(draw, n)
+    heights = draw(st.lists(_over(y_dens), min_size=1, max_size=4))
+    step = st.builds(Fraction, st.integers(1, 6), st.sampled_from(x_dens))
+    cands = []
+    lo = draw(_over(x_dens))
+    hi = lo + draw(_over(x_dens, 0, 6))
+    for k, cid in enumerate(ids):
+        if not proper:
+            lo = draw(_over(x_dens))
+            hi = lo + draw(_over(x_dens, 0, 12))
+        elif k:  # both ends strictly rise, so no candidate contains another
+            lo += draw(step)
+            hi = max(hi + draw(step), lo)
+        cands.append(HSeg(cid, draw(st.sampled_from(heights)), lo, hi))
+    cands = draw(st.permutations(cands))
+    ends = [c.x_lo for c in cands] + [c.x_hi for c in cands]
+    xs = draw(st.lists(st.sampled_from(ends) | _over(x_dens) if ends else _over(x_dens),
+                       min_size=1, max_size=3))
+    ys = st.sampled_from(heights) | _over(y_dens)
+    targets = []
+    for tid in _ids(draw, draw(st.integers(0, max_side))):
+        a, b = sorted((draw(ys), draw(ys)))
+        targets.append(VSeg(tid, draw(st.sampled_from(xs)), a, b))
+    return cands, targets

@@ -277,6 +277,19 @@ def test_lp_round_speaks_ids_in_sorted_order():
     assert res.certificate.heuristic_ids == {3}
 
 
+def test_lp_round_names_a_block_id_outside_the_variables():
+    def never(label, rows, vars_):
+        raise AssertionError("no label may run")
+
+    with pytest.raises(InvalidInputError, match="row 5 names id 4") as exc:
+        lp_round([3], {5: {"a": frozenset({3, 4})}}, HALF, never, 2)
+    assert not isinstance(exc.value, KeyError)
+    # the first row in id order that names one, whatever the dict order
+    parts = {9: {"a": frozenset({8})}, 2: {"a": frozenset({3}), "b": frozenset({7})}}
+    with pytest.raises(InvalidInputError, match="row 2 names id 7"):
+        lp_round([3, 8], parts, HALF, never, 2)
+
+
 def test_certificate_validation():
     cert = SolveCertificate(
         heuristic_ids=frozenset({1, 2}),

@@ -1,22 +1,31 @@
 """Proper-projection covering stack: interval cover, strips, both solvers."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodom import HSeg, VSeg, OrthoInstance, exact_stab, intersects
 from geodom.errors import (
+    GeodomError,
     InfeasibleConstraintError,
     InfeasibleTargetError,
     InvalidInputError,
     NotProperError,
 )
-from geodom import instances, lp, psd
-from helpers import reference_collinear_exact, reference_interval_cover, reference_psd_rows
-from strategies import WIDE, WIDE_LENGTHS, ortho_instances
+from geodom import geom, instances, lp, psd, srs, ssr, stabbedl
+from helpers import (
+    reference_build_strips,
+    reference_collinear_exact,
+    reference_interval_cover,
+    reference_poss_solve,
+    reference_psd_rows,
+    reference_solve_boundary_side,
+)
+from strategies import WIDE, WIDE_LENGTHS, ortho_instances, poss_families
 
 
 def proper_hsegs(rng: random.Random, count: int, y_span: int = 6) -> list[HSeg]:
@@ -276,12 +285,17 @@ def test_psd_coverage_ratio_and_chain():
 
 
 def _rows_as_reference(inst):
-    """``psd._cover_rows`` in ``reference_psd_rows``' shape: (None, id) of
-    the first constraint whose row is empty."""
+    """``psd._cover_rows`` in ``reference_psd_rows``' shape: candidate ids
+    as indices in id order, and (None, id) of the first constraint whose
+    row is empty."""
     constraints = sorted(inst.constraint_ids)
-    rows, _ = psd._cover_rows(
-        inst.segment_by_id(), {s.id for s in inst.hsegs}, constraints, sorted(inst.candidate_ids)
-    )
+    cand_order = sorted(inst.candidate_ids)
+    _, seg, horiz = psd._int_view(inst)
+    index_of = {c: i for i, c in enumerate(cand_order)}
+    rows = [
+        (frozenset(index_of[c] for c in same), frozenset(index_of[c] for c in cross))
+        for same, cross in psd._cover_rows(seg, horiz, constraints, cand_order)
+    ]
     for u, (same, cross) in zip(constraints, rows):
         if not same and not cross:
             return None, u
@@ -311,7 +325,7 @@ def test_cover_rows_match_all_pairs_scan_on_generated():
 def _same_label_inputs(inst):
     """Constraints with a non-empty same row, their same-line hits and the
     int high ends, as ``psd_solve``'s same label reads them from
-    ``psd._cover_rows``."""
+    ``psd._cover_rows`` (candidate ids) and ``psd._int_view``."""
     table = inst.segment_by_id()
     horiz = {s.id for s in inst.hsegs}
     cand_order = sorted(inst.candidate_ids)
@@ -319,8 +333,9 @@ def _same_label_inputs(inst):
         u for u in sorted(inst.constraint_ids)
         if any((c in horiz) == (u in horiz) and intersects(table[u], table[c]) for c in cand_order)
     ]
-    rows, hi = psd._cover_rows(table, horiz, targets, cand_order)
-    return {u: [cand_order[j] for j in same] for u, (same, _) in zip(targets, rows)}, hi
+    _, seg, _ = psd._int_view(inst)
+    rows = psd._cover_rows(seg, frozenset(horiz), targets, cand_order)
+    return {u: sorted(same) for u, (same, _) in zip(targets, rows)}, {i: s[3] for i, s in seg.items()}
 
 
 # few lines, so several constraints and candidates share one
@@ -376,3 +391,110 @@ def test_spid_exact_matches_reference():
         t_ids = sorted(rng.sample(sorted(table), rng.randint(1, n)))
         want = reference_interval_cover(list(s.intervals), [table[i] for i in t_ids])
         assert psd.spid_exact(s, t_ids) == want
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GeodomError as exc:
+        return "error", type(exc), str(exc)
+
+
+#: grid coordinates; coprime denominators, different per axis; and wide ones
+POSS_FAMILIES = st.one_of(
+    poss_families(),
+    poss_families(x_dens=(5, 7), y_dens=(3, 4)),
+    poss_families(x_dens=(9973, 10007), y_dens=(7919, 104729)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(POSS_FAMILIES, poss_families(proper=False)))
+def test_build_strips_matches_fraction_scan(family):
+    cands, targets = family
+    got = psd.build_strips(cands, targets)
+    want = reference_build_strips(cands, targets)
+    assert got == want and repr(got) == repr(want)
+    assert [list(s) for s in got.strips] == [list(s) for s in want.strips]
+    assert all(list(got.left[t]) == list(want.left[t]) for t in want.left)
+
+
+#: two same-height candidates; a target on the hit point 2, one touching
+#: candidate 1 only at its left end, and two sharing the abscissa 4
+TOUCHING = (
+    [HSeg(0, F(0), F(0), F(2)), HSeg(1, F(0), F(3), F(5)), HSeg(2, F(1), F(1), F(4))],
+    [VSeg(5, F(2), F(-1), F(0)), VSeg(6, F(3), F(0), F(0)), VSeg(7, F(4), F(1), F(2)),
+     VSeg(8, F(4), F(0), F(1))],
+)
+#: x over sevenths, y over fifths
+COPRIME = (
+    [HSeg(3, F(1, 5), F(-3, 7), F(2, 7)), HSeg(4, F(2, 5), F(1, 7), F(6, 7))],
+    [VSeg(0, F(2, 7), F(1, 5), F(2, 5)), VSeg(1, F(6, 7), F(0), F(3, 5))],
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(POSS_FAMILIES, poss_families(proper=False)))
+@example(TOUCHING)
+@example(COPRIME)
+def test_poss_solve_matches_fraction_reference(family):
+    cands, targets = family
+    got = _outcome(psd.poss_solve, cands, targets, True)
+    assert got == _outcome(reference_poss_solve, cands, targets, True)
+    if got[0] == "ok":
+        assert psd.poss_solve(cands, targets) == got[1][0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(POSS_FAMILIES, st.booleans())
+def test_boundary_side_matches_fraction_reference(family, mirror):
+    """Every candidate against every target, duplicate heights and all,
+    on the int ``Seg``s and on HRay/VSeg objects."""
+    cands, targets = family
+    scale, *segs = psd._int_segs(cands, targets)
+    want = _outcome(reference_solve_boundary_side, cands, targets, mirror)
+    assert _outcome(psd._solve_boundary_side, *segs, mirror, scale) == want
+
+
+def test_build_strips_2000_under_1s():
+    # seven candidate heights, so a target's y extent holds hundreds of them
+    rng = random.Random(2000)
+    cands = proper_hsegs(rng, 2000)
+    targets = anchored_targets(rng, cands, 2000)
+    start = time.process_time()
+    dec = psd.build_strips(cands, targets)
+    elapsed = time.process_time() - start
+    assert len(dec.interior) > 100
+    assert all(dec.left[t.id] or dec.right[t.id] for t in targets)
+    assert elapsed < 1.0, f"build_strips on 2000 + 2000 segments took {elapsed:.2f}s"
+
+
+def test_label_sub_problems_build_no_geometry(monkeypatch):
+    """From the LP split to the ids ssr/srs return, psd and stabbedl build
+    no HRay/VSeg/HSeg and hand the engines unbuilt column instances."""
+    ortho = [instances.generate("ortho_psd", {"n": 40, "m": 40}, s).data for s in range(4)]
+    paths = [instances.generate("stabbed_l", {"n": 30}, s).data for s in range(4)]
+    built = []
+    for cls in (geom.HRay, geom.VSeg, geom.HSeg):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: built.append(a) or _init(self, *a, **k))
+    fed = []
+
+    def watch(fn):
+        def run(inst, *args):
+            fed.append(inst)
+            out = fn(inst, *args)
+            assert "rays" not in vars(inst) and "segments" not in vars(inst)
+            return out
+        return run
+
+    for mod, name in ((ssr, "normalize"), (ssr, "solve_fast"), (srs, "solve")):
+        monkeypatch.setattr(mod, name, watch(getattr(mod, name)))
+    for inst in ortho:
+        psd.psd_solve(inst)
+    for inst in paths:
+        stabbedl.solve_mds(inst)
+    assert built == []
+    assert len(fed) > 20 and all("_columns" in vars(inst) for inst in fed)
+    geom.HRay(0, F(0), F(0))
+    assert built  # the counting patch is live

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from geodom import HRay, VSeg, SsrInstance, exact_stab
-from geodom.errors import InfeasibleSegmentError, InvalidInputError
-from geodom import instances, lp, ssr
+from geodom import HRay, VSeg, SrsInstance, SsrInstance, exact_stab
+from geodom.errors import GeodomError, InfeasibleSegmentError, InvalidInputError
+from geodom import geom, instances, lp, srs, ssr
 
 from helpers import (
     intersection_matrix,
@@ -25,7 +25,7 @@ from helpers import (
     reference_ssr_solve_fast,
     ssr_cover_ok,
 )
-from strategies import ssr_instances
+from strategies import WIDE, WIDE_LENGTHS, ssr_instances
 from test_acceptance import _big_ssr
 
 
@@ -437,6 +437,56 @@ def test_materialize_after_solve_on_kernel_corpus():
 @given(ssr_instances())
 def test_materialize_after_solve_on_degenerate_geometry(inst):
     assert_materializes_after_solve(inst)
+
+
+def _moved_columns(inst, k, y_shift, x_shift):
+    """The columns of ``inst`` on k times its scales, shifted: each int v
+    becomes k * v - shift, which stands for the same rational."""
+    c = geom.int_coords(inst.rays, inst.segments)
+
+    def ys(vs):
+        return [k * v - y_shift for v in vs]
+
+    def xs(vs):
+        return [k * v - x_shift for v in vs]
+
+    return c._replace(
+        ray_y=ys(c.ray_y), reach=xs(c.reach), seg_x=xs(c.seg_x), seg_lo=ys(c.seg_lo),
+        seg_hi=ys(c.seg_hi), y_shift=y_shift, y_scale=k * c.y_scale, x_shift=x_shift,
+        x_scale=k * c.x_scale,
+    )
+
+
+def _run(fn, inst):
+    try:
+        return "ok", fn(inst)
+    except GeodomError as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ssr_instances() | ssr_instances(WIDE, WIDE_LENGTHS),
+    st.integers(1, 6), st.integers(-60, 60), st.integers(-60, 60),
+)
+def test_column_instances_solve_like_their_materialized_twins(inst, k, y_shift, x_shift):
+    """The engines read a ``from_columns`` instance's ints, whatever their
+    shift and scale, and build none of its fields."""
+    cols = _moved_columns(inst, k, y_shift, x_shift)
+    engines = [
+        (SsrInstance, ssr.normalize),
+        (SsrInstance, lambda i: ssr.solve_fast(ssr.normalize(i))),
+        (SsrInstance, ssr.solve_fast),
+        (SrsInstance, lambda i: srs.solve(i, want_trace=True)),
+    ]
+    for cls, fn in engines:
+        twin = cls(*geom.materialize(cols))
+        assert (twin.rays, twin.segments) == (inst.rays, inst.segments)
+        lazy = cls.from_columns(cols)
+        got = _run(fn, lazy)
+        assert "rays" not in vars(lazy) and "segments" not in vars(lazy)
+        want = _run(fn, twin)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_normalize_hands_over_rank_space_once():

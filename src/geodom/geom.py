@@ -327,18 +327,32 @@ class OrthoInstance:
         return {s.id: s for s in self.all_segments()}
 
 
-def _scaled_families(inst: OrthoInstance) -> tuple[int, list[list[int]]]:
-    """The six endpoint families of ``coordinate_family_gap`` (VSeg.x,
-    VSeg.y_lo, VSeg.y_hi, HSeg.y, HSeg.x_lo, HSeg.x_hi) as ints on one scale
-    shared by both axes, so differences compare across axes too."""
-    return scaled(
-        [s.x for s in inst.vsegs],
-        [s.y_lo for s in inst.vsegs],
-        [s.y_hi for s in inst.vsegs],
-        [s.y for s in inst.hsegs],
-        [s.x_lo for s in inst.hsegs],
-        [s.x_hi for s in inst.hsegs],
+#: (id, line, lo, hi): a segment's id, its carrier line (the y of a
+#: horizontal segment, the x of a vertical one) and its extent along that
+#: line, as ints
+Seg = tuple[int, int, int, int]
+
+
+def int_segs(hsegs: Sequence[HSeg], vsegs: Sequence[VSeg]) -> tuple[int, list[Seg], list[Seg]]:
+    """The common ``scaled`` scale of both families and their ``Seg``s in
+    input order: (id, y, x_lo, x_hi) of a horizontal segment, (id, x, y_lo,
+    y_hi) of a vertical one."""
+    scale, (hy, hlo, hhi, vx, vlo, vhi) = scaled(
+        [s.y for s in hsegs], [s.x_lo for s in hsegs], [s.x_hi for s in hsegs],
+        [s.x for s in vsegs], [s.y_lo for s in vsegs], [s.y_hi for s in vsegs],
     )
+    return (
+        scale,
+        list(zip([s.id for s in hsegs], hy, hlo, hhi)),
+        list(zip([s.id for s in vsegs], vx, vlo, vhi)),
+    )
+
+
+def _families(h: list[Seg], v: list[Seg]) -> list[list[int]]:
+    """The six endpoint families of ``coordinate_family_gap`` (VSeg.x,
+    VSeg.y_lo, VSeg.y_hi, HSeg.y, HSeg.x_lo, HSeg.x_hi) of ``Seg``s on one
+    scale, shared by both axes, so differences compare across axes too."""
+    return [[s[k] for s in fam] for fam in (v, h) for k in (1, 2, 3)]
 
 
 def _family_gap(families: Iterable[Sequence[int]]) -> Optional[int]:
@@ -358,9 +372,36 @@ def coordinate_family_gap(inst: OrthoInstance) -> Optional[Rat]:
     HSeg.x_lo, HSeg.x_hi) so that, e.g., a segment's own height never caps
     the gap between two parallel segments.
     """
-    scale, families = _scaled_families(inst)
-    best = _family_gap(families)
+    scale, h, v = int_segs(inst.hsegs, inst.vsegs)
+    best = _family_gap(_families(h, v))
     return None if best is None else Fraction(best, scale)
+
+
+def _min_gap(families: Sequence[Sequence[int]]) -> Optional[int]:
+    """``min_positive_gap`` on the six int families of ``_families``, in
+    that order; None when every pair of segments meets."""
+    vx, vlo, vhi, hy, hlo, hhi = families
+    boxes = sorted(list(zip(hlo, hhi, hy, hy)) + list(zip(vx, vx, vlo, vhi)))
+    # boxes pairwise meet exactly when both projections pairwise overlap,
+    # i.e. when every low end is at most every high end on each axis
+    if not boxes or (
+        max(b[0] for b in boxes) <= min(b[1] for b in boxes)
+        and max(b[2] for b in boxes) <= min(b[3] for b in boxes)
+    ):
+        return None
+    best = _family_gap(families)
+    n = len(boxes)
+    for i in range(n):
+        _, x_hi, y_lo, y_hi = boxes[i]
+        for j in range(i + 1, n):
+            bx_lo, _, by_lo, by_hi = boxes[j]
+            dx = bx_lo - x_hi  # boxes[j] starts no further left
+            if best is not None and dx >= best:
+                break
+            gap = max(dx, by_lo - y_hi, y_lo - by_hi)
+            if gap > 0 and (best is None or gap < best):
+                best = gap
+    return best
 
 
 def min_positive_gap(inst: OrthoInstance) -> Optional[Rat]:
@@ -379,29 +420,45 @@ def min_positive_gap(inst: OrthoInstance) -> Optional[Rat]:
     x-distance alone reaches the best gap so far, which starts at the
     family gap because the answer never exceeds it.
     """
-    scale, families = _scaled_families(inst)
-    vx, vlo, vhi, hy, hlo, hhi = families
-    boxes = sorted(list(zip(hlo, hhi, hy, hy)) + list(zip(vx, vx, vlo, vhi)))
-    # boxes pairwise meet exactly when both projections pairwise overlap,
-    # i.e. when every low end is at most every high end on each axis
-    if not boxes or (
-        max(b[0] for b in boxes) <= min(b[1] for b in boxes)
-        and max(b[2] for b in boxes) <= min(b[3] for b in boxes)
-    ):
-        return NO_GAP
-    best = _family_gap(families)
-    n = len(boxes)
-    for i in range(n):
-        _, x_hi, y_lo, y_hi = boxes[i]
-        for j in range(i + 1, n):
-            bx_lo, _, by_lo, by_hi = boxes[j]
-            dx = bx_lo - x_hi  # boxes[j] starts no further left
-            if best is not None and dx >= best:
-                break
-            gap = max(dx, by_lo - y_hi, y_lo - by_hi)
-            if gap > 0 and (best is None or gap < best):
-                best = gap
-    return Fraction(best, scale)
+    scale, h, v = int_segs(inst.hsegs, inst.vsegs)
+    best = _min_gap(_families(h, v))
+    return NO_GAP if best is None else Fraction(best, scale)
+
+
+def _properize_segs(scale: int, h: list[Seg], v: list[Seg]) -> tuple[int, list[Seg], list[Seg]]:
+    """``properize`` on the horizontal and vertical ``Seg``s ``h``, ``v``
+    of one int ``scale``: the new scale and the stretched ``Seg``s of each
+    family in rank order.  Ids must be distinct.
+
+    Over the new scale ``scale * mult``, with ``mult`` a multiple of
+    4(n + 1) for both families' sizes n, a family's eps = gap / (4(n + 1))
+    is a whole number of steps.
+    """
+    if not h and not v:
+        return scale, h, v
+    if len({s[3] - s[2] for fam in (h, v) for s in fam}) != 1:
+        raise InvalidInputError("properize requires all segments of equal length")
+    families = _families(h, v)
+    gap = _min_gap(families)
+    if gap is None:
+        # Everything pairwise intersects; new intersections are impossible,
+        # but distinct anchors must keep their order, so fall back to the
+        # coordinate-family gap before the unit default.
+        gap = _family_gap(families)
+        if gap is None:
+            gap = scale
+    mult = math.lcm(4 * (len(h) + 1), 4 * (len(v) + 1))
+
+    def stretch(fam: list[Seg]) -> list[Seg]:
+        n = len(fam)
+        step = gap * (mult // (4 * (n + 1)))
+        ranked = sorted(fam, key=lambda s: (s[2], s[0]))
+        return [
+            (sid, line * mult, lo * mult - i * step, hi * mult + (n - i) * step)
+            for i, (sid, line, lo, hi) in enumerate(ranked)
+        ]
+
+    return scale * mult, stretch(h), stretch(v)
 
 
 def properize(inst: OrthoInstance) -> OrthoInstance:
@@ -416,50 +473,20 @@ def properize(inst: OrthoInstance) -> OrthoInstance:
     distinct ranks rule out.  eps is chosen well below half the instance
     gap, so disjoint segments stay disjoint.
 
-    Lengths, ranks and shifts are ints on the ``scaled`` scale of each
-    orientation's two endpoint families; each new endpoint is one
-    ``Fraction(p, q)``.
+    The stretch runs on the segments' ``int_segs`` (``_properize_segs``);
+    each returned coordinate is one ``Fraction(p, q)``.
     """
     if not inst.hsegs and not inst.vsegs:
         return inst
-    spans = (
-        scaled([s.x_lo for s in inst.hsegs], [s.x_hi for s in inst.hsegs]),
-        scaled([s.y_lo for s in inst.vsegs], [s.y_hi for s in inst.vsegs]),
-    )
-    lengths = {
-        Fraction(d, scale) for scale, (lo, hi) in spans for d in {b - a for a, b in zip(lo, hi)}
-    }
-    if len(lengths) != 1:
-        raise InvalidInputError("properize requires all segments of equal length")
+    scale, h, v = _properize_segs(*int_segs(inst.hsegs, inst.vsegs))
 
-    gap = min_positive_gap(inst)
-    if gap is NO_GAP:
-        # Everything pairwise intersects; new intersections are impossible,
-        # but distinct anchors must keep their order, so fall back to the
-        # coordinate-family gap before the unit default.
-        gap = coordinate_family_gap(inst)
-        if gap is None:
-            gap = Fraction(1)
+    def read(cls, fam):
+        return tuple(
+            cls(sid, Fraction(line, scale), Fraction(lo, scale), Fraction(hi, scale))
+            for sid, line, lo, hi in sorted(fam)
+        )
 
-    def stretch(items, span, grow):
-        # grow(s, lo, hi) is s with its span replaced.  Over the common
-        # denominator den = scale * 4(n + 1) * gap.denominator, an endpoint
-        # v / scale is v * unit and eps = gap / (4(n + 1)) is step.
-        scale, (lows, highs) = span
-        n = len(items)
-        unit = 4 * (n + 1) * gap.denominator
-        den, step = scale * unit, gap.numerator * scale
-        order = sorted(zip(lows, [s.id for s in items], range(n)))
-        out = [
-            grow(items[k], Fraction(lows[k] * unit - i * step, den),
-                 Fraction(highs[k] * unit + (n - i) * step, den))
-            for i, (_, _, k) in enumerate(order)
-        ]
-        return sorted(out, key=lambda s: s.id)
-
-    new_h = stretch(inst.hsegs, spans[0], lambda s, a, b: HSeg(s.id, s.y, a, b))
-    new_v = stretch(inst.vsegs, spans[1], lambda s, a, b: VSeg(s.id, s.x, a, b))
-    return OrthoInstance(tuple(new_h), tuple(new_v), inst.constraint_ids, inst.candidate_ids)
+    return OrthoInstance(read(HSeg, h), read(VSeg, v), inst.constraint_ids, inst.candidate_ids)
 
 
 def containment_violation(

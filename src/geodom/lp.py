@@ -6,7 +6,9 @@ subject to one "sum over a variable subset >= 1" row per constraint and
 numerators over one shared denominator per row), so it takes the same
 pivots and reaches the same vertex as a Fraction tableau, and objective
 values are usable as certificates without tolerance.  Each LP answer also
-carries a dual witness that ``check_feasible`` verifies in O(nnz).
+carries a dual witness that ``check_feasible`` verifies in O(nnz).  A
+solution keeps its last passed check for that program object, so
+``threshold_split`` does not repeat the check ``solve_lp`` just made.
 
 ``lp_round`` is the LP-rounding skeleton the three MDS pipelines share:
 solve the covering LP, split each row by which labelled block holds mass
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import is_
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -83,9 +86,22 @@ class CoverSolution:
     def check_feasible(self, program: CoverProgram) -> None:
         self._scaled_checked(program)
 
+    def _fields(self) -> tuple:
+        return (self.values, self.objective_value, self.integral, self.duals)
+
     def _scaled_checked(self, program: CoverProgram) -> tuple[int, list[int]]:
         """``check_feasible``, then the values as ``scaled`` ints
-        ``(scale, xs)``.  Every check compares ints."""
+        ``(scale, xs)``.  Every check compares ints.
+
+        A passed check is kept on the solution, outside its fields, as
+        ``(program, fields, scale, xs)``; it answers a later call only for
+        that same program object and the same field objects, so a solution
+        handed an equal but distinct program, or changed since, is checked
+        in full.
+        """
+        kept = self.__dict__.get("_checked")
+        if kept is not None and kept[0] is program and all(map(is_, kept[1], self._fields())):
+            return kept[2], kept[3]
         if len(self.values) != program.num_vars:
             raise InvalidInputError("solution length mismatch")
         scale, (xs,) = scaled(self.values)
@@ -101,6 +117,7 @@ class CoverSolution:
             raise InvalidInputError("integral flag set on fractional values")
         if self.duals is not None:
             self._check_duals(program)
+        object.__setattr__(self, "_checked", (program, self._fields(), scale, xs))
         return scale, xs
 
     def _check_duals(self, program: CoverProgram) -> None:

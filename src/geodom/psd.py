@@ -7,20 +7,21 @@ the 18-approximation combining both over a mixed instance.  The last two
 are ``lp.lp_round``: each LP row is split by strip boundary (left/right)
 or by orientation (same/cross), and each label is solved on its own.
 
-Both run on one int view of their segments: a ``Seg`` (id, line, lo, hi)
-holds ``geom.scaled`` ints on one scale, the segment's carrier line (the y
-of a horizontal segment, the x of a vertical one) and its extent along it.
-A quarter turn of the plane keeps every ``Seg``, so the cross label covers
-horizontal targets with vertical candidates through the same core.  Each
-strip boundary's sub-problem travels to ``ssr`` as ``geom.StabColumns``;
-no ``HRay``/``VSeg`` and no ``Fraction`` is built between the LP and the
-selected ids.
+Both run on one int view of their segments: a ``geom.Seg`` (id, line, lo,
+hi) holds ``geom.scaled`` ints on one scale, the segment's carrier line
+(the y of a horizontal segment, the x of a vertical one) and its extent
+along it.  ``psd_solve`` is ``_psd`` on its instance's view; ``uvpg`` hands
+``_psd`` the stretched ``Seg``s of each label directly.  A quarter turn of
+the plane keeps every ``Seg``, so the cross label covers horizontal targets
+with vertical candidates through the same core.  Each strip boundary's
+sub-problem travels to ``ssr`` as ``geom.StabColumns``; no ``HRay``/``VSeg``
+and no ``Fraction`` is built between the LP and the selected ids.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import ssr
 from .errors import (
@@ -33,10 +34,11 @@ from .geom import (
     HSeg,
     OrthoInstance,
     Rat,
+    Seg,
     StabColumns,
     VSeg,
     containment_violation,
-    scaled,
+    int_segs,
 )
 from .lp import HALF, CoverProgram, CoverSolution, RoundingResult, SolveCertificate, lp_round
 from .lp import solve_lp  # noqa: F401  re-exported: perfbench's tracer tests rebind psd.solve_lp
@@ -111,26 +113,6 @@ def spid_exact(s: ProperIntervalSet, t_ids) -> set[int]:
     return _interval_cover(t_ids, hits, {iv.id: iv.hi for iv in ivs})
 
 
-#: (id, line, lo, hi): a segment's id, its carrier line and its extent
-#: along that line, as ints
-Seg = tuple[int, int, int, int]
-
-
-def _int_segs(hsegs, vsegs) -> tuple[int, list[Seg], list[Seg]]:
-    """The common ``scaled`` scale of both families and their ``Seg``s in
-    input order: (id, y, x_lo, x_hi) of a horizontal segment, (id, x, y_lo,
-    y_hi) of a vertical one."""
-    scale, (hy, hlo, hhi, vx, vlo, vhi) = scaled(
-        [s.y for s in hsegs], [s.x_lo for s in hsegs], [s.x_hi for s in hsegs],
-        [s.x for s in vsegs], [s.y_lo for s in vsegs], [s.y_hi for s in vsegs],
-    )
-    return (
-        scale,
-        list(zip([s.id for s in hsegs], hy, hlo, hhi)),
-        list(zip([s.id for s in vsegs], vx, vlo, vhi)),
-    )
-
-
 @dataclass(frozen=True)
 class StripDecomposition:
     """Hit points and per-target boundary candidate sets.
@@ -203,7 +185,7 @@ def build_strips(candidates: list[HSeg], targets: list[VSeg]) -> StripDecomposit
     values.  The returned decomposition also carries that int view, outside
     its fields, for ``poss_solve`` to take off instead of scaling again.
     """
-    scale, cands, tgts = _int_segs(candidates, targets)
+    scale, cands, tgts = int_segs(candidates, targets)
     st = _strips(cands, tgts)
     if not st.points:
         dec = StripDecomposition((), (), (), {}, {}, {})
@@ -343,7 +325,7 @@ class PsdDetails:
 
 def _int_view(inst: OrthoInstance) -> tuple[int, dict[int, Seg], frozenset[int]]:
     """The scale, every segment's ``Seg`` by id and the horizontal ids."""
-    scale, h, v = _int_segs(inst.hsegs, inst.vsegs)
+    scale, h, v = int_segs(inst.hsegs, inst.vsegs)
     seg = {s[0]: s for s in h}
     seg.update((s[0], s) for s in v)
     return scale, seg, frozenset(s[0] for s in h)
@@ -379,14 +361,21 @@ def _cover_rows(seg, horiz, constraints, cand_order) -> list[tuple[frozenset[int
     return out
 
 
-def psd_solve(inst: OrthoInstance, want_details: bool = False):
-    """18-approximation for covering marked segments with marked segments."""
-    scale, seg, horiz = _int_view(inst)
-    _require_proper("h", (seg[s.id][2:] + (s.id,) for s in inst.hsegs))
-    _require_proper("v", (seg[s.id][2:] + (s.id,) for s in inst.vsegs))
+def _psd(
+    scale: int,
+    seg: dict[int, Seg],
+    horiz: frozenset[int],
+    constraint_ids: Iterable[int],
+    candidate_ids: Iterable[int],
+) -> tuple[RoundingResult, list[SolveCertificate]]:
+    """``psd_solve`` on an int view (``_int_view``'s scale, ``Seg`` by id
+    and horizontal ids) with the given role ids: the rounding result and the
+    cross label's poss certificates."""
+    _require_proper("h", (s[2:] + (s[0],) for s in seg.values() if s[0] in horiz))
+    _require_proper("v", (s[2:] + (s[0],) for s in seg.values() if s[0] not in horiz))
 
-    constraints = sorted(inst.constraint_ids)
-    cand_order = sorted(inst.candidate_ids)
+    constraints = sorted(constraint_ids)
+    cand_order = sorted(candidate_ids)
     parts = {}
     for u, (same, cross) in zip(constraints, _cover_rows(seg, horiz, constraints, cand_order)):
         if not same and not cross:
@@ -413,7 +402,13 @@ def psd_solve(inst: OrthoInstance, want_details: bool = False):
                 selected |= cert.heuristic_ids
         return selected
 
-    res = lp_round(cand_order, parts, HALF, solve_label, 18)
+    return lp_round(cand_order, parts, HALF, solve_label, 18), poss_certs
+
+
+def psd_solve(inst: OrthoInstance, want_details: bool = False):
+    """18-approximation for covering marked segments with marked segments
+    (``_psd`` on the instance's ``_int_view``)."""
+    res, poss_certs = _psd(*_int_view(inst), inst.constraint_ids, inst.candidate_ids)
     if not want_details:
         return res.certificate
     (s_rows, s_vars), (c_rows, c_vars) = res.part("same"), res.part("cross")

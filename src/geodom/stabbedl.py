@@ -7,8 +7,9 @@ horizontal-leg and vertical-leg contacts; the two labels reduce to the
 ray/segment stabbing problems ``srs`` and ``ssr``.  ``build_graph`` reads
 both labels off ``geom.leg_contacts``.  The layout checks of ``normalize``,
 the graph and both labels read the paths' ``geom.scaled`` ints, one scale
-per axis: each label's sub-instance travels as ``geom.StabColumns`` of
-mirrored rays and vertical legs, and the vertical label's shrink is an int.
+per axis, which ``solve_mds`` makes once per call: each label's
+sub-instance travels as ``geom.StabColumns`` of mirrored rays and vertical
+legs, and the vertical label's shrink is an int.
 """
 from __future__ import annotations
 
@@ -61,24 +62,18 @@ def _int_paths(paths) -> tuple[int, list[int], list[int], int, list[int], list[i
     return sx, x0, hlen, sy, y0, vlen
 
 
-def normalize(inst: StabbedLInstance) -> StabbedLInstance:
-    """Translate the stabbing line to x=0 and validate the layout rules.
-
-    (i) the line meets every path, (ii) no corner lies on the line, and
-    (iii) no two paths share more than a single point.  Because every
-    horizontal leg must cross x=0 while corners sit strictly left of it,
-    equal corner heights always force an overlap, so (iii) reduces to
-    distinct corner heights plus non-overlapping collinear vertical legs.
-
-    The input paths are kept when the line is already at x=0.  The checks
-    run on ``scaled`` ints, one scale per axis.
-    """
+def _at_origin(inst: StabbedLInstance) -> tuple[LPath, ...]:
+    """The paths with the stabbing line moved to x=0 (the input paths when
+    it is there already)."""
     shift = inst.line_x
-    paths = inst.paths if shift == 0 else tuple(
+    return inst.paths if shift == 0 else tuple(
         LPath(p.id, p.corner_x - shift, p.corner_y, p.vlen, p.hlen) for p in inst.paths
     )
-    ids = [p.id for p in paths]
-    _, x0, hlen, _, y0, vlen = _int_paths(paths)
+
+
+def _check_layout(ids: list[int], view) -> None:
+    """``normalize``'s layout checks on the paths' ``_int_paths`` view."""
+    _, x0, hlen, _, y0, vlen = view
     missing = [i for i, x, h in zip(ids, x0, hlen) if x > 0 or x + h < 0]
     if missing:
         raise AssumptionViolationError("i", missing)
@@ -91,7 +86,7 @@ def normalize(inst: StabbedLInstance) -> StabbedLInstance:
     clashes = [group for group in by_y.values() if len(group) > 1]
     if clashes:
         raise AssumptionViolationError("iii", sorted(clashes[0]))
-    by_x: dict[int, list[int]] = {}  # positions in ``paths``
+    by_x: dict[int, list[int]] = {}  # positions in ``ids``
     for k, x in enumerate(x0):
         by_x.setdefault(x, []).append(k)
     for group in by_x.values():
@@ -99,6 +94,22 @@ def normalize(inst: StabbedLInstance) -> StabbedLInstance:
         for lo, hi in zip(group, group[1:]):
             if y0[lo] + vlen[lo] > y0[hi]:
                 raise AssumptionViolationError("iii", sorted([ids[lo], ids[hi]]))
+
+
+def normalize(inst: StabbedLInstance) -> StabbedLInstance:
+    """Translate the stabbing line to x=0 and validate the layout rules.
+
+    (i) the line meets every path, (ii) no corner lies on the line, and
+    (iii) no two paths share more than a single point.  Because every
+    horizontal leg must cross x=0 while corners sit strictly left of it,
+    equal corner heights always force an overlap, so (iii) reduces to
+    distinct corner heights plus non-overlapping collinear vertical legs.
+
+    The input paths are kept when the line is already at x=0.  The checks
+    run on ``scaled`` ints, one scale per axis.
+    """
+    paths = _at_origin(inst)
+    _check_layout([p.id for p in paths], _int_paths(paths))
     return StabbedLInstance(paths, Fraction(0))
 
 
@@ -125,13 +136,17 @@ def build_graph(inst: StabbedLInstance):
     one.  Sets are filled in the input-order pair sequence of the all-pairs
     definition.
     """
-    paths = inst.paths
-    _, x0, hlen, _, y0, vlen = _int_paths(paths)
+    return _build_graph([p.id for p in inst.paths], _int_paths(inst.paths))
+
+
+def _build_graph(ids: list[int], view):
+    """``build_graph`` of paths with these ids and ``_int_paths`` view."""
+    _, x0, hlen, _, y0, vlen = view
     legs = [((x, x, y, y + v), (x, x + h, y, y)) for x, h, y, v in zip(x0, hlen, y0, vlen)]
-    horizontal: dict[int, set[int]] = {p.id: {p.id} for p in paths}
-    vertical: dict[int, set[int]] = {p.id: set() for p in paths}
+    horizontal: dict[int, set[int]] = {u: {u} for u in ids}
+    vertical: dict[int, set[int]] = {u: set() for u in ids}
     for i, j, hits in leg_contacts(legs):
-        a, b = paths[i].id, paths[j].id
+        a, b = ids[i], ids[j]
         # contact classification is per endpoint's own horizontal leg
         (horizontal if (2, 1) in hits else vertical)[a].add(b)
         (horizontal if (1, 2) in hits else vertical)[b].add(a)
@@ -182,10 +197,15 @@ def _vertical_shrink(paths_by_id, constraint_ids) -> Rat:
 
 def solve_mds(inst: StabbedLInstance, want_details: bool = False):
     """8-approximate dominating set over the path intersection graph."""
-    norm = normalize(inst)
-    _, partition = build_graph(norm)
-    sx, x0, _, sy, y0, vlen = _int_paths(norm.paths)
-    pos = {p.id: k for k, p in enumerate(norm.paths)}
+    # one int view of the translated paths serves the layout checks, the
+    # graph and both labels
+    paths = _at_origin(inst)
+    ids = [p.id for p in paths]
+    view = _int_paths(paths)
+    _check_layout(ids, view)
+    _, partition = _build_graph(ids, view)
+    sx, x0, _, sy, y0, vlen = view
+    pos = {u: k for k, u in enumerate(ids)}
     parts = {u: {"h": partition.horizontal[u], "v": partition.vertical[u]} for u in pos}
     subs = {}
 

@@ -5,9 +5,13 @@ vertical.  Two paths are adjacent when any pair of legs meets, which
 ``geom.leg_contacts`` finds.  Domination is ``lp.lp_round`` over the
 domination LP with each row split by first-contact label (i, j), read off
 those leg contacts; each label reduces to segment covering with proper
-projections, solved by ``psd.psd_solve``.  ``solve_mds`` builds each path's
-canonical leg segments once per call and every label's instance indexes
-into them; ``geom.properize`` stretches each label's legs on ints.
+projections, solved by psd's core.
+
+``solve_mds`` walks every path's legs once per call, on ``geom.scaled``
+ints of one scale for both axes (``_int_legs``).  Those leg boxes feed the
+contact sweep, and each label's legs reach ``geom``'s int stretch and psd's
+core as ``Seg`` tuples, so no segment, instance or coordinate ``Fraction``
+is built between the input paths and the selected ids.
 """
 from __future__ import annotations
 
@@ -16,9 +20,11 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidInputError, InvalidPathError
-from .geom import Box, HSeg, OrthoInstance, Rat, VSeg, as_rat, leg_contacts, properize, scaled
+from .geom import Box, HSeg, Rat, Seg, VSeg, _properize_segs, as_rat, leg_contacts, scaled
+from .geom import properize  # noqa: F401  re-exported: perfbench's tracer tests read uvpg.properize
 from .lp import CoverProgram, CoverSolution, SolveCertificate, lp_round
-from .psd import psd_solve
+from .psd import _psd
+from .psd import psd_solve  # noqa: F401  re-exported: perfbench's tracer tests read uvpg.psd_solve
 
 _STEP = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
 _FLIP = {"L": "R", "R": "L", "U": "D", "D": "U"}
@@ -88,41 +94,37 @@ class ContactStructure:
     partition: dict[int, dict[tuple[int, int], frozenset[int]]]
 
 
-def _leg_boxes(legs: tuple[str, ...], x: int, y: int, lx: int, ly: int) -> list[Box]:
-    """Legs as closed boxes (x_lo, x_hi, y_lo, y_hi), axes scaled by lx, ly,
-    walked from the start point (x, y) on those scales.
+def _int_legs(paths: list[UnitKBendPath]) -> tuple[int, list[list[Box]]]:
+    """Every path's legs as closed int boxes (x_lo, x_hi, y_lo, y_hi), in
+    the order of ``canonical().leg_segments()``, and their ``scaled``
+    scale, shared by both axes.
 
+    A path is walked once from its start; when its end is lexicographically
+    smaller (an exact tie keeps the start, as ``canonical`` does), the
+    reversed walk is the canonical one, so its boxes come in reverse order.
     A leg is its own box, so two legs meet exactly when their boxes do.
     """
-    boxes = []
-    for d in legs:
-        dx, dy = _STEP[d]
-        nx, ny = x + dx * lx, y + dy * ly
-        boxes.append((min(x, nx), max(x, nx), min(y, ny), max(y, ny)))
-        x, y = nx, ny
-    return boxes
+    scale, (xs, ys) = scaled([p.start_x for p in paths], [p.start_y for p in paths])
+    steps = {d: (dx * scale, dy * scale) for d, (dx, dy) in _STEP.items()}
+    out = []
+    for p, x, y in zip(paths, xs, ys):
+        start = (x, y)
+        boxes = []
+        for d in p.legs:
+            dx, dy = steps[d]
+            nx, ny = x + dx, y + dy
+            boxes.append((min(x, nx), max(x, nx), min(y, ny), max(y, ny)))
+            x, y = nx, ny
+        if (x, y) < start:
+            boxes.reverse()
+        out.append(boxes)
+    return scale, out
 
 
-def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
-    """Closed neighborhoods, first-contact labels, and the label partition.
-
-    phi[(u, v)] is the lexicographically least pair (i, j) with leg i of u
-    meeting leg j of v; minimality in lex order already rules out any
-    strictly smaller crossing pair, so it matches the partition rule.  A
-    path meets itself first at (1, 1).
-
-    Other pairs come from ``geom.leg_contacts`` over the canonical paths'
-    ``_leg_boxes``: phi[(u, v)] is the first of its hits and phi[(v, u)] the
-    least of them reversed.
-    """
-    ids = [p.id for p in paths]
+def _contacts(ids: list[int], legs: list[list[Box]]) -> ContactStructure:
+    """``build_graph`` of paths with these ids and canonical leg boxes."""
     if len(ids) != len(set(ids)):
         raise InvalidInputError("duplicate path ids")
-    canon = [p.canonical() for p in paths]
-    # every point of a path is its start plus whole steps
-    lx, (xs,) = scaled([p.start_x for p in canon])
-    ly, (ys,) = scaled([p.start_y for p in canon])
-    legs = [_leg_boxes(p.legs, x, y, lx, ly) for p, x, y in zip(canon, xs, ys)]
     # contacts[u][v] is phi[(u, v)]
     contacts = {u: {u: (1, 1)} for u in sorted(ids)}
     for p, q, hits in leg_contacts(legs):
@@ -137,6 +139,21 @@ def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
             blocks.setdefault(label, set()).add(v)
         partition[u] = {lab: frozenset(vs) for lab, vs in blocks.items()}
     return ContactStructure({u: frozenset(contacts[u]) for u in ids}, phi, partition)
+
+
+def build_graph(paths: list[UnitKBendPath]) -> ContactStructure:
+    """Closed neighborhoods, first-contact labels, and the label partition.
+
+    phi[(u, v)] is the lexicographically least pair (i, j) with leg i of u
+    meeting leg j of v; minimality in lex order already rules out any
+    strictly smaller crossing pair, so it matches the partition rule.  A
+    path meets itself first at (1, 1).
+
+    Other pairs come from ``geom.leg_contacts`` over the canonical leg
+    boxes of ``_int_legs``: phi[(u, v)] is the first of its hits and
+    phi[(v, u)] the least of them reversed.
+    """
+    return _contacts([p.id for p in paths], _int_legs(paths)[1])
 
 
 @dataclass(frozen=True)
@@ -156,67 +173,56 @@ class UvpgDetails:
     labels: dict[tuple[int, int], LabelOutcome]
 
 
-def _label_instance(
-    label: tuple[int, int],
-    legs: dict[int, list[Union[HSeg, VSeg]]],
-    row_ids: list[int],
-    var_ids: list[int],
-):
-    """Geometric covering instance for one contact label.
-
-    ``legs[pid]`` is the ``leg_segments`` of path pid's canonical form.
-    Constraints are the i-th legs of the row paths, candidates the j-th legs
-    of the column paths.  A leg playing both roles is entered twice under
-    fresh ids; the maps recover path ids afterwards.
-    """
-    i, j = label
-    hsegs: list[HSeg] = []
-    vsegs: list[VSeg] = []
-    constraint_ids = set()
-    candidate_ids = set()
-    cand_owner: dict[int, int] = {}
-    next_id = 0
-
-    def add(seg, role_constraint: bool, owner: int):
-        nonlocal next_id
-        rid = next_id
-        next_id += 1
-        if isinstance(seg, HSeg):
-            hsegs.append(HSeg(rid, seg.y, seg.x_lo, seg.x_hi))
+def _label_segs(
+    rows: list[list[Box]], cands: list[list[Box]], i: int, j: int
+) -> tuple[list[Seg], list[Seg]]:
+    """The horizontal and vertical ``Seg``s of one contact label (i, j):
+    leg i of each row path's boxes, then leg j of each candidate path's,
+    under fresh ids 0, 1, ... in that order, so a leg playing both roles is
+    entered twice."""
+    h: list[Seg] = []
+    v: list[Seg] = []
+    legs = [b[i - 1] for b in rows] + [b[j - 1] for b in cands]
+    for rid, (x_lo, x_hi, y_lo, y_hi) in enumerate(legs):
+        if y_lo == y_hi:
+            h.append((rid, y_lo, x_lo, x_hi))
         else:
-            vsegs.append(VSeg(rid, seg.x, seg.y_lo, seg.y_hi))
-        if role_constraint:
-            constraint_ids.add(rid)
-        else:
-            candidate_ids.add(rid)
-            cand_owner[rid] = owner
-
-    for pid in row_ids:
-        add(legs[pid][i - 1], True, pid)
-    for pid in var_ids:
-        add(legs[pid][j - 1], False, pid)
-    inst = OrthoInstance(
-        tuple(hsegs), tuple(vsegs), frozenset(constraint_ids), frozenset(candidate_ids)
-    )
-    return inst, cand_owner
+            v.append((rid, x_lo, y_lo, y_hi))
+    return h, v
 
 
 def solve_mds(paths: list[UnitKBendPath], k: int, want_details: bool = False):
-    """Dominating set within 18(k+1)^4 of the fractional optimum."""
+    """Dominating set within 18(k+1)^4 of the fractional optimum.
+
+    Each label (i, j) covers leg i of its row paths with leg j of its
+    candidate paths: ``geom``'s int stretch makes both projection families
+    proper, and psd's core solves the cover on those ``Seg``s.
+    """
     if k < 0:
         raise InvalidInputError("negative bend bound")
     for p in paths:
         if len(p.legs) > k + 1:
             raise InvalidPathError(p.id, f"more than {k + 1} legs")
-    contacts = build_graph(paths)
-    # every label reads one leg of each of its paths: build them once
-    legs = {p.id: p.canonical().leg_segments() for p in paths}
+    ids = [p.id for p in paths]
+    scale, legs = _int_legs(paths)
+    contacts = _contacts(ids, legs)
+    legs_of = dict(zip(ids, legs))
     labels: dict[tuple[int, int], LabelOutcome] = {}
 
     def solve_label(label, rows, cands):
-        inst, cand_owner = _label_instance(label, legs, sorted(rows), sorted(cands))
-        cert = psd_solve(properize(inst))
-        picked = frozenset(cand_owner[rid] for rid in cert.heuristic_ids)
+        row_ids, cand_ids = sorted(rows), sorted(cands)
+        h, v = _label_segs(
+            [legs_of[u] for u in row_ids], [legs_of[u] for u in cand_ids], *label
+        )
+        stretched, h, v = _properize_segs(scale, h, v)
+        seg = {s[0]: s for s in h}
+        seg.update((s[0], s) for s in v)
+        n = len(row_ids)
+        res, _ = _psd(
+            stretched, seg, frozenset(s[0] for s in h), range(n), range(n, n + len(cand_ids))
+        )
+        cert = res.certificate
+        picked = frozenset(cand_ids[rid - n] for rid in cert.heuristic_ids)
         labels[label] = LabelOutcome(
             rows=rows,
             vars=cands,

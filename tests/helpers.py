@@ -1325,3 +1325,96 @@ def reference_poss_solve(candidates, targets, want_details=False):
         left_selected=res.selected.get("left", frozenset()),
         right_selected=res.selected.get("right", frozenset()),
     )
+
+
+# ---------------------------------------------------------------------------
+# uvpg before it ran on ints: literal copies of ``solve_mds`` and
+# ``_label_instance``, which walk each path's canonical ``leg_segments`` and
+# send every label through an ``OrthoInstance``, ``properize`` and
+# ``psd_solve``; here ``properize`` is the Fraction ``reference_properize``
+# and the contacts come from the all-pairs ``reference_uvpg_build_graph``
+
+
+def _reference_label_instance(label, legs, row_ids, var_ids):
+    """Geometric covering instance for one contact label.
+
+    ``legs[pid]`` is the ``leg_segments`` of path pid's canonical form.
+    Constraints are the i-th legs of the row paths, candidates the j-th legs
+    of the column paths.  A leg playing both roles is entered twice under
+    fresh ids; the maps recover path ids afterwards.
+    """
+    i, j = label
+    hsegs = []
+    vsegs = []
+    constraint_ids = set()
+    candidate_ids = set()
+    cand_owner = {}
+    next_id = 0
+
+    def add(seg, role_constraint, owner):
+        nonlocal next_id
+        rid = next_id
+        next_id += 1
+        if isinstance(seg, HSeg):
+            hsegs.append(HSeg(rid, seg.y, seg.x_lo, seg.x_hi))
+        else:
+            vsegs.append(VSeg(rid, seg.x, seg.y_lo, seg.y_hi))
+        if role_constraint:
+            constraint_ids.add(rid)
+        else:
+            candidate_ids.add(rid)
+            cand_owner[rid] = owner
+
+    for pid in row_ids:
+        add(legs[pid][i - 1], True, pid)
+    for pid in var_ids:
+        add(legs[pid][j - 1], False, pid)
+    inst = OrthoInstance(
+        tuple(hsegs), tuple(vsegs), frozenset(constraint_ids), frozenset(candidate_ids)
+    )
+    return inst, cand_owner
+
+
+def reference_uvpg_solve_mds(paths, k, want_details=False):
+    """``uvpg.solve_mds`` on canonical ``leg_segments`` and one
+    ``OrthoInstance`` per label."""
+    from geodom.errors import InvalidPathError
+    from geodom.lp import lp_round
+    from geodom.psd import psd_solve
+    from geodom.uvpg import ContactStructure, LabelOutcome, UvpgDetails
+
+    if k < 0:
+        raise InvalidInputError("negative bend bound")
+    for p in paths:
+        if len(p.legs) > k + 1:
+            raise InvalidPathError(p.id, f"more than {k + 1} legs")
+    if len({p.id for p in paths}) != len(paths):
+        raise InvalidInputError("duplicate path ids")
+    contacts = ContactStructure(*reference_uvpg_build_graph(paths))
+    # every label reads one leg of each of its paths: build them once
+    legs = {p.id: p.canonical().leg_segments() for p in paths}
+    labels = {}
+
+    def solve_label(label, rows, cands):
+        inst, cand_owner = _reference_label_instance(label, legs, sorted(rows), sorted(cands))
+        cert = psd_solve(reference_properize(inst))
+        picked = frozenset(cand_owner[rid] for rid in cert.heuristic_ids)
+        labels[label] = LabelOutcome(
+            rows=rows,
+            vars=cands,
+            certificate=cert,
+            chosen_paths=picked,
+        )
+        return picked
+
+    theta, ratio = Fraction(1, (k + 1) ** 2), 18 * (k + 1) ** 4
+    res = lp_round(contacts.neighborhoods, contacts.partition, theta, solve_label, ratio)
+    if not want_details:
+        return res.certificate
+    return res.certificate, UvpgDetails(
+        program=res.program,
+        lp_solution=res.lp_solution,
+        order=res.var_ids,
+        contacts=contacts,
+        labels=labels,
+    )

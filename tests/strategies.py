@@ -109,18 +109,21 @@ def ssr_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=10):
 
 
 @st.composite
-def equal_length_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=8):
+def equal_length_instances(draw, coords=GRID, lengths=GRID_LENGTHS, max_side=8, y_coords=None):
     """``ortho_instances`` with one length for every segment (the input of
-    ``geom.properize``), or now and then one segment a little longer."""
+    ``geom.properize``), or now and then one segment a little longer.
+    ``y_coords``, when given, draws the y coordinates and ``coords`` the x
+    ones."""
+    ys = coords if y_coords is None else y_coords
     nh = draw(st.integers(0, max_side))
     nv = draw(st.integers(0, max_side))
     ids = _ids(draw, nh + nv)
     length = draw(lengths)
-    spans = [draw(coords) for _ in ids]
+    spans = [draw(coords) for _ in ids[:nh]] + [draw(ys) for _ in ids[nh:]]
     ends = [lo + length for lo in spans]
     if ids and draw(st.integers(0, 9)) == 0:
         ends[-1] += Fraction(1, 7)
-    hsegs = tuple(HSeg(sid, draw(coords), lo, hi) for sid, lo, hi in zip(ids[:nh], spans, ends))
+    hsegs = tuple(HSeg(sid, draw(ys), lo, hi) for sid, lo, hi in zip(ids[:nh], spans, ends))
     vsegs = tuple(
         VSeg(sid, draw(coords), lo, hi) for sid, lo, hi in zip(ids[nh:], spans[nh:], ends[nh:])
     )

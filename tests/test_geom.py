@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodom.errors import InvalidInputError
@@ -24,7 +24,7 @@ from geodom.geom import (
     rat_str,
     scaled,
 )
-from geodom import instances
+from geodom import geom, instances
 from helpers import (
     count_fraction_ops,
     intersection_matrix,
@@ -253,6 +253,54 @@ def test_properize_matches_fraction_reference(inst):
 def test_properize_matches_fraction_reference_coprime(inst):
     got, want = _outcome(properize, inst), _outcome(reference_properize, inst)
     assert got == want and repr(got) == repr(want)
+
+
+def _stretched_by_id(scale, h, v):
+    """Stretched ``Seg``s as rationals: (line, lo, hi) by id, per family."""
+    def read(fam):
+        return {sid: (F(line, scale), F(lo, scale), F(hi, scale)) for sid, line, lo, hi in fam}
+    return read(h), read(v)
+
+
+def _int_stretch(inst):
+    return _stretched_by_id(*geom._properize_segs(*geom.int_segs(inst.hsegs, inst.vsegs)))
+
+
+def _fraction_stretch(properize_fn):
+    def run(inst):
+        out = properize_fn(inst)
+        return (
+            {s.id: (s.y, s.x_lo, s.x_hi) for s in out.hsegs},
+            {s.id: (s.x, s.y_lo, s.y_hi) for s in out.vsegs},
+        )
+    return run
+
+
+def _over(dens, lo=-24):
+    return st.builds(F, st.integers(lo, 24), st.sampled_from(dens))
+
+
+_ONE_H = OrthoInstance((HSeg(3, F(1, 2), F(0), F(1)),), (), {3}, {3})
+_TWIN_V = OrthoInstance((), (VSeg(1, F(2), F(0), F(1)), VSeg(4, F(2), F(0), F(1))), {1, 4}, {1, 4})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    equal_length_instances(),
+    star_instances(lengths=st.just(F(1))),
+    equal_length_instances(coords=_over((2, 4)), y_coords=_over((3, 9)), lengths=_over((6,), 0)),
+    equal_length_instances(coords=_over((5, 7)), y_coords=_over((11, 13))),
+    equal_length_instances(coords=WIDE, lengths=WIDE_LENGTHS, max_side=6),
+))
+@example(_ONE_H)  # no gap and no family gap: the unit default
+@example(_TWIN_V)  # identical segments: no gap, no family gap
+def test_int_stretch_matches_fraction_properize(inst):
+    """``geom._properize_segs`` read as rationals equals the Fraction
+    reference and ``geom.properize``: both orientations, the NO_GAP and
+    family-gap fallbacks, and x and y on coprime denominators."""
+    want = _outcome(_fraction_stretch(reference_properize), inst)
+    assert _outcome(_int_stretch, inst) == want
+    assert _outcome(_fraction_stretch(properize), inst) == want
 
 
 def _spans(coords, lengths):

@@ -358,6 +358,58 @@ def test_tampered_duals_are_rejected():
     with pytest.raises(InvalidInputError):
         ones.check_feasible(prog)
     replace(ones, duals=None).check_feasible(prog)
+
+
+def _count_full_checks(monkeypatch) -> list:
+    """Record every full ``_check_duals`` run, which only a full check makes."""
+    calls = []
+    check = CoverSolution._check_duals
+    monkeypatch.setattr(CoverSolution, "_check_duals", lambda s, p: calls.append(p) or check(s, p))
+    return calls
+
+
+def test_checked_solution_skips_a_second_check_of_the_same_program(monkeypatch):
+    prog = _odd_cycle(5)
+    sol = solve_lp(prog)
+    calls = _count_full_checks(monkeypatch)
+    sol.check_feasible(prog)
+    scale, xs = sol._scaled_checked(prog)
+    assert calls == [] and (scale, xs) == (2, [1] * 5)
+
+
+def test_equal_but_distinct_program_is_checked_in_full(monkeypatch):
+    prog = _odd_cycle(5)
+    sol = solve_lp(prog)
+    twin = CoverProgram(prog.num_vars, prog.rows)
+    assert twin == prog and twin is not prog
+    calls = _count_full_checks(monkeypatch)
+    sol.check_feasible(twin)
+    assert calls == [twin]
+    # and a program the solution does not satisfy is still rejected
+    stricter = CoverProgram(5, prog.rows + (frozenset({0}),))
+    with pytest.raises(InvalidInputError):
+        sol.check_feasible(stricter)
+
+
+def test_hand_built_and_tampered_solutions_still_raise():
+    prog = _odd_cycle(5)
+    sol = solve_lp(prog)
+    with pytest.raises(InvalidInputError):
+        CoverSolution((F(1, 2),) * 5, F(3), False, sol.duals).check_feasible(prog)
+    with pytest.raises(InvalidInputError):
+        replace(sol, objective_value=F(3)).check_feasible(prog)
+    # a field changed in place after the check is not answered from the kept check
+    object.__setattr__(sol, "values", (F(1, 2),) * 4 + (F(0),))
+    with pytest.raises(InvalidInputError):
+        sol.check_feasible(prog)
+
+
+def test_kept_check_is_outside_eq_hash_and_repr():
+    prog = _odd_cycle(5)
+    sol = solve_lp(prog)
+    bare = CoverSolution(sol.values, sol.objective_value, sol.integral, sol.duals)
+    assert "_checked" in vars(sol) and "_checked" not in vars(bare)
+    assert sol == bare and hash(sol) == hash(bare) and repr(sol) == repr(bare)
     # a negative multiplier can meet the bound equation and still prove nothing
     pair = CoverProgram(2, (frozenset({0}), frozenset({1}), frozenset({0, 1})))
     sol = solve_lp(pair)

@@ -451,7 +451,7 @@ def test_boundary_side_matches_fraction_reference(family, mirror):
     """Every candidate against every target, duplicate heights and all,
     on the int ``Seg``s and on HRay/VSeg objects."""
     cands, targets = family
-    scale, *segs = psd._int_segs(cands, targets)
+    scale, *segs = geom.int_segs(cands, targets)
     want = _outcome(reference_solve_boundary_side, cands, targets, mirror)
     assert _outcome(psd._solve_boundary_side, *segs, mirror, scale) == want
 

@@ -109,6 +109,33 @@ def test_int_coordinates_solve_like_fractions():
     assert delta == stabbedl._vertical_shrink({p.id: p for p in fracs.paths}, det.v_rows)
 
 
+def test_solve_mds_scales_its_paths_once(monkeypatch):
+    inst = instances.generate("stabbed_l", {"n": 60}, seed=4).data
+    shifted = StabbedLInstance(
+        tuple(LPath(p.id, p.corner_x + F(5, 3), p.corner_y, p.vlen, p.hlen) for p in inst.paths),
+        F(5, 3),
+    )
+    want = stabbedl.solve_mds(inst, want_details=True)
+    calls = []
+    int_paths = stabbedl._int_paths
+    monkeypatch.setattr(stabbedl, "_int_paths", lambda paths: calls.append(len(paths)) or int_paths(paths))
+    for case in (inst, shifted):
+        calls.clear()
+        got = stabbedl.solve_mds(case, want_details=True)
+        assert calls == [len(inst.paths)]
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(stabbed_l_layouts())
+def test_solve_mds_checks_the_layout_like_normalize(inst):
+    want = _normalize_outcome(stabbedl.normalize, inst)
+    if want[0] == "ok":
+        assert stabbedl.solve_mds(inst) == stabbedl.solve_mds(want[1])
+    else:
+        assert _normalize_outcome(stabbedl.solve_mds, inst)[1:] == want[1:]
+
+
 def test_frozen_graph_and_partition():
     norm = stabbedl.normalize(crossing_triple())
     nb, parts = stabbedl.build_graph(norm)

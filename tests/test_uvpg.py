@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodom import AbstractGraph, UnitKBendPath, exact_mds, grid_to_unit_b1
-from geodom.errors import InvalidInputError, InvalidPathError
-from geodom import instances, uvpg
+from geodom.errors import GeodomError, InvalidInputError, InvalidPathError
+from geodom import geom, instances, uvpg
 
-from helpers import naive_min_dominating, reference_uvpg_build_graph
+from helpers import naive_min_dominating, reference_uvpg_build_graph, reference_uvpg_solve_mds
 from strategies import WIDE, unit_path_lists
 
 
@@ -58,6 +58,18 @@ def test_first_contact_labels():
     assert contacts.phi[(0, 2)] == (1, 2)
     assert contacts.phi[(2, 0)] == (2, 1)
     assert contacts.neighborhoods[0] == frozenset({0, 1, 2})
+
+
+def test_closed_path_keeps_its_leg_numbering():
+    # a path ending where it starts is already canonical: an exact tie keeps
+    # the start, so its first leg stays leg 1
+    loop = UnitKBendPath(0, F(0), F(0), ("R", "U", "L", "D"))
+    assert loop.canonical() is loop
+    stick = UnitKBendPath(1, F(1, 2), F(-1, 2), ("U",))
+    contacts = uvpg.build_graph([loop, stick])
+    assert contacts.phi[(0, 1)] == (1, 1) and contacts.phi[(1, 0)] == (1, 1)
+    want = reference_uvpg_solve_mds([loop, stick], 3, want_details=True)
+    assert uvpg.solve_mds([loop, stick], 3, want_details=True) == want
 
 
 def test_build_graph_rejects_duplicate_ids():
@@ -173,13 +185,14 @@ def test_domination_and_bound():
 
 
 def test_solve_mds_builds_each_paths_legs_once(monkeypatch):
+    """The legs are walked once, on ints: ``leg_segments`` is never called."""
     paths = list(instances.generate("unit_bk", {"n": 60, "k": 2}, seed=5).data.paths)
     want = uvpg.solve_mds(paths, 2, want_details=True)
     calls = []
     leg_segments = UnitKBendPath.leg_segments
     monkeypatch.setattr(UnitKBendPath, "leg_segments", lambda p: calls.append(p.id) or leg_segments(p))
     got = uvpg.solve_mds(paths, 2, want_details=True)
-    assert sorted(calls) == sorted(p.id for p in paths)
+    assert calls == []
     assert len(got[1].labels) > 1
     assert got == want
 
@@ -216,3 +229,57 @@ def test_build_graph_2000_paths_under_2s():
     elapsed = time.perf_counter() - start
     assert sum(len(v) - 1 for v in contacts.neighborhoods.values()) > 0
     assert elapsed < 2.0, f"build_graph on 2000 paths took {elapsed:.2f}s"
+
+
+def _solve_outcome(solve, paths, k):
+    try:
+        return "ok", solve(paths, k, want_details=True)
+    except GeodomError as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(st.just(k), unit_path_lists(k))))
+def test_solve_mds_matches_leg_segment_reference(case):
+    k, paths = case
+    got = _solve_outcome(uvpg.solve_mds, paths, k)
+    assert got == _solve_outcome(reference_uvpg_solve_mds, paths, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(st.just(k), unit_path_lists(k, coords=WIDE))))
+def test_solve_mds_matches_leg_segment_reference_coprime(case):
+    k, paths = case
+    got = _solve_outcome(uvpg.solve_mds, paths, k)
+    assert got == _solve_outcome(reference_uvpg_solve_mds, paths, k)
+
+
+def test_solve_mds_matches_leg_segment_reference_on_generated():
+    for seed in range(3):
+        for k in range(4):
+            paths = list(instances.generate("unit_bk", {"n": 40, "k": k}, seed).data.paths)
+            got = uvpg.solve_mds(paths, k, want_details=True)
+            assert got == reference_uvpg_solve_mds(paths, k, want_details=True)
+
+
+def test_solve_mds_builds_no_segment_instance_or_path(monkeypatch):
+    """From the input paths to the selected ids, uvpg works on ints: no
+    HSeg, VSeg, OrthoInstance or UnitKBendPath is constructed, and no path
+    is reoriented or cut into leg segments."""
+    paths = list(instances.generate("unit_bk", {"n": 60, "k": 2}, seed=5).data.paths)
+    assert any(p.canonical() is not p for p in paths)  # some paths need flipping
+    want = reference_uvpg_solve_mds(paths, 2, want_details=True)
+    made = []
+    for cls in (geom.HSeg, geom.VSeg, geom.OrthoInstance, UnitKBendPath):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, cls=cls, f=post_init: made.append(cls.__name__) or f(self)
+        )
+    for name in ("canonical", "leg_segments", "points"):
+        method = getattr(UnitKBendPath, name)
+        monkeypatch.setattr(UnitKBendPath, name, lambda self, n=name, f=method: made.append(n) or f(self))
+    got = uvpg.solve_mds(paths, 2, want_details=True)
+    assert made == []
+    UnitKBendPath(0, F(0), F(0), ("R",)).canonical()
+    assert made == ["UnitKBendPath", "canonical", "points"]  # the patches are live
+    assert got == want

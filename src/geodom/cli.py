@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geom import OrthoInstance, rat_str
 from .instances import InstanceFile, UnitBkInstance
-from .lp import CoverProgram, SolveCertificate, solve_lp
+from .lp import SolveCertificate, lp_round
 from .srs import SrsInstance
 from .ssr import SsrInstance
 from .stabbedl import StabbedLInstance
@@ -106,23 +106,12 @@ _GRAPH_KINDS = ("stabbed_l", "unit_bk")
 
 
 def _stab_certificate(data, selected) -> SolveCertificate:
-    """Factor-2 certificate of a stabbing answer against the covering LP."""
-    cands, _, rows = oracle.cover_rows(data)
-    cert = SolveCertificate(
-        heuristic_ids=frozenset(selected),
-        heuristic_size=len(selected),
-        lp_opt=solve_lp(CoverProgram(len(cands), rows)).objective_value,
-        claimed_ratio_bound=Fraction(2),
-    )
-    cert.validate()
-    return cert
-
-
-def _exact_size(f: InstanceFile, cap: Optional[int]) -> set[int]:
-    if f.kind not in _GRAPH_KINDS:
-        return oracle.exact_stab(f.data, cap)
-    ids, _, closed = oracle.cover_rows(f.data)
-    return {ids[u] for u in oracle.exact_mds(oracle.AbstractGraph(len(ids), closed), cap)}
+    """Factor-2 certificate of a stabbing answer against the covering LP.
+    Each row is one block and a feasible LP point puts mass >= 1 on it, so
+    theta = 1 keeps every row and the one label returns ``selected``."""
+    cands, cons, rows = oracle.cover_rows(data)
+    parts = {u: {"all": row} for u, row in zip(cons, rows)}
+    return lp_round(cands, parts, 1, lambda *_: selected, 2).certificate
 
 
 def _certificate_payload(cert: SolveCertificate) -> dict:
@@ -138,7 +127,7 @@ def _certificate_payload(cert: SolveCertificate) -> dict:
 def _exact_opt(f: InstanceFile, cap) -> Optional[int]:
     """The oracle optimum's size, None when the instance is over the cap."""
     try:
-        return len(_exact_size(f, cap))
+        return len(oracle.exact_stab(f.data, cap))
     except SizeCapExceededError:
         return None
 
@@ -215,7 +204,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     f = instances.load(args.infile)
-    chosen = _exact_size(f, args.cap)
+    chosen = oracle.exact_stab(f.data, args.cap)
     payload = {"kind": f.kind, "selected": sorted(chosen), "size": len(chosen)}
     text = instances.canonical_json(payload)
     if args.out:
@@ -253,9 +242,8 @@ def _verify_problems(f: InstanceFile, selected: set[int]) -> list[str]:
     if unknown:
         where = "not in the instance" if graph else "not selectable"
         return [f"selected ids {where}: {sorted(unknown)}"]
-    picked = {i for i, c in enumerate(cands) if c in selected}
     unmet = "vertex {} is not dominated" if graph else "constraint {} is not covered"
-    return [unmet.format(u) for u, row in zip(cons, rows) if picked.isdisjoint(row)]
+    return [unmet.format(u) for u, row in zip(cons, rows) if selected.isdisjoint(row)]
 
 
 def _claim_problems(sol: dict) -> list[str]:

@@ -349,13 +349,16 @@ def int_segs(hsegs: Sequence[HSeg], vsegs: Sequence[VSeg]) -> tuple[int, list[Se
 
 
 def _families(h: list[Seg], v: list[Seg]) -> list[list[int]]:
-    """The six endpoint families of ``coordinate_family_gap`` (VSeg.x,
-    VSeg.y_lo, VSeg.y_hi, HSeg.y, HSeg.x_lo, HSeg.x_hi) of ``Seg``s on one
-    scale, shared by both axes, so differences compare across axes too."""
+    """The six endpoint-coordinate families (VSeg.x, VSeg.y_lo, VSeg.y_hi,
+    HSeg.y, HSeg.x_lo, HSeg.x_hi) of ``Seg``s on one scale, shared by both
+    axes, so differences compare across axes too."""
     return [[s[k] for s in fam] for fam in (v, h) for k in (1, 2, 3)]
 
 
 def _family_gap(families: Iterable[Sequence[int]]) -> Optional[int]:
+    """Smallest positive difference inside any one family; kept per family
+    so that a segment's own height never caps the gap between two parallel
+    segments."""
     best = None
     for fam in families:
         vals = sorted(set(fam))
@@ -363,18 +366,6 @@ def _family_gap(families: Iterable[Sequence[int]]) -> Optional[int]:
             if best is None or hi - lo < best:
                 best = hi - lo
     return best
-
-
-def coordinate_family_gap(inst: OrthoInstance) -> Optional[Rat]:
-    """Smallest positive difference inside any one endpoint-coordinate family.
-
-    Families are kept per slot (VSeg.x, VSeg.y_lo, VSeg.y_hi, HSeg.y,
-    HSeg.x_lo, HSeg.x_hi) so that, e.g., a segment's own height never caps
-    the gap between two parallel segments.
-    """
-    scale, h, v = int_segs(inst.hsegs, inst.vsegs)
-    best = _family_gap(_families(h, v))
-    return None if best is None else Fraction(best, scale)
 
 
 def _min_gap(families: Sequence[Sequence[int]]) -> Optional[int]:

@@ -14,6 +14,7 @@ solution keeps its last passed check for that program object, so
 solve the covering LP, split each row by which labelled block holds mass
 >= theta, solve each label as a sub-problem and certify the union, all in
 ids; only the program it builds numbers rows and columns by position.
+The ssr/srs certificate runs it too, with one block per row.
 
 The checks and the split run on the values as ``geom.scaled`` ints: row
 sums, block masses and the dual bound are int sums, compared with 1, theta

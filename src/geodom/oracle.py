@@ -1,17 +1,17 @@
 """Exact brute-force baselines for domination and stabbing at desk scale.
 
-``cover_rows`` gives every kind's constraint -> candidates rows, read off
-the geometry code that finds contacts, and one bitmask set-cover engine
-searches them.  It uses no heuristic's selection and is independent of the
-LP-based branch-and-bound in ``lp``, so the exact routes can certify each
-other in tests.
+``cover_rows`` gives every kind's constraint -> candidates rows in ids,
+read off the geometry code that finds contacts, and one bitmask set-cover
+engine searches them.  It uses no heuristic's selection and is independent
+of the LP-based branch-and-bound in ``lp``, so the exact routes can certify
+each other in tests.
 """
 from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import instances, psd, stabbedl, uvpg
 from .errors import (
@@ -30,15 +30,19 @@ _CAP_ENV = "GEODOM_SIZE_CAP"
 
 
 def _resolve_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInputError(f"{_CAP_ENV} must be an integer, got {raw!r}")
+    source = "cap"
+    if cap is None:
+        raw = os.environ.get(_CAP_ENV)
+        if raw is None:
+            return DEFAULT_CAP
+        source = _CAP_ENV
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InvalidInputError(f"{_CAP_ENV} must be an integer, got {raw!r}")
+    if cap < 0:
+        raise InvalidInputError(f"{source} must be nonnegative, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -72,21 +76,26 @@ class AbstractGraph:
 
 def _min_cover(ids, rows) -> set[int]:
     """Smallest subset of ``ids`` meeting every row, where a row holds the
-    positions in ``ids`` of the candidates meeting one constraint.
+    ids of the candidates meeting one constraint.
 
     Iterative deepening on cardinality over constraint bitmasks; branches
-    on the lowest uncovered constraint, so completeness is immediate.
-    Callers guarantee that no row is empty.
+    on the lowest uncovered constraint and tries its candidates in ``ids``
+    order, so completeness is immediate.  Callers guarantee that no row is
+    empty and that every row holds only ids from ``ids``.
     """
     if not rows:
         return set()
     full = (1 << len(rows)) - 1
-    masks = [0] * len(ids)
+    meets: dict[int, list[int]] = {c: [] for c in ids}
     for b, row in enumerate(rows):
-        for p in row:
-            masks[p] |= 1 << b
-    covers_bit = [[(ids[p], masks[p]) for p in sorted(row)] for row in rows]
-    max_gain = max(m.bit_count() for m in masks)
+        for c in row:
+            meets[c].append(b)
+    covers_bit: list[list[tuple[int, int]]] = [[] for _ in rows]
+    for c, bits in meets.items():
+        mask = sum(1 << b for b in bits)
+        for b in bits:
+            covers_bit[b].append((c, mask))
+    max_gain = max(map(len, meets.values()))
 
     def dfs(covered: int, budget: int, chosen: list[int]) -> Optional[list[int]]:
         if covered == full:
@@ -102,7 +111,7 @@ def _min_cover(ids, rows) -> set[int]:
         return None
 
     lower = -(-len(rows) // max_gain)
-    for budget in range(lower, len(ids) + 1):
+    for budget in range(lower, len(meets) + 1):
         got = dfs(0, budget, [])
         if got is not None:
             return set(got)
@@ -118,21 +127,21 @@ def exact_mds(g: AbstractGraph, cap: Optional[int] = None) -> set[int]:
 
 
 def _ray_rows(inst) -> list[list[int]]:
-    """Per segment, the positions of the rays meeting it: one bisection of
-    its y-span over the rays sorted by height, then a reach test, all on
+    """Per segment, the ids of the rays meeting it: one bisection of its
+    y-span over the rays sorted by height, then a reach test, all on
     ``int_coords`` ints."""
     c = int_coords(inst.rays, inst.segments)
     by_y = sorted(range(len(c.ray_y)), key=c.ray_y.__getitem__)
     ys = sorted(c.ray_y)
     return [
-        [r for r in by_y[bisect_left(ys, lo):bisect_right(ys, hi)] if c.reach[r] >= x]
+        [c.ray_id[r] for r in by_y[bisect_left(ys, lo):bisect_right(ys, hi)] if c.reach[r] >= x]
         for x, lo, hi in zip(c.seg_x, c.seg_lo, c.seg_hi)
     ]
 
 
 def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
     """(candidate ids, constraint ids, rows) of an instance of any kind: row
-    i holds the positions of the candidates meeting constraint i, and may be
+    i holds the ids of the candidates meeting constraint i, and may be
     empty.  ssr and srs keep instance order (srs rows are the ssr table
     transposed); ortho_psd and the graph kinds, whose rows are closed
     neighbourhoods, go in id order."""
@@ -140,17 +149,16 @@ def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
         rows = map(frozenset, _ray_rows(data))
         return [r.id for r in data.rays], [s.id for s in data.segments], tuple(rows)
     if isinstance(data, SrsInstance):
-        cols: list[list[int]] = [[] for _ in data.rays]
-        for s, row in enumerate(_ray_rows(data)):
+        cols: dict[int, list[int]] = {r.id: [] for r in data.rays}
+        for s, row in zip(data.segments, _ray_rows(data)):
             for r in row:
-                cols[r].append(s)
-        return [s.id for s in data.segments], [r.id for r in data.rays], tuple(map(frozenset, cols))
+                cols[r].append(s.id)
+        return [s.id for s in data.segments], list(cols), tuple(map(frozenset, cols.values()))
     if isinstance(data, OrthoInstance):
         cands, cons = sorted(data.candidate_ids), sorted(data.constraint_ids)
         _, seg, horiz = psd._int_view(data)
-        pos = {c: i for i, c in enumerate(cands)}.__getitem__
         rows = psd._cover_rows(seg, horiz, cons, cands)
-        return cands, cons, tuple(frozenset(map(pos, same | cross)) for same, cross in rows)
+        return cands, cons, tuple(same | cross for same, cross in rows)
     if isinstance(data, stabbedl.StabbedLInstance):
         closed = stabbedl.build_graph(data)[0]
     elif isinstance(data, instances.UnitBkInstance):
@@ -158,28 +166,25 @@ def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
     else:
         raise InvalidInputError(f"unsupported instance type {type(data).__name__}")
     ids = sorted(closed)
-    pos = {u: i for i, u in enumerate(ids)}
-    return ids, ids, tuple(frozenset(map(pos.__getitem__, closed[u])) for u in ids)
+    return ids, ids, tuple(map(closed.__getitem__, ids))
 
 
-#: the error of each stabbing kind for a constraint nothing meets
+#: the error of each stabbing kind for a constraint nothing meets (a graph
+#: kind's row, a closed neighbourhood, is never empty)
 _UNMET = ((SsrInstance, InfeasibleSegmentError), (SrsInstance, InfeasibleRayError),
           (OrthoInstance, InfeasibleConstraintError))
 
 
-def exact_stab(
-    instance: Union[SsrInstance, SrsInstance, OrthoInstance],
-    cap: Optional[int] = None,
-) -> set[int]:
-    """Minimum candidate subset meeting every constraint of the instance."""
+def exact_stab(instance, cap: Optional[int] = None) -> set[int]:
+    """Minimum candidate subset meeting every constraint of an instance of
+    any kind; on stabbed_l and unit_bk, a minimum dominating set."""
     limit = _resolve_cap(cap)
-    misses = next((err for kind, err in _UNMET if isinstance(instance, kind)), None)
-    if misses is None:
-        raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
     cands, cons, rows = cover_rows(instance)
     if len(cands) > limit:
-        raise SizeCapExceededError(f"{len(cands)} candidates, cap is {limit}")
+        graph = isinstance(instance, (stabbedl.StabbedLInstance, instances.UnitBkInstance))
+        size = f"graph has {len(cands)} vertices" if graph else f"{len(cands)} candidates"
+        raise SizeCapExceededError(f"{size}, cap is {limit}")
     for u, row in zip(cons, rows):
         if not row:
-            raise misses(u)
+            raise next(err for kind, err in _UNMET if isinstance(instance, kind))(u)
     return _min_cover(cands, rows)

@@ -36,7 +36,7 @@ from geodom.errors import (
     UncoveredRowError,
     UnmetConstraintError,
 )
-from geodom import instances, lp, oracle, srs, ssr
+from geodom import cli, instances, lp, oracle, srs, ssr
 from geodom.instances import UnitBkInstance
 
 from helpers import (
@@ -46,6 +46,11 @@ from helpers import (
     reference_neighborhoods,
 )
 from strategies import lpath_instances, ortho_instances, ssr_instances, unit_path_lists
+
+GRAPH_INSTANCES = st.one_of(
+    lpath_instances(),
+    st.integers(0, 2).flatmap(lambda k: unit_path_lists(k).map(lambda ps: UnitBkInstance(k, tuple(ps)))),
+)
 
 
 def test_graph_validation():
@@ -256,10 +261,23 @@ def test_cap_env_override(monkeypatch):
     # explicit argument beats the environment
     monkeypatch.setenv("GEODOM_SIZE_CAP", "4")
     assert len(exact_mds(g, cap=18)) == 18
+    # a negative cap is bad input, from either source
+    with pytest.raises(InvalidInputError, match="^cap must be nonnegative, got -1$"):
+        exact_mds(g, cap=-1)
+    monkeypatch.setenv("GEODOM_SIZE_CAP", "-3")
+    with pytest.raises(InvalidInputError, match="^GEODOM_SIZE_CAP must be nonnegative, got -3$"):
+        exact_mds(g)
 
 
 # ---------------------------------------------------------------------------
 # the covering view against the all-pairs code it replaced
+
+
+def _id_rows(view):
+    """A ``reference_cover_rows`` view with its rows' positions read as
+    candidate ids."""
+    cands, cons, rows = view
+    return cands, cons, tuple(frozenset(cands[p] for p in row) for row in rows)
 
 
 @settings(max_examples=500, deadline=None)
@@ -267,30 +285,52 @@ def test_cap_env_override(monkeypatch):
 def test_cover_rows_match_all_pairs_scan_as_ssr_and_srs(inst):
     """Shared abscissas, repeated heights, x == reach and touching ends,
     read both ways: ssr rows, and srs rows as their transpose."""
-    assert oracle.cover_rows(inst) == reference_cover_rows(inst)
+    assert oracle.cover_rows(inst) == _id_rows(reference_cover_rows(inst))
     flipped = SrsInstance(inst.rays, inst.segments)
-    assert oracle.cover_rows(flipped) == reference_cover_rows(flipped)
+    assert oracle.cover_rows(flipped) == _id_rows(reference_cover_rows(flipped))
 
 
 @settings(max_examples=400, deadline=None)
 @given(ortho_instances(roles=True))
 def test_cover_rows_match_all_pairs_scan_on_ortho(inst):
-    assert oracle.cover_rows(inst) == reference_cover_rows(inst)
+    assert oracle.cover_rows(inst) == _id_rows(reference_cover_rows(inst))
 
 
 def _as_neighborhoods(view):
     ids, cons, rows = view
     assert cons == ids == sorted(ids)
-    return {u: frozenset(ids[p] for p in row) for u, row in zip(ids, rows)}
+    return dict(zip(ids, rows))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    lpath_instances(),
-    st.integers(0, 2).flatmap(lambda k: unit_path_lists(k).map(lambda ps: UnitBkInstance(k, tuple(ps)))),
-))
+@given(GRAPH_INSTANCES)
 def test_cover_rows_of_graph_kinds_match_old_neighborhoods(data):
     assert _as_neighborhoods(oracle.cover_rows(data)) == reference_neighborhoods(data)
+
+
+def _graph_outcome(data, cap):
+    """``exact_mds`` on the graph of a graph kind, its vertices numbered in
+    id order and mapped back to ids, or the cap error's message."""
+    nbrs = reference_neighborhoods(data)
+    ids = sorted(nbrs)
+    pos = {u: i for i, u in enumerate(ids)}
+    graph = AbstractGraph(len(ids), tuple(frozenset(pos[v] for v in nbrs[u]) for u in ids))
+    try:
+        return {ids[p] for p in exact_mds(graph, cap)}
+    except SizeCapExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAPH_INSTANCES, st.sampled_from([None, 0, 4, 12]))
+def test_exact_stab_on_graph_kinds_matches_exact_mds(data, cap):
+    """The one exact path gives the graph kinds the set and cap message
+    ``exact_mds`` gives on their relabelled graph."""
+    try:
+        got = exact_stab(data, cap)
+    except SizeCapExceededError as exc:
+        got = str(exc)
+    assert got == _graph_outcome(data, cap)
 
 
 def _desk_instance(rng: random.Random, kind: str):
@@ -332,3 +372,31 @@ def test_exact_stab_matches_old_all_pairs_function():
         else:
             seen["cap" if got[0] is SizeCapExceededError else "unmet"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    ssr_instances(),
+    ssr_instances().map(lambda inst: SrsInstance(inst.rays, inst.segments)),
+    ortho_instances(roles=True),
+))
+def test_exact_stab_and_certificate_match_references_on_shuffled_ids(data):
+    """Sparse ids in shuffled order: the all-pairs function's set or error,
+    and for ssr and srs a certificate whose ``lp_opt`` is the LP over the
+    all-pairs rows."""
+    got = _stab_outcome(exact_stab, data, 12)
+    assert got == _stab_outcome(reference_exact_stab, data, 12)
+    if isinstance(data, OrthoInstance) or not isinstance(got, set):
+        return
+    try:
+        if isinstance(data, SsrInstance):
+            sel = ssr.solve_fast(ssr.normalize(data))
+        else:
+            sel, _ = srs.solve(data)
+    except InvalidInputError:
+        event("heuristic skipped")
+        return
+    cands, _, rows = reference_cover_rows(data)
+    cert = cli._stab_certificate(data, sel)
+    assert cert.heuristic_ids == frozenset(sel)
+    assert cert.lp_opt == lp.solve_lp(lp.CoverProgram(len(cands), rows)).objective_value

@@ -6,9 +6,7 @@ subject to one "sum over a variable subset >= 1" row per constraint and
 numerators over one shared denominator per row), so it takes the same
 pivots and reaches the same vertex as a Fraction tableau, and objective
 values are usable as certificates without tolerance.  Each LP answer also
-carries a dual witness that ``check_feasible`` verifies in O(nnz).  A
-solution keeps its last passed check for that program object, so
-``threshold_split`` does not repeat the check ``solve_lp`` just made.
+carries a dual witness that ``check_feasible`` verifies in O(nnz).
 
 ``lp_round`` is the LP-rounding skeleton the three MDS pipelines share:
 solve the covering LP, split each row by which labelled block holds mass
@@ -25,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import is_
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -85,27 +82,14 @@ class CoverSolution:
         return frozenset(j for j, v in enumerate(self.values) if v > 0)
 
     def check_feasible(self, program: CoverProgram) -> None:
-        self._scaled_checked(program)
-
-    def _fields(self) -> tuple:
-        return (self.values, self.objective_value, self.integral, self.duals)
-
-    def _scaled_checked(self, program: CoverProgram) -> tuple[int, list[int]]:
-        """``check_feasible``, then the values as ``scaled`` ints
-        ``(scale, xs)``.  Every check compares ints.
-
-        A passed check is kept on the solution, outside its fields, as
-        ``(program, fields, scale, xs)``; it answers a later call only for
-        that same program object and the same field objects, so a solution
-        handed an equal but distinct program, or changed since, is checked
-        in full.
-        """
-        kept = self.__dict__.get("_checked")
-        if kept is not None and kept[0] is program and all(map(is_, kept[1], self._fields())):
-            return kept[2], kept[3]
-        if len(self.values) != program.num_vars:
-            raise InvalidInputError("solution length mismatch")
         scale, (xs,) = scaled(self.values)
+        self._check(program, scale, xs)
+
+    def _check(self, program: CoverProgram, scale: int, xs: list[int]) -> None:
+        """``check_feasible`` on the values as ``scaled`` ints ``(scale,
+        xs)``.  Every check compares ints."""
+        if len(xs) != program.num_vars:
+            raise InvalidInputError("solution length mismatch")
         for x in xs:
             if not (0 <= x <= scale):
                 raise InvalidInputError("variable value outside [0,1]")
@@ -118,8 +102,6 @@ class CoverSolution:
             raise InvalidInputError("integral flag set on fractional values")
         if self.duals is not None:
             self._check_duals(program)
-        object.__setattr__(self, "_checked", (program, self._fields(), scale, xs))
-        return scale, xs
 
     def _check_duals(self, program: CoverProgram) -> None:
         if len(self.duals) != len(program.rows):
@@ -308,7 +290,7 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     integral = scale == 1  # all ints, each in [0, 1] as check_feasible confirms
     duals = tuple(Fraction(cost.get(n + i, 0), cost_den) for i in range(m))
     sol = CoverSolution(tuple(values), objective, integral, duals)
-    sol.check_feasible(program)
+    sol._check(program, scale, xs)
     return sol
 
 
@@ -395,10 +377,16 @@ def threshold_split(
     row may land in several labels).  Returns, per label, the selected row
     ids and the union of that label's blocks over those rows.
 
-    Masses are int sums of the ``scaled`` values ``check_feasible`` reads,
-    compared with theta on that scale.
+    The solution is checked in full first; masses are int sums of its
+    ``scaled`` values, compared with theta on that scale.
     """
-    scale, xs = sol._scaled_checked(program)
+    scale, (xs,) = scaled(sol.values)
+    sol._check(program, scale, xs)
+    return _split(program, scale, xs, parts, theta)
+
+
+def _split(program, scale, xs, parts, theta) -> dict[object, tuple[frozenset[int], frozenset[int]]]:
+    """``threshold_split`` on the checked values as ``scaled`` ints."""
     # an int sum reaches theta * scale exactly when it reaches its ceiling
     need = -(-theta.numerator * scale // theta.denominator)
     out_rows: dict[object, set[int]] = {}
@@ -471,9 +459,10 @@ def lp_round(
         len(var_ids), tuple(frozenset().union(*bs.values()) for bs in blocks.values())
     )
     lp_sol = solve_lp(program)
+    scale, (xs,) = scaled(lp_sol.values)
     split = {
         label: (frozenset(map(row_ids.__getitem__, r)), frozenset(map(var_ids.__getitem__, c)))
-        for label, (r, c) in threshold_split(program, lp_sol, blocks, theta).items()
+        for label, (r, c) in _split(program, scale, xs, blocks, theta).items()
     }
     selected = {
         label: frozenset(solve_label(label, *split[label])) for label in sorted(split)

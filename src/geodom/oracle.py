@@ -8,7 +8,6 @@ each other in tests.
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -26,22 +25,13 @@ from .srs import SrsInstance
 from .ssr import SsrInstance
 
 DEFAULT_CAP = 16
-_CAP_ENV = "GEODOM_SIZE_CAP"
 
 
 def _resolve_cap(cap: Optional[int]) -> int:
-    source = "cap"
     if cap is None:
-        raw = os.environ.get(_CAP_ENV)
-        if raw is None:
-            return DEFAULT_CAP
-        source = _CAP_ENV
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidInputError(f"{_CAP_ENV} must be an integer, got {raw!r}")
+        return DEFAULT_CAP
     if cap < 0:
-        raise InvalidInputError(f"{source} must be nonnegative, got {cap}")
+        raise InvalidInputError(f"cap must be nonnegative, got {cap}")
     return cap
 
 

@@ -178,26 +178,27 @@ def _strips(cands: list[Seg], targets: list[Seg]) -> _Strips:
     return _Strips(points, picked, strips, strip_of, left, right)
 
 
+def _decomposition(candidates: list[HSeg], targets: list[VSeg], st: _Strips) -> StripDecomposition:
+    """The ``StripDecomposition`` of the inputs' strips ``st``, with the
+    inputs' own values as points."""
+    if not st.points:
+        return StripDecomposition((), (), (), {}, {}, {})
+    coords = [c.x_lo for c in candidates] + [c.x_hi for c in candidates] + [t.x for t in targets]
+    interior = tuple(candidates[k].x_hi for k in st.picked)
+    return StripDecomposition(
+        (min(coords) - 1, *interior, max(coords) + 1), interior,
+        tuple(map(frozenset, st.strips)), st.strip_of, st.left, st.right,
+    )
+
+
 def build_strips(candidates: list[HSeg], targets: list[VSeg]) -> StripDecomposition:
     """Greedy disjoint-subfamily hit points plus boundary membership.
 
     The work runs on the inputs' ``Seg``s; the points are the inputs' own
-    values.  The returned decomposition also carries that int view, outside
-    its fields, for ``poss_solve`` to take off instead of scaling again.
+    values.
     """
-    scale, cands, tgts = int_segs(candidates, targets)
-    st = _strips(cands, tgts)
-    if not st.points:
-        dec = StripDecomposition((), (), (), {}, {}, {})
-    else:
-        coords = [c.x_lo for c in candidates] + [c.x_hi for c in candidates] + [t.x for t in targets]
-        interior = tuple(candidates[k].x_hi for k in st.picked)
-        dec = StripDecomposition(
-            (min(coords) - 1, *interior, max(coords) + 1), interior,
-            tuple(map(frozenset, st.strips)), st.strip_of, st.left, st.right,
-        )
-    object.__setattr__(dec, "_ints", (scale, cands, tgts, st))
-    return dec
+    _, cands, tgts = int_segs(candidates, targets)
+    return _decomposition(candidates, targets, _strips(cands, tgts))
 
 
 @dataclass(frozen=True)
@@ -283,14 +284,14 @@ def _poss(cands: list[Seg], targets: list[Seg], st: _Strips, scale: int) -> Roun
 
 def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool = False):
     """8-approximate cover of vertical targets by horizontal candidates (see
-    ``_poss``), on the int view that ``build_strips`` made."""
-    dec = build_strips(candidates, targets)
-    scale, cands, tgts, st = dec.__dict__.pop("_ints")
+    ``_poss``), on the inputs' ``Seg``s."""
+    scale, cands, tgts = int_segs(candidates, targets)
     _require_proper("h", ((lo, hi, cid) for cid, _, lo, hi in cands))
     if len({c[0] for c in cands}) != len(cands):
         raise InvalidInputError("duplicate candidate ids")
     if len({t[0] for t in tgts}) != len(tgts):
         raise InvalidInputError("duplicate target ids")
+    st = _strips(cands, tgts)
     res = _poss(cands, tgts, st, scale)
     if not want_details:
         return res.certificate
@@ -299,7 +300,7 @@ def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool =
         program=res.program,
         lp_solution=res.lp_solution,
         var_order=res.var_ids,
-        decomposition=dec,
+        decomposition=_decomposition(candidates, targets, st),
         left_rows=l_rows,
         right_rows=r_rows,
         left_vars=l_vars,

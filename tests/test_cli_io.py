@@ -382,7 +382,7 @@ def test_exact_stdout_and_cap(tmp_path, capsys):
         assert payload["kind"] == kind and payload["size"] == len(payload["selected"]) >= 1
 
 
-def test_negative_oracle_cap_is_invalid_input(tmp_path, capsys, monkeypatch):
+def test_negative_oracle_cap_is_invalid_input(tmp_path, capsys):
     inst = gen(tmp_path, "ssr", "neg.json", extra=["-n", "3", "-m", "3"])
     sol = tmp_path / "neg.sol.json"
     solve = ["solve", "--alg", "ssr", "-i", str(inst), "-o", str(sol), "--certify"]
@@ -392,12 +392,7 @@ def test_negative_oracle_cap_is_invalid_input(tmp_path, capsys, monkeypatch):
     assert run_cli([*solve, "--cap", "-1"]) == 3
     assert capsys.readouterr().err == "error: cap must be nonnegative, got -1\n"
     assert not sol.exists()
-    monkeypatch.setenv("GEODOM_SIZE_CAP", "-3")
-    for argv in (["exact", "-i", str(inst)], solve):
-        assert run_cli(argv) == 3
-        assert capsys.readouterr().err == "error: GEODOM_SIZE_CAP must be nonnegative, got -3\n"
-    assert not sol.exists()
-    # --cap beats the environment, and 0 is a valid cap
+    # 0 is a valid cap
     assert run_cli(["exact", "-i", str(inst), "--cap", "0"]) == 4
     assert capsys.readouterr().err == "error: 3 candidates, cap is 0\n"
     assert run_cli([*solve, "--cap", "0"]) == 0

@@ -368,15 +368,6 @@ def _count_full_checks(monkeypatch) -> list:
     return calls
 
 
-def test_checked_solution_skips_a_second_check_of_the_same_program(monkeypatch):
-    prog = _odd_cycle(5)
-    sol = solve_lp(prog)
-    calls = _count_full_checks(monkeypatch)
-    sol.check_feasible(prog)
-    scale, xs = sol._scaled_checked(prog)
-    assert calls == [] and (scale, xs) == (2, [1] * 5)
-
-
 def test_equal_but_distinct_program_is_checked_in_full(monkeypatch):
     prog = _odd_cycle(5)
     sol = solve_lp(prog)
@@ -398,17 +389,20 @@ def test_hand_built_and_tampered_solutions_still_raise():
         CoverSolution((F(1, 2),) * 5, F(3), False, sol.duals).check_feasible(prog)
     with pytest.raises(InvalidInputError):
         replace(sol, objective_value=F(3)).check_feasible(prog)
-    # a field changed in place after the check is not answered from the kept check
+    # a field changed in place after solve_lp's check is checked again,
+    # by check_feasible and by threshold_split alike
     object.__setattr__(sol, "values", (F(1, 2),) * 4 + (F(0),))
     with pytest.raises(InvalidInputError):
         sol.check_feasible(prog)
+    parts = {i: {"all": row} for i, row in enumerate(prog.rows)}
+    with pytest.raises(InvalidInputError, match="^row 3 not covered$"):
+        threshold_split(prog, sol, parts, F(1, 2))
 
 
-def test_kept_check_is_outside_eq_hash_and_repr():
+def test_solved_solution_equals_a_bare_copy():
     prog = _odd_cycle(5)
     sol = solve_lp(prog)
     bare = CoverSolution(sol.values, sol.objective_value, sol.integral, sol.duals)
-    assert "_checked" in vars(sol) and "_checked" not in vars(bare)
     assert sol == bare and hash(sol) == hash(bare) and repr(sol) == repr(bare)
     # a negative multiplier can meet the bound equation and still prove nothing
     pair = CoverProgram(2, (frozenset({0}), frozenset({1}), frozenset({0, 1})))

@@ -250,23 +250,14 @@ def test_cap_env_override(monkeypatch):
     g = AbstractGraph(18, tuple(frozenset({u}) for u in range(18)))
     with pytest.raises(SizeCapExceededError):
         exact_mds(g)
-    monkeypatch.setenv("GEODOM_SIZE_CAP", "18")
-    assert len(exact_mds(g)) == 18
-    monkeypatch.setenv("GEODOM_SIZE_CAP", "zero")
-    with pytest.raises(InvalidInputError):
-        exact_mds(g)
-    monkeypatch.delenv("GEODOM_SIZE_CAP")
-    with pytest.raises(SizeCapExceededError):
-        exact_mds(g)
-    # explicit argument beats the environment
-    monkeypatch.setenv("GEODOM_SIZE_CAP", "4")
     assert len(exact_mds(g, cap=18)) == 18
-    # a negative cap is bad input, from either source
+    # the environment does not move the default cap
+    monkeypatch.setenv("GEODOM_SIZE_CAP", "100")
+    with pytest.raises(SizeCapExceededError, match="^graph has 18 vertices, cap is 16$"):
+        exact_mds(g)
+    # a negative cap is bad input
     with pytest.raises(InvalidInputError, match="^cap must be nonnegative, got -1$"):
         exact_mds(g, cap=-1)
-    monkeypatch.setenv("GEODOM_SIZE_CAP", "-3")
-    with pytest.raises(InvalidInputError, match="^GEODOM_SIZE_CAP must be nonnegative, got -3$"):
-        exact_mds(g)
 
 
 # ---------------------------------------------------------------------------

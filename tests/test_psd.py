@@ -417,6 +417,10 @@ def test_build_strips_matches_fraction_scan(family):
     assert got == want and repr(got) == repr(want)
     assert [list(s) for s in got.strips] == [list(s) for s in want.strips]
     assert all(list(got.left[t]) == list(want.left[t]) for t in want.left)
+    assert set(vars(got)) == {"points", "interior", "strips", "strip_of", "left", "right"}
+    solved = _outcome(psd.poss_solve, cands, targets, True)
+    if solved[0] == "ok":
+        assert solved[1][1].decomposition == got
 
 
 #: two same-height candidates; a target on the hit point 2, one touching

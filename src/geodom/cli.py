@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -289,36 +289,12 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    kind: str
-    seed: int
-    sizes: str
-    heuristic_size: int
-    lp_opt: str
-    exact_opt: Optional[int]
-    ratio: str
-    bound: str
-    wall_time_ms: float
-
-    def row(self) -> list:
-        return [
-            self.kind,
-            self.seed,
-            self.sizes,
-            self.heuristic_size,
-            self.lp_opt,
-            "" if self.exact_opt is None else self.exact_opt,
-            self.ratio,
-            self.bound,
-            f"{self.wall_time_ms:.3f}",
-        ]
+_BENCH_HEADER = [
+    "kind", "seed", "sizes", "heuristic_size", "lp_opt", "exact_opt", "ratio", "bound", "wall_time_ms",
+]
 
 
-_BENCH_HEADER = [f.name for f in fields(BenchRecord)]
-
-
-def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> BenchRecord:
+def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list:
     inst_seed = ((seed * 1000003 + size) * 1000003 + trial) % (1 << 61)
     f = instances.generate(kind, {"n": size, "m": size, "k": k}, inst_seed)
     start = time.perf_counter()
@@ -334,17 +310,17 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> Benc
         sizes = f"n={size}"
     else:
         sizes = f"n={size};m={size}"
-    return BenchRecord(
-        kind=kind,
-        seed=inst_seed,
-        sizes=sizes,
-        heuristic_size=cert.heuristic_size,
-        lp_opt=rat_str(cert.lp_opt),
-        exact_opt=exact,
-        ratio=ratio,
-        bound=rat_str(cert.claimed_ratio_bound),
-        wall_time_ms=elapsed_ms,
-    )
+    return [
+        kind,
+        inst_seed,
+        sizes,
+        cert.heuristic_size,
+        rat_str(cert.lp_opt),
+        "" if exact is None else exact,
+        ratio,
+        rat_str(cert.claimed_ratio_bound),
+        f"{elapsed_ms:.3f}",
+    ]
 
 
 def _cmd_bench(args) -> int:
@@ -356,12 +332,11 @@ def _cmd_bench(args) -> int:
         for size in range(2, args.max + 1)
         for trial in range(args.trials)
     ]
-    records.sort(key=lambda r: (r.seed, r.sizes))
+    records.sort(key=lambda r: (r[1], r[2]))  # seed, sizes
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BENCH_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerows(records)
     print(f"wrote {len(records)} bench records to {args.out}")
     return 0
 

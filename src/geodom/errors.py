@@ -104,7 +104,11 @@ class InvalidPathError(InputError):
 
 
 class UncoveredRowError(GeodomError):
-    """A threshold split left some constraint row in no part."""
+    """A threshold split left some constraint row in no part.
+
+    ``row_index`` is the row id for ``lp.lp_round`` and the row's position
+    in the program for ``lp.threshold_split``.
+    """
 
     def __init__(self, row_index: int):
         super().__init__(f"row {row_index} reaches the threshold in no part")

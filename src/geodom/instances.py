@@ -24,11 +24,11 @@ from operator import attrgetter
 from typing import Optional, Union, get_args, get_type_hints
 
 from .errors import GenerationExhaustedError, InvalidInputError
-from .geom import Fenwick, HRay, HSeg, OrthoInstance, VSeg, as_rat, intersects, rat_str
+from .geom import Fenwick, HRay, HSeg, OrthoInstance, VSeg, as_rat, rat_str
 from .srs import SrsInstance
 from .ssr import SsrInstance
 from .stabbedl import LPath, StabbedLInstance
-from .uvpg import UnitKBendPath
+from .uvpg import UnitKBendPath, _int_legs
 
 _RETRIES = 400
 
@@ -337,12 +337,12 @@ def _gen_ortho(rng: random.Random, n: int, m: int, span: int) -> OrthoInstance:
 
 
 def _is_simple(path: UnitKBendPath) -> bool:
-    segs = path.leg_segments()
-    for i in range(len(segs)):
-        for j in range(i + 2, len(segs)):
-            if intersects(segs[i], segs[j]):
-                return False
-    return True
+    _, (legs,) = _int_legs([path])
+    return not any(
+        ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+        for i, (ax0, ax1, ay0, ay1) in enumerate(legs)
+        for bx0, bx1, by0, by1 in legs[i + 2:]
+    )
 
 
 def _gen_unit_bk(rng: random.Random, n: int, k: int, span: int) -> UnitBkInstance:

@@ -382,16 +382,18 @@ def threshold_split(
     """
     scale, (xs,) = scaled(sol.values)
     sol._check(program, scale, xs)
-    return _split(program, scale, xs, parts, theta)
+    return _split(enumerate(program.rows), xs, scale, parts, theta)
 
 
-def _split(program, scale, xs, parts, theta) -> dict[object, tuple[frozenset[int], frozenset[int]]]:
-    """``threshold_split`` on the checked values as ``scaled`` ints."""
+def _split(rows, x, scale, parts, theta) -> dict[object, tuple[frozenset[int], frozenset[int]]]:
+    """``threshold_split`` over ``(row key, variable set)`` pairs, where
+    ``x[v]`` is the checked ``scaled`` int of variable v; rows and
+    variables come back, and errors name rows, by the keys given."""
     # an int sum reaches theta * scale exactly when it reaches its ceiling
     need = -(-theta.numerator * scale // theta.denominator)
     out_rows: dict[object, set[int]] = {}
     out_vars: dict[object, set[int]] = {}
-    for i, row in enumerate(program.rows):
+    for i, row in rows:
         if i not in parts:
             raise InvalidInputError(f"row {i} has no partition")
         blocks = parts[i]
@@ -399,7 +401,7 @@ def _split(program, scale, xs, parts, theta) -> dict[object, tuple[frozenset[int
             raise InvalidInputError(f"row {i} partition does not tile its variable set")
         hit = False
         for label, block in blocks.items():
-            if sum(map(xs.__getitem__, block)) >= need:
+            if sum(map(x.__getitem__, block)) >= need:
                 hit = True
                 out_rows.setdefault(label, set()).add(i)
                 out_vars.setdefault(label, set()).update(block)
@@ -442,28 +444,26 @@ def lp_round(
     ``solve_label(label, row ids, var ids)`` runs once per label of the
     split, in sorted label order, and returns the ids it selects; their
     union is the answer, certified against the LP optimum with ``ratio``.
+    Every error names the row id: an empty row, a block id outside
+    ``var_ids``, overlapping blocks, and ``UncoveredRowError.row_index``.
     """
     var_ids = tuple(sorted(var_ids))
-    row_ids = sorted(parts)
     index = {v: j for j, v in enumerate(var_ids)}
-    pos = index.__getitem__
-    try:
-        blocks = {
-            i: {label: frozenset(map(pos, b)) for label, b in parts[r].items()}
-            for i, r in enumerate(row_ids)
-        }
-    except KeyError:
-        r, v = next((r, v) for r in row_ids for b in parts[r].values() for v in b if v not in index)
-        raise InvalidInputError(f"row {r} names id {v}, which is not among the variables") from None
+    rows = {}
+    for r in sorted(parts):
+        row = frozenset().union(*parts[r].values())
+        if not row:
+            raise InvalidInputError(f"row {r} is empty")
+        unknown = [v for v in row if v not in index]
+        if unknown:
+            raise InvalidInputError(f"row {r} names id {min(unknown)}, which is not among the variables")
+        rows[r] = row
     program = CoverProgram(
-        len(var_ids), tuple(frozenset().union(*bs.values()) for bs in blocks.values())
+        len(var_ids), tuple(frozenset(map(index.__getitem__, row)) for row in rows.values())
     )
     lp_sol = solve_lp(program)
     scale, (xs,) = scaled(lp_sol.values)
-    split = {
-        label: (frozenset(map(row_ids.__getitem__, r)), frozenset(map(var_ids.__getitem__, c)))
-        for label, (r, c) in _split(program, scale, xs, blocks, theta).items()
-    }
+    split = _split(rows.items(), dict(zip(var_ids, xs)), scale, parts, theta)
     selected = {
         label: frozenset(solve_label(label, *split[label])) for label in sorted(split)
     }

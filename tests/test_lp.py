@@ -290,6 +290,81 @@ def test_lp_round_names_a_block_id_outside_the_variables():
         lp_round([3, 8], parts, HALF, never, 2)
 
 
+def _never(label, rows, vars_):
+    raise AssertionError("no label may run")
+
+
+def test_lp_round_names_the_row_id_of_overlapping_blocks():
+    with pytest.raises(InvalidInputError, match="row 5 partition does not tile"):
+        lp_round([3, 7], {5: {"a": frozenset({3}), "b": frozenset({3, 7})}}, HALF, _never, 2)
+
+
+def test_lp_round_names_the_row_id_that_reaches_no_block():
+    # a triangle on ids 4, 6, 8: the LP optimum is 1/2 everywhere, so no
+    # singleton block reaches 2/3, and row 10 is the first in id order
+    parts = {
+        30: {"a": frozenset({4}), "b": frozenset({8})},
+        10: {"a": frozenset({4}), "b": frozenset({6})},
+        20: {"a": frozenset({6}), "b": frozenset({8})},
+    }
+    with pytest.raises(UncoveredRowError, match="row 10 reaches") as exc:
+        lp_round([8, 4, 6], parts, F(2, 3), _never, 2)
+    assert exc.value.row_index == 10
+
+
+def test_lp_round_names_the_row_id_whose_blocks_are_all_empty():
+    parts = {2: {"a": frozenset({3, 7})}, 5: {"a": frozenset(), "b": frozenset()}}
+    with pytest.raises(InvalidInputError, match="row 5 is empty"):
+        lp_round([3, 7], parts, HALF, _never, 2)
+
+
+@st.composite
+def id_rounding_cases(draw):
+    """(var ids, parts, theta): sparse var ids in shuffled order, sparse row
+    ids, each row a nonempty set of var ids dealt to up to three labels (an
+    empty block now and then), theta a small rational."""
+    var_ids = draw(st.permutations(sorted(draw(st.sets(st.integers(0, 999), min_size=1, max_size=6)))))
+    row_ids = draw(st.sets(st.integers(0, 999), min_size=1, max_size=6))
+    parts = {}
+    for r in row_ids:
+        blocks = {}
+        for v in sorted(draw(st.sets(st.sampled_from(var_ids), min_size=1))):
+            blocks.setdefault(draw(st.sampled_from("abc")), set()).add(v)
+        if draw(st.booleans()):
+            blocks.setdefault("z", set())
+        parts[r] = {label: frozenset(b) for label, b in blocks.items()}
+    theta = draw(st.builds(F, st.integers(-1, 4), st.integers(1, 4)))
+    return var_ids, parts, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_rounding_cases())
+def test_lp_round_splits_as_threshold_split_does_on_positions(case):
+    var_ids, parts, theta = case
+    cols, rows = sorted(var_ids), sorted(parts)
+    pos = {v: j for j, v in enumerate(cols)}
+    pos_parts = {
+        i: {label: frozenset(pos[v] for v in b) for label, b in parts[r].items()}
+        for i, r in enumerate(rows)
+    }
+    program = CoverProgram(
+        len(cols), tuple(frozenset().union(*bs.values()) for bs in pos_parts.values())
+    )
+    try:
+        want = threshold_split(program, solve_lp(program), pos_parts, theta)
+    except UncoveredRowError as exc:
+        with pytest.raises(UncoveredRowError) as got:
+            lp_round(var_ids, parts, theta, _never, len(cols))
+        assert got.value.row_index == rows[exc.row_index]
+        return
+    res = lp_round(var_ids, parts, theta, lambda *_: frozenset(cols), len(cols))
+    assert res.program == program
+    assert res.split == {
+        label: (frozenset(rows[i] for i in r), frozenset(cols[j] for j in c))
+        for label, (r, c) in want.items()
+    }
+
+
 def test_certificate_validation():
     cert = SolveCertificate(
         heuristic_ids=frozenset({1, 2}),

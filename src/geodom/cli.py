@@ -138,7 +138,7 @@ def _solve_for(f: InstanceFile, want_trace: bool):
     if isinstance(data, SsrInstance):
         norm = ssr.normalize(data)
         if want_trace:
-            sel, trace = ssr.solve(norm, want_trace=True)
+            sel, trace = ssr.solve(norm)
             return sel, None, instances.to_json(trace)
         return ssr.solve_fast(norm), None, None
     if isinstance(data, SrsInstance):
@@ -166,6 +166,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.cap is not None and not args.certify:
+        raise InvalidInputError("--cap only applies with --certify")
     f = instances.load(args.infile)
     if _ALG_FOR_KIND[f.kind] != args.alg:
         raise InvalidInputError(

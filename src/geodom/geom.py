@@ -84,10 +84,6 @@ class VSeg:
         if self.y_lo > self.y_hi:
             raise InvalidInputError(f"VSeg {self.id}: y_lo > y_hi")
 
-    @property
-    def length(self) -> Rat:
-        return self.y_hi - self.y_lo
-
 
 @dataclass(frozen=True)
 class HSeg:
@@ -101,10 +97,6 @@ class HSeg:
     def __post_init__(self):
         if self.x_lo > self.x_hi:
             raise InvalidInputError(f"HSeg {self.id}: x_lo > x_hi")
-
-    @property
-    def length(self) -> Rat:
-        return self.x_hi - self.x_lo
 
 
 GeomObject = Union[HRay, VSeg, HSeg]
@@ -319,12 +311,6 @@ class OrthoInstance:
         known = set(ids)
         if not self.constraint_ids <= known or not self.candidate_ids <= known:
             raise InvalidInputError("role ids refer to unknown segments")
-
-    def all_segments(self) -> list[Union[HSeg, VSeg]]:
-        return list(self.hsegs) + list(self.vsegs)
-
-    def segment_by_id(self) -> dict[int, Union[HSeg, VSeg]]:
-        return {s.id: s for s in self.all_segments()}
 
 
 #: (id, line, lo, hi): a segment's id, its carrier line (the y of a

@@ -226,7 +226,7 @@ def _params(params: Optional[dict]) -> dict:
         merged.update({k: v for k, v in params.items() if v is not None})
     for key in ("n", "m", "k", "coord_range"):
         value = merged[key]
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise InvalidInputError(f"parameter {key!r} must be a nonnegative integer")
     if merged["n"] < 1:
         raise InvalidInputError("need at least one primary entity")

@@ -78,9 +78,6 @@ class CoverSolution:
     integral: bool
     duals: Optional[tuple[Rat, ...]] = None
 
-    def support(self) -> frozenset[int]:
-        return frozenset(j for j, v in enumerate(self.values) if v > 0)
-
     def check_feasible(self, program: CoverProgram) -> None:
         scale, (xs,) = scaled(self.values)
         self._check(program, scale, xs)

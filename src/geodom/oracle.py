@@ -55,14 +55,6 @@ class AbstractGraph:
                 if u not in self.closed[v]:
                     raise InvalidInputError(f"adjacency not symmetric on ({u}, {v})")
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "AbstractGraph":
-        nbrs = [{u} for u in range(n)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in nbrs))
-
 
 def _min_cover(ids, rows) -> set[int]:
     """Smallest subset of ``ids`` meeting every row, where a row holds the

@@ -54,9 +54,6 @@ class Interval:
         if self.lo > self.hi:
             raise InvalidInputError(f"interval {self.id}: lo > hi")
 
-    def meets(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 @dataclass(frozen=True)
 class ProperIntervalSet:

@@ -230,8 +230,8 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     return out
 
 
-def solve(inst: SsrInstance, want_trace: bool = False):
-    """Literal round-by-round selection.
+def solve(inst: SsrInstance):
+    """Literal round-by-round selection, returned with its ``TokenTrace``.
 
     Each round: rays that are now the sole live stabber of some live
     segment join the answer and their segments are removed; then the live
@@ -239,9 +239,6 @@ def solve(inst: SsrInstance, want_trace: bool = False):
     a live segment with it and disappears.
     """
     rays = {r.id: r for r in inst.rays}
-    if not inst.segments:
-        return set(), (TokenTrace((), (), {r: frozenset({r}) for r in rays}, ()) if want_trace else None)
-
     segs = {v.id: v for v in inst.segments}
     input_stabbers = {
         v.id: frozenset(r.id for r in inst.rays if intersects(r, v)) for v in inst.segments
@@ -271,19 +268,18 @@ def solve(inst: SsrInstance, want_trace: bool = False):
         new_criticals = sorted(witness_of)
         for u in new_criticals:
             w = witness_of[u]
-            if want_trace:
-                events.append(
-                    CriticalEvent(
-                        iteration=iteration,
-                        ray=u,
-                        witness=w,
-                        ray_token=frozenset(tokens[u]),
-                        witness_input_stabbers=input_stabbers[w],
-                        other_tokens={
-                            x: frozenset(tokens[x]) for x in input_stabbers[w] if x != u
-                        },
-                    )
+            events.append(
+                CriticalEvent(
+                    iteration=iteration,
+                    ray=u,
+                    witness=w,
+                    ray_token=frozenset(tokens[u]),
+                    witness_input_stabbers=input_stabbers[w],
+                    other_tokens={
+                        x: frozenset(tokens[x]) for x in input_stabbers[w] if x != u
+                    },
                 )
+            )
             selected.append(u)
         # (b) their segments are covered; the rays leave the live pool with
         # their tokens frozen in place
@@ -293,16 +289,15 @@ def solve(inst: SsrInstance, want_trace: bool = False):
                 del live_segs[vid]
             del live_rays[u]
         if not live_segs:
-            if want_trace:
-                snapshots.append(
-                    TraceIteration(
-                        iteration,
-                        frozenset(live_rays),
-                        frozenset(),
-                        frozenset(selected),
-                        freeze_tokens(),
-                    )
+            snapshots.append(
+                TraceIteration(
+                    iteration,
+                    frozenset(live_rays),
+                    frozenset(),
+                    frozenset(selected),
+                    freeze_tokens(),
                 )
+            )
             break
         # (c) retire the live ray with smallest reach, passing its token to
         # any y-neighbour that shares a live segment with it
@@ -323,23 +318,17 @@ def solve(inst: SsrInstance, want_trace: bool = False):
                     tokens[nb.id].add(x)
         tokens[c.id] = set()
         del live_rays[c.id]
-        if want_trace:
-            snapshots.append(
-                TraceIteration(
-                    iteration,
-                    frozenset(live_rays),
-                    frozenset(live_segs),
-                    frozenset(selected),
-                    freeze_tokens(),
-                )
+        snapshots.append(
+            TraceIteration(
+                iteration,
+                frozenset(live_rays),
+                frozenset(live_segs),
+                frozenset(selected),
+                freeze_tokens(),
             )
+        )
 
-    trace = (
-        TokenTrace(tuple(snapshots), tuple(events), freeze_tokens(), tuple(selected))
-        if want_trace
-        else None
-    )
-    return set(selected), trace
+    return set(selected), TokenTrace(tuple(snapshots), tuple(events), freeze_tokens(), tuple(selected))
 
 
 class _MaxTree:

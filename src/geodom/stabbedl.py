@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import srs, ssr
 from .errors import AssumptionViolationError, InvalidInputError
-from .geom import HSeg, Rat, StabColumns, VSeg, leg_contacts, scaled
+from .geom import Rat, StabColumns, leg_contacts, scaled
 from .lp import HALF, CoverProgram, CoverSolution, lp_round
 
 
@@ -34,12 +34,6 @@ class LPath:
     def __post_init__(self):
         if self.vlen <= 0 or self.hlen <= 0:
             raise InvalidInputError(f"LPath {self.id}: legs need positive length")
-
-    def vleg(self) -> VSeg:
-        return VSeg(self.id, self.corner_x, self.corner_y, self.corner_y + self.vlen)
-
-    def hleg(self) -> HSeg:
-        return HSeg(self.id, self.corner_y, self.corner_x, self.corner_x + self.hlen)
 
 
 @dataclass(frozen=True)
@@ -181,18 +175,6 @@ def _lift(ys, lens) -> int:
     their common scale."""
     ys = sorted(set(ys))
     return min([b - a for a, b in zip(ys, ys[1:])] + lens)
-
-
-def _vertical_shrink(paths_by_id, constraint_ids) -> Rat:
-    """Half of ``_lift`` as a Fraction: shrinking constraint segments up by
-    this keeps every genuine contact and removes only corner self-hits.
-    ``solve_mds`` raises its legs by the int half-lift on the doubled y
-    scale, which is the same value."""
-    scale, (ys, lens) = scaled(
-        [p.corner_y for p in paths_by_id.values()],
-        [paths_by_id[pid].vlen for pid in constraint_ids],
-    )
-    return Fraction(_lift(ys, lens), 2 * scale)
 
 
 def solve_mds(inst: StabbedLInstance, want_details: bool = False):

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import InvalidInputError, InvalidPathError
-from .geom import Box, HSeg, Rat, Seg, VSeg, _properize_segs, as_rat, leg_contacts, scaled
+from .geom import Box, Rat, Seg, _properize_segs, as_rat, leg_contacts, scaled
 from .geom import properize  # noqa: F401  re-exported: perfbench's tracer tests read uvpg.properize
 from .lp import CoverProgram, CoverSolution, SolveCertificate, lp_round
 from .psd import _psd
 from .psd import psd_solve  # noqa: F401  re-exported: perfbench's tracer tests read uvpg.psd_solve
 
 _STEP = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
-_FLIP = {"L": "R", "R": "L", "U": "D", "D": "U"}
 
 
 def _axis(direction: str) -> str:
@@ -65,27 +63,6 @@ class UnitKBendPath:
             pts.append((x, y))
         return pts
 
-    def leg_segments(self) -> list[Union[HSeg, VSeg]]:
-        """Leg i (1-based) as a unit segment; segment id is the leg number."""
-        segs: list[Union[HSeg, VSeg]] = []
-        pts = self.points()
-        for i, d in enumerate(self.legs):
-            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-            if _axis(d) == "h":
-                segs.append(HSeg(i + 1, y0, min(x0, x1), max(x0, x1)))
-            else:
-                segs.append(VSeg(i + 1, x0, min(y0, y1), max(y0, y1)))
-        return segs
-
-    def canonical(self) -> "UnitKBendPath":
-        """Reorient so traversal starts at the lexicographically smaller
-        endpoint; leg numbering is only meaningful on canonical paths."""
-        pts = self.points()
-        if pts[-1] < pts[0]:
-            flipped = tuple(_FLIP[d] for d in reversed(self.legs))
-            return UnitKBendPath(self.id, pts[-1][0], pts[-1][1], flipped)
-        return self
-
 
 @dataclass(frozen=True)
 class ContactStructure:
@@ -96,13 +73,14 @@ class ContactStructure:
 
 def _int_legs(paths: list[UnitKBendPath]) -> tuple[int, list[list[Box]]]:
     """Every path's legs as closed int boxes (x_lo, x_hi, y_lo, y_hi), in
-    the order of ``canonical().leg_segments()``, and their ``scaled``
-    scale, shared by both axes.
+    canonical order, and their ``scaled`` scale, shared by both axes.
 
-    A path is walked once from its start; when its end is lexicographically
-    smaller (an exact tie keeps the start, as ``canonical`` does), the
-    reversed walk is the canonical one, so its boxes come in reverse order.
-    A leg is its own box, so two legs meet exactly when their boxes do.
+    A path's canonical orientation runs from its lexicographically smaller
+    endpoint, (x, y) compared as a pair; an exact tie, a path ending where
+    it starts, keeps the start.  Leg i (1-based) is the i-th leg in that
+    orientation, so a path is walked once from its start and its boxes are
+    reversed when its end is the smaller endpoint.  A leg is its own box,
+    so two legs meet exactly when their boxes do.
     """
     scale, (xs, ys) = scaled([p.start_x for p in paths], [p.start_y for p in paths])
     steps = {d: (dx * scale, dy * scale) for d, (dx, dy) in _STEP.items()}

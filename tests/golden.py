@@ -86,7 +86,7 @@ def _ssr_cases(name: str, inst, trace: bool):
     yield f"{name}/normalize", norm
     yield f"{name}/solve_fast_raw", sorted(ssr.solve_fast(inst))
     if trace:
-        yield f"{name}/trace", ssr.solve(norm, want_trace=True)
+        yield f"{name}/trace", ssr.solve(norm)
 
 
 def _srs_cases(name: str, inst):
@@ -167,7 +167,7 @@ def _poss_input(rng: random.Random, stray: float):
 
 
 def _with_roles(rng: random.Random, inst: OrthoInstance) -> OrthoInstance:
-    ids = sorted(s.id for s in inst.all_segments())
+    ids = sorted(s.id for s in inst.hsegs + inst.vsegs)
     cons = frozenset(i for i in ids if rng.random() < 0.6)
     cands = frozenset(i for i in ids if rng.random() < 0.6)
     return OrthoInstance(inst.hsegs, inst.vsegs, cons, cands)

@@ -111,6 +111,80 @@ def intersection_matrix(segments) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# plain accessors and the Fraction leg walks, written out here so that the
+# references below stay independent of the package's int walks
+
+
+def segments_of(inst) -> list:
+    """Every segment of an ``OrthoInstance``: the horizontal ones, then the
+    vertical ones."""
+    return list(inst.hsegs) + list(inst.vsegs)
+
+
+def segment_table(inst) -> dict:
+    """An ``OrthoInstance``'s segments by id."""
+    return {s.id: s for s in segments_of(inst)}
+
+
+def intervals_meet(a, b) -> bool:
+    """Two closed ``psd.Interval``s share a point."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def graph_from_edges(n: int, edges) -> oracle.AbstractGraph:
+    nbrs = [{u} for u in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return oracle.AbstractGraph(n, tuple(frozenset(s) for s in nbrs))
+
+
+def lpath_vleg(p) -> VSeg:
+    """An ``LPath``'s vertical leg, rising from its corner."""
+    return VSeg(p.id, p.corner_x, p.corner_y, p.corner_y + p.vlen)
+
+
+def lpath_hleg(p) -> HSeg:
+    """An ``LPath``'s horizontal leg, running right from its corner."""
+    return HSeg(p.id, p.corner_y, p.corner_x, p.corner_x + p.hlen)
+
+
+_FLIP = {"L": "R", "R": "L", "U": "D", "D": "U"}
+
+
+def reference_canonical(path):
+    """A ``UnitKBendPath`` reoriented to start at its lexicographically
+    smaller endpoint; an exact tie keeps the start."""
+    pts = path.points()
+    if pts[-1] < pts[0]:
+        flipped = tuple(_FLIP[d] for d in reversed(path.legs))
+        return uvpg.UnitKBendPath(path.id, pts[-1][0], pts[-1][1], flipped)
+    return path
+
+
+def reference_leg_segments(path) -> list:
+    """Leg i (1-based) of a ``UnitKBendPath`` as a unit segment with id i,
+    walked on Fractions in the path's own orientation."""
+    segs = []
+    pts = path.points()
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:]), start=1):
+        if y0 == y1:
+            segs.append(HSeg(i, y0, min(x0, x1), max(x0, x1)))
+        else:
+            segs.append(VSeg(i, x0, min(y0, y1), max(y0, y1)))
+    return segs
+
+
+def reference_vertical_shrink(paths_by_id, constraint_ids) -> Fraction:
+    """How far ``stabbedl.solve_mds`` raises each constrained vertical leg,
+    on Fractions: half the least positive gap between corner heights,
+    capped by the shortest constrained vertical leg."""
+    ys = sorted({Fraction(p.corner_y) for p in paths_by_id.values()})
+    lens = [Fraction(paths_by_id[pid].vlen) for pid in constraint_ids]
+    return min([b - a for a, b in zip(ys, ys[1:])] + lens) / 2
+
+
 def ssr_cover_ok(inst, chosen_ids) -> bool:
     """Range-max check that the chosen rays stab every segment.
 
@@ -784,7 +858,7 @@ def reference_coordinate_family_gap(inst):
 
 def reference_min_positive_gap(inst):
     """All-pairs Chebyshev scan behind ``geom.min_positive_gap``."""
-    segs = inst.all_segments()
+    segs = segments_of(inst)
     best_dist = None
     for i, a in enumerate(segs):
         for b in segs[i + 1:]:
@@ -826,10 +900,10 @@ def _reference_paths_intersect(a, b):
     if a.id == b.id:
         return True
     return (
-        intersects(a.vleg(), b.hleg())
-        or intersects(b.vleg(), a.hleg())
-        or intersects(a.vleg(), b.vleg())
-        or intersects(a.hleg(), b.hleg())
+        intersects(lpath_vleg(a), lpath_hleg(b))
+        or intersects(lpath_vleg(b), lpath_hleg(a))
+        or intersects(lpath_vleg(a), lpath_vleg(b))
+        or intersects(lpath_hleg(a), lpath_hleg(b))
     )
 
 
@@ -845,11 +919,11 @@ def reference_stabbedl_build_graph(inst):
                 continue
             adjacency[a.id].add(b.id)
             adjacency[b.id].add(a.id)
-            if intersects(b.vleg(), a.hleg()):
+            if intersects(lpath_vleg(b), lpath_hleg(a)):
                 horizontal[a.id].add(b.id)
             else:
                 vertical[a.id].add(b.id)
-            if intersects(a.vleg(), b.hleg()):
+            if intersects(lpath_vleg(a), lpath_hleg(b)):
                 horizontal[b.id].add(a.id)
             else:
                 vertical[b.id].add(a.id)
@@ -860,8 +934,8 @@ def reference_stabbedl_build_graph(inst):
 def reference_uvpg_build_graph(paths):
     """All ordered pairs (self-pairs included) of ``uvpg.build_graph``:
     (neighborhoods, phi, partition)."""
-    canon = {p.id: p.canonical() for p in paths}
-    legs = {pid: p.leg_segments() for pid, p in canon.items()}
+    canon = {p.id: reference_canonical(p) for p in paths}
+    legs = {pid: reference_leg_segments(p) for pid, p in canon.items()}
     neighborhoods = {pid: set() for pid in canon}
     phi = {}
     order = sorted(canon)
@@ -888,7 +962,7 @@ def reference_psd_rows(inst):
     """All-pairs cover rows of ``psd.psd_solve``: per constraint in id order,
     (same, cross) sets of candidate indices; None for the first constraint
     no candidate meets, as (None, id)."""
-    table = inst.segment_by_id()
+    table = segment_table(inst)
     horiz = {s.id for s in inst.hsegs}
     cand_order = sorted(inst.candidate_ids)
     index_of = {cid: i for i, cid in enumerate(cand_order)}
@@ -913,9 +987,9 @@ def reference_interval_cover(candidates, targets) -> set:
     chosen = []
     chosen_ids = set()
     for t in sorted(targets, key=lambda iv: (iv.hi, iv.id)):
-        if any(c.meets(t) for c in chosen):
+        if any(intervals_meet(c, t) for c in chosen):
             continue
-        hits = [c for c in candidates if c.meets(t)]
+        hits = [c for c in candidates if intervals_meet(c, t)]
         if not hits:
             raise InfeasibleTargetError(t.id)
         best = min(hits, key=lambda c: (-c.hi, c.id))
@@ -997,10 +1071,10 @@ def reference_properize(inst):
     all-pairs gap references."""
     from geodom.geom import HSeg, OrthoInstance
 
-    segs = inst.all_segments()
+    segs = segments_of(inst)
     if not segs:
         return inst
-    if len({s.length for s in segs}) != 1:
+    if len({s.x_hi - s.x_lo if isinstance(s, HSeg) else s.y_hi - s.y_lo for s in segs}) != 1:
         raise InvalidInputError("properize requires all segments of equal length")
     gap = reference_min_positive_gap(inst)
     if gap is None:
@@ -1086,7 +1160,7 @@ def reference_stab_sides(instance):
     if isinstance(instance, SrsInstance):
         return list(instance.segments), list(instance.rays), InfeasibleRayError
     if isinstance(instance, OrthoInstance):
-        table = instance.segment_by_id()
+        table = segment_table(instance)
         cands = [table[i] for i in sorted(instance.candidate_ids)]
         return cands, [table[i] for i in sorted(instance.constraint_ids)], InfeasibleConstraintError
     raise InvalidInputError(f"unsupported instance type {type(instance).__name__}")
@@ -1329,7 +1403,7 @@ def reference_poss_solve(candidates, targets, want_details=False):
 
 # ---------------------------------------------------------------------------
 # uvpg before it ran on ints: literal copies of ``solve_mds`` and
-# ``_label_instance``, which walk each path's canonical ``leg_segments`` and
+# ``_label_instance``, which walk each path's canonical leg segments and
 # send every label through an ``OrthoInstance``, ``properize`` and
 # ``psd_solve``; here ``properize`` is the Fraction ``reference_properize``
 # and the contacts come from the all-pairs ``reference_uvpg_build_graph``
@@ -1338,7 +1412,8 @@ def reference_poss_solve(candidates, targets, want_details=False):
 def _reference_label_instance(label, legs, row_ids, var_ids):
     """Geometric covering instance for one contact label.
 
-    ``legs[pid]`` is the ``leg_segments`` of path pid's canonical form.
+    ``legs[pid]`` is the ``reference_leg_segments`` of path pid's canonical
+    form.
     Constraints are the i-th legs of the row paths, candidates the j-th legs
     of the column paths.  A leg playing both roles is entered twice under
     fresh ids; the maps recover path ids afterwards.
@@ -1376,7 +1451,7 @@ def _reference_label_instance(label, legs, row_ids, var_ids):
 
 
 def reference_uvpg_solve_mds(paths, k, want_details=False):
-    """``uvpg.solve_mds`` on canonical ``leg_segments`` and one
+    """``uvpg.solve_mds`` on canonical ``reference_leg_segments`` and one
     ``OrthoInstance`` per label."""
     from geodom.errors import InvalidPathError
     from geodom.lp import lp_round
@@ -1392,7 +1467,7 @@ def reference_uvpg_solve_mds(paths, k, want_details=False):
         raise InvalidInputError("duplicate path ids")
     contacts = ContactStructure(*reference_uvpg_build_graph(paths))
     # every label reads one leg of each of its paths: build them once
-    legs = {p.id: p.canonical().leg_segments() for p in paths}
+    legs = {p.id: reference_leg_segments(reference_canonical(p)) for p in paths}
     labels = {}
 
     def solve_label(label, rows, cands):

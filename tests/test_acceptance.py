@@ -27,7 +27,7 @@ from geodom import instances, lp, psd, srs, ssr, stabbedl, uvpg
 from geodom.cli import run_cli
 from geodom.geom import containment_violation
 
-from helpers import ssr_cover_ok
+from helpers import intervals_meet, segment_table, ssr_cover_ok
 
 
 def _ssr_cases(count: int, top: int, salt: int):
@@ -66,7 +66,7 @@ def test_criterion_2_ssr_token_invariants():
     events_seen = 0
     for n, m, seed in _ssr_cases(1000, 12, salt=101):
         inst = instances.generate("ssr", {"n": n, "m": m}, seed).data
-        _, trace = ssr.solve(ssr.normalize(inst), want_trace=True)
+        _, trace = ssr.solve(ssr.normalize(inst))
         counts: dict[int, int] = {}
         for members in trace.final_tokens.values():
             for rid in members:
@@ -126,7 +126,7 @@ def _timed_fast(inst: SsrInstance) -> tuple[float, float]:
 def test_criterion_4_fast_engine():
     for n, m, seed in _ssr_cases(1000, 10, salt=404):
         inst = ssr.normalize(instances.generate("ssr", {"n": n, "m": m}, seed).data)
-        slow, _ = ssr.solve(inst, want_trace=True)
+        slow, _ = ssr.solve(inst)
         assert set(slow) == set(ssr.solve_fast(inst))
     rng = random.Random(405)
     half = _big_ssr(rng, 50_000, 50_000)
@@ -158,11 +158,11 @@ def test_criterion_5_interval_domination_integrality():
         t_ids = sorted(rng.sample(range(n), rng.randint(1, n)))
         got = psd.spid_exact(s, t_ids)
         rows = tuple(
-            frozenset(j for j in range(n) if ivs[j].meets(ivs[t])) for t in t_ids
+            frozenset(j for j in range(n) if intervals_meet(ivs[j], ivs[t])) for t in t_ids
         )
         prog = lp.CoverProgram(n, rows)
         assert F(len(got)) == lp.solve_lp(prog).objective_value
-        assert len(got) == len(lp.solve_ilp_exact(prog).support())
+        assert len(got) == lp.solve_ilp_exact(prog).objective_value
         for row in rows:
             members = sorted(row)
             assert members == list(range(members[0], members[-1] + 1))
@@ -215,7 +215,7 @@ def test_criterion_7_proper_segment_domination():
             seed=rng.randrange(10**9),
         ).data
         cert, det = psd.psd_solve(inst, want_details=True)
-        table = inst.segment_by_id()
+        table = segment_table(inst)
         chosen = [table[c] for c in cert.heuristic_ids]
         for u in inst.constraint_ids:
             assert any(intersects(table[u], c) for c in chosen)
@@ -234,7 +234,7 @@ def test_criterion_7_proper_segment_domination():
                 for u in sorted(det.same_rows)
             )
             sub = lp.CoverProgram(len(det.var_order), rows)
-            same_opt = len(lp.solve_ilp_exact(sub).support())
+            same_opt = lp.solve_ilp_exact(sub).objective_value
             assert len(det.exact_selected) == same_opt
         cross_opt = 0
         if det.cross_rows:
@@ -248,7 +248,7 @@ def test_criterion_7_proper_segment_domination():
                 for u in sorted(det.cross_rows)
             )
             sub = lp.CoverProgram(len(det.var_order), rows)
-            cross_opt = len(lp.solve_ilp_exact(sub).support())
+            cross_opt = lp.solve_ilp_exact(sub).objective_value
         assert cert.heuristic_size <= same_opt + 8 * cross_opt
     print("PASS criterion 7: segment domination <= 18x lp and within the "
           "exact-plus-8x-cross chain on 300 instances")

@@ -23,7 +23,7 @@ from geodom.srs import SrsInstance
 from geodom.ssr import SsrInstance
 from geodom.stabbedl import LPath, StabbedLInstance
 
-from helpers import reference_gen_ssr, reference_verify_problems
+from helpers import reference_gen_ssr, reference_verify_problems, segments_of
 from strategies import GRID, GRID_LENGTHS, WIDE, WIDE_LENGTHS, lpath_instances, ortho_instances, ssr_instances, unit_path_lists
 
 
@@ -70,7 +70,7 @@ def _any_file(draw):
         data = StabbedLInstance(*_dense(draw(lpath_instances(coords)).paths), draw(coords))
     elif kind == "ortho_psd":
         inst = draw(ortho_instances(coords, lengths, roles=True))
-        rank = {sid: i for i, sid in enumerate(sorted(s.id for s in inst.all_segments()))}
+        rank = {sid: i for i, sid in enumerate(sorted(s.id for s in segments_of(inst)))}
         roles = (frozenset(map(rank.get, ids)) for ids in (inst.constraint_ids, inst.candidate_ids))
         data = OrthoInstance(*_dense(inst.hsegs, inst.vsegs), *roles)
     else:
@@ -292,6 +292,15 @@ def test_generate_param_validation():
         instances.generate("mystery")
 
 
+@pytest.mark.parametrize("key", ["n", "m", "k", "coord_range"])
+def test_generate_rejects_bool_params(key):
+    # a bool is an int to isinstance, but the codec would not read it back
+    params = {"n": 3, "m": 3, "k": 1, "coord_range": 12, key: True}
+    for kind in ("ssr", "unit_bk"):
+        with pytest.raises(InvalidInputError, match=f"parameter '{key}'"):
+            instances.generate(kind, params)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -399,6 +408,16 @@ def test_negative_oracle_cap_is_invalid_input(tmp_path, capsys):
     assert "exact_opt" not in json.loads(sol.read_text())["certificate"]
 
 
+@pytest.mark.parametrize("cap", ["-1", "0", "10"])
+def test_solve_cap_without_certify_is_invalid_input(tmp_path, capsys, cap):
+    inst = gen(tmp_path, "ssr", "cap.json", extra=["-n", "3", "-m", "3"])
+    sol = tmp_path / "cap.sol.json"
+    capsys.readouterr()
+    assert run_cli(["solve", "--alg", "ssr", "-i", str(inst), "-o", str(sol), "--cap", cap]) == 3
+    assert capsys.readouterr().err == "error: --cap only applies with --certify\n"
+    assert not sol.exists()
+
+
 def test_verify_rejects_undersized_solution(tmp_path, capsys):
     inst = gen(tmp_path, "ssr", "v.json", extra=["-n", "5", "-m", "5"])
     sol = tmp_path / "v.sol.json"
@@ -421,7 +440,7 @@ def _with_unmet_constraint(f):
     elif f.kind == "srs":
         data = SrsInstance(data.rays + (HRay(len(data.rays), far, F(0)),), data.segments)
     else:
-        new = HSeg(1 + max(s.id for s in data.all_segments()), far, F(0), F(1))
+        new = HSeg(1 + max(s.id for s in segments_of(data)), far, F(0), F(1))
         data = OrthoInstance(data.hsegs + (new,), data.vsegs, data.constraint_ids | {new.id},
                              data.candidate_ids)
     return instances.InstanceFile(f.kind, data)

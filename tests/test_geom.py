@@ -28,10 +28,13 @@ from geodom import geom, instances
 from helpers import (
     count_fraction_ops,
     intersection_matrix,
+    reference_canonical,
     reference_containment_violation,
     reference_leg_contacts,
+    reference_leg_segments,
     reference_min_positive_gap,
     reference_properize,
+    segments_of,
 )
 from strategies import (
     GRID,
@@ -205,7 +208,7 @@ def test_properize_tight_offsets_still_resolve():
         frozenset({0, 1, 2}), frozenset({0, 1, 2}),
     )
     out = properize(inst)
-    assert intersection_matrix(out.all_segments()) == intersection_matrix(inst.all_segments())
+    assert intersection_matrix(segments_of(out)) == intersection_matrix(segments_of(inst))
     assert containment_violation((s.x_lo, s.x_hi, s.id) for s in out.hsegs) is None
     assert containment_violation((s.y_lo, s.y_hi, s.id) for s in out.vsegs) is None
 
@@ -229,7 +232,7 @@ def test_properize_random_sweep_preserves_matrix():
     for _ in range(120):
         inst = _random_equal_length_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
         out = properize(inst)
-        assert intersection_matrix(out.all_segments()) == intersection_matrix(inst.all_segments())
+        assert intersection_matrix(segments_of(out)) == intersection_matrix(segments_of(inst))
         assert containment_violation((s.x_lo, s.x_hi, s.id) for s in out.hsegs) is None
         assert containment_violation((s.y_lo, s.y_hi, s.id) for s in out.vsegs) is None
 
@@ -362,7 +365,7 @@ def test_min_positive_gap_on_generated_and_label_instances():
         for k in range(4):
             paths = instances.generate("unit_bk", {"n": 25, "k": k}, seed).data.paths
             # every leg of every path, renumbered
-            legs = [leg for p in paths for leg in p.canonical().leg_segments()]
+            legs = [leg for p in paths for leg in reference_leg_segments(reference_canonical(p))]
             hsegs = [HSeg(i, s.y, s.x_lo, s.x_hi) for i, s in enumerate(legs) if isinstance(s, HSeg)]
             vsegs = [VSeg(i, s.x, s.y_lo, s.y_hi) for i, s in enumerate(legs) if isinstance(s, VSeg)]
             ids = frozenset(range(len(legs)))

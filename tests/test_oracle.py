@@ -40,6 +40,7 @@ from geodom import cli, instances, lp, oracle, srs, ssr
 from geodom.instances import UnitBkInstance
 
 from helpers import (
+    graph_from_edges,
     naive_min_dominating,
     reference_cover_rows,
     reference_exact_stab,
@@ -65,9 +66,9 @@ def test_graph_validation():
 
 
 def test_mds_frozen_examples():
-    triangle = AbstractGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    triangle = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert len(exact_mds(triangle)) == 1
-    path4 = AbstractGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert exact_mds(path4) == {0, 2} or len(exact_mds(path4)) == 2
     isolated = AbstractGraph(3, tuple(frozenset({u}) for u in range(3)))
     assert exact_mds(isolated) == {0, 1, 2}
@@ -83,13 +84,13 @@ def test_mds_matches_ilp_and_bruteforce():
             for v in range(u + 1, n)
             if rng.random() < 0.4
         ]
-        g = AbstractGraph.from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         got = exact_mds(g)
         for u in range(n):
             assert g.closed[u] & got
         prog = lp.CoverProgram(n, tuple(g.closed))
         via_ilp = lp.solve_ilp_exact(prog)
-        assert len(got) == len(via_ilp.support())
+        assert len(got) == via_ilp.objective_value
         if n <= 7:
             nb = {u: g.closed[u] for u in range(n)}
             assert len(naive_min_dominating(nb)) == len(got)
@@ -106,7 +107,7 @@ def test_mds_edge_monotone():
             for v in range(u + 1, n)
             if rng.random() < 0.3
         ]
-        g = AbstractGraph.from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         base = len(exact_mds(g))
         missing = [
             (u, v)
@@ -117,7 +118,7 @@ def test_mds_edge_monotone():
         if not missing:
             continue
         extra = rng.choice(missing)
-        g2 = AbstractGraph.from_edges(n, edges + [extra])
+        g2 = graph_from_edges(n, edges + [extra])
         assert len(exact_mds(g2)) <= base
 
 
@@ -136,7 +137,7 @@ def test_stab_dispatch_matches_ilp():
             for s in inst.segments
         )
         sol = lp.solve_ilp_exact(lp.CoverProgram(len(inst.rays), rows))
-        assert len(got) == len(sol.support())
+        assert len(got) == sol.objective_value
 
 
 @settings(max_examples=600, deadline=None)
@@ -154,7 +155,7 @@ def test_oracle_matches_ilp_and_bounds_both_engines(inst):
         rows = tuple(
             frozenset(pos[r.id] for r in inst.rays if intersects(r, s)) for s in inst.segments
         )
-        opt = len(lp.solve_ilp_exact(lp.CoverProgram(len(inst.rays), rows)).support())
+        opt = lp.solve_ilp_exact(lp.CoverProgram(len(inst.rays), rows)).objective_value
         assert len(exact_stab(inst)) == opt
         assert len(ssr.solve_fast(norm)) <= 2 * opt
     flipped = SrsInstance(inst.rays, inst.segments)

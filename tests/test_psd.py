@@ -18,12 +18,15 @@ from geodom.errors import (
 )
 from geodom import geom, instances, lp, psd, srs, ssr, stabbedl
 from helpers import (
+    intervals_meet,
     reference_build_strips,
     reference_collinear_exact,
     reference_interval_cover,
     reference_poss_solve,
     reference_psd_rows,
     reference_solve_boundary_side,
+    segment_table,
+    segments_of,
 )
 from strategies import WIDE, WIDE_LENGTHS, ortho_instances, poss_families
 
@@ -66,8 +69,6 @@ def test_interval_validation():
     a = psd.Interval(0, F(0), F(2))
     b = psd.Interval(1, F(2), F(5))
     c = psd.Interval(2, F(3), F(4))
-    assert a.meets(b) and b.meets(a)
-    assert not a.meets(c)
     with pytest.raises(InvalidInputError):
         psd.ProperIntervalSet((a, psd.Interval(3, F(0), F(5))))
     with pytest.raises(InvalidInputError):
@@ -106,16 +107,16 @@ def test_interval_cover_matches_ilp():
         got = psd.spid_exact(s, t_ids)
         by_id = s.by_id()
         for tid in t_ids:
-            assert any(by_id[g].meets(by_id[tid]) for g in got)
+            assert any(intervals_meet(by_id[g], by_id[tid]) for g in got)
         rows = tuple(
-            frozenset(j for j in range(n) if ivs[j].meets(ivs[tid]))
+            frozenset(j for j in range(n) if intervals_meet(ivs[j], ivs[tid]))
             for tid in t_ids
         )
         prog = lp.CoverProgram(n, rows)
         relaxed = lp.solve_lp(prog)
         integral = lp.solve_ilp_exact(prog)
         assert F(len(got)) == relaxed.objective_value
-        assert len(got) == len(integral.support())
+        assert len(got) == integral.objective_value
         # hitters of each target sit consecutively in left-endpoint order
         for row in rows:
             members = sorted(row)
@@ -190,7 +191,7 @@ def test_poss_coverage_and_ratio():
         assert relaxed.objective_value == cert.lp_opt
         assert F(cert.heuristic_size) <= 8 * cert.lp_opt
         integral = lp.solve_ilp_exact(prog)
-        assert cert.heuristic_size <= 8 * len(integral.support())
+        assert cert.heuristic_size <= 8 * integral.objective_value
         assert det.left_selected | det.right_selected == cert.heuristic_ids
 
 
@@ -256,7 +257,7 @@ def test_psd_coverage_ratio_and_chain():
             seed=rng.randrange(10**9),
         ).data
         cert, det = psd.psd_solve(inst, want_details=True)
-        table = inst.segment_by_id()
+        table = segment_table(inst)
         chosen = [table[c] for c in cert.heuristic_ids]
         assert cert.heuristic_ids <= inst.candidate_ids
         for u in inst.constraint_ids:
@@ -279,7 +280,7 @@ def test_psd_coverage_ratio_and_chain():
             )
             sub = lp.CoverProgram(len(det.var_order), sub_rows)
             best = lp.solve_ilp_exact(sub)
-            assert len(det.exact_selected) == len(best.support())
+            assert len(det.exact_selected) == best.objective_value
         for sub_cert in det.poss_certs:
             assert F(sub_cert.heuristic_size) <= 8 * sub_cert.lp_opt
 
@@ -326,7 +327,7 @@ def _same_label_inputs(inst):
     """Constraints with a non-empty same row, their same-line hits and the
     int high ends, as ``psd_solve``'s same label reads them from
     ``psd._cover_rows`` (candidate ids) and ``psd._int_view``."""
-    table = inst.segment_by_id()
+    table = segment_table(inst)
     horiz = {s.id for s in inst.hsegs}
     cand_order = sorted(inst.candidate_ids)
     targets = [
@@ -347,7 +348,7 @@ NARROW = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2]))
 def test_same_label_matches_reference_per_line_cover(inst):
     hits, int_hi = _same_label_inputs(inst)
     hi = {s.id: s.x_hi for s in inst.hsegs} | {s.id: s.y_hi for s in inst.vsegs}
-    table = inst.segment_by_id()
+    table = segment_table(inst)
     pool = sorted({c for row in hits.values() for c in row})
     want = reference_collinear_exact([table[u] for u in hits], [table[c] for c in pool])
     assert psd._interval_cover(hits, hits, hi) == want
@@ -361,11 +362,11 @@ def test_psd_same_label_matches_reference_on_generated():
         params = {"n": rng.randint(5, 40), "m": rng.randint(5, 40), "coord_range": rng.choice([4, 12])}
         inst = instances.generate("ortho_psd", params, seed).data
         if seed % 3 == 2:
-            ids = sorted(s.id for s in inst.all_segments())
+            ids = sorted(s.id for s in segments_of(inst))
             cons = frozenset(i for i in ids if rng.random() < 0.7)
             inst = OrthoInstance(inst.hsegs, inst.vsegs, cons, frozenset(ids))
         _, det = psd.psd_solve(inst, want_details=True)
-        table = inst.segment_by_id()
+        table = segment_table(inst)
         want = reference_collinear_exact(
             [table[u] for u in sorted(det.same_rows)], [table[c] for c in sorted(det.same_vars)]
         )

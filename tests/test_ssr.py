@@ -58,7 +58,7 @@ def cover_program(inst: SsrInstance) -> lp.CoverProgram:
 
 def test_frozen_selection_and_tokens():
     inst = ssr.normalize(fig_instance())
-    sel, trace = ssr.solve(inst, want_trace=True)
+    sel, trace = ssr.solve(inst)
     assert set(sel) == {2, 4}
     assert trace.final_tokens == {
         1: frozenset(),
@@ -73,7 +73,7 @@ def test_frozen_selection_and_tokens():
 
 def test_trace_snapshots_shrink():
     inst = ssr.normalize(fig_instance())
-    _, trace = ssr.solve(inst, want_trace=True)
+    _, trace = ssr.solve(inst)
     live_counts = [len(snap.live_rays) for snap in trace.iterations]
     assert live_counts == sorted(live_counts, reverse=True)
     assert trace.iterations[-1].live_segments == frozenset()
@@ -157,7 +157,7 @@ def test_slow_fast_agree():
             seed=rng.randrange(10**9),
         ).data
         norm = ssr.normalize(inst)
-        slow, _ = ssr.solve(norm, want_trace=True)
+        slow, _ = ssr.solve(norm)
         fast = ssr.solve_fast(norm)
         assert set(slow) == set(fast)
 
@@ -194,7 +194,7 @@ def test_token_multiplicity_and_event_shape():
             seed=rng.randrange(10**9),
         ).data
         norm = ssr.normalize(inst)
-        _, trace = ssr.solve(norm, want_trace=True)
+        _, trace = ssr.solve(norm)
         counts: dict[int, int] = {}
         for members in trace.final_tokens.values():
             for rid in members:

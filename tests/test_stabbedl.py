@@ -11,7 +11,12 @@ from geodom import AbstractGraph, HRay, LPath, SsrInstance, StabbedLInstance, VS
 from geodom.errors import AssumptionViolationError
 from geodom import instances, ssr, stabbedl
 
-from helpers import naive_min_dominating, reference_stabbedl_build_graph, reference_stabbedl_normalize
+from helpers import (
+    naive_min_dominating,
+    reference_stabbedl_build_graph,
+    reference_stabbedl_normalize,
+    reference_vertical_shrink,
+)
 from strategies import WIDE, lpath_instances, stabbed_l_layouts
 
 
@@ -103,10 +108,8 @@ def test_int_coordinates_solve_like_fractions():
     cert, det = stabbedl.solve_mds(ints, want_details=True)
     assert det.v_rows  # the vertical label ran
     assert cert == stabbedl.solve_mds(fracs)
-    by_id = {p.id: p for p in ints.paths}
-    delta = stabbedl._vertical_shrink(by_id, det.v_rows)
-    assert type(delta) is F
-    assert delta == stabbedl._vertical_shrink({p.id: p for p in fracs.paths}, det.v_rows)
+    # the vertical label's shrunk sub-instance is the same exact one
+    assert det.ssr_instance == stabbedl.solve_mds(fracs, want_details=True)[1].ssr_instance
 
 
 def test_solve_mds_scales_its_paths_once(monkeypatch):
@@ -195,7 +198,7 @@ def test_details_ssr_instance_equals_a_fresh_normalize():
         seen += 1
         assert "rays" not in vars(det.ssr_instance)
         by_id = {p.id: p for p in stabbedl.normalize(inst).paths}
-        delta = stabbedl._vertical_shrink(by_id, det.v_rows)
+        delta = reference_vertical_shrink(by_id, det.v_rows)
         fresh = ssr.normalize(
             SsrInstance(
                 tuple(HRay(v, by_id[v].corner_y, -by_id[v].corner_x) for v in sorted(det.v_candidates)),

@@ -12,7 +12,12 @@ from geodom import AbstractGraph, UnitKBendPath, exact_mds, grid_to_unit_b1
 from geodom.errors import GeodomError, InvalidInputError, InvalidPathError
 from geodom import geom, instances, uvpg
 
-from helpers import naive_min_dominating, reference_uvpg_build_graph, reference_uvpg_solve_mds
+from helpers import (
+    naive_min_dominating,
+    reference_canonical,
+    reference_uvpg_build_graph,
+    reference_uvpg_solve_mds,
+)
 from strategies import WIDE, unit_path_lists
 
 
@@ -29,21 +34,25 @@ def test_path_validation():
 def test_points_and_leg_segments():
     p = UnitKBendPath(0, F(0), F(0), ("R", "U"))
     assert p.points() == [(0, 0), (1, 0), (1, 1)]
-    h, v = p.leg_segments()
-    assert (h.id, h.y, h.x_lo, h.x_hi) == (1, 0, 0, 1)
-    assert (v.id, v.x, v.y_lo, v.y_hi) == (2, 1, 0, 1)
+    # leg boxes (x_lo, x_hi, y_lo, y_hi) on the scale of the start points
+    assert uvpg._int_legs([p]) == (1, [[(0, 1, 0, 0), (1, 1, 0, 1)]])
+    half = UnitKBendPath(1, F(1, 2), F(0), ("U", "R"))
+    assert uvpg._int_legs([p, half]) == (
+        2, [[(0, 2, 0, 0), (2, 2, 0, 2)], [(1, 1, 0, 2), (1, 3, 2, 2)]]
+    )
 
 
 def test_canonical_reverses_to_smaller_endpoint():
+    # the end (0, 0) is smaller than the start (1, 0): leg 1 is walked R
     p = UnitKBendPath(3, F(1), F(0), ("L",))
-    q = p.canonical()
-    assert (q.start_x, q.start_y) == (0, 0)
-    assert q.legs == ("R",)
-    assert q.canonical() == q
+    assert uvpg._int_legs([p]) == (1, [[(0, 1, 0, 0)]])
+    # from (2, 2) down then left to (1, 1): canonically right then up, so
+    # the horizontal leg is leg 1
     bent = UnitKBendPath(4, F(2), F(2), ("D", "L"))
-    c = bent.canonical()
-    assert c.points()[0] == (1, 1)
-    assert c.legs == ("R", "U")
+    assert uvpg._int_legs([bent]) == (1, [[(1, 2, 1, 1), (2, 2, 1, 2)]])
+    # the same path walked from its smaller end keeps its order
+    up = UnitKBendPath(5, F(1), F(1), ("R", "U"))
+    assert uvpg._int_legs([up]) == (1, [[(1, 2, 1, 1), (2, 2, 1, 2)]])
 
 
 def test_first_contact_labels():
@@ -64,7 +73,7 @@ def test_closed_path_keeps_its_leg_numbering():
     # a path ending where it starts is already canonical: an exact tie keeps
     # the start, so its first leg stays leg 1
     loop = UnitKBendPath(0, F(0), F(0), ("R", "U", "L", "D"))
-    assert loop.canonical() is loop
+    assert uvpg._int_legs([loop]) == (1, [[(0, 1, 0, 0), (1, 1, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1)]])
     stick = UnitKBendPath(1, F(1, 2), F(-1, 2), ("U",))
     contacts = uvpg.build_graph([loop, stick])
     assert contacts.phi[(0, 1)] == (1, 1) and contacts.phi[(1, 0)] == (1, 1)
@@ -185,14 +194,14 @@ def test_domination_and_bound():
 
 
 def test_solve_mds_builds_each_paths_legs_once(monkeypatch):
-    """The legs are walked once, on ints: ``leg_segments`` is never called."""
+    """The legs are walked once per call, on ints, by one ``_int_legs``."""
     paths = list(instances.generate("unit_bk", {"n": 60, "k": 2}, seed=5).data.paths)
     want = uvpg.solve_mds(paths, 2, want_details=True)
     calls = []
-    leg_segments = UnitKBendPath.leg_segments
-    monkeypatch.setattr(UnitKBendPath, "leg_segments", lambda p: calls.append(p.id) or leg_segments(p))
+    int_legs = uvpg._int_legs
+    monkeypatch.setattr(uvpg, "_int_legs", lambda ps: calls.append(len(ps)) or int_legs(ps))
     got = uvpg.solve_mds(paths, 2, want_details=True)
-    assert calls == []
+    assert calls == [60]
     assert len(got[1].labels) > 1
     assert got == want
 
@@ -264,10 +273,10 @@ def test_solve_mds_matches_leg_segment_reference_on_generated():
 
 def test_solve_mds_builds_no_segment_instance_or_path(monkeypatch):
     """From the input paths to the selected ids, uvpg works on ints: no
-    HSeg, VSeg, OrthoInstance or UnitKBendPath is constructed, and no path
-    is reoriented or cut into leg segments."""
+    HSeg, VSeg, OrthoInstance or UnitKBendPath is constructed, and no
+    path's points are walked on Fractions."""
     paths = list(instances.generate("unit_bk", {"n": 60, "k": 2}, seed=5).data.paths)
-    assert any(p.canonical() is not p for p in paths)  # some paths need flipping
+    assert any(reference_canonical(p) is not p for p in paths)  # some paths need flipping
     want = reference_uvpg_solve_mds(paths, 2, want_details=True)
     made = []
     for cls in (geom.HSeg, geom.VSeg, geom.OrthoInstance, UnitKBendPath):
@@ -275,11 +284,10 @@ def test_solve_mds_builds_no_segment_instance_or_path(monkeypatch):
         monkeypatch.setattr(
             cls, "__post_init__", lambda self, cls=cls, f=post_init: made.append(cls.__name__) or f(self)
         )
-    for name in ("canonical", "leg_segments", "points"):
-        method = getattr(UnitKBendPath, name)
-        monkeypatch.setattr(UnitKBendPath, name, lambda self, n=name, f=method: made.append(n) or f(self))
+    points = UnitKBendPath.points
+    monkeypatch.setattr(UnitKBendPath, "points", lambda self: made.append("points") or points(self))
     got = uvpg.solve_mds(paths, 2, want_details=True)
     assert made == []
-    UnitKBendPath(0, F(0), F(0), ("R",)).canonical()
-    assert made == ["UnitKBendPath", "canonical", "points"]  # the patches are live
+    UnitKBendPath(0, F(0), F(0), ("R",)).points()
+    assert made == ["UnitKBendPath", "points"]  # the patches are live
     assert got == want

@@ -635,6 +635,17 @@ def test_bench_csv(tmp_path):
                     "-o", str(out1)]) == 3
 
 
+@pytest.mark.parametrize("kind, sizes", [
+    ("ssr", "n=2;m=2"), ("srs", "n=2;m=2"), ("stabbed_l", "n=2"),
+    ("ortho_psd", "n=2;m=2"), ("unit_bk", "n=2;k=1"),
+])
+def test_bench_sizes_column_names_what_the_kind_reads(tmp_path, kind, sizes):
+    out = tmp_path / "b.csv"
+    assert run_cli(["bench", "--kind", kind, "--max", "2", "--trials", "1", "-o", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["kind"], r["sizes"]) for r in rows] == [(kind, sizes)]
+
+
 def test_render_svg(tmp_path):
     for kind in instances.KINDS:
         inst = gen(tmp_path, kind, f"r-{kind}.json", extra=["-n", "4", "-m", "4"])

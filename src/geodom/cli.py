@@ -22,21 +22,9 @@ from .errors import (
     InvalidInputError,
     SizeCapExceededError,
 )
-from .geom import OrthoInstance, rat_str
-from .instances import InstanceFile, UnitBkInstance
+from .geom import rat_str
+from .instances import InstanceFile
 from .lp import SolveCertificate, lp_round
-from .srs import SrsInstance
-from .ssr import SsrInstance
-from .stabbedl import StabbedLInstance
-
-_ALG_FOR_KIND = {
-    "ssr": "ssr",
-    "srs": "srs",
-    "stabbed_l": "stabbed-l",
-    "ortho_psd": "psd",
-    "unit_bk": "uvpg",
-}
-_KIND_FOR_ALG = {v: k for k, v in _ALG_FOR_KIND.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +49,8 @@ def _build_parser() -> _Parser:
     g.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("solve", help="run a heuristic on an instance file")
-    s.add_argument("--alg", required=True, choices=sorted(_KIND_FOR_ALG))
+    algs = sorted(k.alg for k in instances.KIND_TABLE.values())
+    s.add_argument("--alg", required=True, choices=algs)
     s.add_argument("-i", "--infile", required=True)
     s.add_argument("-o", "--out", required=True)
     s.add_argument("--trace", default=None, help="token trace output (ssr, srs)")
@@ -102,9 +91,6 @@ def _build_parser() -> _Parser:
 # shared pieces
 
 
-_GRAPH_KINDS = ("stabbed_l", "unit_bk")
-
-
 def _stab_certificate(data, selected) -> SolveCertificate:
     """Factor-2 certificate of a stabbing answer against the covering LP.
     Each row is one block and a feasible LP point puts mass >= 1 on it, so
@@ -134,21 +120,21 @@ def _exact_opt(f: InstanceFile, cap) -> Optional[int]:
 
 def _solve_for(f: InstanceFile, want_trace: bool):
     """(selected ids, certificate or None, trace payload or None)."""
-    data = f.data
-    if isinstance(data, SsrInstance):
+    data = f.data  # of the kind's record, as InstanceFile checks
+    if f.kind == "ssr":
         norm = ssr.normalize(data)
         if want_trace:
             sel, trace = ssr.solve(norm)
             return sel, None, instances.to_json(trace)
         return ssr.solve_fast(norm), None, None
-    if isinstance(data, SrsInstance):
+    if f.kind == "srs":
         sel, trace = srs.solve(data, want_trace=want_trace)
         return sel, None, instances.to_json(trace) if want_trace else None
-    if isinstance(data, StabbedLInstance):
+    if f.kind == "stabbed_l":
         return None, stabbedl.solve_mds(data), None
-    if isinstance(data, OrthoInstance):
+    if f.kind == "ortho_psd":
         return None, psd.psd_solve(data), None
-    if isinstance(data, UnitBkInstance):
+    if f.kind == "unit_bk":
         return None, uvpg.solve_mds(list(data.paths), data.k), None
     raise InvalidInputError(f"cannot solve kind {f.kind!r}")
 
@@ -159,6 +145,11 @@ def _solve_for(f: InstanceFile, want_trace: bool):
 
 def _cmd_gen(args) -> int:
     params = {"n": args.n, "m": args.m, "k": args.k, "coord_range": args.coord_range}
+    reads = instances.KIND_TABLE[args.kind].params
+    for key, value in params.items():
+        if value is not None and key not in reads:
+            flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+            raise InvalidInputError(f"kind {args.kind} does not read {flag}")
     f = instances.generate(args.kind, params, args.seed)
     instances.dump(f, args.out)
     print(f"wrote {args.kind} instance to {args.out}")
@@ -169,7 +160,7 @@ def _cmd_solve(args) -> int:
     if args.cap is not None and not args.certify:
         raise InvalidInputError("--cap only applies with --certify")
     f = instances.load(args.infile)
-    if _ALG_FOR_KIND[f.kind] != args.alg:
+    if instances.KIND_TABLE[f.kind].alg != args.alg:
         raise InvalidInputError(
             f"algorithm {args.alg!r} does not apply to kind {f.kind!r}"
         )
@@ -239,7 +230,7 @@ def _load_solution(path: str, kind: str) -> dict:
 
 def _verify_problems(f: InstanceFile, selected: set[int]) -> list[str]:
     cands, cons, rows = oracle.cover_rows(f.data)
-    graph = f.kind in _GRAPH_KINDS
+    graph = instances.KIND_TABLE[f.kind].unmet is None
     unknown = selected - set(cands)
     if unknown:
         where = "not in the instance" if graph else "not selectable"
@@ -298,7 +289,8 @@ _BENCH_HEADER = [
 
 def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list:
     inst_seed = ((seed * 1000003 + size) * 1000003 + trial) % (1 << 61)
-    f = instances.generate(kind, {"n": size, "m": size, "k": k}, inst_seed)
+    params = {"n": size, "m": size, "k": k}
+    f = instances.generate(kind, params, inst_seed)
     start = time.perf_counter()
     selected, cert, _ = _solve_for(f, want_trace=False)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -306,12 +298,8 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list
         cert = _stab_certificate(f.data, selected)
     exact = _exact_opt(f, cap)
     ratio = rat_str(Fraction(cert.heuristic_size, exact)) if exact else ""
-    if kind == "unit_bk":
-        sizes = f"n={size};k={k}"
-    elif kind == "stabbed_l":
-        sizes = f"n={size}"
-    else:
-        sizes = f"n={size};m={size}"
+    reads = instances.KIND_TABLE[kind].params
+    sizes = ";".join(f"{key}={params[key]}" for key in reads if key in params)
     return [
         kind,
         inst_seed,

@@ -4,9 +4,9 @@ All coordinates are exact rationals (``fractions.Fraction``).  Intersection
 is closed: touching at a single point counts.  A leftward ray is the closed
 half-line {(t, y) : t <= x_right}.
 
-The per-item kernels (``containment_violation``, ``properize``'s stretch,
-``min_positive_gap``, ``leg_contacts``) compare, rank and shift ``scaled``
-ints and build a ``Fraction`` only for a value they return.
+The per-item kernels (``properize``'s stretch, ``min_positive_gap``,
+``leg_contacts``) compare, rank and shift ``scaled`` ints and build a
+``Fraction`` only for a value they return.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError
@@ -473,15 +473,14 @@ def containment_violation(
     where one contains the other (identical ones included), or None.
 
     In (lo, -hi, id) order an interval is contained in an earlier one exactly
-    when its hi does not pass its predecessor's.  The order is taken on
-    ``scaled`` ints, one scale per end.
+    when its hi does not pass its predecessor's.  Three stable sorts take
+    that order on the values as given, which ints and Fractions order alike.
     """
-    spans = list(intervals)
-    _, (los,) = scaled([t[0] for t in spans])
-    _, (his,) = scaled([t[1] for t in spans])
-    order = sorted(zip(los, [-hi for hi in his], [t[2] for t in spans]))
+    order = sorted(intervals, key=itemgetter(2))
+    order.sort(key=itemgetter(1), reverse=True)  # reverse=True keeps ties in order
+    order.sort(key=itemgetter(0))
     for (_, outer_hi, outer), (_, inner_hi, inner) in zip(order, order[1:]):
-        if inner_hi >= outer_hi:  # negated: hi(inner) <= hi(outer)
+        if inner_hi <= outer_hi:
             return outer, inner
     return None
 

@@ -21,9 +21,15 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import attrgetter
-from typing import Optional, Union, get_args, get_type_hints
+from typing import Callable, NamedTuple, Optional, Union, get_args, get_type_hints
 
-from .errors import GenerationExhaustedError, InvalidInputError
+from .errors import (
+    GenerationExhaustedError,
+    InfeasibleConstraintError,
+    InfeasibleRayError,
+    InfeasibleSegmentError,
+    InvalidInputError,
+)
 from .geom import Fenwick, HRay, HSeg, OrthoInstance, VSeg, as_rat, rat_str
 from .srs import SrsInstance
 from .ssr import SsrInstance
@@ -50,15 +56,22 @@ class UnitBkInstance:
 
 InstanceData = Union[SsrInstance, SrsInstance, StabbedLInstance, OrthoInstance, UnitBkInstance]
 
-#: kind -> (data record, {id name: the list fields whose ids share one space})
-_SCHEMAS = {
-    "ssr": (SsrInstance, {"ray": ("rays",), "segment": ("segments",)}),
-    "srs": (SrsInstance, {"ray": ("rays",), "segment": ("segments",)}),
-    "stabbed_l": (StabbedLInstance, {"path": ("paths",)}),
-    "ortho_psd": (OrthoInstance, {"segment": ("hsegs", "vsegs")}),
-    "unit_bk": (UnitBkInstance, {"path": ("paths",)}),
-}
-KINDS = tuple(_SCHEMAS)
+
+class Kind(NamedTuple):
+    """One instance kind, as ``KIND_TABLE`` holds it."""
+
+    record: type  # the data record
+    id_spaces: dict[str, tuple[str, ...]]  # id name -> the list fields sharing its ids
+    generator: Callable  # generator(rng, *params)
+    params: tuple[str, ...]  # the ``generate`` parameters it reads, in argument order
+    alg: str  # its ``solve --alg`` name
+    unmet: Optional[type]  # error for a constraint nothing meets; None on a graph kind
+
+
+def _kind(name) -> Kind:
+    if not isinstance(name, str) or name not in KIND_TABLE:
+        raise InvalidInputError(f"unknown instance kind {name!r}")
+    return KIND_TABLE[name]
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,11 @@ class InstanceFile:
     data: InstanceData
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown instance kind {self.kind!r}")
+        record = _kind(self.kind).record
+        if type(self.data) is not record:
+            raise InvalidInputError(
+                f"{self.kind} data must be a {record.__name__}, not {type(self.data).__name__}"
+            )
 
 
 def canonical_json(payload) -> str:
@@ -190,16 +206,14 @@ def loads(text: str) -> InstanceFile:
     if "kind" not in payload:
         raise InvalidInputError("missing field 'kind'")
     kind = payload["kind"]
-    if type(kind) is not str or kind not in _SCHEMAS:
-        raise InvalidInputError(f"unknown instance kind {kind!r}")
-    cls, id_spaces = _SCHEMAS[kind]
-    values = _read(cls, payload)
-    named = {name: v for (name, _), v in zip(_parsers(cls), values)}
-    for what, keys in id_spaces.items():
+    spec = _kind(kind)
+    values = _read(spec.record, payload)
+    named = {name: v for (name, _), v in zip(_parsers(spec.record), values)}
+    for what, keys in spec.id_spaces.items():
         ids = sorted(r.id for key in keys for r in named[key])
         if ids != list(range(len(ids))):
             raise InvalidInputError(f"{what} ids must be dense from 0")
-    return InstanceFile(kind, cls(*values))
+    return InstanceFile(kind, spec.record(*values))
 
 
 def load(path: str) -> InstanceFile:
@@ -366,18 +380,24 @@ def _gen_unit_bk(rng: random.Random, n: int, k: int, span: int) -> UnitBkInstanc
 
 
 def generate(kind: str, params: Optional[dict] = None, seed: int = 0) -> InstanceFile:
-    """Deterministic valid instance for the given kind and seed."""
+    """Deterministic valid instance for the given kind and seed.  ``params``
+    may hold keys the kind's generator does not read."""
     p = _params(params)
-    rng = random.Random(seed)
-    n, m, k, span = p["n"], p["m"], p["k"], p["coord_range"]
-    if kind == "ssr":
-        return InstanceFile("ssr", _gen_ssr(rng, n, m, span))
-    if kind == "srs":
-        return InstanceFile("srs", _gen_srs(rng, n, m, span))
-    if kind == "stabbed_l":
-        return InstanceFile("stabbed_l", _gen_stabbed_l(rng, n, span))
-    if kind == "ortho_psd":
-        return InstanceFile("ortho_psd", _gen_ortho(rng, n, m, span))
-    if kind == "unit_bk":
-        return InstanceFile("unit_bk", _gen_unit_bk(rng, n, k, span))
-    raise InvalidInputError(f"unknown instance kind {kind!r}")
+    spec = _kind(kind)
+    return InstanceFile(kind, spec.generator(random.Random(seed), *(p[key] for key in spec.params)))
+
+
+#: kind name -> Kind: the one place each kind's facts are written down
+KIND_TABLE = {
+    "ssr": Kind(SsrInstance, {"ray": ("rays",), "segment": ("segments",)},
+                _gen_ssr, ("n", "m", "coord_range"), "ssr", InfeasibleSegmentError),
+    "srs": Kind(SrsInstance, {"ray": ("rays",), "segment": ("segments",)},
+                _gen_srs, ("n", "m", "coord_range"), "srs", InfeasibleRayError),
+    "stabbed_l": Kind(StabbedLInstance, {"path": ("paths",)},
+                      _gen_stabbed_l, ("n", "coord_range"), "stabbed-l", None),
+    "ortho_psd": Kind(OrthoInstance, {"segment": ("hsegs", "vsegs")},
+                      _gen_ortho, ("n", "m", "coord_range"), "psd", InfeasibleConstraintError),
+    "unit_bk": Kind(UnitBkInstance, {"path": ("paths",)},
+                    _gen_unit_bk, ("n", "k", "coord_range"), "uvpg", None),
+}
+KINDS = tuple(KIND_TABLE)

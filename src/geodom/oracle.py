@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import instances, psd, stabbedl, uvpg
-from .errors import (
-    InfeasibleConstraintError,
-    InfeasibleRayError,
-    InfeasibleSegmentError,
-    InvalidInputError,
-    SizeCapExceededError,
-)
+from .errors import InvalidInputError, SizeCapExceededError
 from .geom import OrthoInstance, int_coords
 from .srs import SrsInstance
 from .ssr import SsrInstance
@@ -151,22 +145,18 @@ def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
     return ids, ids, tuple(map(closed.__getitem__, ids))
 
 
-#: the error of each stabbing kind for a constraint nothing meets (a graph
-#: kind's row, a closed neighbourhood, is never empty)
-_UNMET = ((SsrInstance, InfeasibleSegmentError), (SrsInstance, InfeasibleRayError),
-          (OrthoInstance, InfeasibleConstraintError))
-
-
 def exact_stab(instance, cap: Optional[int] = None) -> set[int]:
     """Minimum candidate subset meeting every constraint of an instance of
     any kind; on stabbed_l and unit_bk, a minimum dominating set."""
     limit = _resolve_cap(cap)
     cands, cons, rows = cover_rows(instance)
+    # a graph kind has no error for an unmet row: a closed neighbourhood is never empty
+    unmet = next(k.unmet for k in instances.KIND_TABLE.values() if isinstance(instance, k.record))
     if len(cands) > limit:
-        graph = isinstance(instance, (stabbedl.StabbedLInstance, instances.UnitBkInstance))
+        graph = unmet is None
         size = f"graph has {len(cands)} vertices" if graph else f"{len(cands)} candidates"
         raise SizeCapExceededError(f"{size}, cap is {limit}")
     for u, row in zip(cons, rows):
         if not row:
-            raise next(err for kind, err in _UNMET if isinstance(instance, kind))(u)
+            raise unmet(u)
     return _min_cover(cands, rows)

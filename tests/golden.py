@@ -191,7 +191,7 @@ def _solve_file(f: instances.InstanceFile, flags: list[str], trace: bool = False
     with tempfile.TemporaryDirectory() as tmp:
         src, out, tr = (Path(tmp) / name for name in ("inst.json", "sol.json", "trace.json"))
         instances.dump(f, str(src))
-        argv = ["solve", "--alg", cli._ALG_FOR_KIND[f.kind], "-i", str(src), "-o", str(out), *flags]
+        argv = ["solve", "--alg", instances.KIND_TABLE[f.kind].alg, "-i", str(src), "-o", str(out), *flags]
         if trace:
             argv += ["--trace", str(tr)]
         err = io.StringIO()

@@ -301,6 +301,21 @@ def test_generate_rejects_bool_params(key):
             instances.generate(kind, params)
 
 
+def test_instance_file_rejects_data_of_another_kind():
+    # dumps would write this ssr instance as an srs file, a different problem
+    ssr_data = instances.generate("ssr", {"n": 2, "m": 2}, seed=1).data
+    with pytest.raises(InvalidInputError, match="srs data must be a SrsInstance, not SsrInstance"):
+        instances.InstanceFile("srs", ssr_data)
+    for kind in instances.KINDS:
+        data = instances.generate(kind, {"n": 2, "m": 2}, seed=1).data
+        assert type(data) is instances.KIND_TABLE[kind].record
+        for other in instances.KINDS:
+            if other != kind:
+                want = f"{other} data must be a .*, not {type(data).__name__}"
+                with pytest.raises(InvalidInputError, match=want):
+                    instances.InstanceFile(other, data)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -314,12 +329,33 @@ def gen(tmp_path, kind, name, seed=7, extra=()):
     return out
 
 
+def read_flags(kind, **values):
+    """``gen`` flags for ``values``, keeping only the parameters ``kind`` reads."""
+    reads = instances.KIND_TABLE[kind].params
+    return [x for key, v in values.items() if key in reads for x in (f"-{key}", str(v))]
+
+
+@pytest.mark.parametrize("kind, extra, flag", [
+    ("stabbed_l", ["-n", "3", "-m", "99"], "-m"),
+    ("unit_bk", ["-m", "4"], "-m"),
+    ("ssr", ["-k", "2"], "-k"),
+])
+def test_gen_rejects_flags_the_kind_does_not_read(tmp_path, capsys, kind, extra, flag):
+    out = tmp_path / "g.json"
+    assert run_cli(["gen", "--kind", kind, *extra, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: kind {kind} does not read {flag}\n"
+    assert not out.exists()
+    # the library call still takes every key: bench and the benchmark pass m and k to all kinds
+    params = {"n": 3, "m": 4, "k": 2}
+    assert instances.generate(kind, params) == instances.generate(
+        kind, {key: params[key] for key in instances.KIND_TABLE[kind].params if key in params})
+
+
 def test_gen_solve_verify_pipeline(tmp_path):
     for kind in instances.KINDS:
-        inst = gen(tmp_path, kind, f"{kind}.json", extra=["-n", "5", "-m", "5"])
+        inst = gen(tmp_path, kind, f"{kind}.json", extra=read_flags(kind, n=5, m=5))
         sol = tmp_path / f"{kind}.sol.json"
-        alg = {"ssr": "ssr", "srs": "srs", "stabbed_l": "stabbed-l",
-               "ortho_psd": "psd", "unit_bk": "uvpg"}[kind]
+        alg = instances.KIND_TABLE[kind].alg
         assert run_cli(["solve", "--alg", alg, "-i", str(inst), "-o", str(sol)]) == 0
         payload = json.loads(sol.read_text())
         assert payload["kind"] == kind
@@ -382,7 +418,7 @@ def test_exact_stdout_and_cap(tmp_path, capsys):
     assert run_cli(["exact", "-i", str(inst), "--cap", "2"]) == 4
     # the graph kinds keep their own cap message
     for kind in ("stabbed_l", "unit_bk"):
-        inst = gen(tmp_path, kind, f"{kind}.json", extra=["-n", "6", "-k", "1"])
+        inst = gen(tmp_path, kind, f"{kind}.json", extra=read_flags(kind, n=6, k=1))
         capsys.readouterr()
         assert run_cli(["exact", "-i", str(inst), "--cap", "5"]) == 4
         assert capsys.readouterr().err == "error: graph has 6 vertices, cap is 5\n"
@@ -648,7 +684,7 @@ def test_bench_sizes_column_names_what_the_kind_reads(tmp_path, kind, sizes):
 
 def test_render_svg(tmp_path):
     for kind in instances.KINDS:
-        inst = gen(tmp_path, kind, f"r-{kind}.json", extra=["-n", "4", "-m", "4"])
+        inst = gen(tmp_path, kind, f"r-{kind}.json", extra=read_flags(kind, n=4, m=4))
         pic = tmp_path / f"{kind}.svg"
         assert run_cli(["render", "-i", str(inst), "-o", str(pic)]) == 0
         body = pic.read_text()

@@ -324,19 +324,28 @@ def test_containment_violation_matches_fraction_reference(spans):
     assert containment_violation(iter(spans)) == reference_containment_violation(spans)
 
 
-def test_containment_violation_makes_no_fraction_comparisons_or_additions(monkeypatch):
+def test_containment_violation_sorts_the_values_as_given(monkeypatch):
+    """No ``scaled`` pass and no Fraction arithmetic, so many large coprime
+    denominators cost only their comparisons."""
     rng = random.Random(200)
     # distinct left ends and one length: no interval contains another
     los = [F(7 * i, 3) - F(rng.randint(0, 50), 23) for i in range(200)]
     proper = [(lo, lo + 3, i) for i, lo in enumerate(los)]
     rng.shuffle(proper)
     nested = proper + [(proper[0][0] + F(1, 2), proper[0][0] + 1, 200)]
+    want = reference_containment_violation(nested)
+
+    def refuse(*args):
+        raise AssertionError("containment_violation scaled or negated a value")
+
+    monkeypatch.setattr(geom, "scaled", refuse)
+    monkeypatch.setattr(F, "__neg__", refuse)
     counts = count_fraction_ops(monkeypatch)
     assert containment_violation(proper) is None
     got = containment_violation(nested)
-    assert sum(counts.values()) == 0
-    assert got[1] == 200 and got == reference_containment_violation(nested)
-    assert sum(counts.values()) > 0  # the counting patch is live
+    assert counts["__add__"] == counts["__radd__"] == 0
+    assert counts["__lt__"] > 0  # the counting patch is live
+    assert got[1] == 200 and got == want
 
 
 def test_containment_violation_small_cases():

@@ -716,7 +716,8 @@ ONE = Fraction(1)
 
 def solve_lp_reference(program: CoverProgram) -> CoverSolution:
     """The Fraction-tableau primal simplex (Bland's rule) that ``solve_lp``
-    reproduces on integer rows; ``solve_lp`` must return the same values.
+    reproduces on integer rows; ``solve_lp`` must return the same values,
+    objective and duals (y_i is the final reduced cost of surplus column s_i).
 
     Variable layout: x_0..x_{n-1}, surplus s per row, upper-bound slack w
     per variable.  Starting from the all-ones point gives a feasible basis
@@ -725,7 +726,7 @@ def solve_lp_reference(program: CoverProgram) -> CoverSolution:
     n = program.num_vars
     m = len(program.rows)
     if n == 0:
-        return CoverSolution((), ZERO, True)
+        return CoverSolution((), ZERO, True, ())
     # column ids: x_j = j; s_i = n + i; w_j = n + m + j
     total = 2 * n + m
 
@@ -814,7 +815,8 @@ def solve_lp_reference(program: CoverProgram) -> CoverSolution:
             values[b] = rhs[r]
     objective = sum(values, ZERO)
     integral = all(v in (ZERO, ONE) for v in values)
-    sol = CoverSolution(tuple(values), objective, integral)
+    duals = tuple(cost.get(n + i, ZERO) for i in range(m))
+    sol = CoverSolution(tuple(values), objective, integral, duals)
     sol.check_feasible(program)
     return sol
 

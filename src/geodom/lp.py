@@ -5,8 +5,9 @@ subject to one "sum over a variable subset >= 1" row per constraint and
 0 <= x <= 1.  The simplex solver runs Bland's rule on integer rows (int
 numerators over one shared denominator per row), so it takes the same
 pivots and reaches the same vertex as a Fraction tableau, and objective
-values are usable as certificates without tolerance.  Each LP answer also
-carries a dual witness that ``check_feasible`` verifies in O(nnz).
+values are usable as certificates without tolerance.  The cost row is one
+more tableau row, row z, and each LP answer reads its objective and a dual
+witness off it; ``check_feasible`` verifies the witness in O(nnz).
 
 ``lp_round`` is the LP-rounding skeleton the three MDS pipelines share:
 solve the covering LP, split each row by which labelled block holds mass
@@ -15,8 +16,9 @@ ids; only the program it builds numbers rows and columns by position.
 The ssr/srs certificate runs it too, with one block per row.
 
 The checks and the split run on the values as ``geom.scaled`` ints: row
-sums, block masses and the dual bound are int sums, compared with 1, theta
-and the objective on that one scale.
+sums and block masses are int sums, compared with 1, theta and the
+objective on that one scale.  The dual bound is an int sum on the duals'
+scale, which ``solve_lp`` takes from row z as it stands.
 """
 from __future__ import annotations
 
@@ -80,11 +82,12 @@ class CoverSolution:
 
     def check_feasible(self, program: CoverProgram) -> None:
         scale, (xs,) = scaled(self.values)
-        self._check(program, scale, xs)
+        self._check(program, scale, xs, None if self.duals is None else scaled(self.duals))
 
-    def _check(self, program: CoverProgram, scale: int, xs: list[int]) -> None:
+    def _check(self, program: CoverProgram, scale: int, xs: list[int], duals) -> None:
         """``check_feasible`` on the values as ``scaled`` ints ``(scale,
-        xs)``.  Every check compares ints."""
+        xs)`` and the duals as ``scaled``'s ``(scale, [ints])``, or None
+        when there are none.  Every check compares ints."""
         if len(xs) != program.num_vars:
             raise InvalidInputError("solution length mismatch")
         for x in xs:
@@ -97,13 +100,11 @@ class CoverSolution:
             raise InvalidInputError("objective_value inconsistent with values")
         if self.integral and any(x not in (0, scale) for x in xs):
             raise InvalidInputError("integral flag set on fractional values")
-        if self.duals is not None:
-            self._check_duals(program)
-
-    def _check_duals(self, program: CoverProgram) -> None:
-        if len(self.duals) != len(program.rows):
+        if duals is None:
+            return
+        scale, (ys,) = duals
+        if len(ys) != len(program.rows):
             raise InvalidInputError("dual length mismatch")
-        scale, (ys,) = scaled(self.duals)
         if any(y < 0 for y in ys):
             raise InvalidInputError("negative dual multiplier")
         colsum = [0] * program.num_vars
@@ -147,15 +148,19 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
 
     Each tableau row is a dict of int numerators over one positive int
     denominator that its rhs shares, kept divided by the gcd of all of
-    them; the cost row is stored the same way.  A column -> rows index
-    limits the ratio test and the elimination to the rows that have a
-    nonzero in the entering column.  The pivots are Bland's: the entering
-    column is the least one with a negative reduced cost, the leaving row
-    minimizes (rhs_r / a_r, basis[r]), and since the row denominator
-    cancels in that ratio, rows compare by one int cross-multiplication.
+    them.  The last row, z = n + m, is the cost row: its entries are the
+    reduced costs and its rhs is minus the objective, and the elimination
+    updates it like any other row.  A column -> rows index limits the ratio
+    test and the elimination to the rows that have a nonzero in the
+    entering column.  The pivots are Bland's: the entering column is the
+    least one with a negative reduced cost, the leaving row minimizes
+    (rhs_r / a_r, basis[r]), and since the row denominator cancels in that
+    ratio, rows compare by one int cross-multiplication.  Row z never
+    leaves, because its entry in the entering column is negative.
 
-    The returned solution carries the dual witness: y_i is the final
-    reduced cost of surplus column s_i.
+    The objective and the dual witness are read off row z: y_i is the final
+    reduced cost of surplus column s_i.  Both are checked against the values
+    on row z's ints.
     """
     n = program.num_vars
     m = len(program.rows)
@@ -165,15 +170,17 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     # rows in canonical form wrt the initial basis {x_0..x_{n-1}, s_0..s_{m-1}}:
     #   x_j + w_j = 1
     #   s_i + sum_{j in row_i} w_j = |row_i| - 1
-    # row r starts with basic column r; col_rows[c] holds the rows with a
+    # and the cost row z, from objective = n - sum_j w_j:
+    #   -objective - sum_j w_j = -n
+    # row r < z starts with basic column r; col_rows[c] holds the rows with a
     # nonzero in column c
-    w0 = n + m
-    basis = list(range(n + m))
+    z = w0 = n + m
+    basis = list(range(z))
     tableau: list[dict[int, int]] = [{j: 1, w0 + j: 1} for j in range(n)]
     rhs = [1] * n
     col_rows: list[set[int]] = [{j} for j in range(n)]
     col_rows += [{n + i} for i in range(m)]
-    col_rows += [{j} for j in range(n)]
+    col_rows += [{j, z} for j in range(n)]
     for i, row in enumerate(program.rows):
         entry = {w0 + j: 1 for j in row}
         entry[n + i] = 1
@@ -181,13 +188,11 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
         rhs.append(len(row) - 1)
         for j in row:
             col_rows[w0 + j].add(n + i)
-    den = [1] * (n + m)
-
-    # reduced costs: z = n - sum_j w_j over the nonbasic w columns
-    cost = {w0 + j: -1 for j in range(n)}
-    cost_den = 1
+    tableau.append({w0 + j: -1 for j in range(n)})
+    rhs.append(-n)
+    den = [1] * (z + 1)
     # the columns with a negative reduced cost; none of them is basic
-    negative = set(cost)
+    negative = set(tableau[z])
 
     while negative:
         entering = min(negative)
@@ -252,42 +257,27 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
             den[r] = d
             rhs[r] = b
         col_rows[entering] = {leave}
-
-        a = cost.pop(entering)
+        basis[leave] = entering
+        # only the pivot row's columns changed in row z
+        cost = tableau[z]
         negative.discard(entering)
-        if piv != 1:
-            cost = {c: v * piv for c, v in cost.items()}
-            cost_den *= piv
-        for c, v in others:
-            nv = cost.get(c, 0) - a * v
-            if nv:
-                cost[c] = nv
-            else:
-                cost.pop(c, None)
-            if nv < 0:
+        for c, _ in others:
+            if cost.get(c, 0) < 0:
                 negative.add(c)
             else:
                 negative.discard(c)
-        g = cost_den
-        for v in cost.values():
-            if g == 1:
-                break
-            g = gcd(g, v)
-        if g != 1:
-            cost = {c: v // g for c, v in cost.items()}
-            cost_den //= g
-        basis[leave] = entering
 
     values = [ZERO] * n
     for r, b in enumerate(basis):
         if b < n:
             values[b] = Fraction(rhs[r], den[r])
     scale, (xs,) = scaled(values)
-    objective = Fraction(sum(xs), scale)
     integral = scale == 1  # all ints, each in [0, 1] as check_feasible confirms
-    duals = tuple(Fraction(cost.get(n + i, 0), cost_den) for i in range(m))
-    sol = CoverSolution(tuple(values), objective, integral, duals)
-    sol._check(program, scale, xs)
+    cost = tableau[z]
+    ys = [cost.get(n + i, 0) for i in range(m)]
+    duals = tuple(Fraction(y, den[z]) for y in ys)
+    sol = CoverSolution(tuple(values), Fraction(-rhs[z], den[z]), integral, duals)
+    sol._check(program, scale, xs, (den[z], [ys]))
     return sol
 
 
@@ -377,8 +367,8 @@ def threshold_split(
     The solution is checked in full first; masses are int sums of its
     ``scaled`` values, compared with theta on that scale.
     """
+    sol.check_feasible(program)
     scale, (xs,) = scaled(sol.values)
-    sol._check(program, scale, xs)
     return _split(enumerate(program.rows), xs, scale, parts, theta)
 
 

@@ -436,10 +436,10 @@ def test_tampered_duals_are_rejected():
 
 
 def _count_full_checks(monkeypatch) -> list:
-    """Record every full ``_check_duals`` run, which only a full check makes."""
+    """Record every full ``_check`` run, values and duals alike."""
     calls = []
-    check = CoverSolution._check_duals
-    monkeypatch.setattr(CoverSolution, "_check_duals", lambda s, p: calls.append(p) or check(s, p))
+    check = CoverSolution._check
+    monkeypatch.setattr(CoverSolution, "_check", lambda s, p, *a: calls.append(p) or check(s, p, *a))
     return calls
 
 

@@ -128,7 +128,7 @@ def _solve_for(f: InstanceFile, want_trace: bool):
             return sel, None, instances.to_json(trace)
         return ssr.solve_fast(norm), None, None
     if f.kind == "srs":
-        sel, trace = srs.solve(data, want_trace=want_trace)
+        sel, trace = srs.solve(data)
         return sel, None, instances.to_json(trace) if want_trace else None
     if f.kind == "stabbed_l":
         return None, stabbedl.solve_mds(data), None

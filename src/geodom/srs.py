@@ -39,7 +39,7 @@ class SrsTrace:
     tokens: dict[int, frozenset[int]]
 
 
-def solve(inst: SrsInstance, want_trace: bool = False):
+def solve(inst: SrsInstance):
     """Greedy extreme-segment selection; returns (segment ids, trace).
 
     Runs as a sweep in O((n+m) log(n+m)).  Rays are taken in (reach, id)
@@ -90,8 +90,6 @@ def solve(inst: SrsInstance, want_trace: bool = False):
         # filled as a set in rank order, so each removed_rays frozenset
         # iterates, and the trace prints, exactly as in earlier versions
         gone = set(live.pop_range(*span[top]) + live.pop_range(*span[bot]))
-        if want_trace:
-            removed = frozenset(c.ray_id[by_y[k]] for k in gone)
-            rounds.append(SrsRound(len(rounds) + 1, c.ray_id[i], hood_ids, v_top, v_bot, removed))
-    trace = SrsTrace(tuple(rounds), dict(tokens)) if want_trace else None
-    return selected, trace
+        removed = frozenset(c.ray_id[by_y[k]] for k in gone)
+        rounds.append(SrsRound(len(rounds) + 1, c.ray_id[i], hood_ids, v_top, v_bot, removed))
+    return selected, SrsTrace(tuple(rounds), tokens)

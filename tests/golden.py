@@ -90,7 +90,7 @@ def _ssr_cases(name: str, inst, trace: bool):
 
 
 def _srs_cases(name: str, inst):
-    sel, trace = srs.solve(inst, want_trace=True)
+    sel, trace = srs.solve(inst)
     yield f"{name}/selection", sorted(sel)
     yield f"{name}/trace", trace
 

@@ -86,7 +86,7 @@ def test_criterion_3_srs_ratio_and_tokens():
     for _ in range(1000):
         n, m = rng.randint(1, 12), rng.randint(1, 12)
         inst = instances.generate("srs", {"n": n, "m": m}, rng.randrange(10**9)).data
-        sel, trace = srs.solve(inst, want_trace=True)
+        sel, trace = srs.solve(inst)
         opt = exact_stab(inst)
         assert len(sel) <= 2 * len(opt)
         relaxed = lp.solve_lp(_cover_rows(inst.segments, inst.rays))

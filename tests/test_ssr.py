@@ -477,7 +477,7 @@ def test_column_instances_solve_like_their_materialized_twins(inst, k, y_shift, 
         (SsrInstance, ssr.normalize),
         (SsrInstance, lambda i: ssr.solve_fast(ssr.normalize(i))),
         (SsrInstance, ssr.solve_fast),
-        (SrsInstance, lambda i: srs.solve(i, want_trace=True)),
+        (SrsInstance, srs.solve),
     ]
     for cls, fn in engines:
         twin = cls(*geom.materialize(cols))

@@ -234,11 +234,13 @@ def dump(f: InstanceFile, path: str):
 # seeded generators
 
 
-def _params(params: Optional[dict]) -> dict:
+def _params(params: Optional[dict], keys: tuple[str, ...]) -> list[int]:
+    """The values of ``keys`` (every kind reads ``n`` and ``coord_range``),
+    defaults filled in; only these are range-checked."""
     merged = {"n": 8, "m": 8, "k": 1, "coord_range": 12}
     if params:
         merged.update({k: v for k, v in params.items() if v is not None})
-    for key in ("n", "m", "k", "coord_range"):
+    for key in keys:
         value = merged[key]
         if type(value) is not int or value < 0:
             raise InvalidInputError(f"parameter {key!r} must be a nonnegative integer")
@@ -246,7 +248,7 @@ def _params(params: Optional[dict]) -> dict:
         raise InvalidInputError("need at least one primary entity")
     if merged["coord_range"] < 2:
         raise InvalidInputError("coord_range too small")
-    return merged
+    return [merged[key] for key in keys]
 
 
 def _gen_ssr(rng: random.Random, n: int, m: int, span: int) -> SsrInstance:
@@ -381,10 +383,10 @@ def _gen_unit_bk(rng: random.Random, n: int, k: int, span: int) -> UnitBkInstanc
 
 def generate(kind: str, params: Optional[dict] = None, seed: int = 0) -> InstanceFile:
     """Deterministic valid instance for the given kind and seed.  ``params``
-    may hold keys the kind's generator does not read."""
-    p = _params(params)
+    may hold keys the kind's generator does not read; those are not checked.
+    An unknown kind is reported before a bad parameter."""
     spec = _kind(kind)
-    return InstanceFile(kind, spec.generator(random.Random(seed), *(p[key] for key in spec.params)))
+    return InstanceFile(kind, spec.generator(random.Random(seed), *_params(params, spec.params)))
 
 
 #: kind name -> Kind: the one place each kind's facts are written down

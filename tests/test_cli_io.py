@@ -296,9 +296,25 @@ def test_generate_param_validation():
 def test_generate_rejects_bool_params(key):
     # a bool is an int to isinstance, but the codec would not read it back
     params = {"n": 3, "m": 3, "k": 1, "coord_range": 12, key: True}
-    for kind in ("ssr", "unit_bk"):
+    readers = [kind for kind, spec in instances.KIND_TABLE.items() if key in spec.params]
+    assert readers
+    for kind in readers:
         with pytest.raises(InvalidInputError, match=f"parameter '{key}'"):
             instances.generate(kind, params)
+
+
+@pytest.mark.parametrize("kind,key", [("stabbed_l", "m"), ("ssr", "k"), ("unit_bk", "m")])
+def test_generate_ignores_params_the_kind_does_not_read(kind, key):
+    want = instances.dumps(instances.generate(kind, {"n": 3}))
+    for value in (-1, True, "three"):
+        assert instances.dumps(instances.generate(kind, {"n": 3, key: value})) == want
+
+
+def test_generate_checks_the_kind_before_its_params():
+    with pytest.raises(InvalidInputError, match="parameter 'm'"):
+        instances.generate("ssr", {"n": 3, "m": -1})
+    with pytest.raises(InvalidInputError, match="unknown instance kind 'mystery'"):
+        instances.generate("mystery", {"n": -1})
 
 
 def test_instance_file_rejects_data_of_another_kind():

@@ -367,8 +367,8 @@ def threshold_split(
     The solution is checked in full first; masses are int sums of its
     ``scaled`` values, compared with theta on that scale.
     """
-    sol.check_feasible(program)
     scale, (xs,) = scaled(sol.values)
+    sol._check(program, scale, xs, None if sol.duals is None else scaled(sol.duals))
     return _split(enumerate(program.rows), xs, scale, parts, theta)
 
 

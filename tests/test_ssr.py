@@ -302,15 +302,16 @@ def solved_or_error(solver, inst):
 
 
 def assert_fast_matches_reference(inst):
-    """Raw and normalized outcomes of ``solve_fast`` equal the reference's;
-    the normalized one runs on the rank space ``normalize`` hands over.
-    Returns the raw outcome."""
+    """Raw and normalized outcomes of ``solve_fast`` equal the reference's,
+    and each other when ``normalize`` succeeds; the normalized one runs on
+    the rank space ``normalize`` hands over.  Returns the raw outcome."""
     raw = solved_or_error(ssr.solve_fast, inst)
     assert raw == solved_or_error(reference_ssr_solve_fast, inst)
     norm = normalized_or_error(ssr.normalize, inst)
     if isinstance(norm, tuple):
         return raw
     expected = reference_ssr_solve_fast(norm)
+    assert raw == expected  # the pipelines solve their sub-problems raw
     assert ("_sweep_data" in vars(norm)) == bool(inst.rays or inst.segments)
     assert ssr.solve_fast(norm) == expected
     assert "_sweep_data" not in vars(norm)

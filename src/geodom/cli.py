@@ -118,6 +118,14 @@ def _exact_opt(f: InstanceFile, cap) -> Optional[int]:
         return None
 
 
+def _certified(f: InstanceFile, selected, cert: Optional[SolveCertificate], cap) -> SolveCertificate:
+    """The run's certificate (the stab certificate of ``selected`` when the
+    solver gave none) with the oracle optimum added, validated."""
+    cert = replace(cert or _stab_certificate(f.data, selected), exact_opt=_exact_opt(f, cap))
+    cert.validate()
+    return cert
+
+
 def _solve_for(f: InstanceFile, want_trace: bool):
     """(selected ids, certificate or None, trace payload or None)."""
     data = f.data  # of the kind's record, as InstanceFile checks
@@ -173,10 +181,7 @@ def _cmd_solve(args) -> int:
     if cert is not None:
         selected = set(cert.heuristic_ids)
     if args.certify:
-        if cert is None:
-            cert = _stab_certificate(f.data, selected)
-        cert = replace(cert, exact_opt=_exact_opt(f, args.cap))
-        cert.validate()
+        cert = _certified(f, selected, cert, args.cap)
 
     payload = {
         "kind": f.kind,
@@ -294,9 +299,8 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list
     start = time.perf_counter()
     selected, cert, _ = _solve_for(f, want_trace=False)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if cert is None:
-        cert = _stab_certificate(f.data, selected)
-    exact = _exact_opt(f, cap)
+    cert = _certified(f, selected, cert, cap)
+    exact = cert.exact_opt
     ratio = rat_str(Fraction(cert.heuristic_size, exact)) if exact else ""
     reads = instances.KIND_TABLE[kind].params
     sizes = ";".join(f"{key}={params[key]}" for key in reads if key in params)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import instances, psd, stabbedl, uvpg
 from .errors import InvalidInputError, SizeCapExceededError
-from .geom import OrthoInstance, int_coords
+from .geom import OrthoInstance, int_coords, int_segs
 from .srs import SrsInstance
 from .ssr import SsrInstance
 
@@ -132,7 +132,7 @@ def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
         return [s.id for s in data.segments], list(cols), tuple(map(frozenset, cols.values()))
     if isinstance(data, OrthoInstance):
         cands, cons = sorted(data.candidate_ids), sorted(data.constraint_ids)
-        _, seg, horiz = psd._int_view(data)
+        seg, horiz = psd._seg_view(*int_segs(data.hsegs, data.vsegs)[1:])
         rows = psd._cover_rows(seg, horiz, cons, cands)
         return cands, cons, tuple(same | cross for same, cross in rows)
     if isinstance(data, stabbedl.StabbedLInstance):

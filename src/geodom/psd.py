@@ -7,21 +7,27 @@ the 18-approximation combining both over a mixed instance.  The last two
 are ``lp.lp_round``: each LP row is split by strip boundary (left/right)
 or by orientation (same/cross), and each label is solved on its own.
 
-Both run on one int view of their segments: a ``geom.Seg`` (id, line, lo,
-hi) holds ``geom.scaled`` ints on one scale, the segment's carrier line
-(the y of a horizontal segment, the x of a vertical one) and its extent
-along it.  ``psd_solve`` is ``_psd`` on its instance's view; ``uvpg`` hands
-``_psd`` the stretched ``Seg``s of each label directly.  A quarter turn of
-the plane keeps every ``Seg``, so the cross label covers horizontal targets
-with vertical candidates through the same core.  Each strip boundary's
-sub-problem travels to ``ssr`` as ``geom.StabColumns``; no ``HRay``/``VSeg``
-and no ``Fraction`` is built between the LP and the selected ids.
+Both run on one int view of their segments, made once per call: a
+``geom.Seg`` (id, line, lo, hi) holds ``geom.scaled`` ints on one scale,
+the segment's carrier line (the y of a horizontal segment, the x of a
+vertical one) and its extent along it.  ``psd_solve`` is ``_psd`` on its
+instance's ``geom.int_segs``; ``uvpg`` hands ``_psd`` the stretched
+``Seg``s of each label directly.  ``_seg_view`` indexes the ``Seg``s by id
+for the cover rows, here and in ``oracle``.  A quarter turn of the plane
+keeps every ``Seg``, so the cross label covers horizontal targets with
+vertical candidates through the same core.  The strips are found on the
+same ints, and each strip boundary's sub-problem goes to
+``ssr.solve_fast`` as ``geom.StabColumns``, with no ``ssr.normalize``
+pass.  No ``HRay``/``VSeg`` and no ``Fraction`` is built between the LP
+and the selected ids; only the ``StripDecomposition`` of ``build_strips``
+and of ``poss_solve``'s details turns the int points into ``Fraction``s.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from . import ssr
 from .errors import (
@@ -128,32 +134,31 @@ class StripDecomposition:
 
 
 class _Strips(NamedTuple):
-    """A ``StripDecomposition`` on ints: ``points`` has int sentinels below
-    and above every abscissa, and ``picked`` holds the positions of the
-    candidates whose right ends are the hit points."""
+    """A ``StripDecomposition`` on the ints of the ``Seg``s it was built
+    from: ``points`` are the hit points, between two sentinels one unit
+    (the ``Seg``s' scale) outside every abscissa."""
 
     points: list[int]
-    picked: list[int]
     strips: list[set[int]]
     strip_of: dict[int, int]
     left: dict[int, frozenset[int]]
     right: dict[int, frozenset[int]]
 
 
-def _strips(cands: list[Seg], targets: list[Seg]) -> _Strips:
-    """The strips of horizontal candidates and vertical targets.  The
-    candidates meeting a target are those of the y-sorted run inside its y
-    extent, found by bisection, whose x extent holds its x."""
-    picked: list[int] = []
-    last_r: Optional[int] = None
-    for k in sorted(range(len(cands)), key=lambda k: (cands[k][3], cands[k][2], cands[k][0])):
-        if last_r is None or cands[k][2] > last_r:
-            picked.append(k)
-            last_r = cands[k][3]
+def _strips(cands: list[Seg], targets: list[Seg], scale: int) -> _Strips:
+    """The strips of horizontal candidates and vertical targets on the int
+    ``scale``.  The hit points are the right ends of a greedy disjoint
+    subfamily, by right end.  The candidates meeting a target are those of
+    the y-sorted run inside its y extent, found by bisection, whose x extent
+    holds its x."""
     xs = [c[2] for c in cands] + [c[3] for c in cands] + [t[1] for t in targets]
     if not xs:
-        return _Strips([], [], [], {}, {}, {})
-    points = [min(xs) - 1] + [cands[k][3] for k in picked] + [max(xs) + 1]
+        return _Strips([], [], {}, {}, {})
+    points = [min(xs) - scale]
+    for c in sorted(cands, key=lambda c: (c[3], c[2], c[0])):
+        if c[2] > points[-1]:
+            points.append(c[3])
+    points.append(max(xs) + scale)
     by_y = sorted(range(len(cands)), key=lambda k: cands[k][1])
     ys = [cands[k][1] for k in by_y]
     strips: list[set[int]] = [set() for _ in range(len(points) - 1)]
@@ -172,30 +177,26 @@ def _strips(cands: list[Seg], targets: list[Seg]) -> _Strips:
         a, b = points[i], points[i + 1]
         left[tid] = frozenset(c[0] for c in meets if c[2] <= a <= c[3])
         right[tid] = frozenset(c[0] for c in meets if c[2] <= b <= c[3])
-    return _Strips(points, picked, strips, strip_of, left, right)
+    return _Strips(points, strips, strip_of, left, right)
 
 
-def _decomposition(candidates: list[HSeg], targets: list[VSeg], st: _Strips) -> StripDecomposition:
-    """The ``StripDecomposition`` of the inputs' strips ``st``, with the
-    inputs' own values as points."""
-    if not st.points:
-        return StripDecomposition((), (), (), {}, {}, {})
-    coords = [c.x_lo for c in candidates] + [c.x_hi for c in candidates] + [t.x for t in targets]
-    interior = tuple(candidates[k].x_hi for k in st.picked)
+def _decomposition(st: _Strips, scale: int) -> StripDecomposition:
+    """The ``StripDecomposition`` of the strips ``st``, with their int
+    points on ``scale`` as ``Fraction``s."""
+    points = tuple(Fraction(p, scale) for p in st.points)
     return StripDecomposition(
-        (min(coords) - 1, *interior, max(coords) + 1), interior,
-        tuple(map(frozenset, st.strips)), st.strip_of, st.left, st.right,
+        points, points[1:-1], tuple(map(frozenset, st.strips)), st.strip_of, st.left, st.right,
     )
 
 
 def build_strips(candidates: list[HSeg], targets: list[VSeg]) -> StripDecomposition:
     """Greedy disjoint-subfamily hit points plus boundary membership.
 
-    The work runs on the inputs' ``Seg``s; the points are the inputs' own
-    values.
+    The work runs once on the inputs' ``Seg``s; the points are their ints
+    turned back into ``Fraction``s, equal to the inputs' own values.
     """
-    _, cands, tgts = int_segs(candidates, targets)
-    return _decomposition(candidates, targets, _strips(cands, tgts))
+    scale, cands, tgts = int_segs(candidates, targets)
+    return _decomposition(_strips(cands, tgts, scale), scale)
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,8 @@ def _solve_boundary_side(cands: list[Seg], targets: list[Seg], mirror: bool, sca
     up to x_hi, exactly a leftward ray's coverage); right boundaries are
     mirrored (x negated) so the relevant reach x_lo becomes a leftward
     reach again.  Of same-height rays only the farthest-reaching one can
-    matter.
+    matter.  Targets go to ``ssr.solve_fast`` in id order, which fixes the
+    infeasible segment it reports among equal abscissas.
     """
     best: dict[int, tuple[int, int, int]] = {}
     for cid, y, lo, hi in cands:
@@ -235,13 +237,14 @@ def _solve_boundary_side(cands: list[Seg], targets: list[Seg], mirror: bool, sca
         if cur is None or (reach, -cid) > (cur[2], -cur[0]):
             best[y] = (cid, y, reach)
     rays = sorted(best.values())
+    targets = sorted(targets)
     sign = -1 if mirror else 1
     columns = StabColumns(
         [r[0] for r in rays], [r[1] for r in rays], [r[2] for r in rays],
         [t[0] for t in targets], [sign * t[1] for t in targets],
         [t[2] for t in targets], [t[3] for t in targets], 0, scale, 0, scale,
     )
-    return ssr.solve_fast(ssr.normalize(ssr.SsrInstance.from_columns(columns)))
+    return ssr.solve_fast(ssr.SsrInstance.from_columns(columns))
 
 
 def _poss(cands: list[Seg], targets: list[Seg], st: _Strips, scale: int) -> RoundingResult:
@@ -288,7 +291,7 @@ def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool =
         raise InvalidInputError("duplicate candidate ids")
     if len({t[0] for t in tgts}) != len(tgts):
         raise InvalidInputError("duplicate target ids")
-    st = _strips(cands, tgts)
+    st = _strips(cands, tgts, scale)
     res = _poss(cands, tgts, st, scale)
     if not want_details:
         return res.certificate
@@ -297,7 +300,7 @@ def poss_solve(candidates: list[HSeg], targets: list[VSeg], want_details: bool =
         program=res.program,
         lp_solution=res.lp_solution,
         var_order=res.var_ids,
-        decomposition=_decomposition(candidates, targets, st),
+        decomposition=_decomposition(st, scale),
         left_rows=l_rows,
         right_rows=r_rows,
         left_vars=l_vars,
@@ -321,18 +324,18 @@ class PsdDetails:
     poss_certs: tuple[SolveCertificate, ...]
 
 
-def _int_view(inst: OrthoInstance) -> tuple[int, dict[int, Seg], frozenset[int]]:
-    """The scale, every segment's ``Seg`` by id and the horizontal ids."""
-    scale, h, v = int_segs(inst.hsegs, inst.vsegs)
+def _seg_view(h: list[Seg], v: list[Seg]) -> tuple[dict[int, Seg], frozenset[int]]:
+    """Every ``Seg`` of the horizontal ``h`` and vertical ``v`` by id, and
+    the horizontal ids."""
     seg = {s[0]: s for s in h}
     seg.update((s[0], s) for s in v)
-    return scale, seg, frozenset(s[0] for s in h)
+    return seg, frozenset(s[0] for s in h)
 
 
 def _cover_rows(seg, horiz, constraints, cand_order) -> list[tuple[frozenset[int], frozenset[int]]]:
     """(same, cross) ids of the candidates meeting each constraint, in
-    order (both empty when nothing meets it), from the ``Seg``s of
-    ``_int_view``.
+    order (both empty when nothing meets it), from ``_seg_view``'s
+    ``Seg`` by id and horizontal ids.
 
     Parallel segments meet only on a shared carrier line, so same-orientation
     candidates are bucketed by line; crossing candidates are sorted by line,
@@ -361,16 +364,17 @@ def _cover_rows(seg, horiz, constraints, cand_order) -> list[tuple[frozenset[int
 
 def _psd(
     scale: int,
-    seg: dict[int, Seg],
-    horiz: frozenset[int],
+    h: list[Seg],
+    v: list[Seg],
     constraint_ids: Iterable[int],
     candidate_ids: Iterable[int],
 ) -> tuple[RoundingResult, list[SolveCertificate]]:
-    """``psd_solve`` on an int view (``_int_view``'s scale, ``Seg`` by id
-    and horizontal ids) with the given role ids: the rounding result and the
-    cross label's poss certificates."""
-    _require_proper("h", (s[2:] + (s[0],) for s in seg.values() if s[0] in horiz))
-    _require_proper("v", (s[2:] + (s[0],) for s in seg.values() if s[0] not in horiz))
+    """``psd_solve`` on the horizontal and vertical ``Seg``s ``h`` and
+    ``v``, on the int ``scale`` and with distinct ids, for the given role
+    ids: the rounding result and the cross label's poss certificates."""
+    _require_proper("h", (s[2:] + (s[0],) for s in h))
+    _require_proper("v", (s[2:] + (s[0],) for s in v))
+    seg, horiz = _seg_view(h, v)
 
     constraints = sorted(constraint_ids)
     cand_order = sorted(candidate_ids)
@@ -391,11 +395,11 @@ def _psd(
         # vertical targets take horizontal candidates; then, after a quarter
         # turn of the plane, which keeps every Seg, horizontal targets take
         # vertical ones
-        for h in (False, True):
-            targets = [seg[u] for u in rows if (u in horiz) == h]
+        for turned in (False, True):
+            targets = [seg[u] for u in rows if (u in horiz) == turned]
             if targets:
-                pool = [seg[c] for c in cands if (c in horiz) != h]
-                cert = _poss(pool, targets, _strips(pool, targets), scale).certificate
+                pool = [seg[c] for c in cands if (c in horiz) != turned]
+                cert = _poss(pool, targets, _strips(pool, targets, scale), scale).certificate
                 poss_certs.append(cert)
                 selected |= cert.heuristic_ids
         return selected
@@ -405,8 +409,8 @@ def _psd(
 
 def psd_solve(inst: OrthoInstance, want_details: bool = False):
     """18-approximation for covering marked segments with marked segments
-    (``_psd`` on the instance's ``_int_view``)."""
-    res, poss_certs = _psd(*_int_view(inst), inst.constraint_ids, inst.candidate_ids)
+    (``_psd`` on the instance's ``Seg``s)."""
+    res, poss_certs = _psd(*int_segs(inst.hsegs, inst.vsegs), inst.constraint_ids, inst.candidate_ids)
     if not want_details:
         return res.certificate
     (s_rows, s_vars), (c_rows, c_vars) = res.part("same"), res.part("cross")

@@ -154,7 +154,11 @@ def _build_graph(ids: list[int], view):
 
 @dataclass(frozen=True)
 class StabbedLDetails:
-    """Intermediate pipeline state, exposed for end-to-end auditing."""
+    """Intermediate pipeline state, exposed for end-to-end auditing.
+
+    ``ssr_instance`` is the vertical label's sub-instance as
+    ``ssr.normalize`` returns it; the solve reads the raw one.
+    """
 
     program: CoverProgram
     lp_solution: CoverSolution
@@ -212,7 +216,7 @@ def solve_mds(inst: StabbedLInstance, want_details: bool = False):
         # lift above the corner so a path cannot satisfy its own row
         # through the shared corner point
         lift = _lift(y0, [vlen[pos[u]] for u in rows])
-        subs[label] = ssr.normalize(ssr.SsrInstance.from_columns(columns(cands, rows, 2, lift)))
+        subs[label] = ssr.SsrInstance.from_columns(columns(cands, rows, 2, lift))
         return ssr.solve_fast(subs[label])
 
     res = lp_round(pos, parts, HALF, solve_label, 8)
@@ -228,7 +232,7 @@ def solve_mds(inst: StabbedLInstance, want_details: bool = False):
         h_candidates=h_vars,
         v_candidates=v_vars,
         srs_instance=subs.get("h"),
-        ssr_instance=subs.get("v"),
+        ssr_instance=ssr.normalize(subs["v"]) if "v" in subs else None,
         srs_selected=res.selected.get("h", frozenset()),
         ssr_selected=res.selected.get("v", frozenset()),
     )

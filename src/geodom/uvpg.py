@@ -192,13 +192,8 @@ def solve_mds(paths: list[UnitKBendPath], k: int, want_details: bool = False):
         h, v = _label_segs(
             [legs_of[u] for u in row_ids], [legs_of[u] for u in cand_ids], *label
         )
-        stretched, h, v = _properize_segs(scale, h, v)
-        seg = {s[0]: s for s in h}
-        seg.update((s[0], s) for s in v)
         n = len(row_ids)
-        res, _ = _psd(
-            stretched, seg, frozenset(s[0] for s in h), range(n), range(n, n + len(cand_ids))
-        )
+        res, _ = _psd(*_properize_segs(scale, h, v), range(n), range(n, n + len(cand_ids)))
         cert = res.certificate
         picked = frozenset(cand_ids[rid - n] for rid in cert.heuristic_ids)
         labels[label] = LabelOutcome(

@@ -687,6 +687,23 @@ def test_bench_csv(tmp_path):
                     "-o", str(out1)]) == 3
 
 
+def test_bench_and_certify_reject_an_optimum_outside_the_certificate(tmp_path, capsys, monkeypatch):
+    """An oracle optimum above the heuristic size fails validation in both
+    ``bench`` and ``solve --certify``, and neither writes its output."""
+    inst = gen(tmp_path, "stabbed_l", "l.json", extra=["-n", "3"])
+    monkeypatch.setattr(cli, "_exact_opt", lambda f, cap: 10**6)
+    line = "error: exact optimum outside [lp_opt, heuristic_size]"
+    capsys.readouterr()
+    out = tmp_path / "b.csv"
+    assert run_cli(["bench", "--kind", "stabbed_l", "--max", "3", "--trials", "1", "-o", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+    sol = tmp_path / "l.sol.json"
+    assert run_cli(["solve", "--alg", "stabbed-l", "-i", str(inst), "-o", str(sol), "--certify"]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not sol.exists()
+
+
 @pytest.mark.parametrize("kind, sizes", [
     ("ssr", "n=2;m=2"), ("srs", "n=2;m=2"), ("stabbed_l", "n=2"),
     ("ortho_psd", "n=2;m=2"), ("unit_bk", "n=2;k=1"),

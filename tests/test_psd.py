@@ -16,7 +16,7 @@ from geodom.errors import (
     InvalidInputError,
     NotProperError,
 )
-from geodom import geom, instances, lp, psd, srs, ssr, stabbedl
+from geodom import geom, instances, lp, psd, srs, ssr, stabbedl, uvpg
 from helpers import (
     intervals_meet,
     reference_build_strips,
@@ -291,7 +291,7 @@ def _rows_as_reference(inst):
     row is empty."""
     constraints = sorted(inst.constraint_ids)
     cand_order = sorted(inst.candidate_ids)
-    _, seg, horiz = psd._int_view(inst)
+    seg, horiz = psd._seg_view(*geom.int_segs(inst.hsegs, inst.vsegs)[1:])
     index_of = {c: i for i, c in enumerate(cand_order)}
     rows = [
         (frozenset(index_of[c] for c in same), frozenset(index_of[c] for c in cross))
@@ -326,7 +326,7 @@ def test_cover_rows_match_all_pairs_scan_on_generated():
 def _same_label_inputs(inst):
     """Constraints with a non-empty same row, their same-line hits and the
     int high ends, as ``psd_solve``'s same label reads them from
-    ``psd._cover_rows`` (candidate ids) and ``psd._int_view``."""
+    ``psd._cover_rows`` (candidate ids) and ``psd._seg_view``."""
     table = segment_table(inst)
     horiz = {s.id for s in inst.hsegs}
     cand_order = sorted(inst.candidate_ids)
@@ -334,7 +334,7 @@ def _same_label_inputs(inst):
         u for u in sorted(inst.constraint_ids)
         if any((c in horiz) == (u in horiz) and intersects(table[u], table[c]) for c in cand_order)
     ]
-    _, seg, _ = psd._int_view(inst)
+    seg, _ = psd._seg_view(*geom.int_segs(inst.hsegs, inst.vsegs)[1:])
     rows = psd._cover_rows(seg, frozenset(horiz), targets, cand_order)
     return {u: sorted(same) for u, (same, _) in zip(targets, rows)}, {i: s[3] for i, s in seg.items()}
 
@@ -475,31 +475,43 @@ def test_build_strips_2000_under_1s():
 
 
 def test_label_sub_problems_build_no_geometry(monkeypatch):
-    """From the LP split to the ids ssr/srs return, psd and stabbedl build
-    no HRay/VSeg/HSeg and hand the engines unbuilt column instances."""
+    """From the LP split to the ids ssr/srs return, the pipelines build no
+    HRay/VSeg/HSeg and hand the engines unbuilt column instances, which
+    they solve without ``ssr.normalize``; only stabbedl's details call it."""
     ortho = [instances.generate("ortho_psd", {"n": 40, "m": 40}, s).data for s in range(4)]
     paths = [instances.generate("stabbed_l", {"n": 30}, s).data for s in range(4)]
+    unit = [instances.generate("unit_bk", {"n": 30, "k": 2}, s).data for s in range(2)]
+    rng = random.Random(477)
+    cands = proper_hsegs(rng, 40)
+    targets = anchored_targets(rng, cands, 40)
     built = []
     for cls in (geom.HRay, geom.VSeg, geom.HSeg):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: built.append(a) or _init(self, *a, **k))
     fed = []
 
-    def watch(fn):
+    def watch(name, fn):
         def run(inst, *args):
-            fed.append(inst)
+            fed.append((name, inst))
             out = fn(inst, *args)
             assert "rays" not in vars(inst) and "segments" not in vars(inst)
             return out
         return run
 
     for mod, name in ((ssr, "normalize"), (ssr, "solve_fast"), (srs, "solve")):
-        monkeypatch.setattr(mod, name, watch(getattr(mod, name)))
+        monkeypatch.setattr(mod, name, watch(name, getattr(mod, name)))
     for inst in ortho:
         psd.psd_solve(inst)
     for inst in paths:
         stabbedl.solve_mds(inst)
+    for inst in unit:
+        uvpg.solve_mds(list(inst.paths), inst.k)
+    psd.poss_solve(cands, targets)
     assert built == []
-    assert len(fed) > 20 and all("_columns" in vars(inst) for inst in fed)
+    assert len(fed) > 20 and all("_columns" in vars(inst) for _, inst in fed)
+    assert [name for name, _ in fed].count("normalize") == 0
+    stabbedl.solve_mds(paths[0], want_details=True)
+    assert [name for name, _ in fed].count("normalize") >= 1
+    assert built == []
     geom.HRay(0, F(0), F(0))
     assert built  # the counting patch is live

@@ -12,15 +12,13 @@ Both run on one int view of their segments, made once per call: a
 the segment's carrier line (the y of a horizontal segment, the x of a
 vertical one) and its extent along it.  ``psd_solve`` is ``_psd`` on its
 instance's ``geom.int_segs``; ``uvpg`` hands ``_psd`` the stretched
-``Seg``s of each label directly.  ``_seg_view`` indexes the ``Seg``s by id
-for the cover rows, here and in ``oracle``.  A quarter turn of the plane
-keeps every ``Seg``, so the cross label covers horizontal targets with
-vertical candidates through the same core.  The strips are found on the
-same ints, and each strip boundary's sub-problem goes to
-``ssr.solve_fast`` as ``geom.StabColumns``, with no ``ssr.normalize``
-pass.  No ``HRay``/``VSeg`` and no ``Fraction`` is built between the LP
-and the selected ids; only the ``StripDecomposition`` of ``build_strips``
-and of ``poss_solve``'s details turns the int points into ``Fraction``s.
+``Seg``s of each label directly, and ``_seg_view`` indexes them by id.  A
+quarter turn of the plane keeps every ``Seg``, so the cross label covers
+horizontal targets with vertical candidates through the same core.  The
+strips are found on the same ints, and each strip boundary's sub-problem
+goes to ``ssr.solve_fast`` as ``geom.StabColumns``, without
+``ssr.normalize``.  No ``HRay``/``VSeg`` and no ``Fraction`` is built
+between the LP and the selected ids.
 """
 from __future__ import annotations
 

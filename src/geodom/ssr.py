@@ -14,9 +14,8 @@ the columns of a ``from_columns`` instance directly (every step compares
 within one axis, so any shift and scale will do).  ``solve_fast`` picks
 the same rays with or without ``normalize``, so the pipelines' per-label
 sub-problems (psd's strip boundaries, stabbedl's vertical label) go to it
-raw: built as columns, segments in id order so that an infeasible one is
-reported as ``normalize`` would, and solved with no coordinate and no
-second instance built.
+raw, as columns with segments in id order: solving them builds no
+coordinates and no second instance.
 
 The fast path works on flat int lists indexed by ray rank (rays in y
 order) or by segment index, held in a ``_Compressed``: ray ids and reach

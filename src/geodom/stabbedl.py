@@ -154,11 +154,9 @@ def _build_graph(ids: list[int], view):
 
 @dataclass(frozen=True)
 class StabbedLDetails:
-    """Intermediate pipeline state, exposed for end-to-end auditing.
-
-    ``ssr_instance`` is the vertical label's sub-instance as
-    ``ssr.normalize`` returns it; the solve reads the raw one.
-    """
+    """Intermediate pipeline state, exposed for end-to-end auditing;
+    ``ssr_instance`` is the vertical label's sub-instance after
+    ``ssr.normalize`` (the solve reads it raw)."""
 
     program: CoverProgram
     lp_solution: CoverSolution

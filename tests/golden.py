@@ -19,7 +19,11 @@ five kinds with one fault each (a deleted field or key, a bad rational,
 id or legs, sparse or duplicate ids, an inverted span, a zero-length L
 leg, an unknown kind or role id, invalid JSON, a top level that is not an
 object), the file and the (error type, message) ``instances.loads``
-raised.  Sets and dict keys are sorted before printing, so a hash moves only when some value does, never
+raised; and a ``normalize`` slice: outputs (read after the solve) or
+``InfeasibleSegmentError`` ids of instances with sparse ids out of input
+order, shared abscissas, negative and coprime-denominator coordinates,
+also as shifted ``from_columns`` instances and normalized twice.  Sets
+and dict keys are sorted before printing, so a hash moves only when some value does, never
 with the iteration order of a set.  Regenerating the file is a behaviour
 change: list every changed case with the reason.
 """
@@ -42,7 +46,7 @@ GOLDEN = HERE / "golden.json"
 if __name__ == "__main__":
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from geodom import cli, instances, lp, psd, srs, ssr, stabbedl, uvpg  # noqa: E402
+from geodom import cli, geom, instances, lp, psd, srs, ssr, stabbedl, uvpg  # noqa: E402
 from geodom.errors import GeodomError, InfeasibleError, InfeasibleSegmentError, InvalidInputError  # noqa: E402
 from geodom.geom import HRay, OrthoInstance, VSeg  # noqa: E402
 
@@ -122,6 +126,7 @@ def cases():
     yield from pipeline_cases()
     yield from trace_cases()
     yield from codec_cases()
+    yield from normalize_cases()
 
 
 def _error(exc: GeodomError):
@@ -375,6 +380,79 @@ def codec_cases():
                 f = instances.InstanceFile(kind, _with_roles(rng, f.data))
             text = _fault(rng, kind, json.loads(instances.dumps(f)))
             yield f"codec/loads/{kind}/{i}", (text, _loads_outcome(text))
+
+
+_DENS = (1, 2, 3, 7, 11, 13, 97, 9973, 99991)  # pairwise coprime after 1
+
+
+def _rat(rng: random.Random, span: int) -> Fraction:
+    """A signed rational with one of a few pairwise coprime denominators."""
+    den = rng.choice(_DENS)
+    return Fraction(rng.randint(-span * den, span * den), den)
+
+
+def _normalize_instance(rng: random.Random, n: int, m: int) -> ssr.SsrInstance:
+    """Rays and segments with sparse ids shuffled against input order, a
+    few shared segment abscissas (some equal to a reach), segments near
+    ray heights; some segments meet no ray and some heights repeat."""
+    span = rng.choice([3, 20, 10**6])
+    ys = [_rat(rng, span) for _ in range(n)]
+    if n > 1 and rng.random() < 0.1:
+        ys[-1] = ys[0]  # repeated height: invalid input
+    reaches = [_rat(rng, span) for _ in range(max(1, n // 2))]
+    abscissas = [
+        rng.choice(reaches) - rng.choice([0, 0, Fraction(1, 7), abs(_rat(rng, span))]) if rng.random() < 0.8
+        else _rat(rng, span)
+        for _ in range(rng.randint(1, 4))
+    ]
+    ray_ids = rng.sample(range(3 * n + 3), n)
+    rays = tuple(HRay(i, y, rng.choice(reaches)) for i, y in zip(ray_ids, ys))
+    seg_ids = rng.sample(range(3 * m + 3), m)
+    segs = []
+    for i in seg_ids:
+        mid = rng.choice(ys) if ys and rng.random() < 0.9 else _rat(rng, span)
+        lo = mid - rng.choice([0, Fraction(1, 3), _rat(rng, 2) ** 2])
+        hi = mid + rng.choice([0, Fraction(1, 2), _rat(rng, 2) ** 2])
+        segs.append(VSeg(i, rng.choice(abscissas), lo, hi))
+    return ssr.SsrInstance(rays, tuple(segs))
+
+
+def _columns_twin(rng: random.Random, inst: ssr.SsrInstance) -> ssr.SsrInstance:
+    """``inst`` as a ``from_columns`` instance on k times its scales,
+    shifted, so every int differs from ``int_coords``' own."""
+    c = geom.int_coords(inst.rays, inst.segments)
+    k, ty, tx = rng.randint(2, 5), rng.randint(-50, 50), rng.randint(-50, 50)
+    return ssr.SsrInstance.from_columns(c._replace(
+        ray_y=[k * v - ty for v in c.ray_y], reach=[k * v - tx for v in c.reach],
+        seg_x=[k * v - tx for v in c.seg_x], seg_lo=[k * v - ty for v in c.seg_lo],
+        seg_hi=[k * v - ty for v in c.seg_hi], y_shift=ty, y_scale=k * c.y_scale,
+        x_shift=tx, x_scale=k * c.x_scale,
+    ))
+
+
+def _normalized_cases(name: str, inst):
+    """``normalize``'s output read after the solve, then normalized again,
+    or the error it raised."""
+    norm = _outcome(ssr.normalize, inst)
+    if isinstance(norm, tuple):
+        yield f"{name}/normalize", norm
+        return
+    yield f"{name}/solve_fast", sorted(ssr.solve_fast(norm))
+    twice = ssr.normalize(norm)  # reads the columns of an unread instance
+    yield f"{name}/normalize", norm
+    yield f"{name}/normalize_twice", twice
+
+
+def normalize_cases():
+    """(name, output) for ``ssr.normalize`` on instances whose ids are
+    out of input order, with shared abscissas, negative coordinates and
+    coprime denominators, raw and as shifted column instances."""
+    rng = random.Random(9191)
+    for i in range(400):
+        size = 200 if i % 40 == 39 else 12
+        inst = _normalize_instance(rng, rng.randint(0, size), rng.randint(0, size))
+        yield from _normalized_cases(f"normalize/{i}", inst)
+        yield from _normalized_cases(f"normalize/{i}/columns", _columns_twin(rng, inst))
 
 
 def digest(value) -> str:

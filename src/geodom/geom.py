@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -191,7 +192,9 @@ def scaled(*families: Sequence[Rat]) -> tuple[int, list[list[int]]]:
 class StabColumns(NamedTuple):
     """Rays and vertical segments as int columns, in instance order; an int
     ``v`` on the y (x) axis stands for ``(v + y_shift) / y_scale``
-    (``(v + x_shift) / x_scale``)."""
+    (``(v + x_shift) / x_scale``).  With ``split_x`` set, the segments are
+    in id order and stand for ``split_shared_x`` of the columns: those
+    sharing an abscissa are still on it, and reading them moves them apart."""
 
     ray_id: list[int]
     ray_y: list[int]
@@ -204,6 +207,37 @@ class StabColumns(NamedTuple):
     y_scale: int
     x_shift: int
     x_scale: int
+    split_x: bool = False
+
+
+def split_shared_x(c: StabColumns) -> StabColumns:
+    """``c`` with the segments that share an abscissa moved apart, the
+    first in list order staying put and each later one moving left by one
+    more eps, with eps smaller than a quarter of the least positive
+    difference among segment xs and positive (segment x - ray reach) gaps.
+    So the ray/segment intersection matrix and the order of distinct
+    abscissas are unchanged.  Every x is an int on the scale ``x_scale * den``."""
+    seg_xs = sorted(set(c.seg_x))
+    gaps = [b - a for a, b in zip(seg_xs, seg_xs[1:])]
+    reaches = sorted(set(c.reach))
+    for x in seg_xs:
+        # closest ray reach strictly left of this abscissa
+        j = bisect_left(reaches, x) - 1
+        if j >= 0:
+            gaps.append(x - reaches[j])
+    # eps = min(d, 1) / den in x units, i.e. step / (x_scale * den) after scaling
+    step = min(min(gaps), c.x_scale) if gaps else c.x_scale
+    den = 4 * (len(c.seg_id) + 1)
+    taken: dict[int, int] = {}
+    seg_x = []
+    for x in c.seg_x:
+        shift = taken.get(x, 0)
+        taken[x] = shift + 1
+        seg_x.append(x * den - shift * step)
+    return c._replace(
+        reach=[x * den for x in c.reach], seg_x=seg_x, x_shift=c.x_shift * den,
+        x_scale=c.x_scale * den, split_x=False,
+    )
 
 
 def int_coords(rays: Sequence[HRay], segs: Sequence[VSeg]) -> StabColumns:
@@ -221,6 +255,8 @@ def int_coords(rays: Sequence[HRay], segs: Sequence[VSeg]) -> StabColumns:
 def materialize(c: StabColumns) -> tuple[tuple[HRay, ...], tuple[VSeg, ...]]:
     """The rays and segments ``c`` stands for; one Fraction per distinct
     int of each axis."""
+    if c.split_x:
+        c = split_shared_x(c)
     yf = {y: Fraction(y + c.y_shift, c.y_scale) for y in {*c.ray_y, *c.seg_lo, *c.seg_hi}}
     xf = {x: Fraction(x + c.x_shift, c.x_scale) for x in {*c.reach, *c.seg_x}}
     return (
@@ -240,7 +276,9 @@ class StabInstance:
     An instance made by ``from_columns`` holds ``StabColumns`` instead of
     its two fields and builds both on the first read of either; ``==``,
     ``hash``, ``repr``, ``dataclasses.replace`` read the fields, so they see
-    the built values.  Copies and pickles carry the columns as they stand.
+    the built values.  A pending ``split_x`` runs on the first read of the
+    fields or of ``_int_columns``.  Copies and pickles carry the columns as
+    they stand.
     """
 
     rays: tuple[HRay, ...]
@@ -265,10 +303,18 @@ class StabInstance:
 
     def _int_columns(self) -> StabColumns:
         """The columns of a ``from_columns`` instance whose fields are not
-        built yet, else ``int_coords`` of the fields; reading them builds
-        nothing."""
+        built yet, with any pending split done (and kept), else
+        ``int_coords`` of the fields; reading them builds no field."""
         columns = self.__dict__.get("_columns")
-        return int_coords(self.rays, self.segments) if columns is None else columns
+        if columns is None:
+            return int_coords(self.rays, self.segments)
+        if columns.split_x:
+            split = split_shared_x(columns)
+            # unless a concurrent first read of the fields dropped them meanwhile
+            if self.__dict__.get("_columns") is columns:
+                object.__setattr__(self, "_columns", split)
+            return split
+        return columns
 
     def __getattr__(self, name: str):
         # reached only when normal lookup fails; copy and pickle probe other

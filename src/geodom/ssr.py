@@ -6,9 +6,10 @@ structure literally (and can record a token trace for property checks),
 event-driven sweep.
 
 ``normalize`` works on each axis scaled to ints and returns an instance
-that keeps those int columns: its ``Fraction`` coordinates and
-``HRay``/``VSeg`` objects are built only when someone reads ``rays`` or
-``segments``, so ``solve_fast(normalize(inst))`` builds none of them.
+that keeps those int columns: its shared-abscissa split, its ``Fraction``
+coordinates and its ``HRay``/``VSeg`` objects are built only when someone
+reads ``rays``, ``segments`` or the columns, so
+``solve_fast(normalize(inst))`` builds none of them.
 Sub-instances travel the same way: ``normalize`` and ``solve_fast`` read
 the columns of a ``from_columns`` instance directly (every step compares
 within one axis, so any shift and scale will do).  ``solve_fast`` picks
@@ -18,11 +19,12 @@ raw, as columns with segments in id order: solving them builds no
 coordinates and no second instance.
 
 The fast path works on flat int lists indexed by ray rank (rays in y
-order) or by segment index, held in a ``_Compressed``: ray ids and reach
-ranks per rank, x rank and rank span per segment, and the rays that alone
-stab some segment at the start, found by sparse-table range maxima.
-``normalize`` builds these from its int columns and hands them to the
-first ``solve_fast`` on the instance it returns.  The sweep keeps its live
+order) or by segment index, held in a ``_Compressed``: ray ids and
+reaches per rank, abscissa and rank span per segment, and the rays that
+alone stab some segment at the start, found by sparse-table range maxima.
+Abscissas and reaches stay the columns' ints, unranked.  ``normalize``
+builds these from its unsplit int columns and hands them to the first
+``solve_fast`` on the instance it returns.  The sweep keeps its live
 ranks in a ``geom.LiveRanks`` (linked neighbours plus a "next live rank"
 union-find), its windows in per-rank linked lists and its active segments
 in a lazy-deletion ``geom.IntervalStore``.
@@ -31,6 +33,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from operator import eq
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
@@ -80,16 +85,16 @@ class _Compressed(NamedTuple):
     """Flat rank space of an instance for the fast engine.
 
     Rays are numbered 0..n-1 by increasing y (their "ranks"); abscissas,
-    ray reaches and segment xs together, are numbered by their place among
-    the distinct values ("x ranks").  Every sweep comparison is then int on
-    int with all ties kept.  Segment lists follow the instance's order; a
-    segment whose y-range holds no ray height has ``seg_lo > seg_hi``.
+    ray reaches and segment xs, stay the instance's ints, so every sweep
+    comparison is int on int with all ties kept.  Segment lists follow the
+    instance's order; a segment whose y-range holds no ray height has
+    ``seg_lo > seg_hi``.
     """
 
     ray_id: list[int]  # rank -> ray id
-    reach: list[int]  # rank -> x rank of the ray's reach
+    reach: list[int]  # rank -> the ray's reach
     seg_id: list[int]
-    seg_x: list[int]  # segment -> x rank
+    seg_x: list[int]
     seg_lo: list[int]  # segment -> least rank with y >= y_lo
     seg_hi: list[int]  # segment -> greatest rank with y <= y_hi
     unique: list[int]  # per segment with one stabber, its rank (may repeat)
@@ -109,6 +114,7 @@ def _initial_unique_stabbers(
     Raises for the first stabberless segment in (decreasing x, input order).
     """
     n = len(reach)
+    none = min(seg_x, default=0) * n - 1  # below every key a segment accepts
     widest = max([b - a + 1 for a, b in zip(seg_lo, seg_hi)], default=0)
     levels = [[r * n + k for k, r in enumerate(reach)]]
     while 2 ** len(levels) <= widest:
@@ -117,7 +123,7 @@ def _initial_unique_stabbers(
 
     def span_max(a: int, b: int) -> int:
         if a > b:
-            return -1
+            return none
         k = (b - a + 1).bit_length() - 1
         row = levels[k]
         s, t = row[a], row[b + 1 - (1 << k)]
@@ -126,8 +132,14 @@ def _initial_unique_stabbers(
     out = []
     missing = []  # segments with no stabber
     for j, (x, a, b) in enumerate(zip(seg_x, seg_lo, seg_hi)):
-        top = span_max(a, b)
         floor = x * n  # keys below it have reach < x
+        if a > b:
+            missing.append(j)
+            continue
+        row = levels[(b - a + 1).bit_length() - 1]
+        top, t = row[a], row[b + 1 - (1 << ((b - a + 1).bit_length() - 1))]
+        if t > top:
+            top = t
         if top < floor:
             missing.append(j)
         else:
@@ -141,90 +153,62 @@ def _initial_unique_stabbers(
 
 
 def _compress(c: StabColumns) -> _Compressed:
-    """Rank space of int columns.  Ranks depend only on each axis's order
-    and ties, so shifts and scales are ignored (and x values may be any
-    keys with the abscissas' order and ties).  Raises on repeated ray
-    heights or a segment with no stabber."""
-    ray_id, ray_y, reach = c.ray_id, c.ray_y, c.reach
-    n = len(ray_y)
-    if len(set(ray_y)) != n:
-        raise InvalidInputError("rays must have pairwise distinct y")
-    order = sorted(range(n), key=ray_y.__getitem__)
+    """Rank space of int columns.  Ranks depend only on the y order, and
+    every x comparison is within the x axis, so shifts and scales are
+    ignored (and x values may be any keys with the abscissas' order and
+    ties).  Raises on repeated ray heights or a segment with no stabber."""
+    ray_y, reach = c.ray_y, c.reach
+    order = sorted(range(len(ray_y)), key=ray_y.__getitem__)
     ys = [ray_y[i] for i in order]
-    x_rank = {x: k for k, x in enumerate(sorted({*reach, *c.seg_x}))}
-    reach = [x_rank[reach[i]] for i in order]
-    seg_x = [x_rank[x] for x in c.seg_x]
-    seg_lo = [bisect_left(ys, a) for a in c.seg_lo]
-    seg_hi = [bisect_right(ys, b) - 1 for b in c.seg_hi]
-    unique = _initial_unique_stabbers(reach, c.seg_id, seg_x, seg_lo, seg_hi)
-    return _Compressed([ray_id[i] for i in order], reach, c.seg_id, seg_x, seg_lo, seg_hi, unique)
+    if any(map(eq, ys, islice(ys, 1, None))):  # equal heights sort side by side
+        raise InvalidInputError("rays must have pairwise distinct y")
+    reach = [reach[i] for i in order]
+    seg_lo = list(map(partial(bisect_left, ys), c.seg_lo))
+    seg_hi = [k - 1 for k in map(partial(bisect_right, ys), c.seg_hi)]
+    unique = _initial_unique_stabbers(reach, c.seg_id, c.seg_x, seg_lo, seg_hi)
+    return _Compressed([c.ray_id[i] for i in order], reach, c.seg_id, c.seg_x, seg_lo, seg_hi, unique)
 
 
 def normalize(inst: SsrInstance) -> SsrInstance:
     """Translate into the first quadrant, split shared segment abscissas,
     and verify feasibility.
 
-    Shifts move segments leftward by multiples of an eps smaller than a
-    quarter of the least positive difference among segment x values and
-    positive (segment x - ray reach) gaps, so the ray/segment intersection
-    matrix is unchanged and formerly equal abscissas become distinct.
-    All arithmetic runs on each axis scaled to ints: a ``from_columns``
-    instance's own columns, whatever their shift and scale (the output is
-    translated afresh), or else ``int_coords`` of its fields.
+    The split (``geom.split_shared_x``) lists the segments in id order and
+    moves those that share an abscissa leftward by multiples of an eps
+    small enough that the ray/segment intersection matrix is unchanged and
+    formerly equal abscissas become distinct.  All arithmetic runs on each
+    axis scaled to ints: a ``from_columns`` instance's own columns,
+    whatever their shift and scale (the output is translated afresh), or
+    else ``int_coords`` of its fields.
 
-    The returned instance keeps those ints (``geom.StabColumns``) and builds
-    its ``rays`` and ``segments`` on their first read, with each distinct
-    output coordinate as one Fraction of two ints; a caller that only
-    solves never pays for them.  The feasibility check builds the output's
-    rank space from the same ints (translation keeps every order), and the
-    instance carries it too: the first ``solve_fast`` on it takes it off
-    instead of building it again.  Neither is a field, so neither changes
-    ``==``, hash or repr.
+    The returned instance keeps those ints (``geom.StabColumns``), with the
+    segments in id order when some share an abscissa and the split left
+    pending (``split_x``).  The split and the output's ``rays`` and
+    ``segments`` are built on the first read of the fields, ``==``, hash,
+    repr or ``_int_columns``, with each distinct output coordinate as one
+    Fraction of two ints; a caller that only solves never pays for them.
+    The feasibility check builds the rank space of the unsplit ints, which
+    has the same intersection matrix and abscissa order, ties apart, and
+    puts tied segments in id order as the split does; the instance carries
+    it, and the first ``solve_fast`` on it takes it off instead of building
+    it again.  It is not a field, so it does not change ``==``, hash or
+    repr.
     """
     c = inst._int_columns()
     if not c.ray_id and not c.seg_id:
         return inst
-    ly, lx, seg_ids = c.y_scale, c.x_scale, c.seg_id
-
     # translate so the least x and the least y both become 1
-    tx = lx - min(c.seg_x + c.reach)
-    ty = ly - min(c.ray_y + c.seg_lo)
-
-    seg_lo, seg_hi = c.seg_lo, c.seg_hi
-    if len(set(c.seg_x)) == len(seg_ids):
-        reach, seg_x, x_scale, x_shift = c.reach, c.seg_x, lx, tx
-    else:
-        seg_xs = sorted(set(c.seg_x))
-        gaps = [b - a for a, b in zip(seg_xs, seg_xs[1:])]
-        reaches = sorted(set(c.reach))
-        for x in seg_xs:
-            # closest ray reach strictly left of this abscissa
-            j = bisect_left(reaches, x) - 1
-            if j >= 0:
-                gaps.append(x - reaches[j])
-        # eps = min(d, 1) / den in x units, i.e. step / (lx * den) after scaling
-        step = min(min(gaps), lx) if gaps else lx
-        den = 4 * (len(seg_ids) + 1)
-        # segments, now listed in id order, that share an abscissa move left
-        # by 0, eps, 2 eps, ...; every abscissa is an int on the scale lx * den
-        by_id = sorted(range(len(seg_ids)), key=seg_ids.__getitem__)
-        seg_ids = [seg_ids[k] for k in by_id]
-        seg_lo = [seg_lo[k] for k in by_id]
-        seg_hi = [seg_hi[k] for k in by_id]
-        taken: dict[int, int] = {}
-        seg_x = []
-        for k in by_id:
-            x = c.seg_x[k]
-            shift = taken.get(x, 0)
-            taken[x] = shift + 1
-            seg_x.append(x * den - shift * step)
-        reach = [x * den for x in c.reach]
-        x_scale, x_shift = lx * den, tx * den
-
     columns = c._replace(
-        reach=reach, seg_id=seg_ids, seg_x=seg_x, seg_lo=seg_lo, seg_hi=seg_hi,
-        y_shift=ty, x_shift=x_shift, x_scale=x_scale,
+        y_shift=c.y_scale - min(c.ray_y + c.seg_lo), x_shift=c.x_scale - min(c.seg_x + c.reach)
     )
+    seg_ids = c.seg_id
+    if len(set(c.seg_x)) != len(seg_ids):
+        by_id = sorted(range(len(seg_ids)), key=seg_ids.__getitem__)
+        columns = columns._replace(
+            seg_id=[seg_ids[k] for k in by_id], seg_x=[c.seg_x[k] for k in by_id],
+            seg_lo=[c.seg_lo[k] for k in by_id], seg_hi=[c.seg_hi[k] for k in by_id],
+            split_x=True,
+        )
     # raises on repeated ray heights or an unstabbable segment
     comp = _compress(columns)
     out = SsrInstance.from_columns(columns)
@@ -334,12 +318,13 @@ def solve(inst: SsrInstance):
 
 
 class _MaxTree:
-    """Range-max over ray ranks of the reach rank of already-selected rays;
-    -1 where no ray is selected."""
+    """Range-max over ray ranks of the reach of already-selected rays;
+    ``none`` where no ray is selected."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, none: int):
         self.n = n
-        self.val = [-1] * (2 * n)
+        self.none = none
+        self.val = [none] * (2 * n)
 
     def update(self, i: int, x: int) -> None:
         # values only grow, so an ancestor already >= x stops the climb
@@ -351,7 +336,7 @@ class _MaxTree:
 
     def range_max(self, lo: int, hi: int) -> int:
         val = self.val
-        best = -1
+        best = self.none
         lo += self.n
         hi += self.n + 1
         while lo < hi:
@@ -385,10 +370,11 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     skipped when their rank retires.
 
     The rank space comes from ``normalize`` when ``inst`` is the instance it
-    returned and this is the first call on it; otherwise it is built here,
-    from the columns of a ``from_columns`` instance or from ``int_coords``.
-    Neither way reads ``inst.rays`` or ``inst.segments`` of a columns
-    instance, so its coordinates stay unbuilt.
+    returned and this is the first call on it, with the shared-abscissa
+    split still pending; otherwise it is built here, from the columns of a
+    ``from_columns`` instance or from ``int_coords``.  Neither way reads
+    ``inst.rays`` or ``inst.segments`` of a columns instance, so its
+    coordinates stay unbuilt.
     """
     comp = inst.__dict__.pop("_sweep_data", None)
     if comp is None:
@@ -399,15 +385,16 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     ray_id, reach, seg_id, seg_x, seg_lo, seg_hi, unique = comp
     n, m = len(ray_id), len(seg_id)
 
-    # stable sorts: by (reach, id) and by (x, id)
+    # stable sorts: by (reach, id); by x, as segments sharing an abscissa
+    # activate in one step, in any order
     by_choice = sorted(sorted(range(n), key=ray_id.__getitem__), key=reach.__getitem__)
-    by_x = sorted(sorted(range(m), key=seg_id.__getitem__), key=seg_x.__getitem__)
+    by_x = sorted(range(m), key=seg_x.__getitem__)
 
     live = LiveRanks(n)
     prev, nxt, find = live.prev, live.next, live.find
     dead = [False] * n
     selected: set[int] = set()
-    cover = _MaxTree(n)
+    cover = _MaxTree(n, min(seg_x) - 1)
     store = IntervalStore(n)
     cur_lo = [-1] * m  # -1 once the segment is covered
     cur_hi = [-1] * m

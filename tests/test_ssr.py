@@ -502,6 +502,65 @@ def test_normalize_hands_over_rank_space_once():
     assert first == ssr.solve(norm)[0]
 
 
+def _counting_split(monkeypatch) -> list:
+    """Patch ``geom.split_shared_x`` to log each call; returns the log."""
+    calls = []
+    real = geom.split_shared_x
+
+    def counted(c):
+        calls.append(len(c.seg_id))
+        return real(c)
+
+    monkeypatch.setattr(geom, "split_shared_x", counted)
+    return calls
+
+
+SHARED_X = instances.generate("ssr", {"n": 12, "m": 12}, seed=8787).data
+
+
+def test_solve_after_normalize_splits_nothing_and_ranks_no_abscissa(monkeypatch):
+    """The hand-over holds the columns' own ints, and solving reads no
+    field and runs no split."""
+    calls = _counting_split(monkeypatch)
+    for inst in (SHARED_X, _big_ssr(random.Random(8484), 100, 100)):
+        norm = ssr.normalize(inst)
+        cols, comp = vars(norm)["_columns"], vars(norm)["_sweep_data"]
+        xs = [v.x for v in inst.segments]
+        assert cols.split_x == (len(set(xs)) < len(xs))
+        # no x-rank table: the rank space keeps the abscissas as they are
+        assert comp.seg_x is cols.seg_x and sorted(comp.reach) == sorted(cols.reach)
+        if cols.split_x:
+            assert cols.seg_id == sorted(cols.seg_id)
+        assert ssr.solve_fast(norm) == reference_ssr_solve_fast(inst)
+        assert "rays" not in vars(norm) and "segments" not in vars(norm)
+    assert calls == []
+
+
+@pytest.mark.parametrize("first", ["rays", "segments", "eq", "hash", "repr", "columns"])
+def test_first_read_runs_the_split_once(monkeypatch, first):
+    calls = _counting_split(monkeypatch)
+    want = reference_ssr_normalize(SHARED_X)
+    norm = ssr.normalize(SHARED_X)
+    ssr.solve_fast(norm)
+    assert calls == []
+    reads = {
+        "rays": lambda: norm.rays,
+        "segments": lambda: norm.segments,
+        "eq": lambda: norm == want,
+        "hash": lambda: hash(norm),
+        "repr": lambda: repr(norm),
+        "columns": norm._int_columns,
+    }
+    reads[first]()
+    assert calls == [len(SHARED_X.segments)]
+    for read in reads.values():
+        read()
+    assert ssr.solve_fast(norm) == ssr.solve_fast(want)
+    assert calls == [len(SHARED_X.segments)]
+    assert norm == want and repr(norm) == repr(want) and hash(norm) == hash(want)
+    assert geom.materialize(norm._int_columns()) == (want.rays, want.segments)
+
+
 def test_normalize_plus_solve_fast_5e4_under_5s():
     inst = _big_ssr(random.Random(8585), 50_000, 50_000)
     t0 = time.perf_counter()
@@ -589,5 +648,44 @@ def test_concurrent_first_reads_agree():
             assert not errors
             assert got == [(expected.segments, expected.rays)] * len(threads)
             assert norm == expected
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_concurrent_split_reads_agree():
+    """Threads racing on the first reads of a normalized instance whose
+    split is pending, half through the fields and half through
+    ``_int_columns``, all see the split coordinates."""
+    expected = reference_ssr_normalize(SHARED_X)
+    want_cols = geom.int_coords(expected.rays, expected.segments)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            norm = ssr.normalize(SHARED_X)
+            got, errors = [], []
+
+            def read(k):
+                try:
+                    if k % 2:
+                        got.append((norm.rays, norm.segments))
+                    else:
+                        c = norm._int_columns()
+                        got.append(geom.materialize(c))
+                        assert not c.split_x
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert got == [(expected.rays, expected.segments)] * len(threads)
+            assert norm == expected
+            c = norm._int_columns()
+            assert geom.int_coords(*geom.materialize(c)) == want_cols
     finally:
         sys.setswitchinterval(old)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 from typing import Callable, Iterable, Optional
 
@@ -153,10 +154,12 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     updates it like any other row.  A column -> rows index limits the ratio
     test and the elimination to the rows that have a nonzero in the
     entering column.  The pivots are Bland's: the entering column is the
-    least one with a negative reduced cost, the leaving row minimizes
-    (rhs_r / a_r, basis[r]), and since the row denominator cancels in that
-    ratio, rows compare by one int cross-multiplication.  Row z never
-    leaves, because its entry in the entering column is negative.
+    least one with a negative reduced cost (the top of a heap whose entries
+    are dropped once their column's cost is no longer negative), and the
+    leaving row minimizes (rhs_r / a_r, basis[r]); since the row
+    denominator cancels in that ratio, rows compare by one int
+    cross-multiplication.  Row z never leaves, because its entry in the
+    entering column is negative.
 
     The objective and the dual witness are read off row z: y_i is the final
     reduced cost of surplus column s_i.  Both are checked against the values
@@ -191,11 +194,17 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     tableau.append({w0 + j: -1 for j in range(n)})
     rhs.append(-n)
     den = [1] * (z + 1)
-    # the columns with a negative reduced cost; none of them is basic
+    # the columns with a negative reduced cost, none of them basic, and a
+    # heap over them that may also hold columns that have left the set
     negative = set(tableau[z])
+    heap = sorted(negative)
 
-    while negative:
-        entering = min(negative)
+    while True:
+        while heap and heap[0] not in negative:
+            heappop(heap)
+        if not heap:
+            break
+        entering = heap[0]
         # ratio test, Bland tie-break on the leaving basic variable's id
         leave = -1
         best_rhs = best_a = 0
@@ -213,7 +222,7 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
         piv_row = tableau[leave]
         piv = piv_row[entering]
         piv_rhs = rhs[leave]
-        g = gcd(piv, piv_rhs, *piv_row.values())
+        g = gcd(piv, piv_rhs, *piv_row.values()) if piv != 1 else 1
         if g != 1:
             piv //= g
             piv_rhs //= g
@@ -263,7 +272,9 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
         negative.discard(entering)
         for c, _ in others:
             if cost.get(c, 0) < 0:
-                negative.add(c)
+                if c not in negative:
+                    negative.add(c)
+                    heappush(heap, c)
             else:
                 negative.discard(c)
 

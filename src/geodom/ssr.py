@@ -33,9 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
-from operator import eq
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
@@ -132,14 +129,8 @@ def _initial_unique_stabbers(
     out = []
     missing = []  # segments with no stabber
     for j, (x, a, b) in enumerate(zip(seg_x, seg_lo, seg_hi)):
+        top = span_max(a, b)
         floor = x * n  # keys below it have reach < x
-        if a > b:
-            missing.append(j)
-            continue
-        row = levels[(b - a + 1).bit_length() - 1]
-        top, t = row[a], row[b + 1 - (1 << ((b - a + 1).bit_length() - 1))]
-        if t > top:
-            top = t
         if top < floor:
             missing.append(j)
         else:
@@ -157,16 +148,17 @@ def _compress(c: StabColumns) -> _Compressed:
     every x comparison is within the x axis, so shifts and scales are
     ignored (and x values may be any keys with the abscissas' order and
     ties).  Raises on repeated ray heights or a segment with no stabber."""
-    ray_y, reach = c.ray_y, c.reach
-    order = sorted(range(len(ray_y)), key=ray_y.__getitem__)
-    ys = [ray_y[i] for i in order]
-    if any(map(eq, ys, islice(ys, 1, None))):  # equal heights sort side by side
+    ray_id, ray_y, reach = c.ray_id, c.ray_y, c.reach
+    n = len(ray_y)
+    if len(set(ray_y)) != n:
         raise InvalidInputError("rays must have pairwise distinct y")
+    order = sorted(range(n), key=ray_y.__getitem__)
+    ys = [ray_y[i] for i in order]
     reach = [reach[i] for i in order]
-    seg_lo = list(map(partial(bisect_left, ys), c.seg_lo))
-    seg_hi = [k - 1 for k in map(partial(bisect_right, ys), c.seg_hi)]
+    seg_lo = [bisect_left(ys, a) for a in c.seg_lo]
+    seg_hi = [bisect_right(ys, b) - 1 for b in c.seg_hi]
     unique = _initial_unique_stabbers(reach, c.seg_id, c.seg_x, seg_lo, seg_hi)
-    return _Compressed([c.ray_id[i] for i in order], reach, c.seg_id, c.seg_x, seg_lo, seg_hi, unique)
+    return _Compressed([ray_id[i] for i in order], reach, c.seg_id, c.seg_x, seg_lo, seg_hi, unique)
 
 
 def normalize(inst: SsrInstance) -> SsrInstance:
@@ -203,6 +195,8 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     )
     seg_ids = c.seg_id
     if len(set(c.seg_x)) != len(seg_ids):
+        # the split moves tied segments in id order, and a raise names the
+        # first stabberless one in list order among tied abscissas
         by_id = sorted(range(len(seg_ids)), key=seg_ids.__getitem__)
         columns = columns._replace(
             seg_id=[seg_ids[k] for k in by_id], seg_x=[c.seg_x[k] for k in by_id],

@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--max", type=int, default=10, help="largest instance size")
     b.add_argument("--trials", type=int, default=20)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("-k", type=int, default=1, help="bend bound (unit_bk)")
+    b.add_argument("-k", type=int, default=None, help="bend bound (unit_bk)")
     b.add_argument("--cap", type=int, default=None)
     b.add_argument("-o", "--out", required=True)
     b.set_defaults(func=_cmd_bench)
@@ -151,13 +151,18 @@ def _solve_for(f: InstanceFile, want_trace: bool):
 # subcommands
 
 
-def _cmd_gen(args) -> int:
-    params = {"n": args.n, "m": args.m, "k": args.k, "coord_range": args.coord_range}
-    reads = instances.KIND_TABLE[args.kind].params
+def _check_flags(kind: str, params: dict) -> None:
+    """Reject a flag given (not None) for a parameter ``kind`` does not read."""
+    reads = instances.KIND_TABLE[kind].params
     for key, value in params.items():
         if value is not None and key not in reads:
             flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
-            raise InvalidInputError(f"kind {args.kind} does not read {flag}")
+            raise InvalidInputError(f"kind {kind} does not read {flag}")
+
+
+def _cmd_gen(args) -> int:
+    params = {"n": args.n, "m": args.m, "k": args.k, "coord_range": args.coord_range}
+    _check_flags(args.kind, params)
     f = instances.generate(args.kind, params, args.seed)
     instances.dump(f, args.out)
     print(f"wrote {args.kind} instance to {args.out}")
@@ -292,7 +297,7 @@ _BENCH_HEADER = [
 ]
 
 
-def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list:
+def _bench_one(kind: str, size: int, trial: int, seed: int, k: Optional[int], cap) -> list:
     inst_seed = ((seed * 1000003 + size) * 1000003 + trial) % (1 << 61)
     params = {"n": size, "m": size, "k": k}
     f = instances.generate(kind, params, inst_seed)
@@ -303,7 +308,8 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list
     exact = cert.exact_opt
     ratio = rat_str(Fraction(cert.heuristic_size, exact)) if exact else ""
     reads = instances.KIND_TABLE[kind].params
-    sizes = ";".join(f"{key}={params[key]}" for key in reads if key in params)
+    read = dict(zip(reads, instances._params(params, reads)))  # with k's default
+    sizes = ";".join(f"{key}={read[key]}" for key in reads if key in params)
     return [
         kind,
         inst_seed,
@@ -320,6 +326,7 @@ def _bench_one(kind: str, size: int, trial: int, seed: int, k: int, cap) -> list
 def _cmd_bench(args) -> int:
     if args.max < 2 or args.trials < 1:
         raise InvalidInputError("need --max >= 2 and --trials >= 1")
+    _check_flags(args.kind, {"k": args.k})
     # serial on purpose: each wall_time_ms is the cost of a trial run alone
     records = [
         _bench_one(args.kind, size, trial, args.seed, args.k, args.cap)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -554,6 +554,15 @@ class Fenwick:
                 k -= self.tree[pos]
             step >>= 1
         return pos
+
+
+def _runs(keys: Sequence[int], los: Iterable[int], his: Iterable[int]) -> tuple[list[int], ...]:
+    """``(order, first, last)``: the positions of ``keys`` by key, ties in
+    list order, and per query i the run ``order[first[i]:last[i] + 1]`` of
+    keys in ``[los[i], his[i]]``, with ``first[i] > last[i]`` when empty."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ks = [keys[i] for i in order]
+    return order, [bisect_left(ks, lo) for lo in los], [bisect_right(ks, hi) - 1 for hi in his]
 
 
 class LiveRanks:

@@ -8,13 +8,12 @@ each other in tests.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from . import instances, psd, stabbedl, uvpg
 from .errors import InvalidInputError, SizeCapExceededError
-from .geom import OrthoInstance, int_coords, int_segs
+from .geom import OrthoInstance, StabColumns, _runs, int_segs
 from .srs import SrsInstance
 from .ssr import SsrInstance
 
@@ -102,16 +101,13 @@ def exact_mds(g: AbstractGraph, cap: Optional[int] = None) -> set[int]:
     return _min_cover(range(g.n), g.closed)
 
 
-def _ray_rows(inst) -> list[list[int]]:
-    """Per segment, the ids of the rays meeting it: one bisection of its
-    y-span over the rays sorted by height, then a reach test, all on
-    ``int_coords`` ints."""
-    c = int_coords(inst.rays, inst.segments)
-    by_y = sorted(range(len(c.ray_y)), key=c.ray_y.__getitem__)
-    ys = sorted(c.ray_y)
+def _ray_rows(c: StabColumns) -> list[list[int]]:
+    """Per segment of the columns ``c``, the ids of the rays meeting it: the
+    ``geom._runs`` run of ray heights inside its y-span, then a reach test."""
+    order, first, last = _runs(c.ray_y, c.seg_lo, c.seg_hi)
     return [
-        [c.ray_id[r] for r in by_y[bisect_left(ys, lo):bisect_right(ys, hi)] if c.reach[r] >= x]
-        for x, lo, hi in zip(c.seg_x, c.seg_lo, c.seg_hi)
+        [c.ray_id[r] for r in order[a:b + 1] if c.reach[r] >= x]
+        for x, a, b in zip(c.seg_x, first, last)
     ]
 
 
@@ -119,17 +115,18 @@ def cover_rows(data) -> tuple[list[int], list[int], tuple[frozenset[int], ...]]:
     """(candidate ids, constraint ids, rows) of an instance of any kind: row
     i holds the ids of the candidates meeting constraint i, and may be
     empty.  ssr and srs keep instance order (srs rows are the ssr table
-    transposed); ortho_psd and the graph kinds, whose rows are closed
-    neighbourhoods, go in id order."""
-    if isinstance(data, SsrInstance):
-        rows = map(frozenset, _ray_rows(data))
-        return [r.id for r in data.rays], [s.id for s in data.segments], tuple(rows)
-    if isinstance(data, SrsInstance):
-        cols: dict[int, list[int]] = {r.id: [] for r in data.rays}
-        for s, row in zip(data.segments, _ray_rows(data)):
+    transposed) and read ``_int_columns``, so a ``from_columns`` instance
+    keeps its fields unbuilt; ortho_psd and the graph kinds, whose rows are
+    closed neighbourhoods, go in id order."""
+    if isinstance(data, (SsrInstance, SrsInstance)):
+        c = data._int_columns()
+        if isinstance(data, SsrInstance):
+            return list(c.ray_id), list(c.seg_id), tuple(map(frozenset, _ray_rows(c)))
+        cols: dict[int, list[int]] = {r: [] for r in c.ray_id}
+        for s, row in zip(c.seg_id, _ray_rows(c)):
             for r in row:
-                cols[r].append(s.id)
-        return [s.id for s in data.segments], list(cols), tuple(map(frozenset, cols.values()))
+                cols[r].append(s)
+        return list(c.seg_id), list(cols), tuple(map(frozenset, cols.values()))
     if isinstance(data, OrthoInstance):
         cands, cons = sorted(data.candidate_ids), sorted(data.constraint_ids)
         seg, horiz = psd._seg_view(*int_segs(data.hsegs, data.vsegs)[1:])

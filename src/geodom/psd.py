@@ -41,6 +41,7 @@ from .geom import (
     Seg,
     StabColumns,
     VSeg,
+    _runs,
     containment_violation,
     int_segs,
 )
@@ -147,8 +148,8 @@ def _strips(cands: list[Seg], targets: list[Seg], scale: int) -> _Strips:
     """The strips of horizontal candidates and vertical targets on the int
     ``scale``.  The hit points are the right ends of a greedy disjoint
     subfamily, by right end.  The candidates meeting a target are those of
-    the y-sorted run inside its y extent, found by bisection, whose x extent
-    holds its x."""
+    its ``geom._runs`` run (candidates by carrier line, inside the target's
+    y extent) whose x extent holds its x."""
     xs = [c[2] for c in cands] + [c[3] for c in cands] + [t[1] for t in targets]
     if not xs:
         return _Strips([], [], {}, {}, {})
@@ -157,21 +158,18 @@ def _strips(cands: list[Seg], targets: list[Seg], scale: int) -> _Strips:
         if c[2] > points[-1]:
             points.append(c[3])
     points.append(max(xs) + scale)
-    by_y = sorted(range(len(cands)), key=lambda k: cands[k][1])
-    ys = [cands[k][1] for k in by_y]
+    lines = [c[1] for c in cands]
+    by_y, first, last = _runs(lines, [t[2] for t in targets], [t[3] for t in targets])
     strips: list[set[int]] = [set() for _ in range(len(points) - 1)]
     strip_of: dict[int, int] = {}
     left: dict[int, frozenset[int]] = {}
     right: dict[int, frozenset[int]] = {}
-    for tid, x, y_lo, y_hi in targets:
+    for (tid, x, _, _), lo, hi in zip(targets, first, last):
         i = bisect_right(points, x) - 1
         strips[i].add(tid)
         strip_of[tid] = i
         # in input order, which fixes each frozenset's iteration order
-        meets = [cands[k] for k in sorted(
-            k for k in by_y[bisect_left(ys, y_lo):bisect_right(ys, y_hi)]
-            if cands[k][2] <= x <= cands[k][3]
-        )]
+        meets = [cands[k] for k in sorted(by_y[lo:hi + 1]) if cands[k][2] <= x <= cands[k][3]]
         a, b = points[i], points[i + 1]
         left[tid] = frozenset(c[0] for c in meets if c[2] <= a <= c[3])
         right[tid] = frozenset(c[0] for c in meets if c[2] <= b <= c[3])

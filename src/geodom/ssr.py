@@ -20,8 +20,9 @@ coordinates and no second instance.
 
 The fast path works on flat int lists indexed by ray rank (rays in y
 order) or by segment index, held in a ``_Compressed``: ray ids and
-reaches per rank, abscissa and rank span per segment, and the rays that
-alone stab some segment at the start, found by sparse-table range maxima.
+reaches per rank, abscissa and rank span (its ``geom._runs`` run) per
+segment, and the rays that alone stab some segment at the start, found
+by sparse-table range maxima.
 Abscissas and reaches stay the columns' ints, unranked.  ``normalize``
 builds these from its unsplit int columns and hands them to the first
 ``solve_fast`` on the instance it returns.  The sweep keeps its live
@@ -31,12 +32,11 @@ in a lazy-deletion ``geom.IntervalStore``.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import IntervalStore, LiveRanks, StabColumns, StabInstance, intersects
+from .geom import IntervalStore, LiveRanks, StabColumns, StabInstance, _runs, intersects
 
 
 class SsrInstance(StabInstance):
@@ -81,11 +81,12 @@ class TokenTrace:
 class _Compressed(NamedTuple):
     """Flat rank space of an instance for the fast engine.
 
-    Rays are numbered 0..n-1 by increasing y (their "ranks"); abscissas,
-    ray reaches and segment xs, stay the instance's ints, so every sweep
-    comparison is int on int with all ties kept.  Segment lists follow the
-    instance's order; a segment whose y-range holds no ray height has
-    ``seg_lo > seg_hi``.
+    Rays are numbered 0..n-1 by increasing y (their "ranks"), and each
+    segment's ``seg_lo``..``seg_hi`` is its ``geom._runs`` run of ranks;
+    abscissas, ray reaches and segment xs, stay the instance's ints, so
+    every sweep comparison is int on int with all ties kept.  Segment lists
+    follow the instance's order; a segment whose y-range holds no ray
+    height has ``seg_lo > seg_hi``.
     """
 
     ray_id: list[int]  # rank -> ray id
@@ -149,14 +150,10 @@ def _compress(c: StabColumns) -> _Compressed:
     ignored (and x values may be any keys with the abscissas' order and
     ties).  Raises on repeated ray heights or a segment with no stabber."""
     ray_id, ray_y, reach = c.ray_id, c.ray_y, c.reach
-    n = len(ray_y)
-    if len(set(ray_y)) != n:
+    if len(set(ray_y)) != len(ray_y):
         raise InvalidInputError("rays must have pairwise distinct y")
-    order = sorted(range(n), key=ray_y.__getitem__)
-    ys = [ray_y[i] for i in order]
+    order, seg_lo, seg_hi = _runs(ray_y, c.seg_lo, c.seg_hi)
     reach = [reach[i] for i in order]
-    seg_lo = [bisect_left(ys, a) for a in c.seg_lo]
-    seg_hi = [bisect_right(ys, b) - 1 for b in c.seg_hi]
     unique = _initial_unique_stabbers(reach, c.seg_id, c.seg_x, seg_lo, seg_hi)
     return _Compressed([ray_id[i] for i in order], reach, c.seg_id, c.seg_x, seg_lo, seg_hi, unique)
 

@@ -715,6 +715,17 @@ def test_bench_sizes_column_names_what_the_kind_reads(tmp_path, kind, sizes):
     assert [(r["kind"], r["sizes"]) for r in rows] == [(kind, sizes)]
 
 
+@pytest.mark.parametrize("kind", instances.KINDS)
+def test_bench_reads_k_only_where_gen_does(tmp_path, capsys, kind):
+    out = tmp_path / "b.csv"
+    code = run_cli(["bench", "--kind", kind, "--max", "2", "--trials", "1", "-k", "5", "-o", str(out)])
+    if "k" in instances.KIND_TABLE[kind].params:
+        assert code == 0 and [r["sizes"] for r in csv.DictReader(out.open())] == ["n=2;k=5"]
+    else:
+        assert code == 3 and capsys.readouterr().err == f"error: kind {kind} does not read -k\n"
+        assert not out.exists()
+
+
 def test_render_svg(tmp_path):
     for kind in instances.KINDS:
         inst = gen(tmp_path, kind, f"r-{kind}.json", extra=read_flags(kind, n=4, m=4))

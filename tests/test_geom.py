@@ -441,3 +441,22 @@ def test_interval_store_matches_a_brute_force_list(n, data):
         assert reported.isdisjoint(hits)
         reported.update(hits)
         held = [h for h in held if h[0] not in reported]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), max_size=12),
+    st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), max_size=8),
+)
+@example([], [(0, 0), (3, -3)])
+@example([2, -1, 2, 0, -1], [(-7, 7), (1, -1), (4, 5), (2, 2), (-1, -1)])
+def test_runs_match_a_brute_force_filter(keys, queries):
+    """Repeated and negative keys, empty families, and queries that hold
+    nothing, are inverted (lo > hi) or hold every key."""
+    order, first, last = geom._runs(keys, [lo for lo, _ in queries], [hi for _, hi in queries])
+    assert order == sorted(range(len(keys)), key=lambda p: (keys[p], p))
+    assert len(first) == len(last) == len(queries)
+    for (lo, hi), a, b in zip(queries, first, last):
+        want = [p for p in order if lo <= keys[p] <= hi]
+        assert [order[i] for i in range(a, b + 1)] == want
+        assert (a > b) == (not want)

@@ -36,7 +36,7 @@ from geodom.errors import (
     UncoveredRowError,
     UnmetConstraintError,
 )
-from geodom import cli, instances, lp, oracle, srs, ssr
+from geodom import cli, geom, instances, lp, oracle, srs, ssr
 from geodom.instances import UnitBkInstance
 
 from helpers import (
@@ -280,6 +280,25 @@ def test_cover_rows_match_all_pairs_scan_as_ssr_and_srs(inst):
     assert oracle.cover_rows(inst) == _id_rows(reference_cover_rows(inst))
     flipped = SrsInstance(inst.rays, inst.segments)
     assert oracle.cover_rows(flipped) == _id_rows(reference_cover_rows(flipped))
+
+
+@pytest.mark.parametrize("cls", [SsrInstance, SrsInstance])
+@pytest.mark.parametrize("source", ["from_columns", "normalize"])
+def test_cover_rows_reads_stab_columns_and_builds_no_field(cls, source):
+    """A columns instance, and a normalized one whose shared-abscissa split
+    is pending, keep their columns and build no ``HRay``/``VSeg``; the rows
+    are those of the materialized twin."""
+    inst = instances.generate("ssr", {"n": 30, "m": 30}, seed=8787).data
+    if source == "normalize":
+        norm = ssr.normalize(inst)
+        assert vars(norm)["_columns"].split_x
+        lazy = norm if cls is SsrInstance else cls.from_columns(vars(norm)["_columns"])
+    else:
+        lazy = cls.from_columns(geom.int_coords(inst.rays, inst.segments))
+    got = oracle.cover_rows(lazy)
+    assert "rays" not in vars(lazy) and "segments" not in vars(lazy) and "_columns" in vars(lazy)
+    assert got == oracle.cover_rows(cls(lazy.rays, lazy.segments))
+    assert any(got[2])
 
 
 @settings(max_examples=400, deadline=None)

@@ -148,18 +148,28 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
     immediately (every row is non-empty), so no phase-1 is needed.
 
     Each tableau row is a dict of int numerators over one positive int
-    denominator that its rhs shares, kept divided by the gcd of all of
-    them.  The last row, z = n + m, is the cost row: its entries are the
-    reduced costs and its rhs is minus the objective, and the elimination
-    updates it like any other row.  A column -> rows index limits the ratio
-    test and the elimination to the rows that have a nonzero in the
-    entering column.  The pivots are Bland's: the entering column is the
-    least one with a negative reduced cost (the top of a heap whose entries
-    are dropped once their column's cost is no longer negative), and the
-    leaving row minimizes (rhs_r / a_r, basis[r]); since the row
-    denominator cancels in that ratio, rows compare by one int
-    cross-multiplication.  Row z never leaves, because its entry in the
-    entering column is negative.
+    denominator that its rhs shares.  The last row, z = n + m, is the cost
+    row: its entries are the reduced costs and its rhs is minus the
+    objective, and the elimination updates it like any other row.  A
+    column -> rows index limits the ratio test and the elimination to the
+    rows that have a nonzero in the entering column.  The pivots are
+    Bland's: the entering column is the least one with a negative reduced
+    cost (the top of a heap whose entries are dropped once their column's
+    cost is no longer negative), and the leaving row minimizes (rhs_r / a_r,
+    basis[r]); since the row denominator cancels in that ratio, rows
+    compare by one int cross-multiplication.  Row z never leaves, because
+    its entry in the entering column is negative.
+
+    Two invariants hold from the first tableau on:
+    (a) a row r < z holds its denominator in its basic column.  The
+        entering entry piv becomes the pivot row's denominator, and the
+        elimination turns every other row's basic entry d into d * piv,
+        over the new denominator d * piv;
+    (b) every row is reduced: gcd(denominator, rhs, numerators) = 1.  The
+        initial rows have denominator 1, the elimination divides out the
+        gcd, and rows the pivot does not touch keep theirs.
+    So a pivot row's numerators include its old denominator, their gcd
+    with its rhs is 1, and it needs no division.
 
     The objective and the dual witness are read off row z: y_i is the final
     reduced cost of surplus column s_i.  Both are checked against the values
@@ -218,17 +228,11 @@ def solve_lp(program: CoverProgram) -> CoverSolution:
         if leave < 0:
             raise InvalidInputError("unbounded covering LP (malformed program)")
 
-        # the pivot row keeps its numerators over the new denominator piv
+        # the pivot row keeps its numerators over the new denominator piv,
+        # and by invariants (a) and (b) it stays reduced
         piv_row = tableau[leave]
-        piv = piv_row[entering]
+        piv = den[leave] = piv_row[entering]
         piv_rhs = rhs[leave]
-        g = gcd(piv, piv_rhs, *piv_row.values()) if piv != 1 else 1
-        if g != 1:
-            piv //= g
-            piv_rhs //= g
-            tableau[leave] = piv_row = {c: v // g for c, v in piv_row.items()}
-        den[leave] = piv
-        rhs[leave] = piv_rhs
         others = [(c, v) for c, v in piv_row.items() if c != entering]
         # row_r <- (row_r * piv - a * piv_row) / (den_r * piv)
         for r in col_rows[entering]:

@@ -28,7 +28,10 @@ builds these from its unsplit int columns and hands them to the first
 ``solve_fast`` on the instance it returns.  The sweep keeps its live
 ranks in a ``geom.LiveRanks`` (linked neighbours plus a "next live rank"
 union-find), its windows in per-rank linked lists and its active segments
-in a lazy-deletion ``geom.IntervalStore``.
+in a lazy-deletion ``geom.IntervalStore``.  A selection covers every
+active segment whose window holds its rank and then only removes the
+rank; the sweep's retirement of the live ray with smallest reach is the
+one step that shifts windows.
 """
 from __future__ import annotations
 
@@ -358,7 +361,10 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     ``lo = find(a)``, ``hi = prev[find(b + 1)]``.  The segments whose window
     starts (ends) at a rank form a linked list through ``lo_head``/``lo_link``
     (``hi_head``/``hi_link``); a covered segment stays in its lists and is
-    skipped when their rank retires.
+    skipped when their rank retires.  Selecting a rank covers every active
+    segment whose window holds it and only removes the rank, so no window
+    shifts; the sweep's retirement is the one step that shifts windows, and
+    the ranks whose windows it collapses are selected before the next one.
 
     The rank space comes from ``normalize`` when ``inst`` is the instance it
     returned and this is the first call on it, with the shared-abscissa
@@ -383,7 +389,6 @@ def solve_fast(inst: SsrInstance) -> set[int]:
 
     live = LiveRanks(n)
     prev, nxt, find = live.prev, live.next, live.find
-    dead = [False] * n
     selected: set[int] = set()
     cover = _MaxTree(n, min(seg_x) - 1)
     store = IntervalStore(n)
@@ -400,63 +405,27 @@ def solve_fast(inst: SsrInstance) -> set[int]:
     choice = 0
     act = 0
 
-    def retire_ray(rank: int) -> None:
-        """Remove a live rank, shifting the windows it bounded."""
-        below, above = prev[rank], nxt[rank]
-        live.remove(rank)
-        j = lo_head[rank]
-        while j >= 0:
-            k = lo_link[j]
-            if cur_lo[j] == rank:
-                cur_lo[j] = above  # above exists: the window still holds its hi
-                lo_link[j] = lo_head[above]
-                lo_head[above] = j
-                if above == cur_hi[j]:
-                    pending.add(above)
-            j = k
-        j = hi_head[rank]
-        while j >= 0:
-            k = hi_link[j]
-            if cur_hi[j] == rank:
-                cur_hi[j] = below
-                hi_link[j] = hi_head[below]
-                hi_head[below] = j
-                if below == cur_lo[j]:
-                    pending.add(below)
-            j = k
-
     while remaining > 0:
-        if pending:
-            batch = sorted(pending, key=ray_id.__getitem__)
-            pending.clear()
-            for rank in batch:
-                if dead[rank]:
-                    continue
-                dead[rank] = True
-                selected.add(ray_id[rank])
-                cover.update(rank, reach[rank])
-                for j in store.stab_pop(rank):
-                    cur_lo[j] = cur_hi[j] = -1
-                    remaining -= 1
-                retire_ray(rank)
-            if remaining == 0:
-                break
-            if pending:
-                # a selection collapsed another window; its ray must be taken
-                # before the sweep is allowed to retire anything
-                continue
+        # a pending rank is live, so it lies inside every active window it
+        # bounds and stab_pop covers those segments before it leaves: taking
+        # it shifts no window and collapses none, and a batch's picks commute
+        for rank in pending:
+            selected.add(ray_id[rank])
+            cover.update(rank, reach[rank])
+            for j in store.stab_pop(rank):
+                cur_lo[j] = cur_hi[j] = -1
+                remaining -= 1
+            live.remove(rank)
+        pending.clear()
+        if remaining == 0:
+            break
         # pick the live unselected ray with smallest (reach, id)
-        while choice < n and dead[by_choice[choice]]:
+        while choice < n and by_choice[choice] not in live:
             choice += 1
         if choice == n:
-            # all rays spent; segments the sweep never reached can still be
-            # covered by selected rays taken out of reach order
-            while act < m:
-                j = by_x[act]
-                if cover.range_max(seg_lo[j], seg_hi[j]) < seg_x[j]:
-                    raise InfeasibleSegmentError(seg_id[j])
-                act += 1
-                remaining -= 1
+            # a segment activates before any ray that reaches it retires, so
+            # one the sweep never reached has only selected stabbers (and
+            # _compress raised if it had none)
             break
         chosen = by_choice[choice]
         choice += 1
@@ -477,6 +446,27 @@ def solve_fast(inst: SsrInstance) -> set[int]:
             hi_link[j] = hi_head[hi]
             hi_head[hi] = j
             store.insert(j, lo, hi)
-        dead[chosen] = True
-        retire_ray(chosen)
+        # retire the chosen rank, shifting the windows it bounds
+        below, above = prev[chosen], nxt[chosen]
+        live.remove(chosen)
+        j = lo_head[chosen]
+        while j >= 0:
+            k = lo_link[j]
+            if cur_lo[j] == chosen:
+                cur_lo[j] = above  # above exists: the window still holds its hi
+                lo_link[j] = lo_head[above]
+                lo_head[above] = j
+                if above == cur_hi[j]:
+                    pending.add(above)
+            j = k
+        j = hi_head[chosen]
+        while j >= 0:
+            k = hi_link[j]
+            if cur_hi[j] == chosen:
+                cur_hi[j] = below
+                hi_link[j] = hi_head[below]
+                hi_head[below] = j
+                if below == cur_lo[j]:
+                    pending.add(below)
+            j = k
     return selected

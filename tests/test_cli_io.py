@@ -290,6 +290,8 @@ def test_generate_param_validation():
         instances.generate("ssr", {"n": "three"})
     with pytest.raises(InvalidInputError):
         instances.generate("mystery")
+    with pytest.raises(InvalidInputError, match="^need at least one segment$"):
+        instances.generate("srs", {"m": 0})
 
 
 @pytest.mark.parametrize("key", ["n", "m", "k", "coord_range"])
@@ -569,6 +571,17 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys, edit):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_missing_or_list_solution_file_is_invalid_input(tmp_path, capsys):
+    inst = gen(tmp_path, "ssr", "m.json", extra=["-n", "3", "-m", "3"])
+    sol = tmp_path / "m.sol.json"
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {sol}: ")
+    sol.write_text(json.dumps([0, 1]))
+    assert run_cli(["verify", "-i", str(inst), "-s", str(sol)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: solution file needs a 'selected' list"]
+
+
 def _uncertified_ssr(tmp_path):
     inst = gen(tmp_path, "ssr", "u.json", seed=1, extra=["-n", "4", "-m", "4"])
     sol = tmp_path / "u.sol.json"
@@ -740,6 +753,14 @@ def test_render_svg(tmp_path):
     pic = tmp_path / "r2.svg"
     assert run_cli(["render", "-i", str(inst), "-s", str(sol), "-o", str(pic)]) == 0
     assert "#d62728" in pic.read_text()  # highlight stroke for chosen items
+
+
+def test_render_of_an_empty_instance_is_a_placeholder(tmp_path):
+    inst = tmp_path / "empty.json"
+    inst.write_text(instances.dumps(instances.InstanceFile("ssr", SsrInstance((), ()))))
+    pic = tmp_path / "empty.svg"
+    assert run_cli(["render", "-i", str(inst), "-o", str(pic)]) == 0
+    assert pic.read_text() == '<svg xmlns="http://www.w3.org/2000/svg" width="64" height="64"/>\n'
 
 
 

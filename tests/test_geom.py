@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from geodom.geom import (
     scaled,
 )
 from geodom import geom, instances
+from geodom.ssr import SsrInstance
 from helpers import (
     count_fraction_ops,
     intersection_matrix,
@@ -81,6 +83,20 @@ def test_as_rat_keeps_its_messages():
         assert str(exc.value) == message
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_as_rat_rejects_canonical_digits_past_the_int_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ("1" * 641, "1/" + "3" * 641):
+            with pytest.raises(InvalidInputError) as exc:
+                as_rat(text)
+            assert str(exc.value) == f"bad rational literal {text!r}"
+        assert as_rat("1" * 640) == int("1" * 640)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(WIDE, GRID, st.integers(-10**30, 10**30).map(F)))
 def test_as_rat_reads_back_what_rat_str_writes(value):
@@ -117,6 +133,39 @@ def test_segment_segment_intersection():
     assert intersects(h, HSeg(3, F(1), F(4), F(6)))      # collinear touch
     assert not intersects(h, HSeg(4, F(2), F(0), F(4)))
     assert intersects(VSeg(5, F(0), F(0), F(2)), VSeg(6, F(0), F(2), F(3)))
+
+
+def test_ray_ray_and_ray_hseg_intersection():
+    r = HRay(0, F(2), F(5))
+    assert intersects(r, HRay(1, F(2), F(-9)))          # same height, any reaches
+    assert not intersects(r, HRay(2, F(3), F(5)))
+    assert intersects(r, HSeg(3, F(2), F(5), F(8)))     # the segment starts at the tip
+    assert intersects(HSeg(4, F(2), F(-3), F(-1)), r)   # argument order is symmetric
+    assert not intersects(r, HSeg(5, F(2), F(6), F(8)))  # right of the tip
+    assert not intersects(r, HSeg(6, F(1), F(0), F(1)))  # another height
+
+
+@pytest.mark.parametrize("a, b", [
+    (HRay(0, F(0), F(1)), 5),
+    (VSeg(0, F(0), F(0), F(1)), "x"),
+    (HSeg(0, F(0), F(0), F(1)), None),
+    (None, HRay(0, F(0), F(1))),
+])
+def test_intersects_rejects_an_unsupported_pair(a, b):
+    with pytest.raises(InvalidInputError, match="^cannot intersect "):
+        intersects(a, b)
+
+
+def test_instances_reject_duplicate_ids():
+    ray, seg = HRay(0, F(0), F(1)), VSeg(0, F(0), F(0), F(1))
+    with pytest.raises(InvalidInputError, match="^duplicate ray ids$"):
+        SsrInstance((ray, HRay(0, F(1), F(2))), (seg,))
+    with pytest.raises(InvalidInputError, match="^duplicate segment ids$"):
+        SsrInstance((ray,), (seg, VSeg(0, F(1), F(0), F(1))))
+    # a horizontal and a vertical segment share one id space
+    with pytest.raises(InvalidInputError, match="^duplicate segment ids in OrthoInstance$"):
+        OrthoInstance((HSeg(3, F(0), F(0), F(1)),), (VSeg(3, F(0), F(0), F(1)),),
+                      frozenset({3}), frozenset({3}))
 
 
 @st.composite

@@ -33,6 +33,8 @@ def test_cover_program_validation():
     with pytest.raises(InvalidInputError):
         CoverProgram(2, (frozenset({2}),))        # id out of range
     CoverProgram(0, ())                            # vacuous program is fine
+    with pytest.raises(InvalidInputError, match="^num_vars must be nonnegative$"):
+        CoverProgram(-1, ())
 
 
 def test_triangle_lp_is_three_halves():
@@ -94,6 +96,37 @@ def test_ilp_size_cap():
     with pytest.raises(SizeCapExceededError):
         solve_ilp_exact(prog, size_cap=24)
     assert solve_ilp_exact(prog, size_cap=30).objective_value == F(30)
+
+
+def test_ilp_branching_matches_naive_cover():
+    # denser programs than _random_program, kept only when the root LP is
+    # fractional, so every one of them branches.  Three paths of the search
+    # cannot run on any program: the entry prune (a child starts below the
+    # best, as its parent's bound is >= 1 and a cover found under var = 1
+    # holds var), the leaf with no rows (if every row holds var, the LP
+    # optimum is 1 and every optimal vertex is integral, so nothing branches)
+    # and the var = 0 return (a variable alone in a row is 1 in the LP, so it
+    # is never the fractional pick)
+    rng = random.Random(44)
+    branching = 0
+    for _ in range(600):
+        n = rng.randint(3, 9)
+        p = rng.uniform(0.2, 0.6)
+        rows = tuple(
+            frozenset([j for j in range(n) if rng.random() < p] or [rng.randrange(n)])
+            for _ in range(rng.randint(3, 11))
+        )
+        prog = CoverProgram(n, rows)
+        lp = solve_lp(prog)
+        if lp.integral:
+            continue
+        branching += 1
+        ilp = solve_ilp_exact(prog)
+        sets = {j: frozenset(i for i, row in enumerate(rows) if j in row) for j in range(n)}
+        assert ilp.objective_value == len(naive_min_cover(sets, range(len(rows))))
+        assert ilp.objective_value >= lp.objective_value
+        ilp.check_feasible(prog)
+    assert branching >= 40
 
 
 def test_threshold_split_two_labels():
@@ -388,6 +421,20 @@ def test_certificate_validation():
             lp_opt=F(2),
             claimed_ratio_bound=F(2),
         ).validate()     # heuristic below the LP bound is impossible
+    with pytest.raises(InvalidInputError, match="^heuristic_size disagrees with heuristic_ids$"):
+        replace(cert, heuristic_size=3).validate()
+
+
+@pytest.mark.parametrize("values, objective, integral, message", [
+    ((F(1), F(1)), F(2), True, "solution length mismatch"),
+    ((F(1), F(0), F(3, 2)), F(5, 2), False, r"variable value outside \[0,1\]"),
+    ((F(1), F(0), F(-1)), F(0), False, r"variable value outside \[0,1\]"),
+    ((F(1), F(1, 2), F(1, 2)), F(2), True, "integral flag set on fractional values"),
+])
+def test_check_feasible_names_the_broken_field(values, objective, integral, message):
+    prog = CoverProgram(3, (frozenset({0}), frozenset({1, 2})))
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        CoverSolution(values, objective, integral).check_feasible(prog)
 
 
 def test_ilp_respects_exact_small_branching():

@@ -169,6 +169,12 @@ def test_poss_rejects_duplicate_target_ids():
         psd.poss_solve(cands, twins)
 
 
+def test_poss_rejects_duplicate_candidate_ids():
+    twins = [HSeg(0, F(0), F(0), F(2)), HSeg(0, F(1), F(1), F(3))]
+    with pytest.raises(InvalidInputError, match="^duplicate candidate ids$"):
+        psd.poss_solve(twins, [VSeg(1, F(1), F(0), F(1))])
+
+
 def test_poss_single_candidate():
     cands = [HSeg(0, F(1), F(0), F(4))]
     targets = [VSeg(0, F(1), F(0), F(2)), VSeg(1, F(3), F(1), F(5))]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from geodom import AbstractGraph, HRay, LPath, SsrInstance, StabbedLInstance, VSeg, exact_mds
-from geodom.errors import AssumptionViolationError
+from geodom.errors import AssumptionViolationError, InvalidInputError
 from geodom import instances, ssr, stabbedl
 
 from helpers import (
@@ -47,6 +47,11 @@ def test_normalize_rule_ii():
         stabbedl.normalize(inst)
     assert exc.value.which == "ii"
     assert tuple(exc.value.ids) == (7,)
+
+
+def test_instance_rejects_duplicate_path_ids():
+    with pytest.raises(InvalidInputError, match="^duplicate path ids$"):
+        StabbedLInstance((LPath(4, F(1), F(0), F(1), F(2)), LPath(4, F(2), F(5), F(1), F(2))))
 
 
 def test_normalize_rule_iii_equal_heights():

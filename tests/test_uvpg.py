@@ -31,6 +31,11 @@ def test_path_validation():
     assert exc.value.path_id == 5
 
 
+def test_instance_rejects_a_negative_bend_bound():
+    with pytest.raises(InvalidInputError, match="^bend bound must be nonnegative$"):
+        instances.UnitBkInstance(-1, ())
+
+
 def test_points_and_leg_segments():
     p = UnitKBendPath(0, F(0), F(0), ("R", "U"))
     assert p.points() == [(0, 0), (1, 0), (1, 1)]

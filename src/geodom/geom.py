@@ -618,8 +618,8 @@ class IntervalStore:
     rank interval; a stab query at a rank reports every member not yet
     reported whose interval contains it.  Deletion is lazy: a query empties
     the lists on its leaf-to-root path and skips members already reported.
-    Intervals may go stale after boundary shrinks because queries only ever
-    target live ranks, which stale margins cannot contain.
+    An interval may keep ranks its caller has since dropped (srs's removed
+    rays), as long as queries only ever target ranks still in use.
     """
 
     def __init__(self, n: int):
@@ -629,22 +629,23 @@ class IntervalStore:
 
     def insert(self, member: int, lo: int, hi: int) -> None:
         self.live.add(member)
-        nodes, tiles = self.nodes, []
+        nodes = self.nodes
         a, b = lo + self.n, hi + self.n + 1
         while a < b:
             if a & 1:
-                tiles.append(a)
+                if nodes[a] is None:
+                    nodes[a] = [member]
+                else:
+                    nodes[a].append(member)
                 a += 1
             if b & 1:
                 b -= 1
-                tiles.append(b)
+                if nodes[b] is None:
+                    nodes[b] = [member]
+                else:
+                    nodes[b].append(member)
             a >>= 1
             b >>= 1
-        for i in tiles:
-            if nodes[i] is None:
-                nodes[i] = [member]
-            else:
-                nodes[i].append(member)
 
     def stab_pop(self, rank: int) -> list[int]:
         nodes, live = self.nodes, self.live

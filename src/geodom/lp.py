@@ -321,12 +321,13 @@ def solve_ilp_exact(program: CoverProgram, size_cap: int = DEFAULT_SIZE_CAP) -> 
     best = _greedy_rounded(program, root_lp)
 
     def recurse(rows: tuple[frozenset[int], ...], chosen: set[int]) -> None:
+        # on entry rows is not empty and len(chosen) < len(best): a parent
+        # branches only on a fractional optimum, which rows that all hold its
+        # pick never have; it branches only when len(chosen) + 1 < len(best),
+        # and covers found under var = 1 hold var besides.  A variable alone
+        # in a row is 1 at every LP point, so it is never the pick and the
+        # var = 0 branch empties no row.
         nonlocal best
-        if len(chosen) >= len(best):
-            return
-        if not rows:
-            best = set(chosen)
-            return
         live = sorted(frozenset().union(*rows))
         remap = {v: k for k, v in enumerate(live)}
         sub = CoverProgram(len(live), tuple(frozenset(remap[j] for j in r) for r in rows))
@@ -351,13 +352,7 @@ def solve_ilp_exact(program: CoverProgram, size_cap: int = DEFAULT_SIZE_CAP) -> 
         recurse(kept, chosen)
         chosen.discard(var)
         # branch var = 0
-        reduced = []
-        for r in rows:
-            rr = r - {var}
-            if not rr:
-                return  # row became uncoverable on this branch
-            reduced.append(rr)
-        recurse(tuple(reduced), chosen)
+        recurse(tuple(r - {var} for r in rows), chosen)
 
     recurse(program.rows, set())
     values = tuple(ONE if j in best else ZERO for j in range(program.num_vars))

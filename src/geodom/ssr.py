@@ -2,8 +2,8 @@
 
 Two engines produce the same selection: ``solve`` follows the iteration
 structure literally (and can record a token trace for property checks),
-``solve_fast`` reaches the same set in O((n+m) log (n+m)) via an
-event-driven sweep.
+``solve_fast`` reaches the same set in O((n+m) log (n+m)) from a static
+query per segment and one pass over the segments.
 
 ``normalize`` works on each axis scaled to ints and returns an instance
 that keeps those int columns: its shared-abscissa split, its ``Fraction``
@@ -18,20 +18,20 @@ sub-problems (psd's strip boundaries, stabbedl's vertical label) go to it
 raw, as columns with segments in id order: solving them builds no
 coordinates and no second instance.
 
-The fast path works on flat int lists indexed by ray rank (rays in y
-order) or by segment index, held in a ``_Compressed``: ray ids and
-reaches per rank, abscissa and rank span (its ``geom._runs`` run) per
-segment, and the rays that alone stab some segment at the start, found
-by sparse-table range maxima.
-Abscissas and reaches stay the columns' ints, unranked.  ``normalize``
-builds these from its unsplit int columns and hands them to the first
-``solve_fast`` on the instance it returns.  The sweep keeps its live
-ranks in a ``geom.LiveRanks`` (linked neighbours plus a "next live rank"
-union-find), its windows in per-rank linked lists and its active segments
-in a lazy-deletion ``geom.IntervalStore``.  A selection covers every
-active segment whose window holds its rank and then only removes the
-rank; the sweep's retirement of the live ray with smallest reach is the
-one step that shifts windows.
+The fast engine rests on one observation.  ``solve`` retires rays in
+(reach, id) order, so a segment no selected ray covers collapses onto the
+last of its stabbers in that order exactly when the second-last one
+retires: every earlier stabber has retired by then, as a selected one
+would already cover it.  The two are found up front, per segment, by
+sparse-table range maxima over ray ranks (rays in y order), each
+segment's stabbers being the ranks of its ``geom._runs`` run that reach
+its x.  ``solve_fast`` then takes the segments in the order their
+second-last stabbers retire and selects the last stabber of every one
+that no selected ray covers yet.  These lists live in a ``_Compressed``;
+abscissas and reaches stay the columns' ints, and the engine compares an
+abscissa only with reaches.  ``normalize`` builds it from its unsplit int
+columns and hands it to the first ``solve_fast`` on the instance it
+returns.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleSegmentError, InvalidInputError
-from .geom import IntervalStore, LiveRanks, StabColumns, StabInstance, _runs, intersects
+from .geom import StabColumns, StabInstance, _runs, intersects
 
 
 class SsrInstance(StabInstance):
@@ -86,79 +86,90 @@ class _Compressed(NamedTuple):
 
     Rays are numbered 0..n-1 by increasing y (their "ranks"), and each
     segment's ``seg_lo``..``seg_hi`` is its ``geom._runs`` run of ranks;
-    abscissas, ray reaches and segment xs, stay the instance's ints, so
-    every sweep comparison is int on int with all ties kept.  Segment lists
-    follow the instance's order; a segment whose y-range holds no ray
-    height has ``seg_lo > seg_hi``.
+    abscissas and reaches stay the instance's ints.  A segment's stabbers
+    are the ranks of its run that reach its x.  Per segment, ``top`` is the
+    rank of its last stabber in (reach, id) order and ``second`` the
+    position in that order of its second-last one, or -1 when it has only
+    one.  Segment lists follow the instance's order.
     """
 
     ray_id: list[int]  # rank -> ray id
     reach: list[int]  # rank -> the ray's reach
-    seg_id: list[int]
     seg_x: list[int]
     seg_lo: list[int]  # segment -> least rank with y >= y_lo
     seg_hi: list[int]  # segment -> greatest rank with y <= y_hi
-    unique: list[int]  # per segment with one stabber, its rank (may repeat)
+    top: list[int]  # segment -> rank of its last stabber
+    second: list[int]  # segment -> position of its second-last stabber, or -1
 
 
-def _initial_unique_stabbers(
-    reach: list[int], seg_id: list[int], seg_x: list[int], seg_lo: list[int], seg_hi: list[int]
-) -> list[int]:
-    """Ranks of the rays that alone stab some segment at time zero.
+def _last_two_stabbers(
+    ray_id: list[int], reach: list[int], seg_id: list[int], seg_x: list[int],
+    seg_lo: list[int], seg_hi: list[int],
+) -> tuple[list[int], list[int]]:
+    """``(top, second)`` of ``_Compressed`` for rays given by rank.
 
-    Rank r holds the key ``reach[r] * n + r``, so the greatest key over a
-    span holds the greatest reach there (``key // n``) and its rank
-    (``key % n``).  Span maxima take two lookups in a sparse table whose
-    level k holds the maximum of every 2**k consecutive keys, built up to
-    the widest span.  A segment at x has a stabber when the top of its span
-    reaches x, and exactly one when both sides of that top stay below x.
-    Raises for the first stabberless segment in (decreasing x, input order).
+    Rank r holds the key p, its position in (reach, id) order, so the
+    greatest key over a span is the span's last ray in that order, and the
+    rays of the span that reach x are its keys from the first position
+    whose reach is >= x.  Span maxima take two lookups in a sparse table
+    whose level k holds the maximum of every 2**k consecutive keys, built
+    up to the widest span; the second-last stabber is the greater of the
+    maxima on either side of the top.  Raises for the first stabberless
+    segment in (decreasing x, input order).
     """
     n = len(reach)
-    none = min(seg_x, default=0) * n - 1  # below every key a segment accepts
+    by_choice = sorted(sorted(range(n), key=ray_id.__getitem__), key=reach.__getitem__)
+    pos = [0] * n
+    for p, r in enumerate(by_choice):
+        pos[r] = p
+    # reach by position; key -1 (an empty span) reads the end, below every x
+    reach_at = [reach[r] for r in by_choice] + [min(seg_x, default=0) - 1]
     widest = max([b - a + 1 for a, b in zip(seg_lo, seg_hi)], default=0)
-    levels = [[r * n + k for k, r in enumerate(reach)]]
+    levels = [pos]
     while 2 ** len(levels) <= widest:
         row, w = levels[-1], 2 ** (len(levels) - 1)
         levels.append([a if a > b else b for a, b in zip(row, row[w:])])
 
     def span_max(a: int, b: int) -> int:
         if a > b:
-            return none
+            return -1
         k = (b - a + 1).bit_length() - 1
         row = levels[k]
         s, t = row[a], row[b + 1 - (1 << k)]
         return s if s > t else t
 
-    out = []
+    top, second = [], []
     missing = []  # segments with no stabber
     for j, (x, a, b) in enumerate(zip(seg_x, seg_lo, seg_hi)):
-        top = span_max(a, b)
-        floor = x * n  # keys below it have reach < x
-        if top < floor:
+        t = span_max(a, b)
+        if reach_at[t] < x:
             missing.append(j)
-        else:
-            r = top % n
-            if span_max(a, r - 1) < floor and span_max(r + 1, b) < floor:
-                out.append(r)
+            continue
+        r = by_choice[t]
+        s, u = span_max(a, r - 1), span_max(r + 1, b)
+        if u > s:
+            s = u
+        top.append(r)
+        second.append(s if reach_at[s] >= x else -1)
     if missing:
         # min keeps the first of equal keys, so input order breaks x ties
         raise InfeasibleSegmentError(seg_id[min(missing, key=lambda j: -seg_x[j])])
-    return out
+    return top, second
 
 
 def _compress(c: StabColumns) -> _Compressed:
     """Rank space of int columns.  Ranks depend only on the y order, and
-    every x comparison is within the x axis, so shifts and scales are
-    ignored (and x values may be any keys with the abscissas' order and
-    ties).  Raises on repeated ray heights or a segment with no stabber."""
-    ray_id, ray_y, reach = c.ray_id, c.ray_y, c.reach
+    every x comparison is of a segment's x with a reach, so shifts and
+    scales are ignored.  Raises on repeated ray heights or a segment with
+    no stabber."""
+    ray_y = c.ray_y
     if len(set(ray_y)) != len(ray_y):
         raise InvalidInputError("rays must have pairwise distinct y")
     order, seg_lo, seg_hi = _runs(ray_y, c.seg_lo, c.seg_hi)
-    reach = [reach[i] for i in order]
-    unique = _initial_unique_stabbers(reach, c.seg_id, c.seg_x, seg_lo, seg_hi)
-    return _Compressed([ray_id[i] for i in order], reach, c.seg_id, c.seg_x, seg_lo, seg_hi, unique)
+    ray_id = [c.ray_id[i] for i in order]
+    reach = [c.reach[i] for i in order]
+    top, second = _last_two_stabbers(ray_id, reach, c.seg_id, c.seg_x, seg_lo, seg_hi)
+    return _Compressed(ray_id, reach, c.seg_x, seg_lo, seg_hi, top, second)
 
 
 def normalize(inst: SsrInstance) -> SsrInstance:
@@ -180,10 +191,10 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     repr or ``_int_columns``, with each distinct output coordinate as one
     Fraction of two ints; a caller that only solves never pays for them.
     The feasibility check builds the rank space of the unsplit ints, which
-    has the same intersection matrix and abscissa order, ties apart, and
-    puts tied segments in id order as the split does; the instance carries
-    it, and the first ``solve_fast`` on it takes it off instead of building
-    it again.  It is not a field, so it does not change ``==``, hash or
+    has the same intersection matrix (all the fast engine reads) and puts
+    tied segments in id order as the split does; the instance carries it,
+    and the first ``solve_fast`` on it takes it off instead of building it
+    again.  It is not a field, so it does not change ``==``, hash or
     repr.
     """
     c = inst._int_columns()
@@ -348,125 +359,44 @@ class _MaxTree:
 
 
 def solve_fast(inst: SsrInstance) -> set[int]:
-    """Event-driven equivalent of ``solve`` without trace support.
+    """The selection of ``solve``, without its trace, in one pass over the
+    segments in the order their second-last stabbers retire.
 
-    Segments become relevant ("activate") once the retirement sweep reaches
-    their abscissa; from then on their live stabbers are exactly the live
-    ranks inside a contiguous window, so criticality shows up as the window
-    collapsing to a single rank.
-
-    All state is flat lists indexed by rank or segment index: the live
-    ranks are a ``geom.LiveRanks`` (linked ``prev``/``next`` plus a
-    "next live rank" union-find), so a window over the rank span [a, b] is
-    ``lo = find(a)``, ``hi = prev[find(b + 1)]``.  The segments whose window
-    starts (ends) at a rank form a linked list through ``lo_head``/``lo_link``
-    (``hi_head``/``hi_link``); a covered segment stays in its lists and is
-    skipped when their rank retires.  Selecting a rank covers every active
-    segment whose window holds it and only removes the rank, so no window
-    shifts; the sweep's retirement is the one step that shifts windows, and
-    the ranks whose windows it collapses are selected before the next one.
+    ``solve`` retires rays in (reach, id) order, so a segment that is not
+    yet covered collapses onto its last stabber (``top``) exactly when its
+    second-last one (``second``) retires: every earlier stabber has retired
+    by then, as a selected one would already cover it.  A segment with one
+    stabber collapses before the first retirement.  So the selection is
+    every ``top`` whose segment no selected ray covers when it fires; the
+    loop takes the segments by ``second`` and checks that with a range
+    maximum of selected reaches over the segment's run.  Within one
+    retirement the order does not matter: a ray picked there that stabs
+    another segment filed under it is that segment's ``top``, later in
+    (reach, id) order than the retiring ray.
 
     The rank space comes from ``normalize`` when ``inst`` is the instance it
     returned and this is the first call on it, with the shared-abscissa
-    split still pending; otherwise it is built here, from the columns of a
-    ``from_columns`` instance or from ``int_coords``.  Neither way reads
-    ``inst.rays`` or ``inst.segments`` of a columns instance, so its
-    coordinates stay unbuilt.
+    split still pending (the engine compares abscissas only with reaches,
+    so the split changes nothing here); otherwise it is built here, from
+    the columns of a ``from_columns`` instance or from ``int_coords``.
+    Neither way reads ``inst.rays`` or ``inst.segments`` of a columns
+    instance, so its coordinates stay unbuilt.
     """
     comp = inst.__dict__.pop("_sweep_data", None)
     if comp is None:
         columns = inst._int_columns()
         comp = _compress(columns) if columns.seg_id else None
-    if comp is None or not comp.seg_id:
+    if comp is None or not comp.top:
         return set()
-    ray_id, reach, seg_id, seg_x, seg_lo, seg_hi, unique = comp
-    n, m = len(ray_id), len(seg_id)
-
-    # stable sorts: by (reach, id); by x, as segments sharing an abscissa
-    # activate in one step, in any order
-    by_choice = sorted(sorted(range(n), key=ray_id.__getitem__), key=reach.__getitem__)
-    by_x = sorted(range(m), key=seg_x.__getitem__)
-
-    live = LiveRanks(n)
-    prev, nxt, find = live.prev, live.next, live.find
-    selected: set[int] = set()
+    ray_id, reach, seg_x, seg_lo, seg_hi, top, second = comp
+    n = len(ray_id)
+    picked = [False] * n
     cover = _MaxTree(n, min(seg_x) - 1)
-    store = IntervalStore(n)
-    cur_lo = [-1] * m  # -1 once the segment is covered
-    cur_hi = [-1] * m
-    # segments whose window starts (ends) at a rank, as singly linked lists:
-    # head per rank, link per segment, -1 ends a list
-    lo_head = [-1] * n
-    lo_link = [-1] * m
-    hi_head = [-1] * n
-    hi_link = [-1] * m
-    pending = set(unique)  # ranks
-    remaining = m
-    choice = 0
-    act = 0
-
-    while remaining > 0:
-        # a pending rank is live, so it lies inside every active window it
-        # bounds and stab_pop covers those segments before it leaves: taking
-        # it shifts no window and collapses none, and a batch's picks commute
-        for rank in pending:
-            selected.add(ray_id[rank])
-            cover.update(rank, reach[rank])
-            for j in store.stab_pop(rank):
-                cur_lo[j] = cur_hi[j] = -1
-                remaining -= 1
-            live.remove(rank)
-        pending.clear()
-        if remaining == 0:
-            break
-        # pick the live unselected ray with smallest (reach, id)
-        while choice < n and by_choice[choice] not in live:
-            choice += 1
-        if choice == n:
-            # a segment activates before any ray that reaches it retires, so
-            # one the sweep never reached has only selected stabbers (and
-            # _compress raised if it had none)
-            break
-        chosen = by_choice[choice]
-        choice += 1
-        x = reach[chosen]
-        # activate every segment whose abscissa the sweep has reached
-        while act < m and seg_x[by_x[act]] <= x:
-            j = by_x[act]
-            act += 1
-            a, b = seg_lo[j], seg_hi[j]
-            if cover.range_max(a, b) >= seg_x[j]:
-                remaining -= 1  # already stabbed by a selected ray
-                continue
-            lo, hi = find(a), prev[find(b + 1)]
-            cur_lo[j] = lo
-            cur_hi[j] = hi
-            lo_link[j] = lo_head[lo]
-            lo_head[lo] = j
-            hi_link[j] = hi_head[hi]
-            hi_head[hi] = j
-            store.insert(j, lo, hi)
-        # retire the chosen rank, shifting the windows it bounds
-        below, above = prev[chosen], nxt[chosen]
-        live.remove(chosen)
-        j = lo_head[chosen]
-        while j >= 0:
-            k = lo_link[j]
-            if cur_lo[j] == chosen:
-                cur_lo[j] = above  # above exists: the window still holds its hi
-                lo_link[j] = lo_head[above]
-                lo_head[above] = j
-                if above == cur_hi[j]:
-                    pending.add(above)
-            j = k
-        j = hi_head[chosen]
-        while j >= 0:
-            k = hi_link[j]
-            if cur_hi[j] == chosen:
-                cur_hi[j] = below
-                hi_link[j] = hi_head[below]
-                hi_head[below] = j
-                if below == cur_lo[j]:
-                    pending.add(below)
-            j = k
-    return selected
+    # -1 first: segments with one stabber fire before any retirement
+    for j in sorted(range(len(top)), key=second.__getitem__):
+        r = top[j]
+        # a picked top covers the segment already, without a range maximum
+        if not picked[r] and cover.range_max(seg_lo[j], seg_hi[j]) < seg_x[j]:
+            picked[r] = True
+            cover.update(r, reach[r])
+    return {ray_id[r] for r in range(n) if picked[r]}

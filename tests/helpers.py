@@ -391,36 +391,28 @@ class ReferenceFenwick:
         return self.prefix(hi) - (self.prefix(lo - 1) if lo > 0 else 0)
 
 
-def reference_initial_unique_stabbers(reach, seg_id, seg_x, seg_lo, seg_hi):
-    """``ssr._initial_unique_stabbers`` as an offline Fenwick sweep.
-
-    Rays are inserted in decreasing reach, so when a segment is processed
-    (in decreasing x, input order among equals) exactly its stabbers are
-    present.  One Fenwick tree holds ``1 + (n+1) * rank`` per inserted
-    rank: a range sum ``s`` counts ``s % (n+1)`` stabbers, and when that
-    count is 1, ``s // (n+1)`` is the stabber's rank.  Returns those ranks
-    and raises for the first segment with no stabber.
-    """
-    n = len(reach)
-    base = n + 1
-    tree = ReferenceFenwick(n)
-    by_reach = sorted(range(n), key=reach.__getitem__, reverse=True)
-    out = []
-    ptr = 0
-    # reverse=True keeps the sort stable: equal xs stay in input order
-    for j in sorted(range(len(seg_x)), key=seg_x.__getitem__, reverse=True):
-        x = seg_x[j]
-        while ptr < n and reach[by_reach[ptr]] >= x:
-            rank = by_reach[ptr]
-            tree.add(rank, 1 + base * rank)
-            ptr += 1
-        s = tree.range_sum(seg_lo[j], seg_hi[j])
-        count = s % base
-        if count == 0:
-            raise InfeasibleSegmentError(seg_id[j])
-        if count == 1:
-            out.append(s // base)
-    return out
+def reference_last_two_stabbers(ray_id, reach, seg_id, seg_x, seg_lo, seg_hi):
+    """``ssr._last_two_stabbers`` by brute force: each segment's stabbers
+    are the ranks ``seg_lo..seg_hi`` whose reach is >= its x, sorted by
+    (reach, id).  Returns per segment the rank of the last one and the
+    position in (reach, id) order of the one before it (-1 when there is
+    none), and raises for the first segment with no stabber in decreasing
+    x, input order among equal xs."""
+    order = sorted(range(len(reach)), key=lambda r: (reach[r], ray_id[r]))
+    position = {r: p for p, r in enumerate(order)}
+    top, second, missing = [], [], []
+    for j, (x, lo, hi) in enumerate(zip(seg_x, seg_lo, seg_hi)):
+        stabbers = sorted(
+            (r for r in range(lo, hi + 1) if reach[r] >= x), key=position.__getitem__
+        )
+        if not stabbers:
+            missing.append(j)
+            continue
+        top.append(stabbers[-1])
+        second.append(position[stabbers[-2]] if len(stabbers) > 1 else -1)
+    if missing:
+        raise InfeasibleSegmentError(seg_id[sorted(missing, key=lambda j: -seg_x[j])[0]])
+    return top, second
 
 
 class ReferenceIntervalStore:

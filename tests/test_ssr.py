@@ -20,7 +20,7 @@ from geodom import geom, instances, lp, srs, ssr
 from helpers import (
     intersection_matrix,
     naive_min_stab,
-    reference_initial_unique_stabbers,
+    reference_last_two_stabbers,
     reference_ssr_normalize,
     reference_ssr_solve_fast,
     ssr_cover_ok,
@@ -345,17 +345,19 @@ def test_fast_matches_reference_at_scale():
 
 
 # ---------------------------------------------------------------------------
-# initial unique stabbers: sparse-table range maxima against the Fenwick sweep
+# last two stabbers: sparse-table range maxima against a brute-force scan
 
 
 @st.composite
 def rank_spaces(draw):
-    """Arguments of ``ssr._initial_unique_stabbers``: a reach rank per ray
-    rank, and per segment an id, an x rank and a span of ray ranks.  Few x
-    ranks, so reaches and xs tie often; a span may be empty (lo > hi), and
-    a last segment may span all n ranks, which needs every level."""
+    """Arguments of ``ssr._last_two_stabbers``: an id and a reach per ray
+    rank, and per segment an id, an x and a span of ray ranks.  Few xs, so
+    reaches and xs tie often and ids break the ties in any order; a span
+    may be empty (lo > hi), and a last segment may span all n ranks, which
+    needs every level."""
     n = draw(st.integers(0, 20))
     xs = st.integers(0, 5)
+    ray_id = draw(st.permutations(range(n)))
     reach = draw(st.lists(xs, min_size=n, max_size=n))
     m = draw(st.integers(0, 10))
     seg_id = draw(st.lists(st.integers(0, 4 * m + 4), min_size=m, max_size=m, unique=True))
@@ -367,48 +369,66 @@ def rank_spaces(draw):
         seg_x.append(draw(xs))
         seg_lo.append(0)
         seg_hi.append(n - 1)
-    return reach, seg_id, seg_x, seg_lo, seg_hi
+    return ray_id, reach, seg_id, seg_x, seg_lo, seg_hi
 
 
-def stabbers_outcome(fn, args):
+def top_two_outcome(fn, args):
     try:
-        return "ranks", frozenset(fn(*args))
+        return "pairs", fn(*args)
     except InfeasibleSegmentError as exc:
         return "infeasible", exc.segment_id
 
 
+TOP_REACH = [0, 5, 1, 5, 2, 0, 3, 1, 4, 0, 2, 1, 0]
+
+
 @settings(max_examples=500, deadline=None)
 @given(rank_spaces())
-@example(([], [], [], [], []))  # n = 0
-@example(([], [4], [0], [0], [-1]))  # n = 0, one segment
-@example(([2], [4], [2], [0], [0]))  # n = 1, a lone stabber
-@example(([2], [4, 1], [2, 3], [0, 0], [0, 0]))  # n = 1, then a segment it misses
-@example(([0, 5, 1, 5, 2, 0, 3, 1, 4, 0, 2, 1, 0], [9], [5], [0], [12]))  # 13 ranks, two at the top
-@example(([0, 5, 1, 4, 2, 0, 3, 1, 4, 0, 2, 1, 0], [9, 3], [5, 5], [0, 12], [12, 11]))  # lo > hi
-@example(([1, 0, 1], [5, 2, 8], [1, 1, 0], [1, 3, 0], [1, 2, 2]))  # equal xs: 5 comes first
-def test_initial_stabbers_match_fenwick_reference(args):
-    want = stabbers_outcome(reference_initial_unique_stabbers, args)
-    assert stabbers_outcome(ssr._initial_unique_stabbers, args) == want
-    event(want[0])
+@example(([], [], [], [], [], []))  # n = 0
+@example(([], [], [4], [0], [0], [-1]))  # n = 0, one segment
+@example(([7], [2], [4], [2], [0], [0]))  # n = 1, a lone stabber
+@example(([7], [2], [4, 1], [2, 3], [0, 0], [0, 0]))  # n = 1, then a segment it misses
+@example((list(range(13)), TOP_REACH, [9], [5], [0], [12]))  # two at the top: id 3 last
+@example((list(range(13))[::-1], TOP_REACH, [9], [5], [0], [12]))  # now id 11 (rank 1) last
+@example((list(range(13)), TOP_REACH, [9, 3], [5, 5], [0, 12], [12, 11]))  # lo > hi
+@example(([0, 1, 2], [1, 0, 1], [5, 2, 8], [1, 1, 0], [1, 3, 0], [1, 2, 2]))  # equal xs: 5 first
+def test_last_two_stabbers_match_brute_force(args):
+    want = top_two_outcome(reference_last_two_stabbers, args)
+    assert top_two_outcome(ssr._last_two_stabbers, args) == want
+    if want[0] == "pairs":
+        event("some segment has one stabber" if -1 in want[1][1] else "every segment has two")
+    else:
+        event("infeasible")
 
 
-def test_initial_stabbers_match_fenwick_reference_on_kernel_corpus(monkeypatch):
-    """Every rank space ``normalize`` and ``_build`` make of the corpus."""
-    real = ssr._initial_unique_stabbers
-    kinds = {"ranks": 0, "infeasible": 0}
+def compressed_top_two(columns):
+    comp = ssr._compress(columns)
+    return comp.top, comp.second
 
-    def checked(*args):
-        got = stabbers_outcome(real, args)
-        assert got == stabbers_outcome(reference_initial_unique_stabbers, args)
-        kinds[got[0]] += 1
-        return real(*args)
 
-    monkeypatch.setattr(ssr, "_initial_unique_stabbers", checked)
+def test_last_two_stabbers_match_brute_force_on_kernel_corpus():
+    """The rank spaces of the corpus: raw, as ``solve_fast`` builds them,
+    and the one ``normalize`` hands over."""
     rng = random.Random(8989)
+    kinds = {"pairs": 0, "infeasible": 0}
     for _ in range(2000):
         inst = kernel_instance(rng)
-        normalized_or_error(ssr.normalize, inst)
-        solved_or_error(ssr.solve_fast, inst)
+        raw = inst._int_columns()
+        if len(set(raw.ray_y)) < len(raw.ray_y):
+            continue
+        spaces = [raw]
+        norm = normalized_or_error(ssr.normalize, inst)
+        if not isinstance(norm, tuple) and inst.segments:
+            cols = vars(norm)["_columns"]
+            assert vars(norm)["_sweep_data"] == ssr._compress(cols)
+            spaces.append(cols)
+        for cols in spaces:
+            order, seg_lo, seg_hi = geom._runs(cols.ray_y, cols.seg_lo, cols.seg_hi)
+            ray_id, reach = [cols.ray_id[i] for i in order], [cols.reach[i] for i in order]
+            args = (ray_id, reach, cols.seg_id, cols.seg_x, seg_lo, seg_hi)
+            got = top_two_outcome(compressed_top_two, (cols,))
+            assert got == top_two_outcome(reference_last_two_stabbers, args)
+            kinds[got[0]] += 1
     assert min(kinds.values()) > 400
 
 
@@ -490,6 +510,63 @@ def test_column_instances_solve_like_their_materialized_twins(inst, k, y_shift, 
         assert got == want and repr(got) == repr(want)
 
 
+def _selection_or_error(solve, inst):
+    try:
+        return solve(inst)
+    except GeodomError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ssr_instances() | ssr_instances(WIDE, WIDE_LENGTHS), st.data())
+def test_moving_abscissas_between_reaches_keeps_the_selection(inst, data):
+    """Permuting the segments of a ``from_columns`` instance and moving
+    each abscissa anywhere no reach separates it from keeps every stabber
+    set, so ``solve_fast`` picks the same rays, raw and normalized, or
+    raises the same kind of error (an infeasible instance may name another
+    segment)."""
+    c = geom.int_coords(inst.rays, inst.segments)
+
+    def between(x):
+        lo = max((r + 1 for r in c.reach if r < x), default=x - 5)
+        hi = min((r for r in c.reach if r >= x), default=x + 5)
+        return data.draw(st.integers(lo, hi))
+
+    perm = data.draw(st.permutations(range(len(c.seg_id))))
+    moved = c._replace(
+        seg_id=[c.seg_id[j] for j in perm], seg_x=[between(c.seg_x[j]) for j in perm],
+        seg_lo=[c.seg_lo[j] for j in perm], seg_hi=[c.seg_hi[j] for j in perm],
+    )
+    event("moved" if sorted(moved.seg_x) != sorted(c.seg_x) else "only permuted")
+    for solve in (ssr.solve_fast, lambda i: ssr.solve_fast(ssr.normalize(i))):
+        want = _selection_or_error(solve, SsrInstance.from_columns(c))
+        assert _selection_or_error(solve, SsrInstance.from_columns(moved)) == want
+    event("selection" if isinstance(want, set) else want.__name__)
+
+
+def test_each_critical_ray_is_its_witness_last_stabber():
+    """``solve`` takes a ray when every other stabber of its witness has
+    retired, which happens in (reach, id) order: the ray is the witness's
+    last stabber in that order, the one ``solve_fast`` selects."""
+    rng = random.Random(9090)
+    events = 0
+    for k in range(600):
+        if k % 2:
+            inst = kernel_instance(rng)
+        else:
+            params = {"n": rng.randint(2, 9), "m": rng.randint(2, 9)}
+            inst = instances.generate("ssr", params, seed=rng.randrange(10**9)).data
+        try:
+            _, trace = ssr.solve(inst)
+        except InfeasibleSegmentError:
+            continue
+        reach = {r.id: r.x_right for r in inst.rays}
+        for ev in trace.events:
+            assert ev.ray == max(ev.witness_input_stabbers, key=lambda rid: (reach[rid], rid))
+            events += 1
+    assert events > 600
+
+
 def test_normalize_hands_over_rank_space_once():
     inst = _big_ssr(random.Random(8484), 100, 100)
     norm = ssr.normalize(inst)
@@ -519,16 +596,16 @@ SHARED_X = instances.generate("ssr", {"n": 12, "m": 12}, seed=8787).data
 
 
 def test_solve_after_normalize_splits_nothing_and_ranks_no_abscissa(monkeypatch):
-    """The hand-over holds the columns' own ints, and solving reads no
-    field and runs no split."""
+    """Solving reads no field and runs no split: the engine compares
+    abscissas only with reaches (see
+    ``test_moving_abscissas_between_reaches_keeps_the_selection``), so the
+    columns' own ints serve."""
     calls = _counting_split(monkeypatch)
     for inst in (SHARED_X, _big_ssr(random.Random(8484), 100, 100)):
         norm = ssr.normalize(inst)
-        cols, comp = vars(norm)["_columns"], vars(norm)["_sweep_data"]
+        cols = vars(norm)["_columns"]
         xs = [v.x for v in inst.segments]
         assert cols.split_x == (len(set(xs)) < len(xs))
-        # no x-rank table: the rank space keeps the abscissas as they are
-        assert comp.seg_x is cols.seg_x and sorted(comp.reach) == sorted(cols.reach)
         if cols.split_x:
             assert cols.seg_id == sorted(cols.seg_id)
         assert ssr.solve_fast(norm) == reference_ssr_solve_fast(inst)

@@ -564,100 +564,3 @@ def _runs(keys: Sequence[int], los: Iterable[int], his: Iterable[int]) -> tuple[
     ks = [keys[i] for i in order]
     return order, [bisect_left(ks, lo) for lo in los], [bisect_right(ks, hi) - 1 for hi in his]
 
-
-class LiveRanks:
-    """Ranks 0..n-1, each live until removed, as flat int lists.
-
-    ``prev``/``next`` link the live ranks in increasing order, with -1 and n
-    standing for "none"; ``prev[n]`` is the greatest live rank and
-    ``next[n]`` (which ``next[-1]`` also reaches) the least, so removing
-    either end needs no special case.  ``find`` is a path-compressed
-    union-find in which a removed rank points at the rank above it.
-    """
-
-    __slots__ = ("prev", "next", "_up")
-
-    def __init__(self, n: int):
-        self.prev = list(range(-1, n))
-        self.next = list(range(1, n + 1)) + [0]
-        self._up = list(range(n + 1))
-
-    def __contains__(self, rank: int) -> bool:
-        return self._up[rank] == rank
-
-    def find(self, rank: int) -> int:
-        """Least live rank >= ``rank``, or n when there is none."""
-        up = self._up
-        while up[rank] != rank:
-            up[rank] = up[up[rank]]  # path halving
-            rank = up[rank]
-        return rank
-
-    def remove(self, rank: int) -> None:
-        """Unlink a live rank; its own ``prev``/``next`` keep their values."""
-        p, q = self.prev[rank], self.next[rank]
-        self.next[p] = q
-        self.prev[q] = p
-        self._up[rank] = rank + 1
-
-    def pop_range(self, lo: int, hi: int) -> list[int]:
-        """Remove the live ranks in [lo, hi] and return them in order."""
-        out = []
-        rank = self.find(lo)
-        while rank <= hi:
-            self.remove(rank)
-            out.append(rank)
-            rank = self.next[rank]
-        return out
-
-
-class IntervalStore:
-    """Segment tree stabbing structure with delete-on-report.
-
-    A member is inserted once, into the lists of the nodes that tile its
-    rank interval; a stab query at a rank reports every member not yet
-    reported whose interval contains it.  Deletion is lazy: a query empties
-    the lists on its leaf-to-root path and skips members already reported.
-    An interval may keep ranks its caller has since dropped (srs's removed
-    rays), as long as queries only ever target ranks still in use.
-    """
-
-    def __init__(self, n: int):
-        self.n = max(n, 1)
-        self.nodes: list[Optional[list[int]]] = [None] * (2 * self.n)
-        self.live: set[int] = set()
-
-    def insert(self, member: int, lo: int, hi: int) -> None:
-        self.live.add(member)
-        nodes = self.nodes
-        a, b = lo + self.n, hi + self.n + 1
-        while a < b:
-            if a & 1:
-                if nodes[a] is None:
-                    nodes[a] = [member]
-                else:
-                    nodes[a].append(member)
-                a += 1
-            if b & 1:
-                b -= 1
-                if nodes[b] is None:
-                    nodes[b] = [member]
-                else:
-                    nodes[b].append(member)
-            a >>= 1
-            b >>= 1
-
-    def stab_pop(self, rank: int) -> list[int]:
-        nodes, live = self.nodes, self.live
-        hits: list[int] = []
-        i = rank + self.n
-        while i:
-            members = nodes[i]
-            if members is not None:
-                nodes[i] = None
-                for member in members:
-                    if member in live:
-                        live.remove(member)
-                        hits.append(member)
-            i >>= 1
-        return hits

@@ -206,14 +206,15 @@ def normalize(inst: SsrInstance) -> SsrInstance:
     )
     seg_ids = c.seg_id
     if len(set(c.seg_x)) != len(seg_ids):
+        columns = columns._replace(split_x=True)
         # the split moves tied segments in id order, and a raise names the
         # first stabberless one in list order among tied abscissas
-        by_id = sorted(range(len(seg_ids)), key=seg_ids.__getitem__)
-        columns = columns._replace(
-            seg_id=[seg_ids[k] for k in by_id], seg_x=[c.seg_x[k] for k in by_id],
-            seg_lo=[c.seg_lo[k] for k in by_id], seg_hi=[c.seg_hi[k] for k in by_id],
-            split_x=True,
-        )
+        if seg_ids != sorted(seg_ids):
+            by_id = sorted(range(len(seg_ids)), key=seg_ids.__getitem__)
+            columns = columns._replace(
+                seg_id=[seg_ids[k] for k in by_id], seg_x=[c.seg_x[k] for k in by_id],
+                seg_lo=[c.seg_lo[k] for k in by_id], seg_hi=[c.seg_hi[k] for k in by_id],
+            )
     # raises on repeated ray heights or an unstabbable segment
     comp = _compress(columns)
     out = SsrInstance.from_columns(columns)

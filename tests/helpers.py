@@ -416,8 +416,9 @@ def reference_last_two_stabbers(ray_id, reach, seg_id, seg_x, seg_lo, seg_hi):
 
 
 class ReferenceIntervalStore:
-    """``geom.IntervalStore`` with eager deletion: a dict of member sets
-    per segment-tree node, and per member the nodes it sits in."""
+    """The delete-on-report stabbing store of ssr's old live-window sweep,
+    kept for ``reference_ssr_solve_fast``, with eager deletion: a dict of
+    member sets per segment-tree node, and per member the nodes it sits in."""
 
     def __init__(self, n: int):
         self.n = max(n, 1)

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodom import HRay, VSeg, SrsInstance, exact_stab, intersects
 from geodom.errors import InfeasibleRayError
@@ -113,6 +115,59 @@ def test_coverage_and_ratio_two():
         if len(inst.rays) <= 6 and len(inst.segments) <= 6:
             brute = naive_min_stab(inst.segments, inst.rays)
             assert brute is not None and len(opt) == len(brute)
+
+
+def test_each_round_removes_every_window_it_reports():
+    """The one range pop per round takes every ray in the y-span of every
+    neighbourhood segment, so no reported segment's window keeps a live ray."""
+    rng = random.Random(818)
+    for _ in range(200):
+        inst = instances.generate(
+            "srs",
+            {"n": rng.randint(1, 30), "m": rng.randint(1, 30), "coord_range": rng.randint(2, 20)},
+            seed=rng.randrange(10**9),
+        ).data
+        try:
+            _, trace = srs.solve(inst)
+        except InfeasibleRayError:
+            continue
+        segs = {v.id: v for v in inst.segments}
+        removed: set[int] = set()
+        for rd in trace.rounds:
+            removed |= rd.removed_rays
+            for vid in rd.neighborhood:
+                v = segs[vid]
+                assert {r.id for r in inst.rays if v.y_lo <= r.y <= v.y_hi} <= removed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_live_ranks_match_a_sorted_list(n, data):
+    live = srs._LiveRanks(n)
+    alive = list(range(n))
+    # the ranges a bisection over n heights can give: 0 <= lo <= n, -1 <= hi < n
+    ranges = st.tuples(st.integers(0, n), st.integers(-1, n - 1))
+    for lo, hi in data.draw(st.lists(ranges, max_size=12)):
+        assert live.pop_range(lo, hi) == [r for r in alive if lo <= r <= hi]
+        alive = [r for r in alive if not lo <= r <= hi]
+        assert [r for r in range(n) if r in live] == alive
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 16), st.data())
+def test_stab_tree_matches_a_brute_force_list(n, data):
+    tree = srs._StabTree(n)
+    held = []  # (member, lo, hi), every one inserted so far
+    # windows as a bisection gives them (lo > hi holds no rank), and stabs
+    windows = st.tuples(st.integers(0, n), st.integers(-1, n - 1))
+    ops = st.one_of(windows, st.integers(0, n - 1)) if n else windows
+    for member, op in enumerate(data.draw(st.lists(ops, max_size=30))):
+        if isinstance(op, tuple):
+            tree.insert(member, *op)
+            held.append((member, *op))
+            continue
+        hits = tree.stab(op)
+        assert sorted(hits) == [m for m, lo, hi in held if lo <= op <= hi]
 
 
 # ---------------------------------------------------------------------------
